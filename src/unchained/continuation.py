@@ -21,24 +21,23 @@ Jacobian singular.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (CollisionError, IntegrationFailure, NoConvergence,
                      SingularReduction)
-from .ngon import (LoopPath, action, angular_momentum_z, force_jacobian,
-                   gravity, jay)
+from .ngon import (COLLISION_TOL, LoopPath, _separated, action,
+                   angular_momentum_z, closest_pair, force_jacobian, gravity,
+                   jay, pair_terms)
 from .spectrum import vertical_spectrum
 from .symmetry import GroupElement, GroupSpec, enumerate_elements
 from .torsion import reconstruct_loop, torsion_gamma
 
 INTEGRATOR_TOL = 1e-12
 NEWTON_TOL = 1e-10
-COLLISION_FLOOR = 1e-7
 
 _HMASK = np.array([1.0, 1.0, 0.0])
 
@@ -64,7 +63,7 @@ def _frame_rate(frame) -> float:
 
 def integrate(state, masses, frame, t_span, tol=INTEGRATOR_TOL, *,
               variational=False, varpi_gradient=False, t_eval=None,
-              collision_floor=COLLISION_FLOOR, max_step=np.inf):
+              max_step=np.inf):
     """Flow the rotating-frame equations of motion with a DOP853 stepper.
 
     state is (2, n, 3): positions and velocities.  frame is a RotatingFrame
@@ -74,11 +73,14 @@ def integrate(state, masses, frame, t_span, tol=INTEGRATOR_TOL, *,
     varpi gradient, or a trajectory on t_eval returns an IntegrationResult
     carrying them.
 
-    A terminal event watches the closest pair separation; crossing below
-    collision_floor raises CollisionError with the offending pair.  Solver
-    breakdown raises IntegrationFailure with the time reached.
+    Initial positions closer than ngon.COLLISION_TOL raise CollisionError
+    with the offending pair; so does a terminal event when the closest pair
+    separation crosses below it.  The event is the only collision check of
+    the flow: the right-hand side (`gravity`, `force_jacobian`) does none.
+    Solver breakdown raises IntegrationFailure with the time reached.
     """
     state = np.asarray(state, dtype=float)
+    _separated(state[0])
     n = state.shape[1]
     masses = np.asarray(masses, dtype=float)
     varpi = _frame_rate(frame)
@@ -122,12 +124,9 @@ def integrate(state, masses, frame, t_span, tol=INTEGRATOR_TOL, *,
             out[idx:idx + n_core] = mat @ w + drive
         return out
 
-    iu, ju = np.triu_indices(n, k=1)
-
     def closest(t, y):
-        pos = y[:nv].reshape(n, 3)
-        d = np.linalg.norm(pos[iu] - pos[ju], axis=1)
-        return float(d.min()) - collision_floor
+        r = pair_terms(y[:nv].reshape(n, 3))[1]
+        return float(r.min()) - COLLISION_TOL
 
     closest.terminal = True
     closest.direction = -1.0
@@ -142,26 +141,20 @@ def integrate(state, masses, frame, t_span, tol=INTEGRATOR_TOL, *,
     if t1 == t0:
         sol_y = y0[:, None]
         sol_t = np.array([t0])
-        status = 0
     else:
         sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol,
                         atol=tol, events=closest, t_eval=t_eval,
                         max_step=max_step, dense_output=False)
         if sol.status == 1:
             yc = sol.y_events[0][-1] if len(sol.y_events[0]) else sol.y[:, -1]
-            pos = yc[:nv].reshape(n, 3)
-            d = np.linalg.norm(pos[iu] - pos[ju], axis=1)
-            worst = int(np.argmin(d))
-            raise CollisionError(int(iu[worst]), int(ju[worst]),
-                                 float(d[worst]))
+            raise CollisionError(
+                *closest_pair(pair_terms(yc[:nv].reshape(n, 3))[1]))
         if sol.status != 0:
             raise IntegrationFailure(
                 f"integrator stopped at t = {sol.t[-1]:.9g} of "
                 f"[{t0:.9g}, {t1:.9g}]: {sol.message}")
         sol_y, sol_t = sol.y, sol.t
-        status = sol.status
 
-    del status
     yf = sol_y[:, -1]
     final = yf[:n_core].reshape(2, n, 3)
     if not (variational or varpi_gradient or t_eval is not None):
@@ -285,7 +278,6 @@ class PeriodicOrbit:
     initial_state: np.ndarray
     amplitude: float
     residual: float
-    monodromy_mu: Optional[float] = None
 
     def sample(self, n_samples: int = 512,
                tol: float = INTEGRATOR_TOL) -> LoopPath:
@@ -345,43 +337,51 @@ def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
     red = _reduction(spec)
     if isinstance(guess, PeriodicOrbit):
         guess = guess.initial_state
-    u = red.basis.T @ np.asarray(guess, dtype=float).ravel()
-    res_norm, prev_norm = np.inf, np.inf
+    u0 = red.basis.T @ np.asarray(guess, dtype=float).ravel()
+
+    def closing(u, with_jacobian):
+        out = _closing_residual(red, u, varpi, integrator_tol, with_jacobian)
+        return out[:2] if with_jacobian else out
+
+    u, residual = _damped_newton(closing, u0, tol, integrator_tol, max_iter)
+    orbit, _ = _finish_orbit(spec, red, u, varpi,
+                             float(np.max(np.abs(residual))), integrator_tol)
+    return orbit
+
+
+def _damped_newton(fun, x0, tol, integrator_tol, max_iter):
+    """Gauss-Newton with a halving line search on a residual function.
+
+    fun(x, True) returns (residual, Jacobian) and fun(x, False) the
+    residual alone.  Returns (x, residual) once the sup norm of the
+    residual is at most tol.  Raises NoConvergence when six halvings find
+    no decrease above tol, or max_iter iterations end above it.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    norm, prev_norm = np.inf, np.inf
     floor = 0.25 * integrator_tol
     for _ in range(max_iter):
-        residual, jac_u, _ = _closing_residual(red, u, varpi, integrator_tol,
-                                               True)
-        res_norm = float(np.max(np.abs(residual)))
+        residual, jac = fun(x, True)
+        norm = float(np.max(np.abs(residual)))
         # polish past tol while convergence is still rapid; the closing
         # defect rings through spectral residuals of the sampled loop
-        if res_norm <= floor or (res_norm <= tol
-                                 and res_norm > 0.05 * prev_norm):
-            break
-        prev_norm = res_norm
-        du = np.linalg.lstsq(jac_u, -residual, rcond=None)[0]
-        scale = 1.0
-        improved = False
-        for _ in range(6):
-            trial = u + scale * du
-            r_try = _closing_residual(red, trial, varpi, integrator_tol,
-                                      False)
-            if np.max(np.abs(r_try)) < res_norm:
-                u = trial
-                improved = True
+        if norm <= floor or (norm <= tol and norm > 0.05 * prev_norm):
+            return x, residual
+        prev_norm = norm
+        step = np.linalg.lstsq(jac, -residual, rcond=None)[0]
+        for scale in 0.5 ** np.arange(6):
+            trial = x + scale * step
+            if np.max(np.abs(fun(trial, False))) < norm:
+                x = trial
                 break
-            scale *= 0.5
-        if not improved:
-            if res_norm <= tol:
-                break
-            raise NoConvergence(
-                f"shooting stalled at residual {res_norm:.3e}")
-    else:
-        if res_norm > tol:
-            raise NoConvergence(
-                f"no convergence in {max_iter} iterations "
-                f"(residual {res_norm:.3e})")
-    orbit, _ = _finish_orbit(spec, red, u, varpi, res_norm, integrator_tol)
-    return orbit
+        else:
+            if norm <= tol:
+                return x, residual
+            raise NoConvergence(f"Newton stalled at residual {norm:.3e}")
+    if norm > tol:
+        raise NoConvergence(f"no convergence in {max_iter} iterations "
+                            f"(residual {norm:.3e})")
+    return x, fun(x, False)
 
 
 def _finish_orbit(spec, red, u, varpi, residual, integrator_tol,
@@ -432,45 +432,20 @@ def _corrector(red, u0, varpi0, row_u, row_w, rhs, tol, integrator_tol,
     rhs(u, varpi) is the constraint value; (row_u, row_w) its gradient.
     Returns (u, varpi, closing residual sup norm).
     """
-    u, varpi = u0.copy(), float(varpi0)
-    norm, prev_norm = np.inf, np.inf
-    floor = 0.25 * integrator_tol
-    for _ in range(max_iter):
-        residual, jac_u, jac_w = _closing_residual(red, u, varpi,
-                                                   integrator_tol, True)
-        full = np.append(residual, rhs(u, varpi))
-        norm = float(np.max(np.abs(full)))
-        # polish past tol while convergence is still rapid; the closing
-        # defect rings through spectral residuals of the sampled loop
-        if norm <= floor or (norm <= tol and norm > 0.05 * prev_norm):
-            return u, varpi, float(np.max(np.abs(residual)))
-        prev_norm = norm
-        jac = np.hstack([jac_u, jac_w[:, None]])
-        jac = np.vstack([jac, np.append(row_u, row_w)])
-        step = np.linalg.lstsq(jac, -full, rcond=None)[0]
-        scale = 1.0
-        improved = False
-        for _ in range(6):
-            u_try = u + scale * step[:-1]
-            w_try = varpi + scale * step[-1]
-            r_try = _closing_residual(red, u_try, w_try, integrator_tol,
-                                      False)
-            trial_norm = max(np.max(np.abs(r_try)),
-                             abs(rhs(u_try, w_try)))
-            if trial_norm < norm:
-                u, varpi = u_try, w_try
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            if norm <= tol:
-                return u, varpi, float(np.max(np.abs(residual)))
-            break
-    if norm <= tol:
-        residual = _closing_residual(red, u, varpi, integrator_tol, False)
-        return u, varpi, float(np.max(np.abs(residual)))
-    raise NoConvergence(f"corrector stalled above {tol:.1e} "
-                        f"(residual {norm:.3e})")
+    row = np.append(row_u, row_w)
+
+    def bordered(x, with_jacobian):
+        u, varpi = x[:-1], x[-1]
+        out = _closing_residual(red, u, varpi, integrator_tol, with_jacobian)
+        if not with_jacobian:
+            return np.append(out, rhs(u, varpi))
+        residual, jac_u, jac_w = out
+        jac = np.vstack([np.column_stack([jac_u, jac_w]), row])
+        return np.append(residual, rhs(u, varpi)), jac
+
+    x, full = _damped_newton(bordered, np.append(u0, varpi0), tol,
+                             integrator_tol, max_iter)
+    return x[:-1], float(x[-1]), float(np.max(np.abs(full[:-1])))
 
 
 def continue_family(spec: GroupSpec, start_varpi: Optional[float] = None,

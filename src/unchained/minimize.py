@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ngon import LoopPath, potential, Configuration
+from .ngon import Configuration, LoopPath, pair_terms, potential
 from .spectrum import VerticalSpectrum, fold_mode, vertical_spectrum
 from .symmetry import GroupSpec
 
@@ -57,13 +57,8 @@ class BarActionParams:
         if masses is None:
             masses = np.ones(n)
         masses = np.asarray(masses, dtype=float)
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff * diff).sum(-1))
-        mu = np.zeros((n, n))
-        iu, ju = np.triu_indices(n, k=1)
-        mu[iu, ju] = masses[iu] * masses[ju] / dist[iu, ju] ** 3
-        mu = mu + mu.T
         u_bar = potential(Configuration(pos, masses.copy()))
+        mu = np.outer(masses, masses) * pair_terms(pos)[2]
         return cls(mu_bar=mu, U_bar=u_bar, lambda_G=float(lambda_G))
 
 

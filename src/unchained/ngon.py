@@ -7,6 +7,14 @@ provides the configuration objects, the gravitational potential and force,
 the Wintner matrix governing vertical variations, periodic paths sampled
 on a uniform grid, and the Lagrangian action in a frame rotating at an
 arbitrary rate varpi.
+
+Every pairwise quantity comes from one kernel, `pair_terms`, which returns
+the differences x_j - x_i, the distances r_ij and r_ij^-3.  Two bodies
+closer than the single threshold COLLISION_TOL collide.  The functions that
+take positions from a caller (`potential`, `wintner_matrix`, `action`,
+`newton_residual`) raise CollisionError below it.  `gravity` and
+`force_jacobian` do not check: they are the right-hand side of the flow,
+whose terminal event in `continuation.integrate` is the collision check.
 """
 
 from dataclasses import dataclass, field
@@ -15,21 +23,56 @@ import numpy as np
 
 from .errors import CollisionError
 
-COLLISION_TOL = 1e-9
+COLLISION_TOL = 1e-7
 
 
-def _pair_distances(positions):
-    diff = positions[:, None, :] - positions[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+def pair_terms(positions):
+    """Pairwise differences, distances and inverse cubed distances.
+
+    positions is (..., n, 3).  Returns (diff, r, inv_r3) with
+    diff[..., i, j] = x_j - x_i of shape (..., n, n, 3) and r, inv_r3 of
+    shape (..., n, n).  The diagonal holds r = inf, so inv_r3 is 0 there
+    and r.min() is the closest separation.
+    """
+    pos = np.asarray(positions, dtype=float)
+    diff = pos[..., None, :, :] - pos[..., :, None, :]
+    r = np.sqrt(np.sum(diff * diff, axis=-1))
+    np.einsum("...ii->...i", r)[...] = np.inf
+    return diff, r, 1.0 / r ** 3
 
 
-def _check_collisions(dist, tol):
-    n = dist.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    dmin = dist[iu, ju]
-    bad = np.argmin(dmin)
-    if dmin[bad] < tol:
-        raise CollisionError(int(iu[bad]), int(ju[bad]), float(dmin[bad]))
+def closest_pair(r):
+    """(i, j, distance) of the closest pair in a `pair_terms` distance array.
+
+    Over a batch (..., n, n) the pair is the closest one of all samples.
+    """
+    # r is symmetric, so its first minimum in row-major order has i < j
+    k = np.argmin(r)
+    *_, i, j = np.unravel_index(k, r.shape)
+    return int(i), int(j), float(r.flat[k])
+
+
+def check_separation(r):
+    """Raise CollisionError when a pair in r is closer than COLLISION_TOL."""
+    i, j, d = closest_pair(r)
+    if d < COLLISION_TOL:
+        raise CollisionError(i, j, d)
+
+
+def _separated(positions):
+    """`pair_terms` of positions that must be collision-free.
+
+    A coincident pair raises CollisionError, not a division warning.
+    """
+    with np.errstate(divide="ignore"):
+        terms = pair_terms(positions)
+    check_separation(terms[1])
+    return terms
+
+
+def _pair_potential(r, masses):
+    # U = sum_{i<j} m_i m_j / r_ij, over the leading axes of r
+    return 0.5 * np.sum(np.outer(masses, masses) / r, axis=(-2, -1))
 
 
 @dataclass
@@ -67,63 +110,45 @@ class Configuration:
         return float(np.sum(self.masses[:, None] * self.positions ** 2))
 
 
-def potential(config, collision_tol=COLLISION_TOL):
+def potential(config):
     """Newtonian potential U = sum_{i<j} m_i m_j / r_ij (positive)."""
-    dist = _pair_distances(config.positions)
-    _check_collisions(dist, collision_tol)
-    iu, ju = np.triu_indices(config.n, k=1)
-    m = config.masses
-    return float(np.sum(m[iu] * m[ju] / dist[iu, ju]))
+    _, r, _ = _separated(config.positions)
+    return float(_pair_potential(r, config.masses))
 
 
-def gravity(positions, masses, collision_tol=COLLISION_TOL):
+def gravity(positions, masses):
     """Accelerations x_i'' = sum_{j != i} m_j (x_j - x_i) / r_ij^3.
 
     positions may be (n, 3) or a batch (..., n, 3); the pairwise force is
-    evaluated pointwise over the leading axes.
+    evaluated pointwise over the leading axes.  No collision check: a
+    coincident pair gives an infinite or undefined force.
     """
-    pos = np.asarray(positions, dtype=float)
-    diff = pos[..., None, :, :] - pos[..., :, None, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    if pos.ndim == 2:
-        _check_collisions(dist, collision_tol)
-    else:
-        n = pos.shape[-2]
-        iu, ju = np.triu_indices(n, k=1)
-        if np.min(dist[..., iu, ju]) < collision_tol:
-            flat = np.argmin(dist[..., iu, ju])
-            pair = int(flat % len(iu))
-            raise CollisionError(int(iu[pair]), int(ju[pair]),
-                                 float(np.min(dist[..., iu, ju])))
-    np.einsum("...ii->...i", dist)[...] = 1.0
-    w = np.asarray(masses) / dist ** 3
-    np.einsum("...ii->...i", w)[...] = 0.0
+    diff, _, inv_r3 = pair_terms(positions)
+    w = np.asarray(masses, dtype=float) * inv_r3
     return np.einsum("...ij,...ijc->...ic", w, diff)
 
 
 def force_jacobian(positions, masses):
     """Derivative of `gravity` with respect to positions.
 
-    Returns the (3n, 3n) matrix of d(acceleration_i)/d(position_j) blocks.
+    Returns the (3n, 3n) matrix of d(acceleration_i)/d(position_j) blocks,
+    or a (..., 3n, 3n) batch for (..., n, 3) positions.  Like `gravity`
+    it does no collision check.
     """
-    pos = np.asarray(positions, dtype=float)
-    n = pos.shape[0]
-    out = np.zeros((n, 3, n, 3))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = pos[j] - pos[i]
-            r2 = d @ d
-            r = np.sqrt(r2)
-            block = masses[j] * (np.eye(3) / r ** 3
-                                 - 3.0 * np.outer(d, d) / r ** 5)
-            out[i, :, j, :] = block
-            out[i, :, i, :] -= block
-    return out.reshape(3 * n, 3 * n)
+    diff, r, inv_r3 = pair_terms(positions)
+    w = np.asarray(masses, dtype=float) * inv_r3
+    # off-diagonal blocks m_j (I / r^3 - 3 d d^T / r^5)
+    blocks = (w[..., None, None] * np.eye(3)
+              - 3.0 * (w / r ** 2)[..., None, None]
+              * diff[..., :, None] * diff[..., None, :])
+    n = diff.shape[-2]
+    # the diagonal block of body i is minus the sum of its row
+    row_sums = blocks.sum(axis=-3)[..., :, None, :, :]
+    jac = blocks - np.eye(n)[:, :, None, None] * row_sums
+    return np.swapaxes(jac, -3, -2).reshape(*jac.shape[:-4], 3 * n, 3 * n)
 
 
-def wintner_matrix(config, collision_tol=COLLISION_TOL):
+def wintner_matrix(config):
     """Matrix of the variational equation z'' = W z normal to the plane.
 
     Off diagonal W_ij = m_j / r_ij^3 and the diagonal makes every row sum
@@ -131,11 +156,8 @@ def wintner_matrix(config, collision_tol=COLLISION_TOL):
     <u, v> = sum_i m_i u_i v_i and its spectrum is nonpositive for planar
     central configurations.
     """
-    dist = _pair_distances(config.positions)
-    _check_collisions(dist, collision_tol)
-    np.fill_diagonal(dist, 1.0)
-    w = config.masses[None, :] / dist ** 3
-    np.fill_diagonal(w, 0.0)
+    _, _, inv_r3 = _separated(config.positions)
+    w = config.masses[None, :] * inv_r3
     np.fill_diagonal(w, -w.sum(axis=1))
     return w
 
@@ -271,24 +293,14 @@ class LoopPath:
         return np.real(vals)
 
     def resample(self, n_samples):
-        m = self.n_samples
         t = np.arange(n_samples) * (self.period / n_samples)
         return LoopPath(self.evaluate(t), self.period, self.masses.copy())
 
     def min_separation(self):
-        d = _pair_distances_batch(self.positions)
-        return float(d.min())
+        return float(pair_terms(self.positions)[1].min())
 
     def configuration_at(self, i):
         return Configuration(self.positions[i], self.masses.copy())
-
-
-def _pair_distances_batch(positions):
-    diff = positions[:, :, None, :] - positions[:, None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=-1))
-    n = positions.shape[1]
-    iu, ju = np.triu_indices(n, k=1)
-    return d[:, iu, ju]
 
 
 def vertical_rotation(angle):
@@ -334,7 +346,7 @@ def kinetic_energy(loop, varpi=0.0):
     return 0.5 * np.einsum("j,ijc,ijc->i", loop.masses, vel, vel)
 
 
-def action(loop, varpi=0.0, collision_tol=COLLISION_TOL):
+def action(loop, varpi=0.0):
     """Lagrangian action of a loop in a frame rotating at rate varpi.
 
     A = integral over one period of (1/2) sum_i m_i |y_i' + varpi J y_i|^2
@@ -343,9 +355,9 @@ def action(loop, varpi=0.0, collision_tol=COLLISION_TOL):
     the uniform grid, which is spectrally accurate for smooth loops.
     """
     kin = kinetic_energy(loop, varpi)
-    pot = np.array([potential(Configuration(p, loop.masses), collision_tol)
-                    for p in loop.positions])
-    return float(np.mean(kin + pot) * loop.period)
+    _, r, _ = _separated(loop.positions)
+    return float(np.mean(kin + _pair_potential(r, loop.masses))
+                 * loop.period)
 
 
 def rescale(loop, lam):
@@ -360,16 +372,17 @@ def rescale(loop, lam):
                     loop.masses.copy())
 
 
-def newton_residual(loop, varpi=0.0, collision_tol=COLLISION_TOL):
+def newton_residual(loop, varpi=0.0):
     """Sup-norm residual of Newton's equations along the loop.
 
     In the rotating frame: y'' - F(y) - varpi^2 P_h y + 2 varpi J y',
     with P_h the horizontal projection.  Derivatives are spectral, so the
     value is meaningful only for smooth well-sampled loops.
     """
+    _separated(loop.positions)
     acc = loop.derivative(2)
     vel = loop.derivative(1)
-    frc = gravity(loop.positions, loop.masses, collision_tol)
+    frc = gravity(loop.positions, loop.masses)
     cen = varpi ** 2 * np.concatenate(
         [loop.positions[..., :2], np.zeros_like(loop.positions[..., 2:])],
         axis=-1)

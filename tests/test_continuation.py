@@ -157,6 +157,18 @@ def test_integrate_collision_raises():
     assert err.value.distance < 1e-5
 
 
+def test_integrate_rejects_initial_collision():
+    # two bodies inside the collision threshold and moving apart: the
+    # terminal event fires only on a downward crossing, so only the check
+    # of the initial positions can catch them
+    pos = np.array([[0.0, 0.0, 0.0], [5e-8, 0.0, 0.0]])
+    vel = np.array([[-0.5e5, 0.0, 0.0], [0.5e5, 0.0, 0.0]])
+    with pytest.raises(CollisionError) as err:
+        integrate(np.stack([pos, vel]), [1.0, 1.0], 0.0, 1e-6)
+    assert err.value.pair == (0, 1)
+    assert err.value.distance == pytest.approx(5e-8)
+
+
 def test_integrate_trajectory_shapes():
     state = two_body_circular()
     t_eval = np.linspace(0.0, 1.0, 11)
