@@ -29,12 +29,12 @@ from .symmetry import (FourierConstraints, GroupElement, GroupSpec,
                        structure_report)
 from .torsion import (AppendixGeometry, ExpansionResult, appendix_geometry,
                       build_equations, excluded_harmonics, reconstruct_loop,
-                      torsion_gamma, verify_against_continuation)
+                      torsion_gamma)
 from .continuation import (ActionDiagram, ContinuationResult, FamilyRecord,
                            IntegrationResult, PeriodicOrbit, action_diagram,
                            continue_family, integrate, monodromy,
                            onset_state, re_branch_action, shoot_symmetric,
-                           write_family_csv)
+                           verify_against_continuation, write_family_csv)
 
 __all__ = [
     "CollisionError", "DegenerateSystem", "IntegrationFailure",

@@ -33,7 +33,7 @@ from .ngon import (COLLISION_TOL, LoopPath, _separated, action,
                    angular_momentum_z, closest_pair, force_jacobian, gravity,
                    jay, pair_terms)
 from .spectrum import vertical_spectrum
-from .symmetry import GroupElement, GroupSpec, enumerate_elements
+from .symmetry import GroupElement, GroupSpec, _action, enumerate_elements
 from .torsion import reconstruct_loop, torsion_gamma
 
 INTEGRATOR_TOL = 1e-12
@@ -57,21 +57,16 @@ class IntegrationResult:
     times: Optional[np.ndarray] = None
 
 
-def _frame_rate(frame) -> float:
-    return float(getattr(frame, "varpi", frame))
-
-
-def integrate(state, masses, frame, t_span, tol=INTEGRATOR_TOL, *,
+def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
               variational=False, varpi_gradient=False, t_eval=None,
-              max_step=np.inf):
+              max_step=np.inf) -> IntegrationResult:
     """Flow the rotating-frame equations of motion with a DOP853 stepper.
 
-    state is (2, n, 3): positions and velocities.  frame is a RotatingFrame
-    or a bare rate varpi; t_span a duration or a (t0, t1) pair.  By default
-    the final state is returned.  Requesting the variational matrix (the
-    6n x 6n derivative of the flow with respect to the initial state), the
-    varpi gradient, or a trajectory on t_eval returns an IntegrationResult
-    carrying them.
+    state is (2, n, 3): positions and velocities; varpi the frame rate;
+    t_span a duration or a (t0, t1) pair.  Returns an IntegrationResult
+    whose state is the final state; it also carries the variational matrix
+    (the 6n x 6n derivative of the flow with respect to the initial state),
+    the varpi gradient and the trajectory on t_eval when requested.
 
     Initial positions closer than ngon.COLLISION_TOL raise CollisionError
     with the offending pair; so does a terminal event when the closest pair
@@ -83,18 +78,19 @@ def integrate(state, masses, frame, t_span, tol=INTEGRATOR_TOL, *,
     _separated(state[0])
     n = state.shape[1]
     masses = np.asarray(masses, dtype=float)
-    varpi = _frame_rate(frame)
+    varpi = float(varpi)
     if np.ndim(t_span) == 0:
         t0, t1 = 0.0, float(t_span)
     else:
         t0, t1 = map(float, t_span)
     nv = 3 * n
     n_core = 2 * nv
-    jmat = np.zeros((nv, nv))
-    for i in range(n):
-        jmat[3 * i, 3 * i + 1] = -1.0
-        jmat[3 * i + 1, 3 * i] = 1.0
-    pmat = np.diag(np.tile(_HMASK, n))
+    # linearised flow: constant blocks once, the position block per call
+    mat = np.zeros((n_core, n_core))
+    mat[:nv, nv:] = np.eye(nv)
+    mat[nv:, nv:] = -2.0 * varpi * np.kron(
+        np.eye(n), [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    centrifugal = varpi ** 2 * np.diag(np.tile(_HMASK, n))
 
     def rhs(t, y):
         out = np.empty_like(y)
@@ -106,10 +102,7 @@ def integrate(state, masses, frame, t_span, tol=INTEGRATOR_TOL, *,
         out[nv:n_core] = acc.ravel()
         if y.size == n_core:
             return out
-        mat = np.zeros((n_core, n_core))
-        mat[:nv, nv:] = np.eye(nv)
-        mat[nv:, :nv] = force_jacobian(pos, masses) + varpi ** 2 * pmat
-        mat[nv:, nv:] = -2.0 * varpi * jmat
+        mat[nv:, :nv] = force_jacobian(pos, masses) + centrifugal
         idx = n_core
         if variational:
             v = y[idx:idx + n_core * n_core].reshape(n_core, n_core)
@@ -156,10 +149,7 @@ def integrate(state, masses, frame, t_span, tol=INTEGRATOR_TOL, *,
         sol_y, sol_t = sol.y, sol.t
 
     yf = sol_y[:, -1]
-    final = yf[:n_core].reshape(2, n, 3)
-    if not (variational or varpi_gradient or t_eval is not None):
-        return final
-    result = IntegrationResult(state=final)
+    result = IntegrationResult(state=yf[:n_core].reshape(2, n, 3))
     idx = n_core
     if variational:
         result.variational = yf[idx:idx + n_core * n_core].reshape(
@@ -183,17 +173,15 @@ class _Reduction:
     def __init__(self, spec: GroupSpec):
         n = spec.n_bodies
         elements = enumerate_elements(spec)
-        frozen = [g for g in elements if g.theta == 0]
+        frozen = [g for g in elements if g.t == 0]
         proj = sum(_state_matrix(spec, g) for g in frozen) / len(frozen)
         vals, vecs = np.linalg.eigh(proj)
         self.basis = vecs[:, vals > 0.5]
-        shifts = [g for g in elements if g.xi == 1 and g.theta > 0]
-        theta0 = min(g.theta for g in shifts)
-        self.shift = min((g for g in shifts if g.theta == theta0),
-                         key=lambda g: (g.delta, g.beta))
-        self.theta0 = theta0
-        # theta counts time in units where the loop period is s
-        self.tau = float(theta0)
+        self.shift = min((g for g in elements if g.xi == 1 and g.t > 0),
+                         key=lambda g: (g.t, g.delta, g.beta))
+        self.theta0 = self.shift.theta
+        # theta = t / 2N counts time in units where the loop period is s
+        self.tau = self.shift.t / (2 * n)
         self.closing = _state_matrix(spec, self.shift)
         self.closing_basis = self.closing @ self.basis
         self.spec = spec
@@ -208,27 +196,12 @@ class _Reduction:
 def _state_matrix(spec: GroupSpec, g: GroupElement) -> np.ndarray:
     """Phase-space action of a group element evaluated at time zero.
 
-    Positions map by body relabeling j -> xi (j + delta) composed with a
-    rotation by 2 pi alpha (conjugating first when xi = -1) and the vertical
-    sign (-1)^beta; velocities pick up the extra factor xi from time
-    reversal.
+    Positions map by the body relabelling and block of `symmetry._action`;
+    velocities pick up the extra factor xi from time reversal.
     """
-    n = spec.n_bodies
-    ang = 2.0 * np.pi * float(g.alpha)
-    rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-    if g.xi == -1:
-        rot = rot @ np.diag([1.0, -1.0])
-    block = np.zeros((3, 3))
-    block[:2, :2] = rot
-    block[2, 2] = 1.0 - 2.0 * g.beta
-    nv = 3 * n
-    mat = np.zeros((2 * nv, 2 * nv))
-    for j in range(n):
-        src = (g.xi * (j + g.delta)) % n
-        mat[3 * j:3 * j + 3, 3 * src:3 * src + 3] = block
-        mat[nv + 3 * j:nv + 3 * j + 3, nv + 3 * src:nv + 3 * src + 3] = \
-            g.xi * block
-    return mat
+    src, block = _action(spec, g)
+    positions = np.kron(np.eye(spec.n_bodies)[src], block)
+    return np.kron(np.diag([1.0, g.xi]), positions)
 
 
 _REDUCTIONS: dict = {}
@@ -248,12 +221,11 @@ def _closing_residual(red: _Reduction, u, varpi, integrator_tol,
     from the variational flow.
     """
     x0 = (red.basis @ u).reshape(2, -1, 3)
-    if not with_jacobian:
-        phi = integrate(x0, red.masses, varpi, red.tau, integrator_tol)
-        return phi.ravel() - red.closing_basis @ u
     res = integrate(x0, red.masses, varpi, red.tau, integrator_tol,
-                    variational=True, varpi_gradient=True)
+                    variational=with_jacobian, varpi_gradient=with_jacobian)
     residual = res.state.ravel() - red.closing_basis @ u
+    if not with_jacobian:
+        return residual
     jac_u = res.variational @ red.basis - red.closing_basis
     return residual, jac_u, res.varpi_gradient
 
@@ -554,6 +526,21 @@ def continue_family(spec: GroupSpec, start_varpi: Optional[float] = None,
             end_reason = "varpi-range"
             break
     return ContinuationResult(spec, records, end_reason, varpi_star)
+
+
+def verify_against_continuation(spec: GroupSpec, gamma: float,
+                                n_steps: int = 12) -> float:
+    """Relative gap between gamma and the finite-difference slope of the
+    frame frequency against eps^2 along the numerically continued family."""
+    family = continue_family(spec, n_steps=n_steps)
+    eps, varpi = np.array([(rec.amplitude, rec.varpi)
+                           for rec in family.records]).T
+    ok = eps > 0
+    slopes = (varpi[ok] - family.varpi_onset) / eps[ok] ** 2
+    gamma_fd = slopes[np.argsort(eps[ok])[:3]].mean()
+    if gamma == 0.0:
+        return abs(gamma_fd)
+    return abs(gamma_fd - gamma) / abs(gamma)
 
 
 def _make_record(spec, red, u, varpi, residual, integrator_tol, n_samples):

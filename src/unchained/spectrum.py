@@ -10,7 +10,7 @@ forms used in the convexity argument for vertical mode subspaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np

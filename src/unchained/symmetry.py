@@ -8,23 +8,25 @@ are quadruples (theta, delta, beta, xi) subject to the congruence
 theta = beta/2 + k eta delta / N (mod 1); the horizontal rotation angle
 alpha = (r/s) theta - delta / N (mod 1) is derived.
 
-Time shifts theta are exact rationals with denominator dividing 2 N s,
-so congruences and the group law are tested exactly; floats appear only
-when a loop is transformed.
+Every theta is a multiple of 1/(2N) taken mod s and every alpha a
+multiple of 1/(2Ns), so an element is stored as integers: the numerator
+t = 2 N theta over 2 N s, delta mod N, beta mod 2 and xi = +-1.  The
+group law is integer arithmetic modulo these; theta and alpha are exact
+Fraction views, and floats appear only when an element acts on a state
+or a loop (`_action`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from .errors import UnsupportedCase
 from .ngon import LoopPath
-from .spectrum import vertical_spectrum
 
 __all__ = [
     "GroupSpec",
@@ -80,21 +82,37 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """(theta, delta, beta, xi) with theta in R/sZ stored exactly."""
+    """(theta, delta, beta, xi) as integers, with t = 2 N theta mod 2 N s.
 
-    theta: Fraction
+    theta and the derived alpha = (r t - 2 s delta mod 2 N s) / (2 N s)
+    are exact Fraction views; spec only supplies the moduli and takes no
+    part in comparison or hashing.
+    """
+
+    t: int
     delta: int
     beta: int
     xi: int
-    alpha: Fraction
+    spec: GroupSpec = field(repr=False, compare=False)
+
+    @property
+    def theta(self) -> Fraction:
+        return Fraction(self.t, 2 * self.spec.n_bodies)
+
+    @property
+    def alpha(self) -> Fraction:
+        sp = self.spec
+        return Fraction(_rotation(self), 2 * sp.n_bodies * sp.s)
 
     def __str__(self):
         return (f"(theta={self.theta}, delta={self.delta}, "
                 f"beta={self.beta}, xi={self.xi:+d}, alpha={self.alpha})")
 
 
-def _alpha_of(spec: GroupSpec, theta: Fraction, delta: int) -> Fraction:
-    return (Fraction(spec.r, spec.s) * theta - Fraction(delta, spec.n_bodies)) % 1
+def _rotation(g: GroupElement) -> int:
+    """Numerator of alpha over 2 N s: r t - 2 s delta."""
+    sp = g.spec
+    return (sp.r * g.t - 2 * sp.s * g.delta) % (2 * sp.n_bodies * sp.s)
 
 
 def make_element(spec: GroupSpec, delta: int, beta: int, lift: int = 0,
@@ -105,9 +123,9 @@ def make_element(spec: GroupSpec, delta: int, beta: int, lift: int = 0,
     n = spec.n_bodies
     delta %= n
     beta %= 2
-    base = (Fraction(beta, 2) + Fraction(spec.k * spec.eta * delta, n)) % 1
-    theta = (base + lift) % spec.s
-    return GroupElement(theta, delta, beta, xi, _alpha_of(spec, theta, delta))
+    base = (n * beta + 2 * spec.k * spec.eta * delta) % (2 * n)
+    t = (base + 2 * n * lift) % (2 * n * spec.s)
+    return GroupElement(t, delta, beta, xi, spec)
 
 
 def identity_element(spec: GroupSpec) -> GroupElement:
@@ -123,20 +141,25 @@ def enumerate_elements(spec: GroupSpec) -> list[GroupElement]:
     ]
 
 
+def _law(spec: GroupSpec, g2: tuple, g1: tuple) -> tuple:
+    """Integer product of (t, delta, beta, xi) tuples."""
+    t2, d2, b2, x2 = g2
+    t1, d1, b1, x1 = g1
+    n = spec.n_bodies
+    return ((t2 + x2 * t1) % (2 * n * spec.s), (d2 + x2 * d1) % n,
+            (b2 + b1) % 2, x2 * x1)
+
+
 def compose(spec: GroupSpec, g2: GroupElement, g1: GroupElement) -> GroupElement:
     """Product g2 g1 (apply g1 first)."""
-    theta = (g2.theta + g2.xi * g1.theta) % spec.s
-    delta = (g2.delta + g2.xi * g1.delta) % spec.n_bodies
-    beta = (g2.beta + g1.beta) % 2
-    xi = g2.xi * g1.xi
-    return GroupElement(theta, delta, beta, xi, _alpha_of(spec, theta, delta))
+    return GroupElement(*_law(spec, (g2.t, g2.delta, g2.beta, g2.xi),
+                              (g1.t, g1.delta, g1.beta, g1.xi)), spec)
 
 
 def inverse(spec: GroupSpec, g: GroupElement) -> GroupElement:
-    theta = (-g.xi * g.theta) % spec.s
-    delta = (-g.xi * g.delta) % spec.n_bodies
-    return GroupElement(theta, delta, g.beta, g.xi,
-                        _alpha_of(spec, theta, delta))
+    n = spec.n_bodies
+    return GroupElement((-g.xi * g.t) % (2 * n * spec.s),
+                        (-g.xi * g.delta) % n, g.beta, g.xi, spec)
 
 
 def element_order(spec: GroupSpec, g: GroupElement) -> int:
@@ -168,47 +191,48 @@ def _is_dihedral_times_z2(spec: GroupSpec, elements: list[GroupElement]) -> bool
     a^i b^j c^l exhausting the group.
     """
     n = spec.n_bodies
-    e = identity_element(spec)
-    if len(elements) != 4 * n:
+    size = len(elements)
+    if size != 4 * n:
         return False
-    orders = {g: element_order(spec, g) for g in elements}
-    central = [g for g in elements
-               if all(compose(spec, g, h) == compose(spec, h, g)
-                      for h in elements)]
-    for a in (g for g in elements if orders[g] == n):
-        powers = [e]
+    # table[i][j] indexes elements[i] elements[j]; index 0 is the identity
+    keys = [(g.t, g.delta, g.beta, g.xi) for g in elements]
+    index = {key: i for i, key in enumerate(keys)}
+    table = [[index[_law(spec, a, b)] for b in keys] for a in keys]
+    orders = []
+    for g in range(size):
+        acc, order = g, 1
+        while acc:
+            acc, order = table[g][acc], order + 1
+        orders.append(order)
+    central = [c for c in range(size) if orders[c] == 2
+               and all(table[c][h] == table[h][c] for h in range(size))]
+    for a in (g for g in range(size) if orders[g] == n):
+        powers = [0]
         for _ in range(n - 1):
-            powers.append(compose(spec, a, powers[-1]))
-        a_inv = inverse(spec, a)
-        for b in (g for g in elements if orders[g] == 2 and g not in powers):
-            if compose(spec, b, compose(spec, a, b)) != a_inv:
+            powers.append(table[a][powers[-1]])
+        a_inv = table[a].index(0)
+        for b in (g for g in range(size) if orders[g] == 2 and g not in powers):
+            if table[b][table[a][b]] != a_inv:
                 continue
-            dihedral = set(powers) | {compose(spec, p, b) for p in powers}
+            dihedral = set(powers) | {table[p][b] for p in powers}
             if len(dihedral) != 2 * n:
                 continue
             for c in central:
-                if orders[c] == 2 and c not in dihedral:
-                    full = dihedral | {compose(spec, d, c) for d in dihedral}
+                if c not in dihedral:
+                    full = dihedral | {table[d][c] for d in dihedral}
                     if len(full) == 4 * n:
                         return True
     return False
 
 
-def _k_subgroup_cyclic_order(spec: GroupSpec) -> int | None:
+def _k_subgroup_cyclic_order(spec: GroupSpec,
+                             elements: list[GroupElement]) -> int | None:
     """Order of the kernel K = {(theta, delta), beta = 0} if cyclic."""
-    n, s = spec.n_bodies, spec.s
-    target = n * s
-    best = 0
-    for delta in range(n):
-        for lift in range(s):
-            g = make_element(spec, delta, 0, lift, 1)
-            # additive order of (theta, delta) in R/sZ x Z/NZ
-            th = g.theta
-            p_theta = (s * th.denominator) // gcd(th.numerator, s * th.denominator)
-            p_delta = n // gcd(delta, n) if delta else 1
-            order = p_theta * p_delta // gcd(p_theta, p_delta)
-            best = max(best, order)
-    return target if best == target else None
+    n, m = spec.n_bodies, 2 * spec.n_bodies * spec.s
+    # additive order of (t, delta) in Z/2NsZ x Z/NZ
+    best = max(lcm(m // gcd(g.t, m), n // gcd(g.delta, n))
+               for g in elements if g.xi == 1 and g.beta == 0)
+    return n * spec.s if best == n * spec.s else None
 
 
 def structure_report(spec: GroupSpec) -> StructureReport:
@@ -218,7 +242,7 @@ def structure_report(spec: GroupSpec) -> StructureReport:
         order=len(elements),
         h_order=h_order,
         is_dihedral_times_z2=_is_dihedral_times_z2(spec, elements),
-        k_cyclic_order=_k_subgroup_cyclic_order(spec),
+        k_cyclic_order=_k_subgroup_cyclic_order(spec, elements),
     )
 
 
@@ -228,40 +252,43 @@ def _check_loop(spec: GroupSpec, loop: LoopPath) -> None:
             f"loop has {loop.n_bodies} bodies, spec expects {spec.n_bodies}")
 
 
+def _action(spec: GroupSpec, g: GroupElement) -> tuple[np.ndarray, np.ndarray]:
+    """Spatial part of g: source body of each body, and its 3 x 3 block.
+
+    Body j takes the position of body xi (j + delta) mod N, rotated in the
+    horizontal plane by 2 pi alpha (conjugated first when xi = -1) and
+    with the vertical flipped by (-1)^beta.
+    """
+    n = spec.n_bodies
+    src = (g.xi * (np.arange(n) + g.delta)) % n
+    ang = 2.0 * np.pi * (_rotation(g) / (2 * n * spec.s))
+    c, s = np.cos(ang), np.sin(ang)
+    block = np.array([[c, -s * g.xi, 0.0],
+                      [s, c * g.xi, 0.0],
+                      [0.0, 0.0, 1.0 - 2.0 * g.beta]])
+    return src, block
+
+
 def apply_element(g: GroupElement, spec: GroupSpec, loop: LoopPath) -> LoopPath:
     """Transformed loop (gx)_j(t) = rho x_{xi(j+delta)}(xi(t - theta)).
 
-    rho rotates the horizontal plane by 2 pi alpha (conjugating first
-    when xi = -1) and flips the vertical by (-1)^beta.  theta is read in
-    units where the loop period is s, i.e. it shifts time by theta/s of
-    the loop's own period; shifts that are exact multiples of the
-    sampling step reduce to index rolls.
+    rho is the block of `_action`.  theta is read in units where the loop
+    period is s, i.e. it shifts time by theta/s of the loop's own period;
+    shifts that are exact multiples of the sampling step reduce to index
+    rolls.
     """
     _check_loop(spec, loop)
     m = loop.n_samples
-    n = spec.n_bodies
-    pos = loop.positions
-
-    shift = g.theta * m / spec.s
-    if shift.denominator == 1:
-        idx = (g.xi * (np.arange(m) - int(shift))) % m
-        shifted = pos[idx]
+    mod = 2 * spec.n_bodies * spec.s
+    if (g.t * m) % mod == 0:
+        idx = (g.xi * (np.arange(m) - g.t * m // mod)) % m
+        shifted = loop.positions[idx]
     else:
-        t = g.xi * (loop.times - float(g.theta) / spec.s * loop.period)
+        t = g.xi * (loop.times - g.t / mod * loop.period)
         shifted = loop.evaluate(t % loop.period)
-
-    src = (g.xi * (np.arange(n) + g.delta)) % n
-    shifted = shifted[:, src, :]
-
-    h = shifted[:, :, 0] + 1j * shifted[:, :, 1]
-    if g.xi == -1:
-        h = np.conj(h)
-    h = h * np.exp(2j * np.pi * float(g.alpha))
-    out = np.empty_like(shifted)
-    out[:, :, 0] = h.real
-    out[:, :, 1] = h.imag
-    out[:, :, 2] = (1 - 2 * g.beta) * shifted[:, :, 2]
-    return LoopPath(out, loop.period, loop.masses.copy())
+    src, block = _action(spec, g)
+    return LoopPath(shifted[:, src, :] @ block.T, loop.period,
+                    loop.masses.copy())
 
 
 def invariance_defect(loop: LoopPath, spec: GroupSpec) -> float:

@@ -322,20 +322,3 @@ def reconstruct_loop(result: ExpansionResult, epsilon: float,
         - TWO_PI * spec.r / spec.s
     return LoopPath(pos, period), varpi
 
-
-def verify_against_continuation(spec: GroupSpec, gamma: float,
-                                n_steps: int = 12) -> float:
-    """Relative gap between gamma and the finite-difference slope of the
-    frame frequency against eps^2 along the numerically continued family."""
-    from .continuation import continue_family
-
-    family = continue_family(spec, n_steps=n_steps)
-    eps = np.array([rec.amplitude for rec in family.records])
-    varpi = np.array([rec.varpi for rec in family.records])
-    varpi0 = family.varpi_onset
-    ok = eps > 0
-    slopes = (varpi[ok] - varpi0) / eps[ok] ** 2
-    gamma_fd = slopes[np.argsort(eps[ok])[:3]].mean()
-    if gamma == 0.0:
-        return abs(gamma_fd)
-    return abs(gamma_fd - gamma) / abs(gamma)

@@ -272,6 +272,22 @@ def test_continue_out_count_mismatch(capsys, tmp_path):
     assert "--out" in err or "families" in err
 
 
+def test_continue_onset_failure_exits_one(capsys, monkeypatch):
+    # the relative-equilibrium record is always there, so a family whose
+    # first corrector solve fails still has one row; it must not exit 0
+    import unchained.continuation as continuation
+    from unchained.errors import NoConvergence
+
+    def fail(*args, **kwargs):
+        raise NoConvergence("forced")
+
+    monkeypatch.setattr(continuation, "_corrector", fail)
+    rc, _, err = run(capsys, "continue", "3", "1", "-1", "2", "1",
+                     "--steps", "2")
+    assert rc == 1
+    assert "numerical failure" in err and "onset-failure" in err
+
+
 # ----------------------------------------------------------------- torsion
 
 def test_torsion_json_p12(capsys):

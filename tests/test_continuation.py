@@ -28,12 +28,12 @@ from unchained.continuation import (ActionDiagram, ContinuationResult,
                                     _state_matrix)
 from unchained.errors import (CollisionError, NoConvergence,
                               SingularReduction)
-from unchained.ngon import (Configuration, RotatingFrame, build_ngon, jay,
+from unchained.ngon import (Configuration, build_ngon, jay,
                             angular_momentum_z, newton_residual, potential,
                             rescale)
 from unchained.spectrum import lyapunov_cylinder, vertical_spectrum
 from unchained.symmetry import GroupSpec, enumerate_elements, is_invariant
-from unchained.torsion import verify_against_continuation
+from unchained.continuation import verify_against_continuation
 
 OMEGA1_3 = 3.0 ** -0.25
 OMEGA1_4 = 0.97831834347851587
@@ -76,7 +76,7 @@ def tilt_family():
 
 def test_integrate_two_body_circular_period():
     state = two_body_circular()
-    final = integrate(state, [1.0, 1.0], 0.0, KEPLER_PERIOD)
+    final = integrate(state, [1.0, 1.0], 0.0, KEPLER_PERIOD).state
     assert np.max(np.abs(final - state)) < 1e-10
 
 
@@ -84,7 +84,7 @@ def test_integrate_relative_equilibrium_round_trip():
     sys5 = build_ngon(5)
     loop = sys5.rigid_loop()
     state = np.stack([loop.positions[0], loop.velocities()[0]])
-    final = integrate(state, np.ones(5), RotatingFrame(0.0), loop.period)
+    final = integrate(state, np.ones(5), 0.0, loop.period).state
     assert np.max(np.abs(final - state)) < 1e-10
 
 
@@ -108,10 +108,10 @@ def test_integrate_rotating_frame_consistency():
     # inertial flow of the inertially mapped initial condition
     state, varpi = onset_state(P12, 0.07)
     t1 = 0.4
-    rot = integrate(state, np.ones(3), varpi, t1)
+    rot = integrate(state, np.ones(3), varpi, t1).state
 
     inertial0 = np.stack([state[0], state[1] + varpi * jay(state[0])])
-    direct = integrate(inertial0, np.ones(3), 0.0, t1)
+    direct = integrate(inertial0, np.ones(3), 0.0, t1).state
 
     ang = varpi * t1
     c, s = np.cos(ang), np.sin(ang)
@@ -131,8 +131,8 @@ def test_integrate_variational_matches_finite_difference():
     for _ in range(3):
         d = rng.standard_normal(state.shape)
         d /= np.linalg.norm(d)
-        plus = integrate(state + h * d, np.ones(3), varpi, t1)
-        minus = integrate(state - h * d, np.ones(3), varpi, t1)
+        plus = integrate(state + h * d, np.ones(3), varpi, t1).state
+        minus = integrate(state - h * d, np.ones(3), varpi, t1).state
         fd = (plus - minus).ravel() / (2.0 * h)
         assert np.max(np.abs(res.variational @ d.ravel() - fd)) < 1e-6
 
@@ -142,8 +142,8 @@ def test_integrate_varpi_gradient_matches_finite_difference():
     t1 = 0.3
     res = integrate(state, np.ones(3), varpi, t1, varpi_gradient=True)
     h = 1e-5
-    plus = integrate(state, np.ones(3), varpi + h, t1)
-    minus = integrate(state, np.ones(3), varpi - h, t1)
+    plus = integrate(state, np.ones(3), varpi + h, t1).state
+    minus = integrate(state, np.ones(3), varpi - h, t1).state
     fd = (plus - minus).ravel() / (2.0 * h)
     assert np.max(np.abs(res.varpi_gradient - fd)) < 1e-5
 
@@ -399,7 +399,7 @@ def test_monodromy_time_origin_invariance(p12_family):
     rec = p12_family.records[2]
     mu0 = monodromy(rec.orbit)
     shifted = integrate(rec.orbit.initial_state, np.ones(3), rec.varpi,
-                        0.23)
+                        0.23).state
     orbit2 = PeriodicOrbit(P12, rec.varpi, rec.period, shifted,
                            rec.amplitude, rec.orbit.residual)
     mu1 = monodromy(orbit2)
