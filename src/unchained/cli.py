@@ -233,11 +233,6 @@ def cmd_continue(args) -> int:
 
     status = 0
     for i, result in enumerate(results):
-        if result.end_reason.startswith("onset-failure"):
-            print(f"numerical failure: {_group_label(result.spec)} produced "
-                  f"no records ({result.end_reason})", file=sys.stderr)
-            status = 1
-            continue
         path = outs[i] if outs else None
         if args.format == "json":
             _emit(json.dumps(_family_payload(result), indent=2) + "\n", path)
@@ -245,7 +240,12 @@ def cmd_continue(args) -> int:
             write_family_csv(result, sys.stdout)
         else:
             write_family_csv(result, path)
-        if path is not None:
+        if result.end_reason.startswith("onset-failure"):
+            print(f"numerical failure: {_group_label(result.spec)} stopped "
+                  f"at onset after {len(result.records)} record(s) "
+                  f"({result.end_reason})", file=sys.stderr)
+            status = 1
+        elif path is not None:
             print(f"{_group_label(result.spec)}: {len(result.records)} "
                   f"records, end={result.end_reason} -> {path}")
     return status

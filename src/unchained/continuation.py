@@ -29,8 +29,8 @@ from scipy.integrate import solve_ivp
 
 from .errors import (CollisionError, IntegrationFailure, NoConvergence,
                      SingularReduction)
-from .ngon import (COLLISION_TOL, LoopPath, _separated, action,
-                   angular_momentum_z, closest_pair, force_jacobian, gravity,
+from .ngon import (COLLISION_TOL, LoopPath, _force_jacobian, _gravity,
+                   _kinetic, _lz, _pair_potential, _separated, closest_pair,
                    jay, pair_terms)
 from .spectrum import vertical_spectrum
 from .symmetry import GroupElement, GroupSpec, _action, enumerate_elements
@@ -71,7 +71,8 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
     Initial positions closer than ngon.COLLISION_TOL raise CollisionError
     with the offending pair; so does a terminal event when the closest pair
     separation crosses below it.  The event is the only collision check of
-    the flow: the right-hand side (`gravity`, `force_jacobian`) does none.
+    the flow: the right-hand side (the force and, for the variational flow,
+    its Jacobian, both from one `pair_terms` call) does none.
     Solver breakdown raises IntegrationFailure with the time reached.
     """
     state = np.asarray(state, dtype=float)
@@ -96,13 +97,14 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
         out = np.empty_like(y)
         pos = y[:nv].reshape(n, 3)
         vel = y[nv:n_core].reshape(n, 3)
-        acc = gravity(pos, masses) + varpi ** 2 * (pos * _HMASK) \
+        terms = pair_terms(pos)
+        acc = _gravity(terms, masses) + varpi ** 2 * (pos * _HMASK) \
             - 2.0 * varpi * jay(vel)
         out[:nv] = y[nv:n_core]
         out[nv:n_core] = acc.ravel()
         if y.size == n_core:
             return out
-        mat[nv:, :nv] = force_jacobian(pos, masses) + centrifugal
+        mat[nv:, :nv] = _force_jacobian(terms, masses) + centrifugal
         idx = n_core
         if variational:
             v = y[idx:idx + n_core * n_core].reshape(n_core, n_core)
@@ -241,7 +243,11 @@ class PeriodicOrbit:
     initial_state is the (2, n, 3) stack of positions and velocities at
     t = 0, which lies in the fixed subspace of the time-zero stabilizer
     elements.  amplitude is the signed coefficient of the first vertical
-    harmonic of body 0; residual the sup norm of the closing defect.
+    harmonic of body 0, read off one segment of the flow over the minimal
+    time shift and unfolded to the period by the group (`_amplitude`);
+    residual is the sup norm of the closing defect.  `sample` integrates
+    the whole period and uses no symmetry, so it is an independent check
+    of the values built from the segment.
     """
 
     spec: GroupSpec
@@ -273,11 +279,35 @@ def _sample_loop(spec, state, varpi, n_samples, tol) -> LoopPath:
     return LoopPath(pos, period)
 
 
-def _amplitude(loop: LoopPath, spec: GroupSpec) -> float:
-    # first vertical harmonic of body 0; the time-reversal element of the
-    # stabilizer makes the coefficient real
-    z0 = loop.positions[:, 0, 2]
-    coef = np.fft.fft(z0)[spec.s] / loop.n_samples
+# samples per period behind each record's amplitude
+_RECORD_SAMPLES = 512
+
+
+def _amplitude(red: _Reduction, state, varpi, tol) -> float:
+    """First vertical harmonic of body 0 from one symmetry segment.
+
+    The flow is sampled over [0, tau), tau the minimal time shift, and
+    unfolded to the period s by z(t + tau) = P z(t), P the signed body
+    permutation of the shift acting on the heights.  The
+    time-reversal element of the stabilizer makes the coefficient real.
+    """
+    n, s = red.spec.n_bodies, red.spec.s
+    # the shifts t of the xi = +1 elements form a subgroup of Z/2Ns, so
+    # the minimal one divides 2Ns
+    n_segments = 2 * n * s // red.shift.t
+    m = -(-_RECORD_SAMPLES // n_segments)
+    # the same step cap as `_sample_loop`, for the same accuracy
+    res = integrate(state, red.masses, varpi, red.tau, tol,
+                    t_eval=np.arange(m) * (red.tau / m), max_step=s / 128.0)
+    heights = res.trajectory[:, 0, :, 2]
+    perm = red.closing[:3 * n, :3 * n][2::3, 2::3]
+    row = np.eye(n)[0]  # body 0 read off P^j z on segment j
+    z0 = []
+    for _ in range(n_segments):
+        z0.append(heights @ row)
+        row = row @ perm
+    z0 = np.concatenate(z0)
+    coef = np.fft.fft(z0)[s] / z0.size
     return float(2.0 * coef.real)
 
 
@@ -316,9 +346,8 @@ def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
         return out[:2] if with_jacobian else out
 
     u, residual = _damped_newton(closing, u0, tol, integrator_tol, max_iter)
-    orbit, _ = _finish_orbit(spec, red, u, varpi,
-                             float(np.max(np.abs(residual))), integrator_tol)
-    return orbit
+    return _finish_orbit(red, u, varpi, float(np.max(np.abs(residual))),
+                         integrator_tol)
 
 
 def _damped_newton(fun, x0, tol, integrator_tol, max_iter):
@@ -356,13 +385,11 @@ def _damped_newton(fun, x0, tol, integrator_tol, max_iter):
     return x, fun(x, False)
 
 
-def _finish_orbit(spec, red, u, varpi, residual, integrator_tol,
-                  n_samples=512):
+def _finish_orbit(red, u, varpi, residual, integrator_tol) -> PeriodicOrbit:
     state = (red.basis @ u).reshape(2, -1, 3)
-    loop = _sample_loop(spec, state, varpi, n_samples, integrator_tol)
-    orbit = PeriodicOrbit(spec, float(varpi), float(spec.s), state,
-                          _amplitude(loop, spec), float(residual))
-    return orbit, loop
+    return PeriodicOrbit(red.spec, float(varpi), float(red.spec.s), state,
+                         _amplitude(red, state, varpi, integrator_tol),
+                         float(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +398,15 @@ def _finish_orbit(spec, red, u, varpi, residual, integrator_tol,
 
 @dataclass
 class FamilyRecord:
-    """One accepted continuation step."""
+    """One accepted continuation step.
+
+    No value needs a sampled loop: amplitude is the orbit's;
+    angular_momentum_z is the first integral sum m (x cross (v + varpi J
+    x))_z at t = 0; action is -3 E T, with E = K - U the inertial energy
+    of that state and T the period.  For U homogeneous of degree -1 the
+    Lagrange-Jacobi identity I'' = 4K - 2U integrates to zero over a
+    closed orbit, so int K = int U / 2 and A = int (K + U) dt = -3 E T.
+    """
 
     varpi: float
     amplitude: float
@@ -426,7 +461,6 @@ def continue_family(spec: GroupSpec, start_varpi: Optional[float] = None,
                     eps0: float = 0.02, tol: float = NEWTON_TOL,
                     integrator_tol: float = INTEGRATOR_TOL,
                     min_step: float = 1e-6, max_halvings: int = 12,
-                    n_record_samples: int = 512,
                     varpi_range=None) -> ContinuationResult:
     """Pseudo-arclength continuation of a vertical family from its onset.
 
@@ -438,6 +472,11 @@ def continue_family(spec: GroupSpec, start_varpi: Optional[float] = None,
     min_step and at most max_halvings times; the run ends with one of the
     reasons "max-steps", "newton-failure", "collision",
     "integration-failure" or "varpi-range".
+
+    A record costs one integration over the minimal time shift, for its
+    amplitude; its action and L_z come from the initial state (see
+    `FamilyRecord`).  `PeriodicOrbit.sample` gives the full period on
+    demand.
     """
     red = _reduction(spec)
     state_re, varpi_star = onset_state(spec, 0.0)
@@ -450,10 +489,9 @@ def continue_family(spec: GroupSpec, start_varpi: Optional[float] = None,
     u_re = red.basis.T @ state_re.ravel()
     res_re = _closing_residual(red, u_re, varpi_star, integrator_tol, False)
     records = []
-    rec, _ = _make_record(spec, red, u_re, varpi_star,
-                          float(np.max(np.abs(res_re))), integrator_tol,
-                          n_record_samples)
-    records.append(rec)
+    records.append(_make_record(red, u_re, varpi_star,
+                                float(np.max(np.abs(res_re))),
+                                integrator_tol))
     if not in_window(varpi_star):
         return ContinuationResult(spec, records, "varpi-range", varpi_star)
 
@@ -472,9 +510,7 @@ def continue_family(spec: GroupSpec, start_varpi: Optional[float] = None,
     except (CollisionError, IntegrationFailure, NoConvergence) as exc:
         return ContinuationResult(spec, records, f"onset-failure: {exc}",
                                   varpi_star)
-    rec, _ = _make_record(spec, red, u1, w1, res1, integrator_tol,
-                          n_record_samples)
-    records.append(rec)
+    records.append(_make_record(red, u1, w1, res1, integrator_tol))
     if not in_window(w1):
         return ContinuationResult(spec, records, "varpi-range", varpi_star)
 
@@ -507,12 +543,11 @@ def continue_family(spec: GroupSpec, start_varpi: Optional[float] = None,
             end_reason = f"integration-failure: {exc}"
             break
         try:
-            rec, _ = _make_record(spec, red, u_new, w_new, res_new,
-                                  integrator_tol, n_record_samples)
+            records.append(_make_record(red, u_new, w_new, res_new,
+                                        integrator_tol))
         except CollisionError as exc:
             end_reason = f"collision: {exc}"
             break
-        records.append(rec)
         new = np.append(u_new, w_new)
         fresh = new - here
         norm = np.linalg.norm(fresh)
@@ -543,14 +578,15 @@ def verify_against_continuation(spec: GroupSpec, gamma: float,
     return abs(gamma_fd - gamma) / abs(gamma)
 
 
-def _make_record(spec, red, u, varpi, residual, integrator_tol, n_samples):
-    orbit, loop = _finish_orbit(spec, red, u, varpi, residual,
-                                integrator_tol, n_samples)
-    lz = angular_momentum_z(loop, varpi)
-    rec = FamilyRecord(float(varpi), orbit.amplitude,
-                       action(loop, varpi), float(spec.s),
-                       float(lz.mean()), orbit)
-    return rec, loop
+def _make_record(red, u, varpi, residual, integrator_tol) -> FamilyRecord:
+    orbit = _finish_orbit(red, u, varpi, residual, integrator_tol)
+    pos, vel = orbit.initial_state
+    vel = vel + orbit.varpi * jay(pos)  # inertial velocities
+    energy = _kinetic(red.masses, vel) \
+        - _pair_potential(pair_terms(pos)[1], red.masses)
+    return FamilyRecord(orbit.varpi, orbit.amplitude,
+                        float(-3.0 * energy * orbit.period), orbit.period,
+                        float(_lz(red.masses, pos, vel)), orbit)
 
 
 # ---------------------------------------------------------------------------

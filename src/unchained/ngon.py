@@ -123,7 +123,12 @@ def gravity(positions, masses):
     evaluated pointwise over the leading axes.  No collision check: a
     coincident pair gives an infinite or undefined force.
     """
-    diff, _, inv_r3 = pair_terms(positions)
+    return _gravity(pair_terms(positions), masses)
+
+
+def _gravity(terms, masses):
+    # accelerations from the `pair_terms` of the positions
+    diff, _, inv_r3 = terms
     w = np.asarray(masses, dtype=float) * inv_r3
     return np.einsum("...ij,...ijc->...ic", w, diff)
 
@@ -135,7 +140,12 @@ def force_jacobian(positions, masses):
     or a (..., 3n, 3n) batch for (..., n, 3) positions.  Like `gravity`
     it does no collision check.
     """
-    diff, r, inv_r3 = pair_terms(positions)
+    return _force_jacobian(pair_terms(positions), masses)
+
+
+def _force_jacobian(terms, masses):
+    # force Jacobian from the `pair_terms` of the positions
+    diff, r, inv_r3 = terms
     w = np.asarray(masses, dtype=float) * inv_r3
     # off-diagonal blocks m_j (I / r^3 - 3 d d^T / r^5)
     blocks = (w[..., None, None] * np.eye(3)
@@ -343,7 +353,12 @@ class RotatingFrame:
 def kinetic_energy(loop, varpi=0.0):
     """Sampled kinetic energy (1/2) sum m |y' + varpi J y|^2."""
     vel = loop.velocities() + varpi * jay(loop.positions)
-    return 0.5 * np.einsum("j,ijc,ijc->i", loop.masses, vel, vel)
+    return _kinetic(loop.masses, vel)
+
+
+def _kinetic(masses, vel):
+    # (1/2) sum m |v|^2 over the body axis of (..., n, 3) velocities
+    return 0.5 * np.einsum("j,...jc,...jc->...", masses, vel, vel)
 
 
 def action(loop, varpi=0.0):
@@ -397,7 +412,10 @@ def angular_momentum_z(loop, varpi=0.0):
     a first integral of the equations of motion.
     """
     vel = loop.velocities() + varpi * jay(loop.positions)
-    lz = np.einsum("j,ij->i", loop.masses,
-                   loop.positions[..., 0] * vel[..., 1]
-                   - loop.positions[..., 1] * vel[..., 0])
-    return lz
+    return _lz(loop.masses, loop.positions, vel)
+
+
+def _lz(masses, pos, vel):
+    # sum m (x v_y - y v_x) over the body axis of (..., n, 3) arrays
+    return np.einsum("j,...j->...", masses,
+                     pos[..., 0] * vel[..., 1] - pos[..., 1] * vel[..., 0])

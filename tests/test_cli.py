@@ -288,6 +288,33 @@ def test_continue_onset_failure_exits_one(capsys, monkeypatch):
     assert "numerical failure" in err and "onset-failure" in err
 
 
+def test_continue_onset_failure_writes_partial_family(capsys, monkeypatch,
+                                                     tmp_path):
+    # the family stops at onset with the relative-equilibrium record; that
+    # record and the end footer are written, and the exit code stays 1
+    import unchained.continuation as continuation
+    from unchained.errors import NoConvergence
+
+    def fail(*args, **kwargs):
+        raise NoConvergence("forced")
+
+    monkeypatch.setattr(continuation, "_corrector", fail)
+    argv = ["continue", "3", "1", "-1", "2", "1", "--steps", "2"]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert "stopped at onset" in err and "onset-failure" in err
+    assert out.splitlines()[-1] == "# end=onset-failure: forced"
+    rows = csv_rows(out)
+    assert len(rows) == 1
+    assert rows[0][0] == pytest.approx(-TWO_PI, abs=1e-12)
+    assert rows[0][1] == 0.0
+    path = tmp_path / "p12.csv"
+    rc, out_file, err = run(capsys, *argv, "--out", str(path))
+    assert rc == 1 and out_file == ""
+    assert "numerical failure" in err
+    assert path.read_text() == out
+
+
 # ----------------------------------------------------------------- torsion
 
 def test_torsion_json_p12(capsys):

@@ -28,7 +28,7 @@ from unchained.continuation import (ActionDiagram, ContinuationResult,
                                     _state_matrix)
 from unchained.errors import (CollisionError, NoConvergence,
                               SingularReduction)
-from unchained.ngon import (Configuration, build_ngon, jay,
+from unchained.ngon import (Configuration, action, build_ngon, jay,
                             angular_momentum_z, newton_residual, potential,
                             rescale)
 from unchained.spectrum import lyapunov_cylinder, vertical_spectrum
@@ -371,6 +371,35 @@ def test_tilted_ngon_family_constant_action(tilt_family):
     varpi = np.array([r.varpi for r in fam.records])
     assert np.max(np.abs(varpi - fam.varpi_onset)) < 1e-7
     assert fam.records[-1].amplitude > 0.05
+
+
+@pytest.mark.parametrize("name", ["p12_family", "hh4_family"])
+def test_records_match_sampled_period(name, request):
+    # records come from the initial state and one symmetry segment; the
+    # full-period loop of `sample` checks them without the symmetry
+    fam = request.getfixturevalue(name)
+    for rec in fam.records:
+        loop = rec.orbit.sample(512)
+        z0 = loop.positions[:, 0, 2]
+        amplitude = 2.0 * (np.fft.fft(z0)[fam.spec.s] / loop.n_samples).real
+        sampled = (action(loop, rec.varpi),
+                   angular_momentum_z(loop, rec.varpi).mean(), amplitude)
+        got = (rec.action, rec.angular_momentum_z, rec.amplitude)
+        for value, ref in zip(got, sampled):
+            assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+def test_action_is_minus_three_energy_period_hexagon():
+    # Lagrange-Jacobi on a closed orbit: int K = int U / 2, so A = -3 E T
+    spec = GroupSpec(6, 1, -1, 5, 1)
+    state, varpi = onset_state(spec, 0.05)
+    orbit = shoot_symmetric(spec, varpi, state)
+    pos, vel = orbit.initial_state
+    vel = vel + orbit.varpi * jay(pos)
+    energy = 0.5 * np.sum(vel ** 2) - potential(Configuration(pos))
+    loop = orbit.sample(512)
+    assert -3.0 * energy * orbit.period == pytest.approx(
+        action(loop, orbit.varpi), rel=1e-10)
 
 
 def test_verify_against_continuation_matches_gamma():

@@ -1,0 +1,106 @@
+# Property tests of the force kernels against numerical derivatives, and of
+# the family CSV against a parse of its own text.  The derivatives are
+# central differences of the public functions: they share no formula with
+# the analytic force and Jacobian they check.
+import io
+from math import gcd
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from unchained.continuation import (ContinuationResult, FamilyRecord,
+                                    write_family_csv)
+from unchained.ngon import Configuration, force_jacobian, gravity, potential
+from unchained.symmetry import GroupSpec
+
+SETTINGS = settings(max_examples=60, deadline=None)
+STEP = 1e-5
+MIN_SEPARATION = 0.25
+
+
+@st.composite
+def configurations(draw):
+    """(positions, masses): n in 2..6 in a box of side 4, masses unequal."""
+    n = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(-2.0, 2.0, size=(n, 3))
+    masses = rng.uniform(0.5, 2.0, size=n)
+    dist = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
+    assume(np.min(dist[np.triu_indices(n, 1)]) > MIN_SEPARATION)
+    assume(np.ptp(masses) > 0.05)
+    return pos, masses
+
+
+def central_difference(fun, pos):
+    """d fun / d pos as (*fun shape, n, 3), by central differences."""
+    cols = []
+    for idx in np.ndindex(pos.shape):
+        step = np.zeros_like(pos)
+        step[idx] = STEP
+        cols.append((np.asarray(fun(pos + step))
+                     - np.asarray(fun(pos - step))) / (2.0 * STEP))
+    return np.moveaxis(np.array(cols), 0, -1).reshape(
+        *np.shape(cols[0]), *pos.shape)
+
+
+@SETTINGS
+@given(configurations())
+def test_force_jacobian_is_derivative_of_gravity(bodies):
+    pos, masses = bodies
+    n = len(pos)
+    jac = force_jacobian(pos, masses)
+    fd = central_difference(lambda x: gravity(x, masses), pos)
+    fd = fd.reshape(3 * n, 3 * n)
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
+
+
+@SETTINGS
+@given(configurations())
+def test_gravity_is_gradient_of_potential(bodies):
+    pos, masses = bodies
+    # m_i x_i'' = dU / dx_i
+    grad = central_difference(
+        lambda x: potential(Configuration(x, masses)), pos)
+    force = masses[:, None] * gravity(pos, masses)
+    assert np.max(np.abs(force - grad)) <= 1e-6 * np.max(np.abs(force))
+
+
+@st.composite
+def specs(draw):
+    n = draw(st.integers(3, 12))
+    s = draw(st.integers(1, 6))
+    return GroupSpec(n, draw(st.integers(1, n // 2)),
+                     draw(st.sampled_from((-1, 1))),
+                     draw(st.integers(-2 * s, 2 * s).filter(
+                         lambda r: gcd(r, s) == 1)), s)
+
+
+any_float = st.floats(allow_nan=False)
+
+
+@st.composite
+def families(draw):
+    records = [FamilyRecord(*draw(st.tuples(*[any_float] * 5)), orbit=None)
+               for _ in range(draw(st.integers(0, 5)))]
+    reason = draw(st.text(st.characters(blacklist_categories=("Cc", "Cs"))))
+    return ContinuationResult(draw(specs()), records, reason, draw(any_float))
+
+
+@SETTINGS
+@given(families())
+def test_write_family_csv_round_trip(family):
+    buf = io.StringIO()
+    write_family_csv(family, buf)
+    lines = buf.getvalue().split("\n")
+    spec = family.spec
+    assert lines[0] == (f"# spec={spec.n_bodies},{spec.k},{spec.eta},"
+                        f"{spec.r},{spec.s}")
+    assert lines[1] == "varpi,amplitude,action,period,angular_momentum_z"
+    assert lines[-2:] == [f"# end={family.end_reason}", ""]
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:-2]]
+    want = [[r.varpi, r.amplitude, r.action, r.period, r.angular_momentum_z]
+            for r in family.records]
+    # hex compares bit patterns, so -0.0 and 0.0 differ
+    assert [[v.hex() for v in row] for row in rows] == \
+        [[float(v).hex() for v in row] for row in want]
