@@ -20,12 +20,14 @@ Jacobian singular.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import block_diag
 
 from .errors import (CollisionError, IntegrationFailure, NoConvergence,
                      SingularReduction)
@@ -51,27 +53,32 @@ class IntegrationResult:
     """Final state of a flow, with the extras that were requested."""
 
     state: np.ndarray
-    variational: Optional[np.ndarray] = None
-    varpi_gradient: Optional[np.ndarray] = None
+    tangents: Optional[np.ndarray] = None
     trajectory: Optional[np.ndarray] = None
     times: Optional[np.ndarray] = None
 
 
 def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
-              variational=False, varpi_gradient=False, t_eval=None,
+              tangents=None, t_eval=None,
               max_step=np.inf) -> IntegrationResult:
     """Flow the rotating-frame equations of motion with a DOP853 stepper.
 
     state is (2, n, 3): positions and velocities; varpi the frame rate;
     t_span a duration or a (t0, t1) pair.  Returns an IntegrationResult
-    whose state is the final state; it also carries the variational matrix
-    (the 6n x 6n derivative of the flow with respect to the initial state),
-    the varpi gradient and the trajectory on t_eval when requested.
+    whose state is the final state, with the trajectory on t_eval when
+    requested.
+
+    tangents, when given, is a (6n + 1, m) matrix of directions in
+    (initial state, varpi).  The flow then also carries the tangent flow
+    W' = A(t) W + b(t) w, A the linearised vector field, b its derivative
+    in varpi (2 varpi P_h x - 2 J v, in the velocity rows) and w the last
+    row of the seed, which stays constant.  The result's tangents is the
+    (6n, m) derivative of the final state along the seed columns.
 
     Initial positions closer than ngon.COLLISION_TOL raise CollisionError
     with the offending pair; so does a terminal event when the closest pair
     separation crosses below it.  The event is the only collision check of
-    the flow: the right-hand side (the force and, for the variational flow,
+    the flow: the right-hand side (the force and, for the tangent flow,
     its Jacobian, both from one `pair_terms` call) does none.
     Solver breakdown raises IntegrationFailure with the time reached.
     """
@@ -86,12 +93,17 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
         t0, t1 = map(float, t_span)
     nv = 3 * n
     n_core = 2 * nv
-    # linearised flow: constant blocks once, the position block per call
-    mat = np.zeros((n_core, n_core))
-    mat[:nv, nv:] = np.eye(nv)
-    mat[nv:, nv:] = -2.0 * varpi * np.kron(
-        np.eye(n), [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    centrifugal = varpi ** 2 * np.diag(np.tile(_HMASK, n))
+    y0 = state.ravel()
+    if tangents is not None:
+        seed = np.asarray(tangents, dtype=float)
+        w_varpi = seed[-1]
+        y0 = np.concatenate([y0, seed[:-1].ravel()])
+        # linearised flow: constant blocks once, the position block per call
+        mat = np.zeros((n_core, n_core))
+        mat[:nv, nv:] = np.eye(nv)
+        mat[nv:, nv:] = -2.0 * varpi * np.kron(
+            np.eye(n), [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        centrifugal = varpi ** 2 * np.diag(np.tile(_HMASK, n))
 
     def rhs(t, y):
         out = np.empty_like(y)
@@ -105,18 +117,10 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
         if y.size == n_core:
             return out
         mat[nv:, :nv] = _force_jacobian(terms, masses) + centrifugal
-        idx = n_core
-        if variational:
-            v = y[idx:idx + n_core * n_core].reshape(n_core, n_core)
-            out[idx:idx + n_core * n_core] = (mat @ v).ravel()
-            idx += n_core * n_core
-        if varpi_gradient:
-            w = y[idx:idx + n_core]
-            drive = np.concatenate([
-                np.zeros(nv),
-                2.0 * varpi * (pos * _HMASK).ravel() - 2.0 * jay(vel).ravel(),
-            ])
-            out[idx:idx + n_core] = mat @ w + drive
+        flow = mat @ y[n_core:].reshape(n_core, -1)
+        drive = 2.0 * varpi * (pos * _HMASK) - 2.0 * jay(vel)
+        flow[nv:] += np.outer(drive.ravel(), w_varpi)
+        out[n_core:] = flow.ravel()
         return out
 
     def closest(t, y):
@@ -125,13 +129,6 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
 
     closest.terminal = True
     closest.direction = -1.0
-
-    y0 = [state.ravel()]
-    if variational:
-        y0.append(np.eye(n_core).ravel())
-    if varpi_gradient:
-        y0.append(np.zeros(n_core))
-    y0 = np.concatenate(y0)
 
     if t1 == t0:
         sol_y = y0[:, None]
@@ -152,13 +149,8 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
 
     yf = sol_y[:, -1]
     result = IntegrationResult(state=yf[:n_core].reshape(2, n, 3))
-    idx = n_core
-    if variational:
-        result.variational = yf[idx:idx + n_core * n_core].reshape(
-            n_core, n_core)
-        idx += n_core * n_core
-    if varpi_gradient:
-        result.varpi_gradient = yf[idx:idx + n_core]
+    if tangents is not None:
+        result.tangents = yf[n_core:].reshape(n_core, -1)
     if t_eval is not None:
         result.trajectory = sol_y[:n_core].T.reshape(-1, 2, n, 3)
         result.times = sol_t
@@ -186,6 +178,8 @@ class _Reduction:
         self.tau = self.shift.t / (2 * n)
         self.closing = _state_matrix(spec, self.shift)
         self.closing_basis = self.closing @ self.basis
+        # tangent seed in (state, varpi): the basis columns, then varpi
+        self.seed = block_diag(self.basis, 1.0)
         self.spec = spec
         self.masses = np.ones(n)
         self.z0_row = self.basis[2]  # vertical coordinate of body 0
@@ -206,30 +200,28 @@ def _state_matrix(spec: GroupSpec, g: GroupElement) -> np.ndarray:
     return np.kron(np.diag([1.0, g.xi]), positions)
 
 
-_REDUCTIONS: dict = {}
-
-
+@functools.cache
 def _reduction(spec: GroupSpec) -> _Reduction:
-    if spec not in _REDUCTIONS:
-        _REDUCTIONS[spec] = _Reduction(spec)
-    return _REDUCTIONS[spec]
+    return _Reduction(spec)
 
 
 def _closing_residual(red: _Reduction, u, varpi, integrator_tol,
                       with_jacobian):
     """Residual Phi_tau(Q u) - S Q u of the reduced boundary value problem.
 
-    With the Jacobian flag also returns d(residual)/du and d/dvarpi, built
-    from the variational flow.
+    With the Jacobian flag returns (residual, jac): jac is the (6n, dim + 1)
+    derivative in (u, varpi), read off the tangent flow seeded with
+    `red.seed`, less the closing map S Q in its first dim columns.
     """
     x0 = (red.basis @ u).reshape(2, -1, 3)
     res = integrate(x0, red.masses, varpi, red.tau, integrator_tol,
-                    variational=with_jacobian, varpi_gradient=with_jacobian)
+                    tangents=red.seed if with_jacobian else None)
     residual = res.state.ravel() - red.closing_basis @ u
     if not with_jacobian:
         return residual
-    jac_u = res.variational @ red.basis - red.closing_basis
-    return residual, jac_u, res.varpi_gradient
+    jac = res.tangents
+    jac[:, :red.dim] -= red.closing_basis
+    return residual, jac
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +335,7 @@ def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
 
     def closing(u, with_jacobian):
         out = _closing_residual(red, u, varpi, integrator_tol, with_jacobian)
-        return out[:2] if with_jacobian else out
+        return (out[0], out[1][:, :red.dim]) if with_jacobian else out
 
     u, residual = _damped_newton(closing, u0, tol, integrator_tol, max_iter)
     return _finish_orbit(red, u, varpi, float(np.max(np.abs(residual))),
@@ -432,8 +424,15 @@ class ContinuationResult:
         return len(self.records)
 
 
-def _corrector(red, u0, varpi0, row_u, row_w, rhs, tol, integrator_tol,
-               max_iter=12):
+# pinned vertical height of the first step off the branch point
+_ONSET_EPS = 0.02
+# corrector iterations, and the arclength step floor and halving budget
+_CORRECTOR_ITER = 12
+_MIN_STEP = 1e-6
+_MAX_HALVINGS = 12
+
+
+def _corrector(red, u0, varpi0, row_u, row_w, rhs, tol, integrator_tol):
     """Gauss-Newton on the closing condition plus one scalar constraint.
 
     rhs(u, varpi) is the constraint value; (row_u, row_w) its gradient.
@@ -446,32 +445,33 @@ def _corrector(red, u0, varpi0, row_u, row_w, rhs, tol, integrator_tol,
         out = _closing_residual(red, u, varpi, integrator_tol, with_jacobian)
         if not with_jacobian:
             return np.append(out, rhs(u, varpi))
-        residual, jac_u, jac_w = out
-        jac = np.vstack([np.column_stack([jac_u, jac_w]), row])
-        return np.append(residual, rhs(u, varpi)), jac
+        residual, jac = out
+        return np.append(residual, rhs(u, varpi)), np.vstack([jac, row])
 
     x, full = _damped_newton(bordered, np.append(u0, varpi0), tol,
-                             integrator_tol, max_iter)
+                             integrator_tol, _CORRECTOR_ITER)
     return x[:-1], float(x[-1]), float(np.max(np.abs(full[:-1])))
 
 
-def continue_family(spec: GroupSpec, start_varpi: Optional[float] = None,
-                    direction: int = 1, n_steps: int = 40,
+def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
                     step: float = 0.04, max_step: float = 0.15,
-                    eps0: float = 0.02, tol: float = NEWTON_TOL,
+                    tol: float = NEWTON_TOL,
                     integrator_tol: float = INTEGRATOR_TOL,
-                    min_step: float = 1e-6, max_halvings: int = 12,
                     varpi_range=None) -> ContinuationResult:
     """Pseudo-arclength continuation of a vertical family from its onset.
 
     The first record is the relative equilibrium at the branch point (zero
-    amplitude); the second is pinned at vertical amplitude direction * eps0
-    using the third-order expansion as predictor.  Subsequent steps follow
-    the arclength tangent in (reduced state, varpi) with the period held at
-    T = s throughout.  On corrector failure the step is halved, down to
-    min_step and at most max_halvings times; the run ends with one of the
-    reasons "max-steps", "newton-failure", "collision",
-    "integration-failure" or "varpi-range".
+    amplitude); the second is pinned at vertical amplitude direction *
+    _ONSET_EPS using the third-order expansion as predictor.  Subsequent
+    steps follow the arclength tangent in (reduced state, varpi) with the
+    period held at T = s throughout; step is the first arclength step and
+    max_step its cap.  When the corrector does not converge the step is
+    halved, down to _MIN_STEP and at most _MAX_HALVINGS times.  A step is
+    accepted only with its record, so a failure while finishing the record
+    ends the run like a failure of the corrector.  The run ends with one of
+    the reasons "max-steps", "newton-failure", "collision: ...",
+    "integration-failure: ...", "varpi-range" or, when the pinned first
+    step fails, "onset-failure: ...".
 
     A record costs one integration over the minimal time shift, for its
     amplitude; its action and L_z come from the initial state (see
@@ -480,8 +480,6 @@ def continue_family(spec: GroupSpec, start_varpi: Optional[float] = None,
     """
     red = _reduction(spec)
     state_re, varpi_star = onset_state(spec, 0.0)
-    if start_varpi is not None:
-        varpi_star = float(start_varpi)
 
     def in_window(w):
         return varpi_range is None or varpi_range[0] <= w <= varpi_range[1]
@@ -496,7 +494,7 @@ def continue_family(spec: GroupSpec, start_varpi: Optional[float] = None,
         return ContinuationResult(spec, records, "varpi-range", varpi_star)
 
     # first step: pin the vertical coordinate of body 0 at t = 0
-    state1, varpi1 = onset_state(spec, direction * eps0)
+    state1, varpi1 = onset_state(spec, direction * _ONSET_EPS)
     target = float(state1[0, 0, 2])
     row_u = red.z0_row
 
@@ -507,10 +505,10 @@ def continue_family(spec: GroupSpec, start_varpi: Optional[float] = None,
     try:
         u1, w1, res1 = _corrector(red, red.basis.T @ state1.ravel(), varpi1,
                                   row_u, 0.0, pin, tol, integrator_tol)
+        records.append(_make_record(red, u1, w1, res1, integrator_tol))
     except (CollisionError, IntegrationFailure, NoConvergence) as exc:
         return ContinuationResult(spec, records, f"onset-failure: {exc}",
                                   varpi_star)
-    records.append(_make_record(red, u1, w1, res1, integrator_tol))
     if not in_window(w1):
         return ContinuationResult(spec, records, "varpi-range", varpi_star)
 
@@ -530,9 +528,11 @@ def continue_family(spec: GroupSpec, start_varpi: Optional[float] = None,
             u_new, w_new, res_new = _corrector(
                 red, pred[:-1], pred[-1], row_u, row_w, arc, tol,
                 integrator_tol)
+            records.append(_make_record(red, u_new, w_new, res_new,
+                                        integrator_tol))
         except NoConvergence:
             h *= 0.5
-            if h < min_step or step / h > 2 ** max_halvings:
+            if h < _MIN_STEP or step / h > 2 ** _MAX_HALVINGS:
                 end_reason = "newton-failure"
                 break
             continue
@@ -541,12 +541,6 @@ def continue_family(spec: GroupSpec, start_varpi: Optional[float] = None,
             break
         except IntegrationFailure as exc:
             end_reason = f"integration-failure: {exc}"
-            break
-        try:
-            records.append(_make_record(red, u_new, w_new, res_new,
-                                        integrator_tol))
-        except CollisionError as exc:
-            end_reason = f"collision: {exc}"
             break
         new = np.append(u_new, w_new)
         fresh = new - here

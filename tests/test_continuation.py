@@ -19,15 +19,16 @@ from math import gcd
 import numpy as np
 import pytest
 
-from unchained.continuation import (ActionDiagram, ContinuationResult,
-                                    FamilyRecord, PeriodicOrbit,
-                                    action_diagram, continue_family,
-                                    integrate, monodromy, onset_state,
-                                    re_branch_action, shoot_symmetric,
-                                    write_family_csv, _reduction,
+from unchained.continuation import (INTEGRATOR_TOL, ActionDiagram,
+                                    ContinuationResult, FamilyRecord,
+                                    PeriodicOrbit, action_diagram,
+                                    continue_family, integrate, monodromy,
+                                    onset_state, re_branch_action,
+                                    shoot_symmetric, write_family_csv,
+                                    _closing_residual, _reduction,
                                     _state_matrix)
-from unchained.errors import (CollisionError, NoConvergence,
-                              SingularReduction)
+from unchained.errors import (CollisionError, IntegrationFailure,
+                              NoConvergence, SingularReduction)
 from unchained.ngon import (Configuration, action, build_ngon, jay,
                             angular_momentum_z, newton_residual, potential,
                             rescale)
@@ -125,27 +126,30 @@ def test_integrate_rotating_frame_consistency():
 def test_integrate_variational_matches_finite_difference():
     state, varpi = onset_state(P12, 0.05)
     t1 = 0.3
-    res = integrate(state, np.ones(3), varpi, t1, variational=True)
     rng = np.random.default_rng(7)
+    dirs = [d / np.linalg.norm(d)
+            for d in rng.standard_normal((3,) + state.shape)]
+    seed = np.vstack([np.column_stack([d.ravel() for d in dirs]),
+                      np.zeros(3)])
+    res = integrate(state, np.ones(3), varpi, t1, tangents=seed)
     h = 1e-4
-    for _ in range(3):
-        d = rng.standard_normal(state.shape)
-        d /= np.linalg.norm(d)
+    for j, d in enumerate(dirs):
         plus = integrate(state + h * d, np.ones(3), varpi, t1).state
         minus = integrate(state - h * d, np.ones(3), varpi, t1).state
         fd = (plus - minus).ravel() / (2.0 * h)
-        assert np.max(np.abs(res.variational @ d.ravel() - fd)) < 1e-6
+        assert np.max(np.abs(res.tangents[:, j] - fd)) < 1e-6
 
 
 def test_integrate_varpi_gradient_matches_finite_difference():
     state, varpi = onset_state(P12, 0.05)
     t1 = 0.3
-    res = integrate(state, np.ones(3), varpi, t1, varpi_gradient=True)
+    res = integrate(state, np.ones(3), varpi, t1,
+                    tangents=np.eye(state.size + 1)[:, -1:])
     h = 1e-5
     plus = integrate(state, np.ones(3), varpi + h, t1).state
     minus = integrate(state, np.ones(3), varpi - h, t1).state
     fd = (plus - minus).ravel() / (2.0 * h)
-    assert np.max(np.abs(res.varpi_gradient - fd)) < 1e-5
+    assert np.max(np.abs(res.tangents[:, 0] - fd)) < 1e-5
 
 
 def test_integrate_collision_raises():
@@ -207,6 +211,24 @@ def test_reduction_fixed_subspace(spec):
     x = red.basis @ u
     for g in (g for g in enumerate_elements(spec) if g.theta == 0):
         assert np.max(np.abs(_state_matrix(spec, g) @ x - x)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [P12, HH4, GroupSpec(6, 1, -1, 5, 1)])
+def test_closing_jacobian_matches_finite_difference(spec):
+    # the bordered block in (u, varpi), read off the tangent flow seeded
+    # with the reduced basis, against central differences of the residual
+    red = _reduction(spec)
+    state, varpi = onset_state(spec, 0.05)
+    x = np.append(red.basis.T @ state.ravel(), varpi)
+    _, jac = _closing_residual(red, x[:-1], x[-1], INTEGRATOR_TOL, True)
+    assert jac.shape == (state.size, red.dim + 1)
+    h = 1e-5
+    for j, e in enumerate(h * np.eye(red.dim + 1)):
+        plus, minus = (_closing_residual(red, y[:-1], y[-1], INTEGRATOR_TOL,
+                                         False) for y in (x + e, x - e))
+        fd = (plus - minus) / (2.0 * h)
+        scale = max(1.0, np.max(np.abs(fd)))
+        assert np.max(np.abs(jac[:, j] - fd)) <= 1e-6 * scale
 
 
 def test_onset_state_zero_amplitude_is_ngon():
@@ -327,6 +349,28 @@ def test_family_action_continuity_halved_steps(p12_family):
     half = continue_family(P12, n_steps=6, step=0.0175, max_step=0.03)
     small = np.diff([r.action for r in half.records[1:]])
     assert np.max(np.abs(small)) < 0.75 * np.max(np.abs(base))
+
+
+@pytest.mark.parametrize("fail_at, exc, reason, kept", [
+    (4, IntegrationFailure("forced"), "integration-failure: forced", 3),
+    (2, CollisionError(0, 1, 1e-8), "onset-failure: bodies 0 and 1", 1),
+])
+def test_record_failure_ends_family(monkeypatch, fail_at, exc, reason, kept):
+    # a step counts only with its record: a failure while finishing the
+    # record ends the run with a typed reason and the records before it
+    import unchained.continuation as continuation
+    calls = []
+
+    def amplitude(*args, real=continuation._amplitude):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise exc
+        return real(*args)
+
+    monkeypatch.setattr(continuation, "_amplitude", amplitude)
+    fam = continue_family(P12, n_steps=4)
+    assert fam.end_reason.startswith(reason)
+    assert len(fam.records) == kept
 
 
 def test_varpi_window_ends_family():
