@@ -54,6 +54,7 @@ class IntegrationResult:
 
     state: np.ndarray
     tangents: Optional[np.ndarray] = None
+    harmonic: Optional[np.ndarray] = None
     trajectory: Optional[np.ndarray] = None
     times: Optional[np.ndarray] = None
 
@@ -73,7 +74,9 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
     W' = A(t) W + b(t) w, A the linearised vector field, b its derivative
     in varpi (2 varpi P_h x - 2 J v, in the velocity rows) and w the last
     row of the seed, which stays constant.  The result's tangents is the
-    (6n, m) derivative of the final state along the seed columns.
+    (6n, m) derivative of the final state along the seed columns, and its
+    harmonic the n quadratures int_{t0}^{t1} z_b(t) exp(-2 pi i t) dt of
+    the body heights, carried as 2n more components.
 
     Initial positions closer than ngon.COLLISION_TOL raise CollisionError
     with the offending pair; so does a terminal event when the closest pair
@@ -97,7 +100,8 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
     if tangents is not None:
         seed = np.asarray(tangents, dtype=float)
         w_varpi = seed[-1]
-        y0 = np.concatenate([y0, seed[:-1].ravel()])
+        n_flow = n_core * (1 + seed.shape[1])
+        y0 = np.concatenate([y0, seed[:-1].ravel(), np.zeros(2 * n)])
         # linearised flow: constant blocks once, the position block per call
         mat = np.zeros((n_core, n_core))
         mat[:nv, nv:] = np.eye(nv)
@@ -117,10 +121,12 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
         if y.size == n_core:
             return out
         mat[nv:, :nv] = _force_jacobian(terms, masses) + centrifugal
-        flow = mat @ y[n_core:].reshape(n_core, -1)
+        flow = mat @ y[n_core:n_flow].reshape(n_core, -1)
         drive = 2.0 * varpi * (pos * _HMASK) - 2.0 * jay(vel)
         flow[nv:] += np.outer(drive.ravel(), w_varpi)
-        out[n_core:] = flow.ravel()
+        out[n_core:n_flow] = flow.ravel()
+        out[n_flow:n_flow + n] = pos[:, 2] * np.cos(2.0 * np.pi * t)
+        out[n_flow + n:] = -pos[:, 2] * np.sin(2.0 * np.pi * t)
         return out
 
     def closest(t, y):
@@ -150,7 +156,8 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
     yf = sol_y[:, -1]
     result = IntegrationResult(state=yf[:n_core].reshape(2, n, 3))
     if tangents is not None:
-        result.tangents = yf[n_core:].reshape(n_core, -1)
+        result.tangents = yf[n_core:n_flow].reshape(n_core, -1)
+        result.harmonic = yf[n_flow:n_flow + n] + 1j * yf[n_flow + n:]
     if t_eval is not None:
         result.trajectory = sol_y[:n_core].T.reshape(-1, 2, n, 3)
         result.times = sol_t
@@ -205,23 +212,21 @@ def _reduction(spec: GroupSpec) -> _Reduction:
     return _Reduction(spec)
 
 
-def _closing_residual(red: _Reduction, u, varpi, integrator_tol,
-                      with_jacobian):
+def _closing_residual(red: _Reduction, u, varpi, integrator_tol, seed):
     """Residual Phi_tau(Q u) - S Q u of the reduced boundary value problem.
 
-    With the Jacobian flag returns (residual, jac): jac is the (6n, dim + 1)
-    derivative in (u, varpi), read off the tangent flow seeded with
-    `red.seed`, less the closing map S Q in its first dim columns.
+    Returns (residual, jac, harmonic) from one tangent flow over tau seeded
+    with leading columns of `red.seed`: jac is the derivative along them in
+    (u, varpi), less the closing map S Q in the u columns, and harmonic the
+    segment's height quadratures that `_amplitude` unfolds.
     """
     x0 = (red.basis @ u).reshape(2, -1, 3)
     res = integrate(x0, red.masses, varpi, red.tau, integrator_tol,
-                    tangents=red.seed if with_jacobian else None)
+                    tangents=seed)
     residual = res.state.ravel() - red.closing_basis @ u
-    if not with_jacobian:
-        return residual
     jac = res.tangents
     jac[:, :red.dim] -= red.closing_basis
-    return residual, jac
+    return residual, jac, res.harmonic
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +240,9 @@ class PeriodicOrbit:
     initial_state is the (2, n, 3) stack of positions and velocities at
     t = 0, which lies in the fixed subspace of the time-zero stabilizer
     elements.  amplitude is the signed coefficient of the first vertical
-    harmonic of body 0, read off one segment of the flow over the minimal
-    time shift and unfolded to the period by the group (`_amplitude`);
+    harmonic of body 0: the closing flow over the minimal time shift that
+    passed the Newton test also carries the harmonic quadratures of the
+    heights, which the group unfolds to the period (`_amplitude`);
     residual is the sup norm of the closing defect.  `sample` integrates
     the whole period and uses no symmetry, so it is an independent check
     of the values built from the segment.
@@ -271,36 +277,26 @@ def _sample_loop(spec, state, varpi, n_samples, tol) -> LoopPath:
     return LoopPath(pos, period)
 
 
-# samples per period behind each record's amplitude
-_RECORD_SAMPLES = 512
-
-
-def _amplitude(red: _Reduction, state, varpi, tol) -> float:
+def _amplitude(red: _Reduction, harmonic) -> float:
     """First vertical harmonic of body 0 from one symmetry segment.
 
-    The flow is sampled over [0, tau), tau the minimal time shift, and
-    unfolded to the period s by z(t + tau) = P z(t), P the signed body
-    permutation of the shift acting on the heights.  The
-    time-reversal element of the stabilizer makes the coefficient real.
+    harmonic holds I_b = int_0^tau z_b(t) exp(-2 pi i t) dt, tau the
+    minimal time shift.  With z(t + tau) = P z(t), P the shift's signed
+    body permutation of the heights, segment j adds exp(-2 pi i j tau)
+    e_0 P^j I.  The sum over the period s, over s, is FFT bin s of body
+    0's height, made real by the time-reversal element of the stabilizer.
     """
     n, s = red.spec.n_bodies, red.spec.s
     # the shifts t of the xi = +1 elements form a subgroup of Z/2Ns, so
     # the minimal one divides 2Ns
     n_segments = 2 * n * s // red.shift.t
-    m = -(-_RECORD_SAMPLES // n_segments)
-    # the same step cap as `_sample_loop`, for the same accuracy
-    res = integrate(state, red.masses, varpi, red.tau, tol,
-                    t_eval=np.arange(m) * (red.tau / m), max_step=s / 128.0)
-    heights = res.trajectory[:, 0, :, 2]
     perm = red.closing[:3 * n, :3 * n][2::3, 2::3]
     row = np.eye(n)[0]  # body 0 read off P^j z on segment j
-    z0 = []
-    for _ in range(n_segments):
-        z0.append(heights @ row)
+    coef = 0.0
+    for j in range(n_segments):
+        coef += np.exp(-2j * np.pi * j * red.tau) * (row @ harmonic)
         row = row @ perm
-    z0 = np.concatenate(z0)
-    coef = np.fft.fft(z0)[s] / z0.size
-    return float(2.0 * coef.real)
+    return float(2.0 * coef.real / s)
 
 
 def onset_state(spec: GroupSpec, epsilon: float = 0.0):
@@ -333,55 +329,65 @@ def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
         guess = guess.initial_state
     u0 = red.basis.T @ np.asarray(guess, dtype=float).ravel()
 
-    def closing(u, with_jacobian):
-        out = _closing_residual(red, u, varpi, integrator_tol, with_jacobian)
-        return (out[0], out[1][:, :red.dim]) if with_jacobian else out
+    def closing(u):
+        # varpi is held, so its seed column is left out
+        return _closing_residual(red, u, varpi, integrator_tol,
+                                 red.seed[:, :red.dim])
 
-    u, residual = _damped_newton(closing, u0, tol, integrator_tol, max_iter)
+    u, residual, harmonic = _damped_newton(closing, u0, tol, integrator_tol,
+                                           max_iter)
     return _finish_orbit(red, u, varpi, float(np.max(np.abs(residual))),
-                         integrator_tol)
+                         harmonic)
 
 
 def _damped_newton(fun, x0, tol, integrator_tol, max_iter):
     """Gauss-Newton with a halving line search on a residual function.
 
-    fun(x, True) returns (residual, Jacobian) and fun(x, False) the
-    residual alone.  Returns (x, residual) once the sup norm of the
-    residual is at most tol.  Raises NoConvergence when six halvings find
-    no decrease above tol, or max_iter iterations end above it.
+    fun(x) returns (residual, Jacobian, extra).  Every point, line-search
+    trials included, is evaluated once, and an accepted trial's Jacobian
+    gives the next step.  That step is the least-squares solution with
+    singular values below 100 integrator_tol of the largest dropped: the
+    Jacobian is no more accurate than the flow, so a numerically null
+    direction, as at a branch point, takes no step.  Returns (x, residual,
+    extra) of the evaluation whose sup norm passed the test (at most tol).
+    Raises NoConvergence when six halvings find no decrease above tol, or
+    max_iter steps end above it.
     """
     x = np.asarray(x0, dtype=float).copy()
-    norm, prev_norm = np.inf, np.inf
+    residual, jac, extra = fun(x)
+    norm, prev_norm = float(np.max(np.abs(residual))), np.inf
     floor = 0.25 * integrator_tol
     for _ in range(max_iter):
-        residual, jac = fun(x, True)
-        norm = float(np.max(np.abs(residual)))
         # polish past tol while convergence is still rapid; the closing
         # defect rings through spectral residuals of the sampled loop
         if norm <= floor or (norm <= tol and norm > 0.05 * prev_norm):
-            return x, residual
-        prev_norm = norm
-        step = np.linalg.lstsq(jac, -residual, rcond=None)[0]
+            return x, residual, extra
+        step = np.linalg.lstsq(jac, -residual,
+                               rcond=100.0 * integrator_tol)[0]
         for scale in 0.5 ** np.arange(6):
             trial = x + scale * step
-            if np.max(np.abs(fun(trial, False))) < norm:
-                x = trial
+            if np.array_equal(trial, x):
+                continue  # the step rounds away: x's evaluation stands
+            evaluation = fun(trial)
+            trial_norm = float(np.max(np.abs(evaluation[0])))
+            if trial_norm < norm:
+                x, prev_norm, norm = trial, norm, trial_norm
+                residual, jac, extra = evaluation
                 break
         else:
             if norm <= tol:
-                return x, residual
+                return x, residual, extra
             raise NoConvergence(f"Newton stalled at residual {norm:.3e}")
     if norm > tol:
         raise NoConvergence(f"no convergence in {max_iter} iterations "
                             f"(residual {norm:.3e})")
-    return x, fun(x, False)
+    return x, residual, extra
 
 
-def _finish_orbit(red, u, varpi, residual, integrator_tol) -> PeriodicOrbit:
+def _finish_orbit(red, u, varpi, residual, harmonic) -> PeriodicOrbit:
     state = (red.basis @ u).reshape(2, -1, 3)
     return PeriodicOrbit(red.spec, float(varpi), float(red.spec.s), state,
-                         _amplitude(red, state, varpi, integrator_tol),
-                         float(residual))
+                         _amplitude(red, harmonic), float(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -436,21 +442,21 @@ def _corrector(red, u0, varpi0, row_u, row_w, rhs, tol, integrator_tol):
     """Gauss-Newton on the closing condition plus one scalar constraint.
 
     rhs(u, varpi) is the constraint value; (row_u, row_w) its gradient.
-    Returns (u, varpi, closing residual sup norm).
+    Returns (u, varpi, closing residual sup norm, harmonic), all from the
+    converged evaluation.
     """
     row = np.append(row_u, row_w)
 
-    def bordered(x, with_jacobian):
+    def bordered(x):
         u, varpi = x[:-1], x[-1]
-        out = _closing_residual(red, u, varpi, integrator_tol, with_jacobian)
-        if not with_jacobian:
-            return np.append(out, rhs(u, varpi))
-        residual, jac = out
-        return np.append(residual, rhs(u, varpi)), np.vstack([jac, row])
+        residual, jac, harmonic = _closing_residual(red, u, varpi,
+                                                    integrator_tol, red.seed)
+        return (np.append(residual, rhs(u, varpi)), np.vstack([jac, row]),
+                harmonic)
 
-    x, full = _damped_newton(bordered, np.append(u0, varpi0), tol,
-                             integrator_tol, _CORRECTOR_ITER)
-    return x[:-1], float(x[-1]), float(np.max(np.abs(full[:-1])))
+    x, full, harmonic = _damped_newton(bordered, np.append(u0, varpi0), tol,
+                                       integrator_tol, _CORRECTOR_ITER)
+    return x[:-1], float(x[-1]), float(np.max(np.abs(full[:-1]))), harmonic
 
 
 def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
@@ -473,10 +479,10 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     "integration-failure: ...", "varpi-range" or, when the pinned first
     step fails, "onset-failure: ...".
 
-    A record costs one integration over the minimal time shift, for its
-    amplitude; its action and L_z come from the initial state (see
-    `FamilyRecord`).  `PeriodicOrbit.sample` gives the full period on
-    demand.
+    A record costs no integration of its own: its amplitude comes from the
+    corrector's converged closing flow, and its action and L_z from the
+    initial state (see `FamilyRecord`).  `PeriodicOrbit.sample` gives the
+    full period on demand.
     """
     red = _reduction(spec)
     state_re, varpi_star = onset_state(spec, 0.0)
@@ -485,11 +491,10 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
         return varpi_range is None or varpi_range[0] <= w <= varpi_range[1]
 
     u_re = red.basis.T @ state_re.ravel()
-    res_re = _closing_residual(red, u_re, varpi_star, integrator_tol, False)
-    records = []
-    records.append(_make_record(red, u_re, varpi_star,
-                                float(np.max(np.abs(res_re))),
-                                integrator_tol))
+    res_re, _, harmonic_re = _closing_residual(red, u_re, varpi_star,
+                                               integrator_tol, red.seed)
+    records = [_make_record(red, u_re, varpi_star,
+                            float(np.max(np.abs(res_re))), harmonic_re)]
     if not in_window(varpi_star):
         return ContinuationResult(spec, records, "varpi-range", varpi_star)
 
@@ -503,9 +508,10 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
 
     end_reason = "max-steps"
     try:
-        u1, w1, res1 = _corrector(red, red.basis.T @ state1.ravel(), varpi1,
-                                  row_u, 0.0, pin, tol, integrator_tol)
-        records.append(_make_record(red, u1, w1, res1, integrator_tol))
+        u1, w1, res1, harmonic1 = _corrector(
+            red, red.basis.T @ state1.ravel(), varpi1, row_u, 0.0, pin, tol,
+            integrator_tol)
+        records.append(_make_record(red, u1, w1, res1, harmonic1))
     except (CollisionError, IntegrationFailure, NoConvergence) as exc:
         return ContinuationResult(spec, records, f"onset-failure: {exc}",
                                   varpi_star)
@@ -525,11 +531,11 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
             return tu @ (u - pred[:-1]) + tw * (varpi - pred[-1])
 
         try:
-            u_new, w_new, res_new = _corrector(
+            u_new, w_new, res_new, harmonic = _corrector(
                 red, pred[:-1], pred[-1], row_u, row_w, arc, tol,
                 integrator_tol)
             records.append(_make_record(red, u_new, w_new, res_new,
-                                        integrator_tol))
+                                        harmonic))
         except NoConvergence:
             h *= 0.5
             if h < _MIN_STEP or step / h > 2 ** _MAX_HALVINGS:
@@ -572,8 +578,8 @@ def verify_against_continuation(spec: GroupSpec, gamma: float,
     return abs(gamma_fd - gamma) / abs(gamma)
 
 
-def _make_record(red, u, varpi, residual, integrator_tol) -> FamilyRecord:
-    orbit = _finish_orbit(red, u, varpi, residual, integrator_tol)
+def _make_record(red, u, varpi, residual, harmonic) -> FamilyRecord:
+    orbit = _finish_orbit(red, u, varpi, residual, harmonic)
     pos, vel = orbit.initial_state
     vel = vel + orbit.varpi * jay(pos)  # inertial velocities
     energy = _kinetic(red.masses, vel) \

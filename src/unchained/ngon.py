@@ -313,12 +313,6 @@ class LoopPath:
         return Configuration(self.positions[i], self.masses.copy())
 
 
-def vertical_rotation(angle):
-    """3x3 rotation by `angle` about the vertical axis."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def jay(vectors):
     """Generator of vertical rotations: (x, y, z) -> (-y, x, 0)."""
     out = np.zeros_like(vectors)

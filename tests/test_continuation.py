@@ -18,14 +18,16 @@ from math import gcd
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from unchained.continuation import (INTEGRATOR_TOL, ActionDiagram,
-                                    ContinuationResult, FamilyRecord,
-                                    PeriodicOrbit, action_diagram,
-                                    continue_family, integrate, monodromy,
-                                    onset_state, re_branch_action,
-                                    shoot_symmetric, write_family_csv,
-                                    _closing_residual, _reduction,
+from unchained.continuation import (INTEGRATOR_TOL, NEWTON_TOL,
+                                    ActionDiagram, ContinuationResult,
+                                    FamilyRecord, PeriodicOrbit,
+                                    action_diagram, continue_family,
+                                    integrate, monodromy, onset_state,
+                                    re_branch_action, shoot_symmetric,
+                                    write_family_csv, _closing_residual,
+                                    _damped_newton, _reduction,
                                     _state_matrix)
 from unchained.errors import (CollisionError, IntegrationFailure,
                               NoConvergence, SingularReduction)
@@ -220,12 +222,13 @@ def test_closing_jacobian_matches_finite_difference(spec):
     red = _reduction(spec)
     state, varpi = onset_state(spec, 0.05)
     x = np.append(red.basis.T @ state.ravel(), varpi)
-    _, jac = _closing_residual(red, x[:-1], x[-1], INTEGRATOR_TOL, True)
+    _, jac, _ = _closing_residual(red, x[:-1], x[-1], INTEGRATOR_TOL,
+                                  red.seed)
     assert jac.shape == (state.size, red.dim + 1)
     h = 1e-5
     for j, e in enumerate(h * np.eye(red.dim + 1)):
         plus, minus = (_closing_residual(red, y[:-1], y[-1], INTEGRATOR_TOL,
-                                         False) for y in (x + e, x - e))
+                                         red.seed)[0] for y in (x + e, x - e))
         fd = (plus - minus) / (2.0 * h)
         scale = max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(jac[:, j] - fd)) <= 1e-6 * scale
@@ -292,6 +295,48 @@ def test_shoot_symmetric_no_convergence():
     state, varpi = onset_state(P12, 0.3)
     with pytest.raises(NoConvergence):
         shoot_symmetric(P12, varpi, state, max_iter=1)
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(4, 1, -1, 1, 2),
+                                  GroupSpec(5, 2, -1, 1, 2)])
+def test_shot_amplitude_is_fft_bin_s(spec):
+    # over the period s the first vertical harmonic is FFT bin s, the
+    # frequency exp(-2 pi i t); the segment quadrature must use the same
+    state, varpi = onset_state(spec, 0.05)
+    orbit = shoot_symmetric(spec, varpi, state)
+    loop = orbit.sample(512)
+    z0 = loop.positions[:, 0, 2]
+    fft = 2.0 * (np.fft.fft(z0)[spec.s] / loop.n_samples).real
+    assert abs(orbit.amplitude - fft) <= 1e-10
+    assert abs(orbit.amplitude) > 0.04
+
+
+def test_damped_newton_drops_numerically_null_direction():
+    # linear residual A x - b whose smallest singular value 1e-14 is
+    # numerically null, with b off the range of A along that direction by
+    # less than tol: the solve stops there and steps nowhere along it
+    rng = np.random.default_rng(11)
+    u_mat = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    v_mat = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    a_mat = u_mat @ np.diag([1.0, 0.5, 1e-14]) @ v_mat.T
+    kernel = v_mat[:, 2]
+    x_true = v_mat[:, :2] @ [0.7, -1.3]
+    b = a_mat @ x_true + 5e-12 * u_mat[:, 2]
+    seen = []
+
+    def fun(x):
+        seen.append(x.copy())
+        return a_mat @ x - b, a_mat, x.copy()
+
+    x, residual, extra = _damped_newton(fun, np.zeros(3), NEWTON_TOL,
+                                        INTEGRATOR_TOL, 10)
+    assert 0.25 * INTEGRATOR_TOL < np.max(np.abs(residual)) <= NEWTON_TOL
+    assert abs(kernel @ x) < 1e-9
+    assert np.max(np.abs(x - x_true)) < 1e-9
+    # the returned extra is that of the returned point's own evaluation,
+    # and no point is evaluated twice
+    assert np.array_equal(extra, x)
+    assert len({p.tobytes() for p in seen}) == len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +476,55 @@ def test_records_match_sampled_period(name, request):
         got = (rec.action, rec.angular_momentum_z, rec.amplitude)
         for value, ref in zip(got, sampled):
             assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+def _pair_loop_rhs(varpi):
+    # rotating-frame equations of unit masses, one pair at a time
+    def rhs(t, y):
+        half = y.size // 2
+        pos, vel = y[:half].reshape(-1, 3), y[half:].reshape(-1, 3)
+        acc = np.zeros_like(pos)
+        for i in range(len(pos)):
+            for j in range(len(pos)):
+                if j != i:
+                    d = pos[j] - pos[i]
+                    acc[i] += d / np.dot(d, d) ** 1.5
+            x, y_, _ = pos[i]
+            vx, vy, _ = vel[i]
+            acc[i] += [varpi ** 2 * x + 2.0 * varpi * vy,
+                       varpi ** 2 * y_ - 2.0 * varpi * vx, 0.0]
+        return np.concatenate([vel.ravel(), acc.ravel()])
+    return rhs
+
+
+def test_records_close_under_independent_flow(p12_family):
+    # a second integrator and right-hand side, sharing no code with the
+    # package, flows every record over its full period
+    for rec in p12_family.records:
+        y0 = rec.orbit.initial_state.ravel()
+        sol = solve_ivp(_pair_loop_rhs(rec.varpi), (0.0, rec.period), y0,
+                        method="DOP853", rtol=1e-13, atol=1e-13)
+        assert sol.status == 0
+        assert np.max(np.abs(sol.y[:, -1] - y0)) <= 2.5e-11
+
+
+def test_continue_family_integrates_only_closing_flows(monkeypatch):
+    # every integration is a closing flow with tangents: line-search
+    # trials carry their Jacobian and records read their amplitude off
+    # the converged one, so nothing is integrated plain or sampled
+    import unchained.continuation as continuation
+    calls = []
+
+    def counted(*args, real=continuation.integrate, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "integrate", counted)
+    fam = continue_family(P12, n_steps=4)
+    assert fam.end_reason == "max-steps"
+    assert calls
+    assert all(k.get("tangents") is not None for k in calls)
+    assert all(k.get("t_eval") is None for k in calls)
 
 
 def test_action_is_minus_three_energy_period_hexagon():
