@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-from .continuation import INTEGRATOR_TOL, continue_family, write_family_csv
+from .continuation import (INTEGRATOR_TOL, _check_steps, continue_family,
+                           write_family_csv)
 from .errors import (
     CollisionError,
     DegenerateSystem,
@@ -66,6 +67,12 @@ def _emit(text: str, path) -> None:
             fh.write(text)
 
 
+def _checked_tol(tol: float, source: str) -> float:
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"{source} out of range (0, 1): {tol}")
+    return tol
+
+
 def _env_tol(default: float) -> float:
     raw = os.environ.get("UNCHAINED_TOL")
     if raw is None:
@@ -74,9 +81,7 @@ def _env_tol(default: float) -> float:
         tol = float(raw)
     except ValueError:
         raise ValueError(f"UNCHAINED_TOL is not a number: {raw!r}")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"UNCHAINED_TOL out of range (0, 1): {tol}")
-    return tol
+    return _checked_tol(tol, "UNCHAINED_TOL")
 
 
 def _spec_from(args) -> GroupSpec:
@@ -213,7 +218,13 @@ def cmd_continue(args) -> int:
     if outs and len(outs) != len(specs):
         raise ValueError(
             f"got {len(outs)} --out paths for {len(specs)} families")
-    integ_tol = args.tol if args.tol is not None else _env_tol(INTEGRATOR_TOL)
+    if args.tol is not None:
+        integ_tol = _checked_tol(args.tol, "--tol")
+    else:
+        integ_tol = _env_tol(INTEGRATOR_TOL)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    _check_steps(args.steps, args.step, args.max_step)
     kwargs = dict(
         direction=args.direction,
         n_steps=args.steps,

@@ -31,9 +31,9 @@ from scipy.linalg import block_diag
 
 from .errors import (CollisionError, IntegrationFailure, NoConvergence,
                      SingularReduction)
-from .ngon import (COLLISION_TOL, LoopPath, _force_jacobian, _gravity,
-                   _kinetic, _lz, _pair_potential, _separated, closest_pair,
-                   jay, pair_terms)
+from .ngon import (COLLISION_TOL, LoopPath, _force_jacobian_apply,
+                   _gravity, _kinetic, _lz, _pair_potential, _separated,
+                   closest_pair, jay, pair_terms)
 from .spectrum import vertical_spectrum
 from .symmetry import GroupElement, GroupSpec, _action, enumerate_elements
 from .torsion import reconstruct_loop, torsion_gamma
@@ -81,8 +81,10 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
     Initial positions closer than ngon.COLLISION_TOL raise CollisionError
     with the offending pair; so does a terminal event when the closest pair
     separation crosses below it.  The event is the only collision check of
-    the flow: the right-hand side (the force and, for the tangent flow,
-    its Jacobian, both from one `pair_terms` call) does none.
+    the flow: the right-hand side does none.  It is one constant linear
+    field, built once per call, plus the force and, for the tangent flow,
+    the force Jacobian applied to the tangent columns (never formed), both
+    from one `pair_terms` call.
     Solver breakdown raises IntegrationFailure with the time reached.
     """
     state = np.asarray(state, dtype=float)
@@ -96,37 +98,38 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
         t0, t1 = map(float, t_span)
     nv = 3 * n
     n_core = 2 * nv
+    # the linear part of the flow: x' = v, and the centrifugal varpi^2 P_h x
+    # and Coriolis -2 varpi J v accelerations
+    hor = np.diag(np.tile(_HMASK, n))
+    rot = np.kron(np.eye(n), [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                              [0.0, 0.0, 0.0]])
+    lin = np.block([[np.zeros((nv, nv)), np.eye(nv)],
+                    [varpi ** 2 * hor, -2.0 * varpi * rot]])
     y0 = state.ravel()
     if tangents is not None:
         seed = np.asarray(tangents, dtype=float)
         w_varpi = seed[-1]
         n_flow = n_core * (1 + seed.shape[1])
         y0 = np.concatenate([y0, seed[:-1].ravel(), np.zeros(2 * n)])
-        # linearised flow: constant blocks once, the position block per call
-        mat = np.zeros((n_core, n_core))
-        mat[:nv, nv:] = np.eye(nv)
-        mat[nv:, nv:] = -2.0 * varpi * np.kron(
-            np.eye(n), [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        centrifugal = varpi ** 2 * np.diag(np.tile(_HMASK, n))
+        # derivative of the velocity rows of lin in varpi
+        dlin = np.hstack([2.0 * varpi * hor, -2.0 * rot])
 
     def rhs(t, y):
         out = np.empty_like(y)
-        pos = y[:nv].reshape(n, 3)
-        vel = y[nv:n_core].reshape(n, 3)
-        terms = pair_terms(pos)
-        acc = _gravity(terms, masses) + varpi ** 2 * (pos * _HMASK) \
-            - 2.0 * varpi * jay(vel)
-        out[:nv] = y[nv:n_core]
-        out[nv:n_core] = acc.ravel()
+        core = y[:n_core]
+        terms = pair_terms(core[:nv].reshape(n, 3))
+        out[:n_core] = lin @ core
+        out[nv:n_core] += _gravity(terms, masses).ravel()
         if y.size == n_core:
             return out
-        mat[nv:, :nv] = _force_jacobian(terms, masses) + centrifugal
-        flow = mat @ y[n_core:n_flow].reshape(n_core, -1)
-        drive = 2.0 * varpi * (pos * _HMASK) - 2.0 * jay(vel)
-        flow[nv:] += np.outer(drive.ravel(), w_varpi)
+        cols = y[n_core:n_flow].reshape(n_core, -1)
+        flow = lin @ cols
+        flow[nv:] += _force_jacobian_apply(
+            terms, masses, cols[:nv].reshape(n, 3, -1)).reshape(nv, -1) \
+            + (dlin @ core)[:, None] * w_varpi
         out[n_core:n_flow] = flow.ravel()
-        out[n_flow:n_flow + n] = pos[:, 2] * np.cos(2.0 * np.pi * t)
-        out[n_flow + n:] = -pos[:, 2] * np.sin(2.0 * np.pi * t)
+        out[n_flow:n_flow + n] = core[2:nv:3] * np.cos(2.0 * np.pi * t)
+        out[n_flow + n:] = -core[2:nv:3] * np.sin(2.0 * np.pi * t)
         return out
 
     def closest(t, y):
@@ -482,8 +485,10 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     A record costs no integration of its own: its amplitude comes from the
     corrector's converged closing flow, and its action and L_z from the
     initial state (see `FamilyRecord`).  `PeriodicOrbit.sample` gives the
-    full period on demand.
+    full period on demand.  Raises ValueError, before any integration, for
+    n_steps < 1 or a step or max_step that is not positive.
     """
+    _check_steps(n_steps, step, max_step)
     red = _reduction(spec)
     state_re, varpi_star = onset_state(spec, 0.0)
 
@@ -561,6 +566,19 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
             end_reason = "varpi-range"
             break
     return ContinuationResult(spec, records, end_reason, varpi_star)
+
+
+def _check_steps(n_steps, step, max_step) -> None:
+    """Raise ValueError unless n_steps >= 1 and both arclength steps are > 0.
+
+    A zero cap repeats the first record and a negative step walks back
+    through the onset, and both would still end as "max-steps".
+    """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
+    for name, value in (("step", step), ("max_step", max_step)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def verify_against_continuation(spec: GroupSpec, gamma: float,

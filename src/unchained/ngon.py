@@ -13,8 +13,10 @@ the differences x_j - x_i, the distances r_ij and r_ij^-3.  Two bodies
 closer than the single threshold COLLISION_TOL collide.  The functions that
 take positions from a caller (`potential`, `wintner_matrix`, `action`,
 `newton_residual`) raise CollisionError below it.  `gravity` and
-`force_jacobian` do not check: they are the right-hand side of the flow,
-whose terminal event in `continuation.integrate` is the collision check.
+`force_jacobian` do not check, nor do `_gravity` and `_force_jacobian_apply`
+(the action of the force Jacobian on tangent columns): these two are what
+the flow's right-hand side uses, and the terminal event of
+`continuation.integrate` is the flow's collision check.
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +38,7 @@ def pair_terms(positions):
     """
     pos = np.asarray(positions, dtype=float)
     diff = pos[..., None, :, :] - pos[..., :, None, :]
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
+    r = np.sqrt((diff * diff).sum(axis=-1))
     np.einsum("...ii->...i", r)[...] = np.inf
     return diff, r, 1.0 / r ** 3
 
@@ -137,25 +139,29 @@ def force_jacobian(positions, masses):
     """Derivative of `gravity` with respect to positions.
 
     Returns the (3n, 3n) matrix of d(acceleration_i)/d(position_j) blocks,
-    or a (..., 3n, 3n) batch for (..., n, 3) positions.  Like `gravity`
+    or a (..., 3n, 3n) batch for (..., n, 3) positions: the action of
+    `_force_jacobian_apply` on the 3n unit displacements.  Like `gravity`
     it does no collision check.
     """
-    return _force_jacobian(pair_terms(positions), masses)
+    n = np.shape(positions)[-2]
+    unit = np.eye(3 * n).reshape(n, 3, 3 * n)
+    jac = _force_jacobian_apply(pair_terms(positions), masses, unit)
+    return jac.reshape(*jac.shape[:-3], 3 * n, 3 * n)
 
 
-def _force_jacobian(terms, masses):
-    # force Jacobian from the `pair_terms` of the positions
+def _force_jacobian_apply(terms, masses, dpos):
+    # force Jacobian, from the `pair_terms` of the positions, applied to
+    # displacement columns dpos (..., n, 3, m) without forming it: body i
+    # gets sum_j m_j (I / r^3 - 3 d d^T / r^5)(dpos_j - dpos_i)
     diff, r, inv_r3 = terms
     w = np.asarray(masses, dtype=float) * inv_r3
-    # off-diagonal blocks m_j (I / r^3 - 3 d d^T / r^5)
-    blocks = (w[..., None, None] * np.eye(3)
-              - 3.0 * (w / r ** 2)[..., None, None]
-              * diff[..., :, None] * diff[..., None, :])
-    n = diff.shape[-2]
-    # the diagonal block of body i is minus the sum of its row
-    row_sums = blocks.sum(axis=-3)[..., :, None, :, :]
-    jac = blocks - np.eye(n)[:, :, None, None] * row_sums
-    return np.swapaxes(jac, -3, -2).reshape(*jac.shape[:-4], 3 * n, 3 * n)
+    rel = dpos[..., None, :, :, :] - dpos[..., :, None, :, :]
+    # batched matmuls sum over the axis and over j, faster here than einsum
+    radial = (diff[..., None, :] @ rel)[..., 0, :]  # d . (dpos_j - dpos_i)
+    scaled = (3.0 * w / (r * r))[..., None] * diff
+    iso = (w[..., None, :] @ rel.reshape(*rel.shape[:-2], -1))[..., 0, :]
+    return (iso.reshape(*iso.shape[:-1], *dpos.shape[-2:])
+            - np.swapaxes(scaled, -1, -2) @ radial)
 
 
 def wintner_matrix(config):

@@ -272,6 +272,43 @@ def test_continue_out_count_mismatch(capsys, tmp_path):
     assert "--out" in err or "families" in err
 
 
+@pytest.fixture
+def no_family(monkeypatch):
+    # a rejected option must stop the command before any family is started
+    import unchained.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("continue_family called with bad options")
+
+    monkeypatch.setattr(cli, "continue_family", never)
+
+
+@pytest.mark.parametrize("bad", [
+    ("--max-step", "0"), ("--step", "-0.04"), ("--steps", "0"),
+    ("--tol", "2"), ("--tol", "0"), ("--jobs", "0"),
+])
+def test_continue_rejects_bad_options_before_any_work(capsys, no_family,
+                                                      bad):
+    # each of these used to run (or, for --tol 0, not finish), and a
+    # family computed from them is garbage
+    rc, out, err = run(capsys, "continue", "3", "1", "-1", "2", "1",
+                       "--steps", "4", *bad)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_continue_tol_flag_and_env_share_range_check(capsys, monkeypatch,
+                                                     no_family):
+    monkeypatch.setenv("UNCHAINED_TOL", "2")
+    rc_env, _, err_env = run(capsys, "continue", "3", "1", "-1", "2", "1")
+    monkeypatch.delenv("UNCHAINED_TOL")
+    rc_flag, _, err_flag = run(capsys, "continue", "3", "1", "-1", "2", "1",
+                               "--tol", "2")
+    assert rc_env == rc_flag == 2
+    assert err_env.replace("UNCHAINED_TOL", "--tol") == err_flag
+
+
 def test_continue_onset_failure_exits_one(capsys, monkeypatch):
     # the relative-equilibrium record is always there, so a family whose
     # first corrector solve fails still has one row; it must not exit 0

@@ -527,6 +527,22 @@ def test_continue_family_integrates_only_closing_flows(monkeypatch):
     assert all(k.get("t_eval") is None for k in calls)
 
 
+@pytest.mark.parametrize("kwargs", [dict(step=0), dict(max_step=0),
+                                    dict(step=-0.04), dict(n_steps=0)])
+def test_continue_family_rejects_degenerate_steps(monkeypatch, kwargs):
+    # a zero cap repeats the first record and a negative step walks back
+    # through the onset; both used to end "max-steps" with no integration
+    # spared, so the check must come before the first one
+    import unchained.continuation as continuation
+
+    def never(*args, **kw):
+        raise AssertionError("integrated before the arguments were checked")
+
+    monkeypatch.setattr(continuation, "integrate", never)
+    with pytest.raises(ValueError):
+        continue_family(P12, **kwargs)
+
+
 def test_action_is_minus_three_energy_period_hexagon():
     # Lagrange-Jacobi on a closed orbit: int K = int U / 2, so A = -3 E T
     spec = GroupSpec(6, 1, -1, 5, 1)

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from unchained import (CollisionError, Configuration, LoopPath, action,
                        gravity, potential, wintner_matrix)
 from unchained.continuation import integrate
-from unchained.ngon import (COLLISION_TOL, check_separation, closest_pair,
-                            force_jacobian, kinetic_energy, pair_terms)
+from unchained.ngon import (COLLISION_TOL, _force_jacobian_apply,
+                            check_separation, closest_pair, force_jacobian,
+                            kinetic_energy, pair_terms)
 
 # corners of a cube with side 1.5; jitter of at most 0.5 per coordinate
 # keeps every pair at least 0.5 apart before scaling
@@ -106,6 +107,24 @@ def test_batch_matches_double_loop(sample):
     loop = LoopPath(pos, 1.0, masses)
     assert loop.min_separation() == pytest.approx(
         min(ref["dist"].min() for ref in refs), rel=1e-13)
+
+
+@SETTINGS
+@given(bodies(batch=True), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_jacobian_action_matches_double_loop(sample, m, seed, batch):
+    # the flow applies the Jacobian to its tangent columns without forming
+    # it; the brute-force matrix times the same columns must agree
+    pos, masses = sample
+    if not batch:
+        pos = pos[0]
+    n = pos.shape[-2]
+    dpos = np.random.default_rng(seed).normal(size=pos.shape + (m,))
+    got = _force_jacobian_apply(pair_terms(pos), masses, dpos)
+    assert got.shape == dpos.shape
+    want = [brute_force(p, masses)["jacobian"] @ d.reshape(3 * n, m)
+            for p, d in zip(pos.reshape(-1, n, 3), dpos.reshape(-1, n, 3, m))]
+    assert_close(got, np.reshape(want, dpos.shape))
 
 
 @SETTINGS

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from unchained.continuation import (ContinuationResult, FamilyRecord,
                                     write_family_csv)
-from unchained.ngon import Configuration, force_jacobian, gravity, potential
+from unchained.ngon import (Configuration, _force_jacobian_apply,
+                            force_jacobian, gravity, pair_terms, potential)
 from unchained.symmetry import GroupSpec
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -53,6 +54,21 @@ def test_force_jacobian_is_derivative_of_gravity(bodies):
     fd = central_difference(lambda x: gravity(x, masses), pos)
     fd = fd.reshape(3 * n, 3 * n)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
+
+
+@SETTINGS
+@given(configurations(), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_jacobian_action_is_directional_derivative_of_gravity(bodies, m,
+                                                              seed):
+    # column k of the action on displacements D is the derivative of gravity
+    # along D[..., k], here by a central difference along that direction
+    pos, masses = bodies
+    dpos = np.random.default_rng(seed).normal(size=pos.shape + (m,))
+    got = _force_jacobian_apply(pair_terms(pos), masses, dpos)
+    fd = np.stack([(gravity(pos + STEP * d, masses)
+                    - gravity(pos - STEP * d, masses)) / (2.0 * STEP)
+                   for d in np.moveaxis(dpos, -1, 0)], axis=-1)
+    assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(got))
 
 
 @SETTINGS
