@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from .continuation import (INTEGRATOR_TOL, _check_steps, continue_family,
-                           write_family_csv)
+from .continuation import (INTEGRATOR_TOL, _check_steps, _checked_tol,
+                           continue_family, write_family_csv)
 from .errors import (
     CollisionError,
     DegenerateSystem,
@@ -65,12 +65,6 @@ def _emit(text: str, path) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def _checked_tol(tol: float, source: str) -> float:
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"{source} out of range (0, 1): {tol}")
-    return tol
 
 
 def _env_tol(default: float) -> float:
@@ -219,9 +213,11 @@ def cmd_continue(args) -> int:
         raise ValueError(
             f"got {len(outs)} --out paths for {len(specs)} families")
     if args.tol is not None:
-        integ_tol = _checked_tol(args.tol, "--tol")
+        source, integ_tol = "--tol", _checked_tol(args.tol, "--tol")
     else:
-        integ_tol = _env_tol(INTEGRATOR_TOL)
+        source, integ_tol = "UNCHAINED_TOL", _env_tol(INTEGRATOR_TOL)
+    newton_tol = _checked_tol(100.0 * integ_tol,
+                              f"Newton tolerance 100 * {source}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     _check_steps(args.steps, args.step, args.max_step)
@@ -230,7 +226,7 @@ def cmd_continue(args) -> int:
         n_steps=args.steps,
         step=args.step,
         max_step=args.max_step,
-        tol=100.0 * integ_tol,
+        tol=newton_tol,
         integrator_tol=integ_tol,
         varpi_range=tuple(args.varpi_range) if args.varpi_range else None,
     )
@@ -326,8 +322,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-step", type=float, default=0.15,
                    help="arclength step cap (default: 0.15)")
     p.add_argument("--tol", type=float, default=None,
-                   help="integrator tolerance (default: 1e-12 or "
-                        "UNCHAINED_TOL)")
+                   help="integrator tolerance, below 0.01 since the "
+                        "Newton tolerance is 100 times it (default: "
+                        "1e-12 or UNCHAINED_TOL)")
     p.add_argument("--varpi-range", type=float, nargs=2,
                    metavar=("LO", "HI"), default=None,
                    help="stop when varpi leaves this window")

@@ -325,8 +325,11 @@ def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
     stabilizer elements.  The unknowns are the coordinates in that subspace,
     the equations Phi_{theta0 T}(X) = S X with S the smallest positive time
     shift of the group.  Raises NoConvergence when the damped iteration
-    stalls above tol.
+    stalls above tol, and ValueError, before any integration, unless tol
+    and integrator_tol lie in (0, 1).
     """
+    _checked_tol(tol, "tol")
+    _checked_tol(integrator_tol, "integrator_tol")
     red = _reduction(spec)
     if isinstance(guess, PeriodicOrbit):
         guess = guess.initial_state
@@ -445,8 +448,10 @@ def _corrector(red, u0, varpi0, row_u, row_w, rhs, tol, integrator_tol):
     """Gauss-Newton on the closing condition plus one scalar constraint.
 
     rhs(u, varpi) is the constraint value; (row_u, row_w) its gradient.
-    Returns (u, varpi, closing residual sup norm, harmonic), all from the
-    converged evaluation.
+    Returns (u, varpi, closing residual sup norm, harmonic, null), all from
+    the converged evaluation: null is the unit right singular vector of the
+    smallest singular value of its closing Jacobian in (u, varpi), the
+    family tangent up to sign, and costs no integration.
     """
     row = np.append(row_u, row_w)
 
@@ -455,11 +460,39 @@ def _corrector(red, u0, varpi0, row_u, row_w, rhs, tol, integrator_tol):
         residual, jac, harmonic = _closing_residual(red, u, varpi,
                                                     integrator_tol, red.seed)
         return (np.append(residual, rhs(u, varpi)), np.vstack([jac, row]),
-                harmonic)
+                (harmonic, jac))
 
-    x, full, harmonic = _damped_newton(bordered, np.append(u0, varpi0), tol,
-                                       integrator_tol, _CORRECTOR_ITER)
-    return x[:-1], float(x[-1]), float(np.max(np.abs(full[:-1]))), harmonic
+    x, full, (harmonic, jac) = _damped_newton(
+        bordered, np.append(u0, varpi0), tol, integrator_tol,
+        _CORRECTOR_ITER)
+    null = np.linalg.svd(jac)[2][-1]
+    return (x[:-1], float(x[-1]), float(np.max(np.abs(full[:-1]))),
+            harmonic, null)
+
+
+def _hermite_start(pred, tangent, h, here, t_here, prev, t_prev):
+    """First corrector iterate on the arclength hyperplane through pred.
+
+    The cubic Hermite curve through the last two records prev and here,
+    with unit family tangents t_prev and t_here and the chord |here - prev|
+    as parameter length, is evaluated a further h beyond here.  prev is
+    None when the previous record is the branch point, which has no
+    tangent, and the start is then here + h t_here.  The point is projected
+    onto {x : tangent . (x - pred) = 0}, the hyperplane the corrector
+    solves on, so the record it converges to is the one a start at pred
+    finds.
+    """
+    if prev is None:
+        guess = here + h * t_here
+    else:
+        chord = np.linalg.norm(here - prev)
+        # Hermite basis at tau = (chord + h) / chord, past here at tau = 1
+        tau = 1.0 + h / chord
+        guess = ((2.0 * tau - 3.0) * tau * tau + 1.0) * prev \
+            + (3.0 - 2.0 * tau) * tau * tau * here \
+            + chord * (tau - 1.0) * tau * ((tau - 1.0) * t_prev
+                                           + tau * t_here)
+    return guess - (tangent @ (guess - pred)) * tangent
 
 
 def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
@@ -474,21 +507,30 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     _ONSET_EPS using the third-order expansion as predictor.  Subsequent
     steps follow the arclength tangent in (reduced state, varpi) with the
     period held at T = s throughout; step is the first arclength step and
-    max_step its cap.  When the corrector does not converge the step is
-    halved, down to _MIN_STEP and at most _MAX_HALVINGS times.  A step is
-    accepted only with its record, so a failure while finishing the record
-    ends the run like a failure of the corrector.  The run ends with one of
-    the reasons "max-steps", "newton-failure", "collision: ...",
-    "integration-failure: ...", "varpi-range" or, when the pinned first
-    step fails, "onset-failure: ...".
+    max_step its cap.  A step of length h solves on the hyperplane normal
+    to the secant tangent through pred = here + h * tangent.  Its corrector
+    starts from the cubic Hermite extrapolation of the last two records
+    along their family tangents, projected onto that hyperplane
+    (`_hermite_start`); the records are the same points as with a start at
+    pred, reached in fewer Newton iterations.  When the corrector does not
+    converge the step is halved, down to _MIN_STEP and at most
+    _MAX_HALVINGS times.  A step is accepted only with its record, so a
+    failure while finishing the record ends the run like a failure of the
+    corrector.  The run ends with one of the reasons "max-steps",
+    "newton-failure", "collision: ...", "integration-failure: ...",
+    "varpi-range" or, when the pinned first step fails, "onset-failure:
+    ...".
 
     A record costs no integration of its own: its amplitude comes from the
     corrector's converged closing flow, and its action and L_z from the
     initial state (see `FamilyRecord`).  `PeriodicOrbit.sample` gives the
     full period on demand.  Raises ValueError, before any integration, for
-    n_steps < 1 or a step or max_step that is not positive.
+    n_steps < 1, a step or max_step that is not positive, or a tol or
+    integrator_tol outside (0, 1).
     """
     _check_steps(n_steps, step, max_step)
+    _checked_tol(tol, "tol")
+    _checked_tol(integrator_tol, "integrator_tol")
     red = _reduction(spec)
     state_re, varpi_star = onset_state(spec, 0.0)
 
@@ -513,7 +555,7 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
 
     end_reason = "max-steps"
     try:
-        u1, w1, res1, harmonic1 = _corrector(
+        u1, w1, res1, harmonic1, null = _corrector(
             red, red.basis.T @ state1.ravel(), varpi1, row_u, 0.0, pin, tol,
             integrator_tol)
         records.append(_make_record(red, u1, w1, res1, harmonic1))
@@ -523,10 +565,12 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     if not in_window(w1):
         return ContinuationResult(spec, records, "varpi-range", varpi_star)
 
-    prev = np.append(u_re, varpi_star)
+    # the branch point's null space is 2-D, so it supplies no tangent
+    prev, t_prev = None, None
     here = np.append(u1, w1)
-    tangent = here - prev
+    tangent = here - np.append(u_re, varpi_star)
     tangent /= np.linalg.norm(tangent)
+    t_here = np.copysign(1.0, null @ tangent) * null
     h = step
     while len(records) < n_steps + 1:
         pred = here + h * tangent
@@ -535,9 +579,10 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
         def arc(u, varpi, pred=pred, tu=row_u, tw=row_w):
             return tu @ (u - pred[:-1]) + tw * (varpi - pred[-1])
 
+        start = _hermite_start(pred, tangent, h, here, t_here, prev, t_prev)
         try:
-            u_new, w_new, res_new, harmonic = _corrector(
-                red, pred[:-1], pred[-1], row_u, row_w, arc, tol,
+            u_new, w_new, res_new, harmonic, null = _corrector(
+                red, start[:-1], start[-1], row_u, row_w, arc, tol,
                 integrator_tol)
             records.append(_make_record(red, u_new, w_new, res_new,
                                         harmonic))
@@ -554,6 +599,8 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
             end_reason = f"integration-failure: {exc}"
             break
         new = np.append(u_new, w_new)
+        prev, t_prev = here, t_here
+        t_here = np.copysign(1.0, null @ tangent) * null
         fresh = new - here
         norm = np.linalg.norm(fresh)
         if norm > 0:
@@ -579,6 +626,17 @@ def _check_steps(n_steps, step, max_step) -> None:
     for name, value in (("step", step), ("max_step", max_step)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _checked_tol(tol, source: str) -> float:
+    """Return tol, or raise ValueError unless 0 < tol < 1.
+
+    A zero integrator tolerance stalls the stepper, and a tolerance of
+    one or more passes any orbit as closed.
+    """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"{source} out of range (0, 1): {tol}")
+    return tol
 
 
 def verify_against_continuation(spec: GroupSpec, gamma: float,

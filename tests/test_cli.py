@@ -298,6 +298,26 @@ def test_continue_rejects_bad_options_before_any_work(capsys, no_family,
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag, env", [
+    ("0.02", None), ("0.5", None), (None, "0.05"),
+])
+def test_continue_rejects_newton_tolerance_out_of_range(capsys, monkeypatch,
+                                                       no_family, flag, env):
+    # the Newton tolerance is 100 times the integrator's, so an integrator
+    # tolerance of 0.01 or more makes it one or more: any orbit would pass
+    # as closed
+    if env is not None:
+        monkeypatch.setenv("UNCHAINED_TOL", env)
+    argv = ["continue", "3", "1", "-1", "2", "1", "--steps", "4"]
+    if flag is not None:
+        argv += ["--tol", flag]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: Newton tolerance")
+    assert ("--tol" if flag else "UNCHAINED_TOL") in err
+
+
 def test_continue_tol_flag_and_env_share_range_check(capsys, monkeypatch,
                                                      no_family):
     monkeypatch.setenv("UNCHAINED_TOL", "2")

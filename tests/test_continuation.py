@@ -543,6 +543,104 @@ def test_continue_family_rejects_degenerate_steps(monkeypatch, kwargs):
         continue_family(P12, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(integrator_tol=0.0), dict(integrator_tol=1.0),
+    dict(integrator_tol=0.5, tol=50.0), dict(tol=0.0),
+    dict(tol=float("nan")),
+])
+@pytest.mark.parametrize("solver", ["continue_family", "shoot_symmetric"])
+def test_tolerances_checked_before_any_integration(monkeypatch, solver,
+                                                    kwargs):
+    # a zero integrator tolerance never returns, and tolerances of one or
+    # more pass any orbit as closed under a clean-looking end reason
+    import unchained.continuation as continuation
+
+    def never(*args, **kw):
+        raise AssertionError("integrated before the tolerances were checked")
+
+    monkeypatch.setattr(continuation, "integrate", never)
+    with pytest.raises(ValueError, match=r"out of range \(0, 1\)"):
+        if solver == "continue_family":
+            continue_family(P12, n_steps=1, **kwargs)
+        else:
+            state, varpi = onset_state(P12, 0.05)
+            shoot_symmetric(P12, varpi, state, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def p12_twenty():
+    # the default P12 run at 20 steps, with its tangent integrations
+    # counted and each converged corrector's family tangent kept
+    import unchained.continuation as continuation
+    calls, nulls = [], []
+
+    def counted(*args, real=continuation.integrate, **kwargs):
+        calls.append(kwargs.get("tangents") is not None)
+        return real(*args, **kwargs)
+
+    def kept(*args, real=continuation._corrector):
+        out = real(*args)
+        nulls.append(out[-1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "integrate", counted)
+        mp.setattr(continuation, "_corrector", kept)
+        fam = continue_family(P12, n_steps=20)
+    return fam, calls, nulls
+
+
+def _family_points(fam):
+    red = _reduction(fam.spec)
+    return np.array([np.append(red.basis.T @ r.orbit.initial_state.ravel(),
+                               r.varpi) for r in fam.records])
+
+
+def test_hermite_start_saves_closing_integrations(p12_twenty):
+    # a start at the secant predictor pred = here + h tangent made 80
+    # tangent integrations; the Hermite start reaches the 3 evaluations
+    # per solve the Newton test allows
+    fam, calls, _ = p12_twenty
+    assert fam.end_reason == "max-steps" and len(fam.records) == 21
+    assert all(calls)
+    assert len(calls) <= 61
+
+
+def test_hermite_start_finds_the_same_records(p12_twenty, monkeypatch):
+    # the start moves only the first iterate: the arclength hyperplane and
+    # the steps are those of a start at pred, so are the records
+    import unchained.continuation as continuation
+
+    def at_pred(pred, *args):
+        return pred
+
+    monkeypatch.setattr(continuation, "_hermite_start", at_pred)
+    ref = continue_family(P12, n_steps=20)
+    fam = p12_twenty[0]
+    assert ref.end_reason == fam.end_reason
+    assert len(ref.records) == len(fam.records)
+    for rec, want in zip(fam.records, ref.records):
+        for name in ("varpi", "amplitude", "action", "angular_momentum_z"):
+            got, exp = getattr(rec, name), getattr(want, name)
+            assert abs(got - exp) <= 1e-12 * max(1.0, abs(exp))
+
+
+def test_corrector_tangent_follows_the_records(p12_twenty):
+    # the null vector of the converged closing Jacobian against the
+    # central difference of the neighbouring records, which uses no
+    # Jacobian; nulls[i] belongs to record i + 1.  Record 1 is left out:
+    # its lower neighbour is the branch point, at an uneven spacing that
+    # puts the difference itself 2e-3 off
+    fam, _, nulls = p12_twenty
+    points = _family_points(fam)
+    assert len(nulls) == len(points) - 1
+    for i in range(2, len(points) - 1):
+        chord = points[i + 1] - points[i - 1]
+        cos = nulls[i - 1] @ chord / np.linalg.norm(chord)
+        assert abs(np.linalg.norm(nulls[i - 1]) - 1.0) < 1e-12
+        assert abs(cos) >= 1.0 - 1e-3
+
+
 def test_action_is_minus_three_energy_period_hexagon():
     # Lagrange-Jacobi on a closed orbit: int K = int U / 2, so A = -3 E T
     spec = GroupSpec(6, 1, -1, 5, 1)
