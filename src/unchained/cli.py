@@ -10,6 +10,7 @@ overrides the default integrator tolerance of the `continue` command.
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -196,11 +197,6 @@ def _family_payload(result) -> dict:
     }
 
 
-def _family_task(params):
-    spec_tuple, kwargs = params
-    return continue_family(GroupSpec(*spec_tuple), **kwargs)
-
-
 def cmd_continue(args) -> int:
     if len(args.spec) % 5:
         raise ValueError(
@@ -221,7 +217,8 @@ def cmd_continue(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     _check_steps(args.steps, args.step, args.max_step)
-    kwargs = dict(
+    task = functools.partial(
+        continue_family,
         direction=args.direction,
         n_steps=args.steps,
         step=args.step,
@@ -230,13 +227,12 @@ def cmd_continue(args) -> int:
         integrator_tol=integ_tol,
         varpi_range=tuple(args.varpi_range) if args.varpi_range else None,
     )
-    tasks = [((s.n_bodies, s.k, s.eta, s.r, s.s), kwargs) for s in specs]
-    if args.jobs > 1 and len(tasks) > 1:
-        workers = min(args.jobs, len(tasks))
+    if args.jobs > 1 and len(specs) > 1:
+        workers = min(args.jobs, len(specs))
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            results = list(pool.map(_family_task, tasks))
+            results = list(pool.map(task, specs))
     else:
-        results = [_family_task(t) for t in tasks]
+        results = [task(spec) for spec in specs]
 
     status = 0
     for i, result in enumerate(results):

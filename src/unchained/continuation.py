@@ -31,9 +31,9 @@ from scipy.linalg import block_diag
 
 from .errors import (CollisionError, IntegrationFailure, NoConvergence,
                      SingularReduction)
-from .ngon import (COLLISION_TOL, LoopPath, _force_jacobian_apply,
-                   _gravity, _kinetic, _lz, _pair_potential, _separated,
-                   closest_pair, jay, pair_terms)
+from .ngon import (LoopPath, _force_jacobian_apply, _gravity, _kinetic,
+                   _lz, _pair_potential, _separated, check_separation, jay,
+                   pair_terms)
 from .spectrum import vertical_spectrum
 from .symmetry import GroupElement, GroupSpec, _action, enumerate_elements
 from .torsion import reconstruct_loop, torsion_gamma
@@ -56,7 +56,6 @@ class IntegrationResult:
     tangents: Optional[np.ndarray] = None
     harmonic: Optional[np.ndarray] = None
     trajectory: Optional[np.ndarray] = None
-    times: Optional[np.ndarray] = None
 
 
 def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
@@ -78,15 +77,16 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
     harmonic the n quadratures int_{t0}^{t1} z_b(t) exp(-2 pi i t) dt of
     the body heights, carried as 2n more components.
 
-    Initial positions closer than ngon.COLLISION_TOL raise CollisionError
-    with the offending pair; so does a terminal event when the closest pair
-    separation crosses below it.  The event is the only collision check of
-    the flow: the right-hand side does none.  It is one constant linear
-    field, built once per call, plus the force and, for the tangent flow,
-    the force Jacobian applied to the tangent columns (never formed), both
-    from one `pair_terms` call.
-    Solver breakdown raises IntegrationFailure with the time reached.
+    The right-hand side is one constant linear field, built once per call,
+    plus the force and, for the tangent flow, the force Jacobian applied to
+    the tangent columns (never formed), all from one `pair_terms` call.
+    Its distances are also the flow's collision check: initial positions,
+    or any evaluated state, with a pair closer than ngon.COLLISION_TOL
+    raise CollisionError with the offending pair.  Solver breakdown raises
+    IntegrationFailure with the time reached, and a tol outside (0, 1)
+    raises ValueError before any integration.
     """
+    _checked_tol(tol, "tol")
     state = np.asarray(state, dtype=float)
     _separated(state[0])
     n = state.shape[1]
@@ -118,6 +118,7 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
         out = np.empty_like(y)
         core = y[:n_core]
         terms = pair_terms(core[:nv].reshape(n, 3))
+        check_separation(terms[1])
         out[:n_core] = lin @ core
         out[nv:n_core] += _gravity(terms, masses).ravel()
         if y.size == n_core:
@@ -132,38 +133,20 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
         out[n_flow + n:] = -core[2:nv:3] * np.sin(2.0 * np.pi * t)
         return out
 
-    def closest(t, y):
-        r = pair_terms(y[:nv].reshape(n, 3))[1]
-        return float(r.min()) - COLLISION_TOL
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,
+                    t_eval=t_eval, max_step=max_step)
+    if sol.status != 0:
+        raise IntegrationFailure(
+            f"integrator stopped at t = {sol.t[-1]:.9g} of "
+            f"[{t0:.9g}, {t1:.9g}]: {sol.message}")
 
-    closest.terminal = True
-    closest.direction = -1.0
-
-    if t1 == t0:
-        sol_y = y0[:, None]
-        sol_t = np.array([t0])
-    else:
-        sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol,
-                        atol=tol, events=closest, t_eval=t_eval,
-                        max_step=max_step, dense_output=False)
-        if sol.status == 1:
-            yc = sol.y_events[0][-1] if len(sol.y_events[0]) else sol.y[:, -1]
-            raise CollisionError(
-                *closest_pair(pair_terms(yc[:nv].reshape(n, 3))[1]))
-        if sol.status != 0:
-            raise IntegrationFailure(
-                f"integrator stopped at t = {sol.t[-1]:.9g} of "
-                f"[{t0:.9g}, {t1:.9g}]: {sol.message}")
-        sol_y, sol_t = sol.y, sol.t
-
-    yf = sol_y[:, -1]
+    yf = sol.y[:, -1]
     result = IntegrationResult(state=yf[:n_core].reshape(2, n, 3))
     if tangents is not None:
         result.tangents = yf[n_core:n_flow].reshape(n_core, -1)
         result.harmonic = yf[n_flow:n_flow + n] + 1j * yf[n_flow + n:]
     if t_eval is not None:
-        result.trajectory = sol_y[:n_core].T.reshape(-1, 2, n, 3)
-        result.times = sol_t
+        result.trajectory = sol.y[:n_core].T.reshape(-1, 2, n, 3)
     return result
 
 
@@ -183,7 +166,6 @@ class _Reduction:
         self.basis = vecs[:, vals > 0.5]
         self.shift = min((g for g in elements if g.xi == 1 and g.t > 0),
                          key=lambda g: (g.t, g.delta, g.beta))
-        self.theta0 = self.shift.theta
         # theta = t / 2N counts time in units where the loop period is s
         self.tau = self.shift.t / (2 * n)
         self.closing = _state_matrix(spec, self.shift)
@@ -192,7 +174,6 @@ class _Reduction:
         self.seed = block_diag(self.basis, 1.0)
         self.spec = spec
         self.masses = np.ones(n)
-        self.z0_row = self.basis[2]  # vertical coordinate of body 0
 
     @property
     def dim(self) -> int:
@@ -261,23 +242,18 @@ class PeriodicOrbit:
     def sample(self, n_samples: int = 512,
                tol: float = INTEGRATOR_TOL) -> LoopPath:
         """Integrate one period and return the uniformly sampled loop."""
-        return _sample_loop(self.spec, self.initial_state, self.varpi,
-                            n_samples, tol)
-
-
-def _sample_loop(spec, state, varpi, n_samples, tol) -> LoopPath:
-    period = float(spec.s)
-    t_eval = np.arange(n_samples + 1) * (period / n_samples)
-    # dense-output interpolation is an order lower than the endpoint values;
-    # cap the step so sampled points are as accurate as the tolerance
-    res = integrate(state, np.ones(spec.n_bodies), varpi, (0.0, period),
-                    tol, t_eval=t_eval, max_step=period / 128.0)
-    pos = res.trajectory[:, 0]
-    # spread the residual closing defect over the period: a seam jump of
-    # size delta would otherwise ring through spectral derivatives
-    delta = pos[-1] - pos[0]
-    pos = pos[:-1] - np.arange(n_samples)[:, None, None] / n_samples * delta
-    return LoopPath(pos, period)
+        t_eval = np.arange(n_samples + 1) * (self.period / n_samples)
+        # dense-output interpolation is an order lower than the endpoint
+        # values; cap the step so sampled points are as accurate as tol
+        res = integrate(self.initial_state, np.ones(self.spec.n_bodies),
+                        self.varpi, (0.0, self.period), tol, t_eval=t_eval,
+                        max_step=self.period / 128.0)
+        pos = res.trajectory[:, 0]
+        # spread the residual closing defect over the period: a seam jump of
+        # size delta would otherwise ring through spectral derivatives
+        delta = pos[-1] - pos[0]
+        ramp = np.arange(n_samples)[:, None, None] / n_samples
+        return LoopPath(pos[:-1] - ramp * delta, self.period)
 
 
 def _amplitude(red: _Reduction, harmonic) -> float:
@@ -444,30 +420,26 @@ _MIN_STEP = 1e-6
 _MAX_HALVINGS = 12
 
 
-def _corrector(red, u0, varpi0, row_u, row_w, rhs, tol, integrator_tol):
-    """Gauss-Newton on the closing condition plus one scalar constraint.
+def _corrector(red, start, row, point, tol, integrator_tol):
+    """Gauss-Newton on the closing condition plus one linear constraint.
 
-    rhs(u, varpi) is the constraint value; (row_u, row_w) its gradient.
-    Returns (u, varpi, closing residual sup norm, harmonic, null), all from
-    the converged evaluation: null is the unit right singular vector of the
-    smallest singular value of its closing Jacobian in (u, varpi), the
-    family tangent up to sign, and costs no integration.
+    The unknown is packed x = (u, varpi), started at start, and the
+    constraint row . (x - point) = 0 is the last equation.  Returns (x,
+    closing residual sup norm, harmonic, null), all from the converged
+    evaluation: null is the unit right singular vector of the smallest
+    singular value of its closing Jacobian in (u, varpi), the family
+    tangent up to sign, and costs no integration.
     """
-    row = np.append(row_u, row_w)
-
     def bordered(x):
-        u, varpi = x[:-1], x[-1]
-        residual, jac, harmonic = _closing_residual(red, u, varpi,
-                                                    integrator_tol, red.seed)
-        return (np.append(residual, rhs(u, varpi)), np.vstack([jac, row]),
+        residual, jac, harmonic = _closing_residual(
+            red, x[:-1], x[-1], integrator_tol, red.seed)
+        return (np.append(residual, row @ (x - point)), np.vstack([jac, row]),
                 (harmonic, jac))
 
-    x, full, (harmonic, jac) = _damped_newton(
-        bordered, np.append(u0, varpi0), tol, integrator_tol,
-        _CORRECTOR_ITER)
+    x, full, (harmonic, jac) = _damped_newton(bordered, start, tol,
+                                              integrator_tol, _CORRECTOR_ITER)
     null = np.linalg.svd(jac)[2][-1]
-    return (x[:-1], float(x[-1]), float(np.max(np.abs(full[:-1]))),
-            harmonic, null)
+    return x, float(np.max(np.abs(full[:-1]))), harmonic, null
 
 
 def _hermite_start(pred, tangent, h, here, t_here, prev, t_prev):
@@ -503,23 +475,25 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     """Pseudo-arclength continuation of a vertical family from its onset.
 
     The first record is the relative equilibrium at the branch point (zero
-    amplitude); the second is pinned at vertical amplitude direction *
-    _ONSET_EPS using the third-order expansion as predictor.  Subsequent
-    steps follow the arclength tangent in (reduced state, varpi) with the
-    period held at T = s throughout; step is the first arclength step and
-    max_step its cap.  A step of length h solves on the hyperplane normal
-    to the secant tangent through pred = here + h * tangent.  Its corrector
-    starts from the cubic Hermite extrapolation of the last two records
-    along their family tangents, projected onto that hyperplane
-    (`_hermite_start`); the records are the same points as with a start at
-    pred, reached in fewer Newton iterations.  When the corrector does not
-    converge the step is halved, down to _MIN_STEP and at most
-    _MAX_HALVINGS times.  A step is accepted only with its record, so a
-    failure while finishing the record ends the run like a failure of the
-    corrector.  The run ends with one of the reasons "max-steps",
-    "newton-failure", "collision: ...", "integration-failure: ...",
-    "varpi-range" or, when the pinned first step fails, "onset-failure:
-    ...".
+    amplitude).  Each later record solves the closing condition, with the
+    period held at T = s, for x = (reduced state, varpi) on one hyperplane
+    row . (x - point) = 0 (`_corrector`).  The second record pins the
+    vertical coordinate of body 0 at t = 0: row picks it out of x, and
+    point, also the start, is the third-order expansion at amplitude
+    direction * _ONSET_EPS.  The steps after it follow the arclength
+    tangent; step is the first arclength step and max_step its cap.  A
+    step of length h solves on the hyperplane normal to the secant tangent
+    through pred = here + h * tangent.  Its corrector starts from the
+    cubic Hermite extrapolation of the last two records along their family
+    tangents, projected onto that hyperplane (`_hermite_start`); the
+    records are the same points as with a start at pred, reached in fewer
+    Newton iterations.  When the corrector does not converge the step is
+    halved, down to _MIN_STEP and at most _MAX_HALVINGS times.  A step is
+    accepted only with its record, so a failure while finishing the record
+    ends the run like a failure of the corrector.  The run ends with one of
+    the reasons "max-steps", "newton-failure", "collision: ...",
+    "integration-failure: ...", "varpi-range" or, when the pinned first
+    step fails, "onset-failure: ...".
 
     A record costs no integration of its own: its amplitude comes from the
     corrector's converged closing flow, and its action and L_z from the
@@ -537,55 +511,42 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     def in_window(w):
         return varpi_range is None or varpi_range[0] <= w <= varpi_range[1]
 
-    u_re = red.basis.T @ state_re.ravel()
-    res_re, _, harmonic_re = _closing_residual(red, u_re, varpi_star,
+    x_re = np.append(red.basis.T @ state_re.ravel(), varpi_star)
+    res_re, _, harmonic_re = _closing_residual(red, x_re[:-1], varpi_star,
                                                integrator_tol, red.seed)
-    records = [_make_record(red, u_re, varpi_star,
-                            float(np.max(np.abs(res_re))), harmonic_re)]
+    records = [_make_record(red, x_re, float(np.max(np.abs(res_re))),
+                            harmonic_re)]
     if not in_window(varpi_star):
         return ContinuationResult(spec, records, "varpi-range", varpi_star)
 
-    # first step: pin the vertical coordinate of body 0 at t = 0
+    # first step: pin the vertical coordinate of body 0 at t = 0 to that
+    # of the expansion's state
     state1, varpi1 = onset_state(spec, direction * _ONSET_EPS)
-    target = float(state1[0, 0, 2])
-    row_u = red.z0_row
-
-    def pin(u, varpi):
-        return row_u @ u - target
-
+    x1 = np.append(red.basis.T @ state1.ravel(), varpi1)
     end_reason = "max-steps"
     try:
-        u1, w1, res1, harmonic1, null = _corrector(
-            red, red.basis.T @ state1.ravel(), varpi1, row_u, 0.0, pin, tol,
-            integrator_tol)
-        records.append(_make_record(red, u1, w1, res1, harmonic1))
+        here, res1, harmonic1, null = _corrector(
+            red, x1, np.append(red.basis[2], 0.0), x1, tol, integrator_tol)
+        records.append(_make_record(red, here, res1, harmonic1))
     except (CollisionError, IntegrationFailure, NoConvergence) as exc:
         return ContinuationResult(spec, records, f"onset-failure: {exc}",
                                   varpi_star)
-    if not in_window(w1):
+    if not in_window(here[-1]):
         return ContinuationResult(spec, records, "varpi-range", varpi_star)
 
     # the branch point's null space is 2-D, so it supplies no tangent
     prev, t_prev = None, None
-    here = np.append(u1, w1)
-    tangent = here - np.append(u_re, varpi_star)
+    tangent = here - x_re
     tangent /= np.linalg.norm(tangent)
     t_here = np.copysign(1.0, null @ tangent) * null
     h = step
     while len(records) < n_steps + 1:
         pred = here + h * tangent
-        row_u, row_w = tangent[:-1], tangent[-1]
-
-        def arc(u, varpi, pred=pred, tu=row_u, tw=row_w):
-            return tu @ (u - pred[:-1]) + tw * (varpi - pred[-1])
-
         start = _hermite_start(pred, tangent, h, here, t_here, prev, t_prev)
         try:
-            u_new, w_new, res_new, harmonic, null = _corrector(
-                red, start[:-1], start[-1], row_u, row_w, arc, tol,
-                integrator_tol)
-            records.append(_make_record(red, u_new, w_new, res_new,
-                                        harmonic))
+            new, res_new, harmonic, null = _corrector(
+                red, start, tangent, pred, tol, integrator_tol)
+            records.append(_make_record(red, new, res_new, harmonic))
         except NoConvergence:
             h *= 0.5
             if h < _MIN_STEP or step / h > 2 ** _MAX_HALVINGS:
@@ -598,7 +559,6 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
         except IntegrationFailure as exc:
             end_reason = f"integration-failure: {exc}"
             break
-        new = np.append(u_new, w_new)
         prev, t_prev = here, t_here
         t_here = np.copysign(1.0, null @ tangent) * null
         fresh = new - here
@@ -609,7 +569,7 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
                 tangent = fresh
         here = new
         h = min(h * 1.3, max_step)
-        if not in_window(w_new):
+        if not in_window(new[-1]):
             end_reason = "varpi-range"
             break
     return ContinuationResult(spec, records, end_reason, varpi_star)
@@ -654,8 +614,8 @@ def verify_against_continuation(spec: GroupSpec, gamma: float,
     return abs(gamma_fd - gamma) / abs(gamma)
 
 
-def _make_record(red, u, varpi, residual, harmonic) -> FamilyRecord:
-    orbit = _finish_orbit(red, u, varpi, residual, harmonic)
+def _make_record(red, x, residual, harmonic) -> FamilyRecord:
+    orbit = _finish_orbit(red, x[:-1], x[-1], residual, harmonic)
     pos, vel = orbit.initial_state
     vel = vel + orbit.varpi * jay(pos)  # inertial velocities
     energy = _kinetic(red.masses, vel) \

@@ -14,9 +14,10 @@ closer than the single threshold COLLISION_TOL collide.  The functions that
 take positions from a caller (`potential`, `wintner_matrix`, `action`,
 `newton_residual`) raise CollisionError below it.  `gravity` and
 `force_jacobian` do not check, nor do `_gravity` and `_force_jacobian_apply`
-(the action of the force Jacobian on tangent columns): these two are what
-the flow's right-hand side uses, and the terminal event of
-`continuation.integrate` is the flow's collision check.
+(the action of the force Jacobian on tangent columns).  The right-hand side
+of `continuation.integrate` uses these two and runs `check_separation` on
+the distances of the same `pair_terms` call, which is the flow's collision
+check.
 """
 
 from dataclasses import dataclass, field
@@ -56,9 +57,8 @@ def closest_pair(r):
 
 def check_separation(r):
     """Raise CollisionError when a pair in r is closer than COLLISION_TOL."""
-    i, j, d = closest_pair(r)
-    if d < COLLISION_TOL:
-        raise CollisionError(i, j, d)
+    if r.min() < COLLISION_TOL:
+        raise CollisionError(*closest_pair(r))
 
 
 def _separated(positions):

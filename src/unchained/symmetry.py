@@ -163,14 +163,21 @@ def inverse(spec: GroupSpec, g: GroupElement) -> GroupElement:
 
 
 def element_order(spec: GroupSpec, g: GroupElement) -> int:
-    e = identity_element(spec)
-    acc, order = g, 1
-    while acc != e:
-        acc = compose(spec, g, acc)
-        order += 1
-        if order > 4 * spec.n_bodies * spec.s:
-            raise RuntimeError("order exceeded group order; law is broken")
-    return order
+    """Smallest k >= 1 with g^k the identity."""
+    return _order(spec, g)
+
+
+def _order(spec: GroupSpec, g: GroupElement) -> int:
+    """Order of g, read off its integers.
+
+    A time reversal (xi = -1) squares to the identity.  Elements with
+    xi = +1 compose by adding (t, delta, beta) in Z/2NsZ x Z/NZ x Z/2Z, so
+    their order is the additive one.
+    """
+    if g.xi == -1:
+        return 2
+    n, m = spec.n_bodies, 2 * spec.n_bodies * spec.s
+    return lcm(m // gcd(g.t, m), n // gcd(g.delta, n), 2 if g.beta else 1)
 
 
 @dataclass(frozen=True)
@@ -198,12 +205,7 @@ def _is_dihedral_times_z2(spec: GroupSpec, elements: list[GroupElement]) -> bool
     keys = [(g.t, g.delta, g.beta, g.xi) for g in elements]
     index = {key: i for i, key in enumerate(keys)}
     table = [[index[_law(spec, a, b)] for b in keys] for a in keys]
-    orders = []
-    for g in range(size):
-        acc, order = g, 1
-        while acc:
-            acc, order = table[g][acc], order + 1
-        orders.append(order)
+    orders = [_order(spec, g) for g in elements]
     central = [c for c in range(size) if orders[c] == 2
                and all(table[c][h] == table[h][c] for h in range(size))]
     for a in (g for g in range(size) if orders[g] == n):
@@ -228,11 +230,10 @@ def _is_dihedral_times_z2(spec: GroupSpec, elements: list[GroupElement]) -> bool
 def _k_subgroup_cyclic_order(spec: GroupSpec,
                              elements: list[GroupElement]) -> int | None:
     """Order of the kernel K = {(theta, delta), beta = 0} if cyclic."""
-    n, m = spec.n_bodies, 2 * spec.n_bodies * spec.s
-    # additive order of (t, delta) in Z/2NsZ x Z/NZ
-    best = max(lcm(m // gcd(g.t, m), n // gcd(g.delta, n))
-               for g in elements if g.xi == 1 and g.beta == 0)
-    return n * spec.s if best == n * spec.s else None
+    best = max(_order(spec, g) for g in elements
+               if g.xi == 1 and g.beta == 0)
+    order = spec.n_bodies * spec.s
+    return order if best == order else None
 
 
 def structure_report(spec: GroupSpec) -> StructureReport:

@@ -228,6 +228,21 @@ def test_continue_two_families_parallel(capsys, tmp_path):
     assert len(csv_rows(out_a.read_text())) == 2
 
 
+def test_continue_parallel_output_matches_serial(capsys, tmp_path):
+    # worker processes get the same specs and keywords, so the same bytes
+    families = ("3", "1", "-1", "2", "1", "4", "2", "1", "1", "1")
+    files = {}
+    for jobs in ("1", "2"):
+        files[jobs] = [tmp_path / f"{name}-{jobs}.csv"
+                       for name in ("p12", "hh4")]
+        rc, _, _ = run(capsys, "continue", *families, "--steps", "2",
+                       "--jobs", jobs, "--out", str(files[jobs][0]),
+                       "--out", str(files[jobs][1]))
+        assert rc == 0
+    for serial, parallel in zip(files["1"], files["2"]):
+        assert parallel.read_bytes() == serial.read_bytes()
+
+
 def test_continue_halved_tolerance_consistency(capsys):
     argv = ("continue", "3", "1", "-1", "2", "1", "--steps", "2",
             "--step", "0.03")

@@ -165,8 +165,7 @@ def test_integrate_collision_raises():
 
 def test_integrate_rejects_initial_collision():
     # two bodies inside the collision threshold and moving apart: the
-    # terminal event fires only on a downward crossing, so only the check
-    # of the initial positions can catch them
+    # check of the initial positions names them before the solver starts
     pos = np.array([[0.0, 0.0, 0.0], [5e-8, 0.0, 0.0]])
     vel = np.array([[-0.5e5, 0.0, 0.0], [0.5e5, 0.0, 0.0]])
     with pytest.raises(CollisionError) as err:
@@ -175,13 +174,29 @@ def test_integrate_rejects_initial_collision():
     assert err.value.distance == pytest.approx(5e-8)
 
 
+@pytest.mark.parametrize("t_span", [0.0, (0.7, 0.7)])
+@pytest.mark.parametrize("with_tangents", [False, True])
+def test_integrate_zero_span_returns_initial_state(t_span, with_tangents):
+    # a zero span goes through the solver, which returns the initial
+    # values: the state, the seed columns, and zero height quadratures
+    state = two_body_circular()
+    seed = np.vstack([np.eye(12)[:, :3], [0.0, 0.0, 1.0]])
+    res = integrate(state, [1.0, 1.0], 0.3, t_span,
+                    tangents=seed if with_tangents else None)
+    assert np.array_equal(res.state, state)
+    if with_tangents:
+        assert np.array_equal(res.tangents, seed[:-1])
+        assert np.array_equal(res.harmonic, np.zeros(2))
+    else:
+        assert res.tangents is None and res.harmonic is None
+
+
 def test_integrate_trajectory_shapes():
     state = two_body_circular()
     t_eval = np.linspace(0.0, 1.0, 11)
     res = integrate(state, [1.0, 1.0], 0.0, (0.0, 1.0), t_eval=t_eval)
     assert res.trajectory.shape == (11, 2, 2, 3)
     assert np.max(np.abs(res.trajectory[0] - state)) < 1e-13
-    assert np.max(np.abs(res.times - t_eval)) == 0.0
     assert np.max(np.abs(res.trajectory[-1] - res.state)) < 1e-13
 
 
@@ -198,7 +213,7 @@ def test_integrate_trajectory_shapes():
 def test_reduction_minimal_time_shift(spec):
     red = _reduction(spec)
     n = spec.n_bodies
-    assert red.theta0 == Fraction(gcd(n, 2 * spec.k), 2 * n)
+    assert red.shift.theta == Fraction(gcd(n, 2 * spec.k), 2 * n)
     assert red.shift.xi == 1
 
 
@@ -565,6 +580,28 @@ def test_tolerances_checked_before_any_integration(monkeypatch, solver,
         else:
             state, varpi = onset_state(P12, 0.05)
             shoot_symmetric(P12, varpi, state, **kwargs)
+
+
+@pytest.mark.parametrize("call", ["integrate", "monodromy", "sample"])
+def test_flow_tolerance_checked_before_any_solve(monkeypatch, p12_family,
+                                                 call):
+    # tolerances of one or more gave a final state 3.99 away from the one
+    # at 1e-12, or a rotation number of 0.757 for 0.0066, without a word
+    import unchained.continuation as continuation
+
+    def never(*args, **kw):
+        raise AssertionError("solved before the tolerance was checked")
+
+    orbit = p12_family.records[1].orbit
+    monkeypatch.setattr(continuation, "solve_ivp", never)
+    with pytest.raises(ValueError, match=r"tol out of range \(0, 1\)"):
+        if call == "integrate":
+            integrate(orbit.initial_state, np.ones(3), orbit.varpi, 1.0,
+                      tol=2.0)
+        elif call == "monodromy":
+            monodromy(orbit, integrator_tol=5.0)
+        else:
+            orbit.sample(64, tol=3.0)
 
 
 @pytest.fixture(scope="module")
