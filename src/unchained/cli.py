@@ -4,21 +4,19 @@ One binary with subcommands; numeric output is printed in full double
 precision (17 significant digits) so every table is machine-parseable
 and bit-stable across runs at fixed tolerances.  Series go to CSV,
 structured results to JSON.  Exit codes: 0 success, 1 numerical
-failure, 2 usage error.  The environment variable UNCHAINED_TOL
-overrides the default integrator tolerance of the `continue` command.
+failure, 2 usage error.
 """
 
 import argparse
 import concurrent.futures
 import functools
 import json
-import os
 import sys
 
 import numpy as np
 
-from .continuation import (INTEGRATOR_TOL, _check_steps, _checked_tol,
-                           continue_family, write_family_csv)
+from .continuation import (INTEGRATOR_TOL, ActionDiagram, _check_steps,
+                           _checked_tol, continue_family, write_family_csv)
 from .errors import (
     CollisionError,
     DegenerateSystem,
@@ -66,17 +64,6 @@ def _emit(text: str, path) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def _env_tol(default: float) -> float:
-    raw = os.environ.get("UNCHAINED_TOL")
-    if raw is None:
-        return default
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise ValueError(f"UNCHAINED_TOL is not a number: {raw!r}")
-    return _checked_tol(tol, "UNCHAINED_TOL")
 
 
 def _spec_from(args) -> GroupSpec:
@@ -184,16 +171,8 @@ def _family_payload(result) -> dict:
         "spec": [spec.n_bodies, spec.k, spec.eta, spec.r, spec.s],
         "varpi_onset": result.varpi_onset,
         "end_reason": result.end_reason,
-        "records": [
-            {
-                "varpi": rec.varpi,
-                "amplitude": rec.amplitude,
-                "action": rec.action,
-                "period": rec.period,
-                "angular_momentum_z": rec.angular_momentum_z,
-            }
-            for rec in result.records
-        ],
+        "records": [{c: getattr(rec, c) for c in ActionDiagram.columns}
+                    for rec in result.records],
     }
 
 
@@ -208,15 +187,13 @@ def cmd_continue(args) -> int:
     if outs and len(outs) != len(specs):
         raise ValueError(
             f"got {len(outs)} --out paths for {len(specs)} families")
-    if args.tol is not None:
-        source, integ_tol = "--tol", _checked_tol(args.tol, "--tol")
-    else:
-        source, integ_tol = "UNCHAINED_TOL", _env_tol(INTEGRATOR_TOL)
+    integ_tol = _checked_tol(args.tol, "--tol")
     newton_tol = _checked_tol(100.0 * integ_tol,
-                              f"Newton tolerance 100 * {source}")
+                              "Newton tolerance 100 * --tol")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    _check_steps(args.steps, args.step, args.max_step)
+    varpi_range = tuple(args.varpi_range) if args.varpi_range else None
+    _check_steps(args.steps, args.step, args.max_step, varpi_range)
     task = functools.partial(
         continue_family,
         direction=args.direction,
@@ -225,7 +202,7 @@ def cmd_continue(args) -> int:
         max_step=args.max_step,
         tol=newton_tol,
         integrator_tol=integ_tol,
-        varpi_range=tuple(args.varpi_range) if args.varpi_range else None,
+        varpi_range=varpi_range,
     )
     if args.jobs > 1 and len(specs) > 1:
         workers = min(args.jobs, len(specs))
@@ -317,10 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="initial arclength step (default: 0.04)")
     p.add_argument("--max-step", type=float, default=0.15,
                    help="arclength step cap (default: 0.15)")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=INTEGRATOR_TOL,
                    help="integrator tolerance, below 0.01 since the "
-                        "Newton tolerance is 100 times it (default: "
-                        "1e-12 or UNCHAINED_TOL)")
+                        "Newton tolerance is 100 times it (default: 1e-12)")
     p.add_argument("--varpi-range", type=float, nargs=2,
                    metavar=("LO", "HI"), default=None,
                    help="stop when varpi leaves this window")

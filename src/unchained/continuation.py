@@ -414,9 +414,8 @@ class ContinuationResult:
 
 # pinned vertical height of the first step off the branch point
 _ONSET_EPS = 0.02
-# corrector iterations, and the arclength step floor and halving budget
+# corrector iterations, and the halving budget of the arclength step
 _CORRECTOR_ITER = 12
-_MIN_STEP = 1e-6
 _MAX_HALVINGS = 12
 
 
@@ -488,21 +487,21 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     tangents, projected onto that hyperplane (`_hermite_start`); the
     records are the same points as with a start at pred, reached in fewer
     Newton iterations.  When the corrector does not converge the step is
-    halved, down to _MIN_STEP and at most _MAX_HALVINGS times.  A step is
-    accepted only with its record, so a failure while finishing the record
-    ends the run like a failure of the corrector.  The run ends with one of
-    the reasons "max-steps", "newton-failure", "collision: ...",
-    "integration-failure: ...", "varpi-range" or, when the pinned first
-    step fails, "onset-failure: ...".
+    halved; the run ends when h would fall below step * 2**-_MAX_HALVINGS.
+    A step is accepted only with its record, so a failure while finishing
+    the record ends the run like a failure of the corrector.  The run ends
+    with one of the reasons "max-steps", "newton-failure", "collision:
+    ...", "integration-failure: ...", "varpi-range" or, when the pinned
+    first step fails, "onset-failure: ...".
 
     A record costs no integration of its own: its amplitude comes from the
     corrector's converged closing flow, and its action and L_z from the
     initial state (see `FamilyRecord`).  `PeriodicOrbit.sample` gives the
     full period on demand.  Raises ValueError, before any integration, for
-    n_steps < 1, a step or max_step that is not positive, or a tol or
-    integrator_tol outside (0, 1).
+    n_steps < 1, a step or max_step that is not positive, a varpi_range
+    (lo, hi) without lo <= hi, or a tol or integrator_tol outside (0, 1).
     """
-    _check_steps(n_steps, step, max_step)
+    _check_steps(n_steps, step, max_step, varpi_range)
     _checked_tol(tol, "tol")
     _checked_tol(integrator_tol, "integrator_tol")
     red = _reduction(spec)
@@ -549,7 +548,7 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
             records.append(_make_record(red, new, res_new, harmonic))
         except NoConvergence:
             h *= 0.5
-            if h < _MIN_STEP or step / h > 2 ** _MAX_HALVINGS:
+            if step / h > 2 ** _MAX_HALVINGS:
                 end_reason = "newton-failure"
                 break
             continue
@@ -575,17 +574,21 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     return ContinuationResult(spec, records, end_reason, varpi_star)
 
 
-def _check_steps(n_steps, step, max_step) -> None:
-    """Raise ValueError unless n_steps >= 1 and both arclength steps are > 0.
+def _check_steps(n_steps, step, max_step, varpi_range) -> None:
+    """Raise ValueError unless n_steps >= 1, both arclength steps are > 0
+    and varpi_range, when given, is a window (lo, hi) with lo <= hi.
 
     A zero cap repeats the first record and a negative step walks back
-    through the onset, and both would still end as "max-steps".
+    through the onset, and both would still end as "max-steps"; an empty
+    or NaN window ends every run at its first record as "varpi-range".
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     for name, value in (("step", step), ("max_step", max_step)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
+    if varpi_range is not None and not varpi_range[0] <= varpi_range[1]:
+        raise ValueError(f"varpi_range needs lo <= hi, got {varpi_range}")
 
 
 def _checked_tol(tol, source: str) -> float:
@@ -629,7 +632,7 @@ def _make_record(red, x, residual, harmonic) -> FamilyRecord:
 # monodromy and the action diagram
 
 
-def monodromy(orbit: PeriodicOrbit, n_samples: int = 256,
+def monodromy(orbit: PeriodicOrbit,
               integrator_tol: float = INTEGRATOR_TOL) -> float:
     """Rotation number mu in [0, 1) of the inertial orbit over one period.
 
@@ -640,7 +643,7 @@ def monodromy(orbit: PeriodicOrbit, n_samples: int = 256,
     undefined and raise SingularReduction.
     """
     n = orbit.spec.n_bodies
-    t = np.linspace(0.0, orbit.period, n_samples + 1)
+    t = np.linspace(0.0, orbit.period, 256 + 1)
     res = integrate(orbit.initial_state, np.ones(n), orbit.varpi,
                     (0.0, orbit.period), integrator_tol, t_eval=t)
     pos = res.trajectory[:, 0]
@@ -691,26 +694,27 @@ class ActionDiagram:
                "angular_momentum_z")
 
 
-def action_diagram(family, n_branch: int = 129) -> ActionDiagram:
-    """Tabulate a continued family against the relative equilibrium branch."""
+def action_diagram(family) -> ActionDiagram:
+    """Tabulate a continued family against the relative equilibrium branch
+    on 129 evenly spaced frame rates."""
     if isinstance(family, ContinuationResult):
         spec, records = family.spec, family.records
     else:
         records = list(family)
         spec = records[0].orbit.spec
-    rows = np.array([[r.varpi, r.amplitude, r.action, r.period,
-                      r.angular_momentum_z] for r in records])
+    rows = np.array([[getattr(r, c) for c in ActionDiagram.columns]
+                     for r in records])
     lo = float(rows[:, 0].min())
     hi = float(rows[:, 0].max())
     pad = 0.1 * max(hi - lo, 0.1)
     floor = -2.0 * np.pi * spec.r / spec.s
     lo = max(lo - pad, floor + 1e-9)
-    grid = np.linspace(lo, hi + pad, n_branch)
+    grid = np.linspace(lo, hi + pad, 129)
     branch = np.column_stack([
         grid,
-        np.zeros(n_branch),
+        np.zeros_like(grid),
         re_branch_action(spec, grid),
-        np.full(n_branch, float(spec.s)),
+        np.full_like(grid, float(spec.s)),
         _re_branch_lz(spec, grid),
     ])
     return ActionDiagram(spec, rows, branch)
@@ -725,12 +729,11 @@ def write_family_csv(result: ContinuationResult, path) -> None:
     spec = result.spec
     lines = [
         f"# spec={spec.n_bodies},{spec.k},{spec.eta},{spec.r},{spec.s}",
-        "varpi,amplitude,action,period,angular_momentum_z",
+        ",".join(ActionDiagram.columns),
     ]
     for rec in result.records:
-        lines.append(",".join(repr(float(v)) for v in (
-            rec.varpi, rec.amplitude, rec.action, rec.period,
-            rec.angular_momentum_z)))
+        lines.append(",".join(repr(float(getattr(rec, c)))
+                              for c in ActionDiagram.columns))
     lines.append(f"# end={result.end_reason}")
     text = "\n".join(lines) + "\n"
     if hasattr(path, "write"):

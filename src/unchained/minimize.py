@@ -41,8 +41,8 @@ class BoundReport:
 class BarActionParams:
     """Coefficients of the comparison functional.
 
-    mu_bar[i, j] = m_i m_j / rbar_ij^3 built from the mutual distances
-    of a reference central configuration with potential U_bar;
+    mu_bar[i, j] = 1 / rbar_ij^3 (unit masses) built from the mutual
+    distances of a reference central configuration with potential U_bar;
     lambda_G is the Poincare constant of the loop class.
     """
 
@@ -51,15 +51,12 @@ class BarActionParams:
     lambda_G: float
 
     @classmethod
-    def from_configuration(cls, positions, masses=None, lambda_G=1.0):
+    def from_configuration(cls, positions, lambda_G=1.0):
         pos = np.asarray(positions, dtype=float)
-        n = pos.shape[0]
-        if masses is None:
-            masses = np.ones(n)
-        masses = np.asarray(masses, dtype=float)
-        u_bar = potential(Configuration(pos, masses.copy()))
-        mu = np.outer(masses, masses) * pair_terms(pos)[2]
-        return cls(mu_bar=mu, U_bar=u_bar, lambda_G=float(lambda_G))
+        # potential checks the separations before pair_terms divides by them
+        u_bar = potential(Configuration(pos))
+        return cls(mu_bar=pair_terms(pos)[2], U_bar=u_bar,
+                   lambda_G=float(lambda_G))
 
 
 def _resolve(spec: GroupSpec, spectrum: Optional[VerticalSpectrum]):

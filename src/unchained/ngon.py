@@ -285,10 +285,10 @@ class LoopPath:
         return np.arange(m) * (self.period / m)
 
     @classmethod
-    def from_function(cls, fun, period, n_samples=512, masses=None):
+    def from_function(cls, fun, period, n_samples=512):
         t = np.arange(n_samples) * (period / n_samples)
         pos = np.stack([np.asarray(fun(ti), dtype=float) for ti in t])
-        return cls(pos, period, masses)
+        return cls(pos, period)
 
     def derivative(self, order=1):
         """Time derivative of the sampled path, by Fourier differentiation."""

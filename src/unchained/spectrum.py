@@ -11,12 +11,12 @@ forms used in the convexity argument for vertical mode subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
 from .errors import DegenerateSystem
-from .ngon import LoopPath, build_ngon, force_jacobian
+from .ngon import LoopPath, build_ngon, force_jacobian, wintner_matrix
+from .symmetry import GroupSpec
 
 __all__ = [
     "VerticalSpectrum",
@@ -210,43 +210,34 @@ def lyapunov_cylinder(
     r: int,
     s: int,
     amplitude: float,
-    phase: float = 0.0,
-    n_samples: int | None = None,
 ) -> LoopPath:
     """Model two-frequency loop tangent to a vertical Lyapunov family.
 
     In the frame where the n-gon advances r turns while the vertical mode
     (k, eta) completes s oscillations, the motion
 
-        x_j(t) = (zeta^j e^{i (r/s) w_k t},  A Re(zeta^{eta k j} e^{i w_k (t - t0)}))
+        x_j(t) = (zeta^j e^{i (r/s) w_k t},  A Re(zeta^{eta k j} e^{i w_k t}))
 
     closes up over T = 2 pi s / w_k.  The horizontal part is the rigid
     unit n-gon (exact only in the zero-amplitude limit); the vertical
     part solves the vertical variational equation exactly.
 
     The sample count is a multiple of 2 n s so that the symmetry group
-    acts on the time grid by exact index shifts.
+    acts on the time grid by exact index shifts.  (n, k, eta, r, s) must
+    name a `GroupSpec`.
     """
-    if not 1 <= k <= n // 2:
-        raise ValueError(f"mode index k={k} outside 1..{n // 2}")
-    if eta not in (-1, 1):
-        raise ValueError(f"eta must be +-1, got {eta}")
-    if s < 1 or gcd(r, s) != 1:
-        raise ValueError(f"need gcd(r, s) = 1 and s >= 1, got r={r}, s={s}")
+    GroupSpec(n, k, eta, r, s)
     if amplitude < 0.0:
         raise ValueError("amplitude must be nonnegative")
     wk = vertical_spectrum(n).omegas[k - 1]
     period = 2.0 * np.pi * s / wk
     block = 2 * n * s
-    if n_samples is None:
-        n_samples = block * max(1, int(np.ceil(512 / block)))
-    elif n_samples % block:
-        raise ValueError(f"sample count must be a multiple of {block}")
+    n_samples = block * max(1, int(np.ceil(512 / block)))
     j = np.arange(n)
 
     def path(t: float) -> np.ndarray:
         ang = 2.0 * np.pi * j / n + (r / s) * wk * t
-        z = amplitude * np.cos(wk * (t - phase) + 2.0 * np.pi * eta * k * j / n)
+        z = amplitude * np.cos(wk * t + 2.0 * np.pi * eta * k * j / n)
         return np.stack([np.cos(ang), np.sin(ang), z], axis=-1)
 
     return LoopPath.from_function(path, period, n_samples)
@@ -276,29 +267,14 @@ def convexity_report(n: int, ell: int) -> ConvexityReport:
     """Second-order kinetic/potential forms of the vertical mode ell."""
     if not 1 <= ell <= n // 2:
         raise ValueError(f"mode index ell={ell} outside 1..{n // 2}")
-    theta = 2.0 * np.pi / n
     wl2 = float(vertical_spectrum(n).omegas[ell - 1] ** 2)
-
-    # pairwise second variation of -U under z_j = a cos(j l theta) + b sin(...)
-    pot = np.zeros((2, 2))
-    for jj in range(n):
-        for kk in range(jj + 1, n):
-            half = (kk - jj) * ell * theta / 2.0
-            weight = np.sin(half) ** 2 / (4.0 * abs(np.sin((kk - jj) * theta / 2.0)) ** 3)
-            sa = np.sin((jj + kk) * ell * theta / 2.0)
-            cb = np.cos((jj + kk) * ell * theta / 2.0)
-            grad = np.array([sa, -cb])
-            pot += 2.0 * weight * np.outer(grad, grad)
-
-    j = np.arange(n)
-    sin_prof = np.sin(j * ell * theta)
-    cos_prof = np.cos(j * ell * theta)
-    kin = wl2 * np.array(
-        [
-            [np.dot(sin_prof, sin_prof), np.dot(sin_prof, cos_prof)],
-            [np.dot(cos_prof, sin_prof), np.dot(cos_prof, cos_prof)],
-        ]
-    )
+    phase = 2.0 * np.pi * ell * np.arange(n) / n
+    # z = B (a, b) and dz = w_l P (c, d); the Hessian of -U in z is -W,
+    # W the Wintner matrix
+    basis = np.column_stack([np.cos(phase), np.sin(phase)])
+    profile = basis[:, ::-1]
+    pot = -basis.T @ wintner_matrix(build_ngon(n).configuration) @ basis
+    kin = wl2 * profile.T @ profile
     return ConvexityReport(
         n_bodies=n,
         ell=ell,

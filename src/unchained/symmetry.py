@@ -396,33 +396,32 @@ class FourierConstraints:
         out[:, :, 2] = z.real
         return LoopPath(out, loop.period, loop.masses.copy())
 
-    def random_loop(self, rng: np.random.Generator, amplitude: float = 0.1,
-                    n_periods_span: int = 3, n_samples: int | None = None,
-                    include_equilibrium: bool = True) -> LoopPath:
+    def random_loop(self, rng: np.random.Generator,
+                    amplitude: float = 0.1) -> LoopPath:
         """Invariant loop with random coefficients on allowed harmonics.
 
         Period is normalized to s.  Horizontal harmonics r - 2 p s for
-        |p| <= n_periods_span and vertical harmonics (2q+1) s for
-        q < n_periods_span are populated where allowed.
+        |p| <= 3 and vertical harmonics (2q+1) s for q < 3 are populated
+        where allowed, on top of the rotating n-gon (p = 0).
         """
         sp = self.spec
         n, s = sp.n_bodies, sp.s
+        span = 3
         block = 2 * n * s
-        if n_samples is None:
-            need = 2 * (abs(sp.r) + 2 * n_periods_span * s + 2)
-            n_samples = block * max(2, int(np.ceil(need / block)))
+        need = 2 * (abs(sp.r) + 2 * span * s + 2)
+        n_samples = block * max(2, int(np.ceil(need / block)))
         t = np.arange(n_samples) / n_samples * s
         h = np.zeros((n_samples, n), dtype=complex)
         z = np.zeros((n_samples, n))
-        for p in range(-n_periods_span, n_periods_span + 1):
+        for p in range(-span, span + 1):
             l = sp.r - 2 * p * s
             u = self.horizontal_phase(l)
             if u is None:
                 continue
-            base = 1.0 if (p == 0 and include_equilibrium) else 0.0
+            base = 1.0 if p == 0 else 0.0
             coef = base + amplitude * rng.standard_normal()
             h += coef * np.exp(2j * np.pi * l * t[:, None] / s) * u[None, :]
-        for q in range(n_periods_span):
+        for q in range(span):
             l = (2 * q + 1) * s
             w = self.vertical_phase(l)
             if w is None:
@@ -448,21 +447,18 @@ def is_simple_choreography(spec: GroupSpec) -> bool:
     return (spec.s - spec.k * spec.eta * spec.r) % spec.n_bodies == 0
 
 
-def dense_choreography_params(n: int, k: int, eta: int, max_denominator: int,
-                              ratio_bound: float | None = None) -> list[tuple[int, int]]:
+def dense_choreography_params(n: int, k: int, eta: int,
+                              max_denominator: int) -> list[tuple[int, int]]:
     """Coprime (r, s) with s <= max_denominator making (N,k,eta) choreographic.
 
-    Returns pairs with |r/s| <= ratio_bound (default N), sorted by r/s;
-    their density in the window grows with max_denominator.
+    Returns pairs with |r/s| <= N, sorted by r/s; their density in that
+    window grows with max_denominator.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    if ratio_bound is None:
-        ratio_bound = float(n)
     found = []
     for s in range(1, max_denominator + 1):
-        r_max = int(np.floor(ratio_bound * s))
-        for r in range(-r_max, r_max + 1):
+        for r in range(-n * s, n * s + 1):
             if gcd(r, s) != 1:
                 continue
             if (s - k * eta * r) % n == 0:

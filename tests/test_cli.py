@@ -255,24 +255,6 @@ def test_continue_halved_tolerance_consistency(capsys):
         assert ra[2] == pytest.approx(rb[2], abs=1e-6)
 
 
-def test_continue_env_tolerance(capsys, monkeypatch):
-    argv = ("continue", "3", "1", "1", "2", "1", "--steps", "1")
-    monkeypatch.setenv("UNCHAINED_TOL", "1e-10")
-    rc, out_env, _ = run(capsys, *argv)
-    monkeypatch.delenv("UNCHAINED_TOL")
-    rc_b, out_flag, _ = run(capsys, *argv, "--tol", "1e-10")
-    assert rc == rc_b == 0
-    assert out_env == out_flag
-
-
-def test_continue_env_tolerance_malformed(capsys, monkeypatch):
-    monkeypatch.setenv("UNCHAINED_TOL", "soon")
-    rc, _, err = run(capsys, "continue", "3", "1", "1", "2", "1",
-                     "--steps", "1")
-    assert rc == 2
-    assert "UNCHAINED_TOL" in err
-
-
 def test_continue_spec_arity_checked(capsys):
     rc, _, err = run(capsys, "continue", "3", "1", "-1", "2")
     assert rc == 2
@@ -301,6 +283,7 @@ def no_family(monkeypatch):
 @pytest.mark.parametrize("bad", [
     ("--max-step", "0"), ("--step", "-0.04"), ("--steps", "0"),
     ("--tol", "2"), ("--tol", "0"), ("--jobs", "0"),
+    ("--varpi-range", "1", "0"),
 ])
 def test_continue_rejects_bad_options_before_any_work(capsys, no_family,
                                                       bad):
@@ -313,35 +296,17 @@ def test_continue_rejects_bad_options_before_any_work(capsys, no_family,
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("flag, env", [
-    ("0.02", None), ("0.5", None), (None, "0.05"),
-])
-def test_continue_rejects_newton_tolerance_out_of_range(capsys, monkeypatch,
-                                                       no_family, flag, env):
+@pytest.mark.parametrize("flag", ["0.02", "0.5"])
+def test_continue_rejects_newton_tolerance_out_of_range(capsys, no_family,
+                                                       flag):
     # the Newton tolerance is 100 times the integrator's, so an integrator
     # tolerance of 0.01 or more makes it one or more: any orbit would pass
     # as closed
-    if env is not None:
-        monkeypatch.setenv("UNCHAINED_TOL", env)
-    argv = ["continue", "3", "1", "-1", "2", "1", "--steps", "4"]
-    if flag is not None:
-        argv += ["--tol", flag]
-    rc, out, err = run(capsys, *argv)
+    rc, out, err = run(capsys, "continue", "3", "1", "-1", "2", "1",
+                       "--steps", "4", "--tol", flag)
     assert rc == 2
     assert out == ""
-    assert err.startswith("error: Newton tolerance")
-    assert ("--tol" if flag else "UNCHAINED_TOL") in err
-
-
-def test_continue_tol_flag_and_env_share_range_check(capsys, monkeypatch,
-                                                     no_family):
-    monkeypatch.setenv("UNCHAINED_TOL", "2")
-    rc_env, _, err_env = run(capsys, "continue", "3", "1", "-1", "2", "1")
-    monkeypatch.delenv("UNCHAINED_TOL")
-    rc_flag, _, err_flag = run(capsys, "continue", "3", "1", "-1", "2", "1",
-                               "--tol", "2")
-    assert rc_env == rc_flag == 2
-    assert err_env.replace("UNCHAINED_TOL", "--tol") == err_flag
+    assert err.startswith("error: Newton tolerance 100 * --tol")
 
 
 def test_continue_onset_failure_exits_one(capsys, monkeypatch):

@@ -446,6 +446,31 @@ def test_varpi_window_ends_family():
     assert len(off.records) == 1
 
 
+def test_failed_steps_halve_down_to_the_budget(monkeypatch):
+    # a failing step is retried at half the length down to step * 2**-12,
+    # whatever the first step; an absolute floor of 1e-6 used to end a run
+    # with step = 1e-3 after 10 attempts instead of 13
+    import unchained.continuation as continuation
+    onset, steps = [], []
+
+    def fail_after_onset(red, start, row, point, *args,
+                         real=continuation._corrector):
+        if not onset:
+            onset.append(real(red, start, row, point, *args))
+            return onset[0]
+        # point = here + h * tangent, with here the onset record
+        steps.append(np.linalg.norm(point - onset[0][0]))
+        raise NoConvergence("forced")
+
+    monkeypatch.setattr(continuation, "_corrector", fail_after_onset)
+    fam = continue_family(P12, n_steps=4, step=1e-3)
+    assert fam.end_reason == "newton-failure"
+    assert len(fam.records) == 2
+    # h is a difference of points of size O(1), exact to about 1e-16
+    np.testing.assert_allclose(steps, 1e-3 * 0.5 ** np.arange(13),
+                               rtol=1e-6)
+
+
 def test_hiphop_family_onset_and_slope(hh4_family):
     fam = hh4_family
     varpi_expect = 2.0 * np.pi * (OMEGA1_4 / OMEGA2_4 - 1.0)
@@ -543,7 +568,9 @@ def test_continue_family_integrates_only_closing_flows(monkeypatch):
 
 
 @pytest.mark.parametrize("kwargs", [dict(step=0), dict(max_step=0),
-                                    dict(step=-0.04), dict(n_steps=0)])
+                                    dict(step=-0.04), dict(n_steps=0),
+                                    dict(varpi_range=(1.0, 0.0)),
+                                    dict(varpi_range=(np.nan, 1.0))])
 def test_continue_family_rejects_degenerate_steps(monkeypatch, kwargs):
     # a zero cap repeats the first record and a negative step walks back
     # through the onset; both used to end "max-steps" with no integration
