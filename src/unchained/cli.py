@@ -41,6 +41,9 @@ __all__ = ["main"]
 PROBE_OFFSET = 1e-3
 # slack for "lambda >= 1" on the inside probes (p = 0 mode is exactly 1)
 PROBE_SLACK = 1e-12
+# family end reasons that are not numerical failures (exit 0); every other
+# end reason exits 1
+_CLEAN_ENDS = ("max-steps", "varpi-range")
 
 TWO_PI = 2.0 * np.pi
 
@@ -220,9 +223,11 @@ def cmd_continue(args) -> int:
             write_family_csv(result, sys.stdout)
         else:
             write_family_csv(result, path)
-        if result.end_reason.startswith("onset-failure"):
+        if result.end_reason not in _CLEAN_ENDS:
+            where = ("at onset " if result.end_reason.startswith(
+                "onset-failure") else "")
             print(f"numerical failure: {_group_label(result.spec)} stopped "
-                  f"at onset after {len(result.records)} record(s) "
+                  f"{where}after {len(result.records)} record(s) "
                   f"({result.end_reason})", file=sys.stderr)
             status = 1
         elif path is not None:

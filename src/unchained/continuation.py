@@ -10,12 +10,18 @@ The boundary value problem is reduced by symmetry before shooting.  Elements
 of the stabilizer group with zero time shift act on a single phase-space
 state (spatial rotations with xi = +1, and the time reversal xi = -1 which
 also flips velocities); the initial state is confined to their common fixed
-subspace.  The orbit is then closed by flowing over the smallest positive
-time shift theta_0 of the group and matching the group image of the initial
-state.  This cuts the unknown count roughly in half and shortens every
-integration to a fraction theta_0 / s of the period, while pinning the time
-origin and the in-plane rotation phase that would otherwise make the shooting
-Jacobian singular.
+subspace.  Composed with the smallest positive time shift tau of the group,
+the time reversal at t = 0 gives reversors at t = tau, whose fixed time is
+tau / 2.  A state at t = 0 fixed by the first and a state at tau / 2 fixed
+by the second lie on one orbit that the shift closes (Devaney, Trans. AMS
+218, 1976; Munoz-Almaraz et al., Physica D 181, 2003), so the orbit is
+closed by flowing over tau / 2 alone and asking that the state there lie in
+the fixed subspace of the midpoint stabilizer: the reversors at t = tau
+with the xi = +1 elements at t = 0.  This cuts the unknown count roughly in
+half, leaves fewer equations than the 6n of matching the shifted initial
+state, and shortens every integration to tau / 2, while pinning the time
+origin and the in-plane rotation phase that would otherwise make the
+shooting Jacobian singular.
 """
 
 from __future__ import annotations
@@ -155,21 +161,32 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
 
 
 class _Reduction:
-    """Fixed subspace of the time-zero stabilizer plus the closing map."""
+    """Fixed subspaces of the time-zero and the midpoint stabilizers.
+
+    basis spans the states at t = 0 that the time-zero stabilizer fixes.
+    The midpoint stabilizer H_mid is the xi = +1 elements at t = 0 and the
+    reversors (xi = -1) at t = tau, tau the minimal shift; each fixes the
+    state at tau / 2.  mid_eq is an orthonormal basis, as rows, of the
+    complement of its fixed subspace, so mid_eq x = 0 says x is fixed by
+    H_mid.  shift_heights and mid_heights are the signed body permutations
+    of the heights under the shift and under one reversor of H_mid.
+    """
 
     def __init__(self, spec: GroupSpec):
         n = spec.n_bodies
         elements = enumerate_elements(spec)
         frozen = [g for g in elements if g.t == 0]
-        proj = sum(_state_matrix(spec, g) for g in frozen) / len(frozen)
-        vals, vecs = np.linalg.eigh(proj)
-        self.basis = vecs[:, vals > 0.5]
+        self.basis = _fixed_subspace(spec, frozen)[0]
         self.shift = min((g for g in elements if g.xi == 1 and g.t > 0),
                          key=lambda g: (g.t, g.delta, g.beta))
         # theta = t / 2N counts time in units where the loop period is s
         self.tau = self.shift.t / (2 * n)
-        self.closing = _state_matrix(spec, self.shift)
-        self.closing_basis = self.closing @ self.basis
+        reversors = [g for g in elements if g.xi == -1
+                     and g.t == self.shift.t]
+        self.mid_eq = _fixed_subspace(
+            spec, [g for g in frozen if g.xi == 1] + reversors)[1].T
+        self.shift_heights = _heights(_state_matrix(spec, self.shift))
+        self.mid_heights = _heights(_state_matrix(spec, reversors[0]))
         # tangent seed in (state, varpi): the basis columns, then varpi
         self.seed = block_diag(self.basis, 1.0)
         self.spec = spec
@@ -191,26 +208,50 @@ def _state_matrix(spec: GroupSpec, g: GroupElement) -> np.ndarray:
     return np.kron(np.diag([1.0, g.xi]), positions)
 
 
+def _fixed_subspace(spec: GroupSpec, group):
+    """Orthonormal bases, as columns, of the states a group of elements
+    fixes and of their complement.
+
+    The mean of the orthogonal state matrices over a group is the
+    orthogonal projector onto their common fixed subspace.
+    """
+    proj = sum(_state_matrix(spec, g) for g in group) / len(group)
+    vals, vecs = np.linalg.eigh(proj)
+    return vecs[:, vals > 0.5], vecs[:, vals <= 0.5]
+
+
+def _heights(matrix) -> np.ndarray:
+    """Signed body permutation that a phase-space matrix applies to the
+    heights: its rows and columns of the vertical positions."""
+    return matrix[2:matrix.shape[0] // 2:3, 2:matrix.shape[0] // 2:3]
+
+
 @functools.cache
 def _reduction(spec: GroupSpec) -> _Reduction:
     return _Reduction(spec)
 
 
 def _closing_residual(red: _Reduction, u, varpi, integrator_tol, seed):
-    """Residual Phi_tau(Q u) - S Q u of the reduced boundary value problem.
+    """Midpoint defect E Phi_{tau/2}(Q u) of the reduced boundary value
+    problem, E = `red.mid_eq`.
 
-    Returns (residual, jac, harmonic) from one tangent flow over tau seeded
-    with leading columns of `red.seed`: jac is the derivative along them in
-    (u, varpi), less the closing map S Q in the u columns, and harmonic the
-    segment's height quadratures that `_amplitude` unfolds.
+    Returns (residual, jac, harmonic) from one tangent flow over tau / 2
+    seeded with leading columns of `red.seed`: jac is E times the tangent
+    flow along them in (u, varpi), and harmonic the height quadratures
+    I = int_0^tau z(t) exp(-2 pi i t) dt of the whole segment, which
+    `_amplitude` unfolds.  A reversor R of the midpoint stabilizer gives
+    z(tau - t) = P_R z(t), P_R its signed body permutation of the heights,
+    so the reflected half adds exp(-2 pi i tau) P_R conj(I_half) to the
+    flow's I_half over [0, tau / 2] (z is real).
     """
     x0 = (red.basis @ u).reshape(2, -1, 3)
-    res = integrate(x0, red.masses, varpi, red.tau, integrator_tol,
+    res = integrate(x0, red.masses, varpi, 0.5 * red.tau, integrator_tol,
                     tangents=seed)
-    residual = res.state.ravel() - red.closing_basis @ u
-    jac = res.tangents
-    jac[:, :red.dim] -= red.closing_basis
-    return residual, jac, res.harmonic
+    half = res.harmonic
+    harmonic = half + np.exp(-2j * np.pi * red.tau) \
+        * (red.mid_heights @ half.conj())
+    eq = red.mid_eq
+    return eq @ res.state.ravel(), eq @ res.tangents, harmonic
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +265,14 @@ class PeriodicOrbit:
     initial_state is the (2, n, 3) stack of positions and velocities at
     t = 0, which lies in the fixed subspace of the time-zero stabilizer
     elements.  amplitude is the signed coefficient of the first vertical
-    harmonic of body 0: the closing flow over the minimal time shift that
-    passed the Newton test also carries the harmonic quadratures of the
-    heights, which the group unfolds to the period (`_amplitude`);
-    residual is the sup norm of the closing defect.  `sample` integrates
-    the whole period and uses no symmetry, so it is an independent check
-    of the values built from the segment.
+    harmonic of body 0: the closing flow over half the minimal time shift
+    that passed the Newton test also carries the harmonic quadratures of
+    the heights, which a reversor reflects to the whole shift and the group
+    unfolds to the period (`_amplitude`); residual is the sup norm of the
+    midpoint reversor defect, the part of the state at tau / 2 outside the
+    fixed subspace of the midpoint stabilizer.  `sample` integrates the
+    whole period and uses no symmetry, so it is an independent check of
+    the values built from the half segment.
     """
 
     spec: GroupSpec
@@ -260,21 +303,22 @@ def _amplitude(red: _Reduction, harmonic) -> float:
     """First vertical harmonic of body 0 from one symmetry segment.
 
     harmonic holds I_b = int_0^tau z_b(t) exp(-2 pi i t) dt, tau the
-    minimal time shift.  With z(t + tau) = P z(t), P the shift's signed
-    body permutation of the heights, segment j adds exp(-2 pi i j tau)
-    e_0 P^j I.  The sum over the period s, over s, is FFT bin s of body
-    0's height, made real by the time-reversal element of the stabilizer.
+    minimal time shift, which `_closing_residual` builds from the flow
+    over [0, tau / 2] and its reflection by a reversor of the midpoint
+    stabilizer.  With z(t + tau) = P z(t), P the shift's signed body
+    permutation of the heights, segment j adds exp(-2 pi i j tau) e_0 P^j
+    I.  The sum over the period s, over s, is FFT bin s of body 0's
+    height, made real by the time-reversal element of the stabilizer.
     """
     n, s = red.spec.n_bodies, red.spec.s
     # the shifts t of the xi = +1 elements form a subgroup of Z/2Ns, so
     # the minimal one divides 2Ns
     n_segments = 2 * n * s // red.shift.t
-    perm = red.closing[:3 * n, :3 * n][2::3, 2::3]
     row = np.eye(n)[0]  # body 0 read off P^j z on segment j
     coef = 0.0
     for j in range(n_segments):
         coef += np.exp(-2j * np.pi * j * red.tau) * (row @ harmonic)
-        row = row @ perm
+        row = row @ red.shift_heights
     return float(2.0 * coef.real / s)
 
 
@@ -299,10 +343,12 @@ def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
     guess is a (2, n, 3) state (or a PeriodicOrbit, whose state is reused);
     it is first projected onto the fixed subspace of the time-zero
     stabilizer elements.  The unknowns are the coordinates in that subspace,
-    the equations Phi_{theta0 T}(X) = S X with S the smallest positive time
-    shift of the group.  Raises NoConvergence when the damped iteration
-    stalls above tol, and ValueError, before any integration, unless tol
-    and integrator_tol lie in (0, 1).
+    the equations E Phi_{tau/2}(X) = 0: the flow over half the smallest
+    positive time shift tau of the group must end in the fixed subspace of
+    the midpoint stabilizer, whose complement E spans (`_Reduction`).
+    Raises NoConvergence when the damped iteration stalls above tol, and
+    ValueError, before any integration, unless tol and integrator_tol lie
+    in (0, 1).
     """
     _checked_tol(tol, "tol")
     _checked_tol(integrator_tol, "integrator_tol")

@@ -315,9 +315,6 @@ class LoopPath:
     def min_separation(self):
         return float(pair_terms(self.positions)[1].min())
 
-    def configuration_at(self, i):
-        return Configuration(self.positions[i], self.masses.copy())
-
 
 def jay(vectors):
     """Generator of vertical rotations: (x, y, z) -> (-y, x, 0)."""
@@ -333,21 +330,14 @@ class RotatingFrame:
 
     varpi: float
 
-    def to_inertial(self, loop):
-        """Map a loop of rotating-frame coordinates to inertial ones."""
-        return LoopPath(self._turn(loop, +1.0), loop.period,
-                        loop.masses.copy())
-
     def to_rotating(self, loop):
-        return LoopPath(self._turn(loop, -1.0), loop.period,
-                        loop.masses.copy())
-
-    def _turn(self, loop, sign):
-        ang = sign * self.varpi * loop.times
+        """Map a loop of inertial coordinates to the frame's."""
+        ang = -self.varpi * loop.times
         c, s = np.cos(ang)[:, None], np.sin(ang)[:, None]
         x, y, z = (loop.positions[..., 0], loop.positions[..., 1],
                    loop.positions[..., 2])
-        return np.stack([c * x - s * y, s * x + c * y, z], axis=-1)
+        return LoopPath(np.stack([c * x - s * y, s * x + c * y, z], axis=-1),
+                        loop.period, loop.masses.copy())
 
 
 def kinetic_energy(loop, varpi=0.0):

@@ -352,6 +352,31 @@ def test_continue_onset_failure_writes_partial_family(capsys, monkeypatch,
     assert path.read_text() == out
 
 
+def test_continue_newton_failure_exits_one(capsys, monkeypatch, tmp_path):
+    # every arclength step after the onset fails down to the halving
+    # budget: the family ends "newton-failure" with its two records, which
+    # are written, and the run must not exit 0
+    import unchained.continuation as continuation
+    from unchained.errors import NoConvergence
+    onset = []
+
+    def fail_after_onset(*args, real=continuation._corrector):
+        if onset:
+            raise NoConvergence("forced")
+        onset.append(real(*args))
+        return onset[0]
+
+    monkeypatch.setattr(continuation, "_corrector", fail_after_onset)
+    path = tmp_path / "p12.csv"
+    rc, out, err = run(capsys, "continue", "3", "1", "-1", "2", "1",
+                       "--steps", "4", "--out", str(path))
+    assert rc == 1 and out == ""
+    assert "numerical failure" in err and "newton-failure" in err
+    text = path.read_text()
+    assert text.splitlines()[-1] == "# end=newton-failure"
+    assert len(csv_rows(text)) == 2
+
+
 # ----------------------------------------------------------------- torsion
 
 def test_torsion_json_p12(capsys):

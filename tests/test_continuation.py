@@ -14,6 +14,7 @@
 #    checked there against a direct collocation solve.
 import io
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import numpy as np
@@ -35,7 +36,8 @@ from unchained.ngon import (Configuration, action, build_ngon, jay,
                             angular_momentum_z, newton_residual, potential,
                             rescale)
 from unchained.spectrum import lyapunov_cylinder, vertical_spectrum
-from unchained.symmetry import GroupSpec, enumerate_elements, is_invariant
+from unchained.symmetry import (GroupSpec, compose, enumerate_elements,
+                                is_invariant)
 from unchained.continuation import verify_against_continuation
 
 OMEGA1_3 = 3.0 ** -0.25
@@ -230,16 +232,59 @@ def test_reduction_fixed_subspace(spec):
         assert np.max(np.abs(_state_matrix(spec, g) @ x - x)) < 1e-12
 
 
+def _small_specs():
+    # every G_{r/s}(N, k, eta) with N <= 6, |r| <= N and s <= 2; GroupSpec
+    # folds eta = -1 into +1 for the mode k = N / 2
+    specs = {GroupSpec(n, k, eta, r, s)
+             for n in range(3, 7)
+             for k, eta, s in product(range(1, n // 2 + 1), (1, -1), (1, 2))
+             for r in range(-n, n + 1) if gcd(r, s) == 1}
+    return sorted(specs, key=lambda g: (g.n_bodies, g.k, g.eta, g.r, g.s))
+
+
+def test_midpoint_stabilizer_is_a_group_with_a_reversor():
+    # the xi = +1 elements at t = 0 and the reversors at the minimal shift
+    # fix the state at tau / 2 together only if they form a group: then the
+    # mean of their state matrices is an orthogonal projector, and mid_eq
+    # must span its complement
+    specs = _small_specs()
+    assert len(specs) == 224
+    for spec in specs:
+        red = _reduction(spec)
+        mid = [g for g in enumerate_elements(spec)
+               if (g.xi, g.t) in ((1, 0), (-1, red.shift.t))]
+        assert any(g.xi == -1 for g in mid), spec
+        assert all(compose(spec, a, b) in mid for a in mid for b in mid), spec
+        proj = sum(_state_matrix(spec, g) for g in mid) / len(mid)
+        assert np.max(np.abs(proj - proj.T)) < 1e-12, spec
+        assert np.max(np.abs(proj @ proj - proj)) < 1e-12, spec
+        eq = red.mid_eq
+        assert np.max(np.abs(eq @ eq.T - np.eye(len(eq)))) < 1e-12, spec
+        assert np.max(np.abs(eq.T @ eq + proj - np.eye(len(proj)))) \
+            < 1e-12, spec
+
+
+@pytest.mark.parametrize("spec, shape", [
+    (P12, (9, 10)), (HH4, (21, 4)), (GroupSpec(6, 1, -1, 5, 1), (27, 10)),
+])
+def test_midpoint_system_size(spec, shape):
+    # equations by unknowns (u, varpi) of the closing block; matching the
+    # shifted initial state took 6n equations (18, 24 and 36)
+    red = _reduction(spec)
+    assert (red.mid_eq.shape[0], red.dim + 1) == shape
+
+
 @pytest.mark.parametrize("spec", [P12, HH4, GroupSpec(6, 1, -1, 5, 1)])
 def test_closing_jacobian_matches_finite_difference(spec):
     # the bordered block in (u, varpi), read off the tangent flow seeded
-    # with the reduced basis, against central differences of the residual
+    # with the reduced basis, against central differences of the residual;
+    # it has one row per equation of the midpoint defect
     red = _reduction(spec)
     state, varpi = onset_state(spec, 0.05)
     x = np.append(red.basis.T @ state.ravel(), varpi)
     _, jac, _ = _closing_residual(red, x[:-1], x[-1], INTEGRATOR_TOL,
                                   red.seed)
-    assert jac.shape == (state.size, red.dim + 1)
+    assert jac.shape == (red.mid_eq.shape[0], red.dim + 1)
     h = 1e-5
     for j, e in enumerate(h * np.eye(red.dim + 1)):
         plus, minus = (_closing_residual(red, y[:-1], y[-1], INTEGRATOR_TOL,
@@ -537,10 +582,12 @@ def _pair_loop_rhs(varpi):
     return rhs
 
 
-def test_records_close_under_independent_flow(p12_family):
+def test_records_close_under_independent_flow(p12_family, hh4_twenty):
     # a second integrator and right-hand side, sharing no code with the
-    # package, flows every record over its full period
-    for rec in p12_family.records:
+    # package, flows every P12 record and every 4th Hip-Hop record of a
+    # 20-step run over its full period: closing over half the symmetry
+    # segment must close the whole orbit
+    for rec in p12_family.records + hh4_twenty[0].records[::4]:
         y0 = rec.orbit.initial_state.ravel()
         sol = solve_ivp(_pair_loop_rhs(rec.varpi), (0.0, rec.period), y0,
                         method="DOP853", rtol=1e-13, atol=1e-13)
@@ -631,16 +678,21 @@ def test_flow_tolerance_checked_before_any_solve(monkeypatch, p12_family,
             orbit.sample(64, tol=3.0)
 
 
-@pytest.fixture(scope="module")
-def p12_twenty():
-    # the default P12 run at 20 steps, with its tangent integrations
-    # counted and each converged corrector's family tangent kept
+def _counted_twenty(spec):
+    # the default run at 20 steps, with its tangent integrations and their
+    # right-hand-side evaluations counted and each converged corrector's
+    # family tangent kept
     import unchained.continuation as continuation
-    calls, nulls = [], []
+    calls, nulls, nfev = [], [], []
 
     def counted(*args, real=continuation.integrate, **kwargs):
         calls.append(kwargs.get("tangents") is not None)
         return real(*args, **kwargs)
+
+    def solved(*args, real=continuation.solve_ivp, **kwargs):
+        sol = real(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
 
     def kept(*args, real=continuation._corrector):
         out = real(*args)
@@ -649,9 +701,20 @@ def p12_twenty():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuation, "integrate", counted)
+        mp.setattr(continuation, "solve_ivp", solved)
         mp.setattr(continuation, "_corrector", kept)
-        fam = continue_family(P12, n_steps=20)
-    return fam, calls, nulls
+        fam = continue_family(spec, n_steps=20)
+    return fam, calls, nulls, sum(nfev)
+
+
+@pytest.fixture(scope="module")
+def p12_twenty():
+    return _counted_twenty(P12)
+
+
+@pytest.fixture(scope="module")
+def hh4_twenty():
+    return _counted_twenty(HH4)
 
 
 def _family_points(fam):
@@ -664,10 +727,19 @@ def test_hermite_start_saves_closing_integrations(p12_twenty):
     # a start at the secant predictor pred = here + h tangent made 80
     # tangent integrations; the Hermite start reaches the 3 evaluations
     # per solve the Newton test allows
-    fam, calls, _ = p12_twenty
+    fam, calls, _, _ = p12_twenty
     assert fam.end_reason == "max-steps" and len(fam.records) == 21
     assert all(calls)
     assert len(calls) <= 61
+
+
+def test_twenty_steps_fit_the_nfev_budget(p12_twenty, hh4_twenty):
+    # P12 and the Hip-Hop at 20 steps took 42348 right-hand-side
+    # evaluations when every closing flow ran over the whole symmetry
+    # segment; over half of it they take about 21400
+    assert p12_twenty[0].end_reason == "max-steps"
+    assert hh4_twenty[0].end_reason == "max-steps"
+    assert p12_twenty[3] + hh4_twenty[3] <= 27000
 
 
 def test_hermite_start_finds_the_same_records(p12_twenty, monkeypatch):
@@ -695,7 +767,7 @@ def test_corrector_tangent_follows_the_records(p12_twenty):
     # Jacobian; nulls[i] belongs to record i + 1.  Record 1 is left out:
     # its lower neighbour is the branch point, at an uneven spacing that
     # puts the difference itself 2e-3 off
-    fam, _, nulls = p12_twenty
+    fam, _, nulls, _ = p12_twenty
     points = _family_points(fam)
     assert len(nulls) == len(points) - 1
     for i in range(2, len(points) - 1):
