@@ -364,8 +364,8 @@ def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
 
     u, residual, harmonic = _damped_newton(closing, u0, tol, integrator_tol,
                                            max_iter)
-    return _finish_orbit(red, u, varpi, float(np.max(np.abs(residual))),
-                         harmonic)
+    return _finish_orbit(red, red.basis @ u, varpi,
+                         float(np.max(np.abs(residual))), harmonic)
 
 
 def _damped_newton(fun, x0, tol, integrator_tol, max_iter):
@@ -412,8 +412,8 @@ def _damped_newton(fun, x0, tol, integrator_tol, max_iter):
     return x, residual, extra
 
 
-def _finish_orbit(red, u, varpi, residual, harmonic) -> PeriodicOrbit:
-    state = (red.basis @ u).reshape(2, -1, 3)
+def _finish_orbit(red, state, varpi, residual, harmonic) -> PeriodicOrbit:
+    state = np.reshape(state, (2, -1, 3))
     return PeriodicOrbit(red.spec, float(varpi), float(red.spec.s), state,
                          _amplitude(red, harmonic), float(residual))
 
@@ -540,6 +540,10 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     ...", "integration-failure: ...", "varpi-range" or, when the pinned
     first step fails, "onset-failure: ...".
 
+    The branch-point record keeps the exact planar onset state, not its
+    projection onto the reduced basis, so its heights, vertical velocities
+    and amplitude are exactly 0.
+
     A record costs no integration of its own: its amplitude comes from the
     corrector's converged closing flow, and its action and L_z from the
     initial state (see `FamilyRecord`).  `PeriodicOrbit.sample` gives the
@@ -557,10 +561,12 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
         return varpi_range is None or varpi_range[0] <= w <= varpi_range[1]
 
     x_re = np.append(red.basis.T @ state_re.ravel(), varpi_star)
-    res_re, _, harmonic_re = _closing_residual(red, x_re[:-1], varpi_star,
-                                               integrator_tol, red.seed)
-    records = [_make_record(red, x_re, float(np.max(np.abs(res_re))),
-                            harmonic_re)]
+    res_re = _closing_residual(red, x_re[:-1], varpi_star, integrator_tol,
+                               red.seed)[0]
+    # the n-gon's heights vanish for all time, and so do their quadratures
+    records = [_make_record(red, state_re, varpi_star,
+                            float(np.max(np.abs(res_re))),
+                            np.zeros(spec.n_bodies))]
     if not in_window(varpi_star):
         return ContinuationResult(spec, records, "varpi-range", varpi_star)
 
@@ -572,7 +578,8 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     try:
         here, res1, harmonic1, null = _corrector(
             red, x1, np.append(red.basis[2], 0.0), x1, tol, integrator_tol)
-        records.append(_make_record(red, here, res1, harmonic1))
+        records.append(_make_record(red, red.basis @ here[:-1], here[-1],
+                                    res1, harmonic1))
     except (CollisionError, IntegrationFailure, NoConvergence) as exc:
         return ContinuationResult(spec, records, f"onset-failure: {exc}",
                                   varpi_star)
@@ -591,7 +598,8 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
         try:
             new, res_new, harmonic, null = _corrector(
                 red, start, tangent, pred, tol, integrator_tol)
-            records.append(_make_record(red, new, res_new, harmonic))
+            records.append(_make_record(red, red.basis @ new[:-1], new[-1],
+                                        res_new, harmonic))
         except NoConvergence:
             h *= 0.5
             if step / h > 2 ** _MAX_HALVINGS:
@@ -663,8 +671,8 @@ def verify_against_continuation(spec: GroupSpec, gamma: float,
     return abs(gamma_fd - gamma) / abs(gamma)
 
 
-def _make_record(red, x, residual, harmonic) -> FamilyRecord:
-    orbit = _finish_orbit(red, x[:-1], x[-1], residual, harmonic)
+def _make_record(red, state, varpi, residual, harmonic) -> FamilyRecord:
+    orbit = _finish_orbit(red, state, varpi, residual, harmonic)
     pos, vel = orbit.initial_state
     vel = vel + orbit.varpi * jay(pos)  # inertial velocities
     energy = _kinetic(red.masses, vel) \

@@ -255,6 +255,8 @@ class LoopPath:
     positions[i] is the (n, 3) configuration at time i * period / m,
     i = 0 .. m-1 (the final endpoint is omitted).  Sampling is uniform so
     derivatives and off-grid values come from trigonometric interpolation.
+    Values on a shifted uniform grid (`on_grid`, `resample`) come from a
+    phase shift of the samples' FFT; `evaluate` takes arbitrary times.
     """
 
     positions: np.ndarray
@@ -308,9 +310,31 @@ class LoopPath:
         vals = np.tensordot(phase, coef, axes=(1, 0))
         return np.real(vals)
 
+    def on_grid(self, offset, n_samples):
+        """Trigonometric interpolant at offset + j * period / n_samples,
+        j = 0 .. n_samples-1: the values `evaluate` gives at those times,
+        Nyquist bin included, in O(m log m + n_samples log n_samples).
+
+        Frequency k of the samples' FFT is turned by exp(2 pi i k offset /
+        period) and added onto bin k mod n_samples, since exp(2 pi i k j /
+        n_samples) depends on no more; one inverse FFT of n_samples points,
+        scaled by n_samples / m, sums the series on the grid.
+        """
+        m = self.n_samples
+        k = np.arange(m) - m // 2  # frequencies in fftshift order
+        coef = np.fft.fftshift(np.fft.fft(self.positions, axis=0), axes=0)
+        coef *= np.exp(2j * np.pi * (offset / self.period) * k)[:, None, None]
+        # pad to whole blocks of n_samples consecutive frequencies: each
+        # column of the blocks holds one residue, starting at -(m // 2)
+        coef = np.concatenate([coef, np.zeros((-m % n_samples,)
+                                              + coef.shape[1:])])
+        folded = coef.reshape(-1, n_samples, *coef.shape[1:]).sum(axis=0)
+        folded = np.roll(folded, -(m // 2), axis=0)
+        return np.real(np.fft.ifft(folded, axis=0)) * (n_samples / m)
+
     def resample(self, n_samples):
-        t = np.arange(n_samples) * (self.period / n_samples)
-        return LoopPath(self.evaluate(t), self.period, self.masses.copy())
+        return LoopPath(self.on_grid(0.0, n_samples), self.period,
+                        self.masses.copy())
 
     def min_separation(self):
         return float(pair_terms(self.positions)[1].min())

@@ -274,19 +274,15 @@ def apply_element(g: GroupElement, spec: GroupSpec, loop: LoopPath) -> LoopPath:
     """Transformed loop (gx)_j(t) = rho x_{xi(j+delta)}(xi(t - theta)).
 
     rho is the block of `_action`.  theta is read in units where the loop
-    period is s, i.e. it shifts time by theta/s of the loop's own period;
-    shifts that are exact multiples of the sampling step reduce to index
-    rolls.
+    period is s, i.e. it shifts time by theta/s of the loop's own period.
+    The times xi(t_i - theta) are the sample grid shifted by -xi theta and
+    read in the order xi i, so one spectral shift (`LoopPath.on_grid`)
+    gives them, on or off the grid.
     """
     _check_loop(spec, loop)
     m = loop.n_samples
-    mod = 2 * spec.n_bodies * spec.s
-    if (g.t * m) % mod == 0:
-        idx = (g.xi * (np.arange(m) - g.t * m // mod)) % m
-        shifted = loop.positions[idx]
-    else:
-        t = g.xi * (loop.times - g.t / mod * loop.period)
-        shifted = loop.evaluate(t % loop.period)
+    offset = -g.xi * g.t / (2 * spec.n_bodies * spec.s) * loop.period
+    shifted = loop.on_grid(offset, m)[(g.xi * np.arange(m)) % m]
     src, block = _action(spec, g)
     return LoopPath(shifted[:, src, :] @ block.T, loop.period,
                     loop.masses.copy())

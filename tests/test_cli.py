@@ -422,6 +422,41 @@ def test_reports_are_deterministic(capsys):
         assert first == second
 
 
+def test_parser_is_built_once_and_keeps_calls_apart(capsys, tmp_path,
+                                                   monkeypatch):
+    # one parser serves every call in a process: calls with different
+    # subcommands and --out lists each write only their own files, and
+    # write what a parser built afresh for each call writes
+    import unchained.cli as cli
+    calls = [
+        (["continue", "3", "1", "-1", "2", "1", "--steps", "1",
+          "--out", "{}/p12.csv"], ["p12.csv"]),
+        (["torsion", "4", "2", "1", "1", "1", "--out", "{}/hh4.json"],
+         ["hh4.json"]),
+        (["continue", "4", "2", "1", "1", "1", "3", "1", "-1", "2", "1",
+          "--steps", "1", "--out", "{}/a.csv", "--out", "{}/b.csv"],
+         ["a.csv", "b.csv"]),
+    ]
+
+    def run_all(folder):
+        folder.mkdir()
+        files = {}
+        for argv, names in calls:
+            assert main([arg.format(folder) for arg in argv]) == 0
+            now = {p.name: p.read_text() for p in folder.iterdir()}
+            assert sorted(set(now) - set(files)) == names
+            assert all(now[name] == text for name, text in files.items())
+            files = now
+        capsys.readouterr()
+        return files
+
+    cached = run_all(tmp_path / "cached")
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cli._build_parser() is not cli._build_parser()
+    assert run_all(tmp_path / "fresh") == cached
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "unchained.cli", "spectrum", "3"],

@@ -420,6 +420,23 @@ def test_family_record_layout(p12_family):
     assert all(isinstance(r.orbit, PeriodicOrbit) for r in fam.records)
 
 
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("spec", [P12, HH4, GroupSpec(6, 1, -1, 5, 1)])
+def test_branch_point_record_is_exactly_planar(spec, direction):
+    # the relative equilibrium keeps the onset state itself: no round-off
+    # of the symmetry basis reaches its heights, vertical velocities or
+    # amplitude
+    fam = continue_family(spec, direction=direction, n_steps=1)
+    first = fam.records[0]
+    state, varpi = onset_state(spec, 0.0)
+    assert first.amplitude == 0.0
+    assert np.all(first.orbit.initial_state[:, :, 2] == 0.0)
+    np.testing.assert_array_equal(first.orbit.initial_state, state)
+    assert first.varpi == varpi
+    # the pinned record still leaves in the chosen direction
+    assert np.sign(fam.records[1].amplitude) == direction
+
+
 def test_family_onset_action_closed_form(p12_family):
     rec0 = p12_family.records[0]
     closed = re_branch_action(P12, p12_family.varpi_onset)

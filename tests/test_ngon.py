@@ -233,3 +233,31 @@ def test_center_of_mass_normalization():
     assert np.allclose(centered.center_of_mass(), 0.0, atol=1e-15)
     # potential is translation invariant
     assert potential(centered) == pytest.approx(potential(cfg), rel=1e-14)
+
+
+@pytest.mark.parametrize("m", [48, 49])  # even m has a Nyquist bin
+@pytest.mark.parametrize("n_out", [12, 20, 48, 49, 75])
+def test_on_grid_matches_dense_interpolation(m, n_out):
+    # grid values from the spectral shift against `evaluate`'s dense sum at
+    # the same times; the offsets are on the sample grid, off it, negative
+    # and beyond one period, and n_out covers M < m (dividing m or not),
+    # M = m and M > m
+    rng = np.random.default_rng(m * 100 + n_out)
+    loop = LoopPath(rng.normal(size=(m, 3, 3)), 1.7)
+    scale = np.abs(loop.positions).max()
+    for offset in (0.0, 5 * 1.7 / m, 0.123, -0.41, 2.3):
+        got = loop.on_grid(offset, n_out)
+        assert got.shape == (n_out, 3, 3)
+        ref = loop.evaluate(offset + np.arange(n_out) * (1.7 / n_out))
+        assert np.abs(got - ref).max() <= 1e-13 * scale
+
+
+def test_resample_is_the_dense_interpolant_on_the_new_grid():
+    rng = np.random.default_rng(7)
+    loop = LoopPath(rng.normal(size=(64, 4, 3)), 2.0)
+    for n_out in (16, 64, 100):
+        out = loop.resample(n_out)
+        assert out.period == loop.period
+        ref = loop.evaluate(np.arange(n_out) * (2.0 / n_out))
+        assert np.abs(out.positions - ref).max() \
+            <= 1e-13 * np.abs(loop.positions).max()

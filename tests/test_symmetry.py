@@ -9,7 +9,7 @@ import pytest
 from unchained.errors import UnsupportedCase
 from unchained.ngon import LoopPath
 from unchained.spectrum import lyapunov_cylinder
-from unchained.symmetry import (GroupSpec, apply_element, compose,
+from unchained.symmetry import (GroupSpec, _action, apply_element, compose,
                                 dense_choreography_params, element_order,
                                 enumerate_elements, find_isomorphism,
                                 fourier_constraints, identity_element,
@@ -163,6 +163,32 @@ def test_apply_rejects_wrong_body_count():
     loop = lyapunov_cylinder(4, 1, -1, 2, 1, 0.2)
     with pytest.raises(ValueError):
         apply_element(identity_element(spec), spec, loop)
+
+
+def _dense_apply(g, spec, loop):
+    """Oracle for apply_element: `LoopPath.evaluate` at xi (t - theta),
+    theta/s of the period, then the body map and block of `_action`."""
+    t = g.xi * (loop.times - g.t / (2 * spec.n_bodies * spec.s) * loop.period)
+    src, block = _action(spec, g)
+    return loop.evaluate(t)[:, src, :] @ block.T
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(3, 1, -1, 2, 1),
+                                  GroupSpec(6, 1, -1, 5, 1)])
+def test_apply_element_matches_dense_oracle(spec):
+    # a loop with no symmetry, so each element moves it; 64 samples put
+    # some time shifts on the grid and the rest off it
+    rng = np.random.default_rng(spec.n_bodies)
+    loop = LoopPath(rng.normal(size=(64, spec.n_bodies, 3)), 1.3)
+    scale = np.abs(loop.positions).max()
+    on_grid = set()
+    for g in enumerate_elements(spec):
+        moved = apply_element(g, spec, loop)
+        on_grid.add((g.t * 64) % (2 * spec.n_bodies * spec.s) == 0)
+        assert moved.period == loop.period
+        assert np.abs(moved.positions - _dense_apply(g, spec, loop)).max() \
+            <= 1e-13 * scale
+    assert on_grid == {True, False}
 
 
 @pytest.mark.parametrize("spec", [
