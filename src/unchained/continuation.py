@@ -27,6 +27,7 @@ shooting Jacobian singular.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
@@ -37,9 +38,9 @@ from scipy.linalg import block_diag
 
 from .errors import (CollisionError, IntegrationFailure, NoConvergence,
                      SingularReduction)
-from .ngon import (LoopPath, _force_jacobian_apply, _gravity, _kinetic,
-                   _lz, _pair_potential, _separated, check_separation, jay,
-                   pair_terms)
+from .ngon import (LoopPath, _checked_masses, _force_jacobian_apply,
+                   _gravity, _kinetic, _lz, _pair_potential, _pair_scatter,
+                   _separated, check_separation, jay, pair_terms)
 from .spectrum import vertical_spectrum
 from .symmetry import GroupElement, GroupSpec, _action, enumerate_elements
 from .torsion import reconstruct_loop, torsion_gamma
@@ -85,18 +86,21 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
 
     The right-hand side is one constant linear field, built once per call,
     plus the force and, for the tangent flow, the force Jacobian applied to
-    the tangent columns (never formed), all from one `pair_terms` call.
-    Its distances are also the flow's collision check: initial positions,
-    or any evaluated state, with a pair closer than ngon.COLLISION_TOL
-    raise CollisionError with the offending pair.  Solver breakdown raises
-    IntegrationFailure with the time reached, and a tol outside (0, 1)
-    raises ValueError before any integration.
+    the tangent columns (never formed), all from one `pair_terms` call over
+    the n(n-1)/2 pairs i < j.  The mass-weighted scatter that sums pair
+    terms back onto the bodies is built once per call too.  The pair
+    distances are also the flow's collision check: initial positions, or
+    any evaluated state, with a pair closer than ngon.COLLISION_TOL raise
+    CollisionError naming the closest pair (i < j).  Solver breakdown raises
+    IntegrationFailure with the time reached, and a tol outside (0, 1) or
+    masses that are not n positive numbers raise ValueError before any
+    integration.
     """
     _checked_tol(tol, "tol")
     state = np.asarray(state, dtype=float)
     _separated(state[0])
     n = state.shape[1]
-    masses = np.asarray(masses, dtype=float)
+    masses = _checked_masses(masses, n)
     varpi = float(varpi)
     if np.ndim(t_span) == 0:
         t0, t1 = 0.0, float(t_span)
@@ -119,6 +123,7 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
         y0 = np.concatenate([y0, seed[:-1].ravel(), np.zeros(2 * n)])
         # derivative of the velocity rows of lin in varpi
         dlin = np.hstack([2.0 * varpi * hor, -2.0 * rot])
+    scatter = _pair_scatter(masses)
 
     def rhs(t, y):
         out = np.empty_like(y)
@@ -126,17 +131,18 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
         terms = pair_terms(core[:nv].reshape(n, 3))
         check_separation(terms[1])
         out[:n_core] = lin @ core
-        out[nv:n_core] += _gravity(terms, masses).ravel()
+        out[nv:n_core] += _gravity(terms, scatter).ravel()
         if y.size == n_core:
             return out
         cols = y[n_core:n_flow].reshape(n_core, -1)
         flow = lin @ cols
         flow[nv:] += _force_jacobian_apply(
-            terms, masses, cols[:nv].reshape(n, 3, -1)).reshape(nv, -1) \
+            terms, scatter, cols[:nv].reshape(n, 3, -1)).reshape(nv, -1) \
             + (dlin @ core)[:, None] * w_varpi
         out[n_core:n_flow] = flow.ravel()
-        out[n_flow:n_flow + n] = core[2:nv:3] * np.cos(2.0 * np.pi * t)
-        out[n_flow + n:] = -core[2:nv:3] * np.sin(2.0 * np.pi * t)
+        heights = core[2:nv:3]
+        out[n_flow:n_flow + n] = heights * math.cos(2.0 * math.pi * t)
+        out[n_flow + n:] = heights * -math.sin(2.0 * math.pi * t)
         return out
 
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,

@@ -41,8 +41,9 @@ class BoundReport:
 class BarActionParams:
     """Coefficients of the comparison functional.
 
-    mu_bar[i, j] = 1 / rbar_ij^3 (unit masses) built from the mutual
-    distances of a reference central configuration with potential U_bar;
+    mu_bar[p] = 1 / rbar_ij^3 (unit masses) over the pairs i < j in the
+    `pair_terms` order, built from the mutual distances of a reference
+    central configuration with potential U_bar;
     lambda_G is the Poincare constant of the loop class.
     """
 
@@ -192,10 +193,11 @@ def bar_action(loop: LoopPath, params: BarActionParams,
     """
     if T is None:
         T = loop.period
-    pos = loop.positions
-    diff = pos[:, :, None, :] - pos[:, None, :, :]
-    sq = (diff * diff).sum(-1).mean(axis=0) * T
-    s_bar = 0.5 * float((params.mu_bar * sq).sum())
+    # only the differences are used, so a coincident pair must not warn
+    with np.errstate(divide="ignore"):
+        diff = pair_terms(loop.positions)[0]
+    xi = (diff * diff).sum(-1).mean(axis=0) * T
+    s_bar = float(params.mu_bar @ xi)
     lam = params.lambda_G
     return 0.5 * lam * s_bar + (params.U_bar * T) ** 1.5 / np.sqrt(s_bar)
 

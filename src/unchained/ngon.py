@@ -8,18 +8,23 @@ the Wintner matrix governing vertical variations, periodic paths sampled
 on a uniform grid, and the Lagrangian action in a frame rotating at an
 arbitrary rate varpi.
 
-Every pairwise quantity comes from one kernel, `pair_terms`, which returns
-the differences x_j - x_i, the distances r_ij and r_ij^-3.  Two bodies
-closer than the single threshold COLLISION_TOL collide.  The functions that
-take positions from a caller (`potential`, `wintner_matrix`, `action`,
-`newton_residual`) raise CollisionError below it.  `gravity` and
-`force_jacobian` do not check, nor do `_gravity` and `_force_jacobian_apply`
-(the action of the force Jacobian on tangent columns).  The right-hand side
-of `continuation.integrate` uses these two and runs `check_separation` on
-the distances of the same `pair_terms` call, which is the flow's collision
-check.
+Every pairwise quantity comes from one kernel, `pair_terms`, over the
+n(n-1)/2 pairs i < j in `np.triu_indices(n, 1)` order: the differences
+x_j - x_i, the distances r_ij and r_ij^-3, with no diagonal.  Sums over
+pairs go back to the bodies through the mass-weighted scatter of
+`_pair_scatter`, which adds m_j times a pair's vector to body i and -m_i
+times it to body j.  Two bodies closer than the single threshold
+COLLISION_TOL collide.  The functions that take positions from a caller
+(`potential`, `wintner_matrix`, `action`, `newton_residual`) raise
+CollisionError below it.  `gravity` and `force_jacobian` do not check, nor
+do `_gravity` and `_force_jacobian_apply` (the action of the force Jacobian
+on tangent columns).  The right-hand side of `continuation.integrate` uses
+these two and runs `check_separation` on the distances of the same
+`pair_terms` call, which is the flow's collision check.
 """
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,37 +32,65 @@ import numpy as np
 from .errors import CollisionError
 
 COLLISION_TOL = 1e-7
+_EYE3 = np.eye(3)
+_ONES3 = np.ones(3)
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n):
+    # (i, j, diff_matrix) of the pairs i < j of n bodies, in
+    # np.triu_indices(n, 1) order: diff_matrix @ x is x_j - x_i per pair.
+    # Cached per n, so read-only
+    i, j = np.triu_indices(n, 1)
+    diff_matrix = np.eye(n)[j] - np.eye(n)[i]
+    for a in (i, j, diff_matrix):
+        a.flags.writeable = False
+    return i, j, diff_matrix
 
 
 def pair_terms(positions):
     """Pairwise differences, distances and inverse cubed distances.
 
-    positions is (..., n, 3).  Returns (diff, r, inv_r3) with
-    diff[..., i, j] = x_j - x_i of shape (..., n, n, 3) and r, inv_r3 of
-    shape (..., n, n).  The diagonal holds r = inf, so inv_r3 is 0 there
-    and r.min() is the closest separation.
+    positions is (..., n, 3).  Returns (diff, r, inv_r3) over the
+    P = n(n-1)/2 pairs i < j in `np.triu_indices(n, 1)` order:
+    diff[..., p, :] = x_j - x_i of shape (..., P, 3), and r, inv_r3 of
+    shape (..., P).  There is no diagonal, so r.min() is the closest
+    separation.
     """
     pos = np.asarray(positions, dtype=float)
-    diff = pos[..., None, :, :] - pos[..., :, None, :]
-    r = np.sqrt((diff * diff).sum(axis=-1))
-    np.einsum("...ii->...i", r)[...] = np.inf
-    return diff, r, 1.0 / r ** 3
+    diff = _pairs(pos.shape[-2])[2] @ pos
+    sq = (diff * diff) @ _ONES3
+    r = np.sqrt(sq)
+    return diff, r, 1.0 / (sq * r)
+
+
+def _pair_scatter(masses):
+    # (n, P) matrix taking pair vectors f_p to bodies: column p = (i, j)
+    # holds m_j at row i and -m_i at row j, so scatter @ (inv_r3 * diff)
+    # is the gravity of every body
+    masses = np.asarray(masses, dtype=float)
+    i, j, _ = _pairs(len(masses))
+    eye = np.eye(len(masses))
+    return eye[:, i] * masses[j] - eye[:, j] * masses[i]
 
 
 def closest_pair(r):
-    """(i, j, distance) of the closest pair in a `pair_terms` distance array.
+    """(i, j, distance), i < j, of the closest pair in a `pair_terms`
+    distance array.
 
-    Over a batch (..., n, n) the pair is the closest one of all samples.
+    r is (..., P) over the pairs in `np.triu_indices(n, 1)` order; over a
+    batch the pair is the closest one of all samples.
     """
-    # r is symmetric, so its first minimum in row-major order has i < j
-    k = np.argmin(r)
-    *_, i, j = np.unravel_index(k, r.shape)
-    return int(i), int(j), float(r.flat[k])
+    k = int(np.argmin(r))
+    n_pairs = r.shape[-1]
+    i, j, _ = _pairs((1 + math.isqrt(1 + 8 * n_pairs)) // 2)
+    p = k % n_pairs
+    return int(i[p]), int(j[p]), float(r.flat[k])
 
 
 def check_separation(r):
     """Raise CollisionError when a pair in r is closer than COLLISION_TOL."""
-    if r.min() < COLLISION_TOL:
+    if np.minimum.reduce(r, axis=None, initial=np.inf) < COLLISION_TOL:
         raise CollisionError(*closest_pair(r))
 
 
@@ -74,7 +107,20 @@ def _separated(positions):
 
 def _pair_potential(r, masses):
     # U = sum_{i<j} m_i m_j / r_ij, over the leading axes of r
-    return 0.5 * np.sum(np.outer(masses, masses) / r, axis=(-2, -1))
+    i, j, _ = _pairs(len(masses))
+    return np.sum(masses[i] * masses[j] / r, axis=-1)
+
+
+def _checked_masses(masses, n):
+    # masses of n bodies: unit by default, else shape (n,) and positive
+    if masses is None:
+        return np.ones(n)
+    masses = np.asarray(masses, dtype=float)
+    if masses.shape != (n,):
+        raise ValueError("masses must have shape (n,)")
+    if np.any(masses <= 0):
+        raise ValueError("masses must be positive")
+    return masses
 
 
 @dataclass
@@ -88,13 +134,7 @@ class Configuration:
         self.positions = np.asarray(self.positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 3:
             raise ValueError("positions must have shape (n, 3)")
-        if self.masses is None:
-            self.masses = np.ones(self.positions.shape[0])
-        self.masses = np.asarray(self.masses, dtype=float)
-        if self.masses.shape != (self.positions.shape[0],):
-            raise ValueError("masses must have shape (n,)")
-        if np.any(self.masses <= 0):
-            raise ValueError("masses must be positive")
+        self.masses = _checked_masses(self.masses, self.positions.shape[0])
 
     @property
     def n(self):
@@ -125,14 +165,14 @@ def gravity(positions, masses):
     evaluated pointwise over the leading axes.  No collision check: a
     coincident pair gives an infinite or undefined force.
     """
-    return _gravity(pair_terms(positions), masses)
+    return _gravity(pair_terms(positions), _pair_scatter(masses))
 
 
-def _gravity(terms, masses):
-    # accelerations from the `pair_terms` of the positions
+def _gravity(terms, scatter):
+    # accelerations from the `pair_terms` of the positions and the
+    # `_pair_scatter` of the masses
     diff, _, inv_r3 = terms
-    w = np.asarray(masses, dtype=float) * inv_r3
-    return np.einsum("...ij,...ijc->...ic", w, diff)
+    return scatter @ (inv_r3[..., None] * diff)
 
 
 def force_jacobian(positions, masses):
@@ -145,23 +185,27 @@ def force_jacobian(positions, masses):
     """
     n = np.shape(positions)[-2]
     unit = np.eye(3 * n).reshape(n, 3, 3 * n)
-    jac = _force_jacobian_apply(pair_terms(positions), masses, unit)
+    jac = _force_jacobian_apply(pair_terms(positions), _pair_scatter(masses),
+                                unit)
     return jac.reshape(*jac.shape[:-3], 3 * n, 3 * n)
 
 
-def _force_jacobian_apply(terms, masses, dpos):
-    # force Jacobian, from the `pair_terms` of the positions, applied to
-    # displacement columns dpos (..., n, 3, m) without forming it: body i
-    # gets sum_j m_j (I / r^3 - 3 d d^T / r^5)(dpos_j - dpos_i)
+def _force_jacobian_apply(terms, scatter, dpos):
+    # force Jacobian, from the `pair_terms` of the positions and the
+    # `_pair_scatter` of the masses, applied to displacement columns dpos
+    # (..., n, 3, m) without forming the 3n x 3n matrix: pair p = (i, j) gives
+    # g_p = (I / r^3 - 3 d d^T / r^5)(dpos_j - dpos_i), even in d, which the
+    # scatter adds to body i times m_j and to body j times -m_i
     diff, r, inv_r3 = terms
-    w = np.asarray(masses, dtype=float) * inv_r3
-    rel = dpos[..., None, :, :, :] - dpos[..., :, None, :, :]
-    # batched matmuls sum over the axis and over j, faster here than einsum
-    radial = (diff[..., None, :] @ rel)[..., 0, :]  # d . (dpos_j - dpos_i)
-    scaled = (3.0 * w / (r * r))[..., None] * diff
-    iso = (w[..., None, :] @ rel.reshape(*rel.shape[:-2], -1))[..., 0, :]
-    return (iso.reshape(*iso.shape[:-1], *dpos.shape[-2:])
-            - np.swapaxes(scaled, -1, -2) @ radial)
+    n, _, m = dpos.shape[-3:]
+    rel = _pairs(n)[2] @ dpos.reshape(*dpos.shape[:-2], 3 * m)
+    # the 3 x 3 block of pair p is inv_r3 I - u u^T, u = sqrt(3 / r^5) d
+    u = diff * (np.sqrt(3.0 * inv_r3) / r)[..., None]
+    blocks = (inv_r3[..., None, None] * _EYE3
+              - u[..., :, None] * u[..., None, :])
+    g = blocks @ rel.reshape(*rel.shape[:-1], 3, m)
+    out = scatter @ g.reshape(*g.shape[:-2], 3 * m)
+    return out.reshape(*out.shape[:-1], 3, m)
 
 
 def wintner_matrix(config):
@@ -173,9 +217,9 @@ def wintner_matrix(config):
     central configurations.
     """
     _, _, inv_r3 = _separated(config.positions)
-    w = config.masses[None, :] * inv_r3
-    np.fill_diagonal(w, -w.sum(axis=1))
-    return w
+    # gravity is linear in the positions at fixed inv_r3: W x = F(x)
+    return _pair_scatter(config.masses) @ (inv_r3[:, None]
+                                           * _pairs(config.n)[2])
 
 
 @dataclass
@@ -269,9 +313,7 @@ class LoopPath:
             raise ValueError("positions must have shape (m, n, 3)")
         if self.period <= 0:
             raise ValueError("period must be positive")
-        if self.masses is None:
-            self.masses = np.ones(self.positions.shape[1])
-        self.masses = np.asarray(self.masses, dtype=float)
+        self.masses = _checked_masses(self.masses, self.positions.shape[1])
 
     @property
     def n_samples(self):
@@ -408,10 +450,10 @@ def newton_residual(loop, varpi=0.0):
     with P_h the horizontal projection.  Derivatives are spectral, so the
     value is meaningful only for smooth well-sampled loops.
     """
-    _separated(loop.positions)
+    terms = _separated(loop.positions)
     acc = loop.derivative(2)
     vel = loop.derivative(1)
-    frc = gravity(loop.positions, loop.masses)
+    frc = _gravity(terms, _pair_scatter(loop.masses))
     cen = varpi ** 2 * np.concatenate(
         [loop.positions[..., :2], np.zeros_like(loop.positions[..., 2:])],
         axis=-1)

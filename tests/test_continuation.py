@@ -32,9 +32,9 @@ from unchained.continuation import (INTEGRATOR_TOL, NEWTON_TOL,
                                     _state_matrix)
 from unchained.errors import (CollisionError, IntegrationFailure,
                               NoConvergence, SingularReduction)
-from unchained.ngon import (Configuration, action, build_ngon, jay,
-                            angular_momentum_z, newton_residual, potential,
-                            rescale)
+from unchained.ngon import (COLLISION_TOL, Configuration, action,
+                            angular_momentum_z, build_ngon, jay,
+                            newton_residual, potential, rescale)
 from unchained.spectrum import lyapunov_cylinder, vertical_spectrum
 from unchained.symmetry import (GroupSpec, compose, enumerate_elements,
                                 is_invariant)
@@ -163,6 +163,54 @@ def test_integrate_collision_raises():
         integrate(state, [1.0, 1.0], 0.0, 3.0)
     assert err.value.pair == (0, 1)
     assert err.value.distance < 1e-5
+
+
+def test_integrate_four_body_collision_inside_the_flow():
+    # bodies 1 and 3 fall head-on along the y axis (the pulls of the equal
+    # masses 0 and 2 cancel across it); the flow's own check must name
+    # them, not the initial check, which they pass at distance 1
+    pos = np.array([[5.0, 0.0, 0.0], [0.0, 0.5, 0.0], [-5.0, 0.0, 0.0],
+                    [0.0, -0.5, 0.0]])
+    state = np.stack([pos, np.zeros_like(pos)])
+    with pytest.raises(CollisionError) as err:
+        integrate(state, [1.0, 2.0, 1.0, 0.5], 0.0, 3.0)
+    assert err.value.pair == (1, 3)
+    assert err.value.distance < COLLISION_TOL
+
+
+@pytest.mark.parametrize("masses", [(1.0, 2.0, 0.5), (0.7, 1.3, 2.1, 0.4)])
+def test_integrate_unequal_masses_match_pair_loop_flow(masses):
+    # every other flow test has unit masses, which a scatter that swapped
+    # m_i and m_j would pass too: flow a perturbed polygon against the
+    # test-local pair loop, and check the tangent columns (two state
+    # directions and varpi) against central differences of that flow
+    masses = np.array(masses)
+    n = len(masses)
+    rng = np.random.default_rng(n)
+    pos = (1.5 * build_ngon(n).configuration.positions
+           + 0.2 * rng.standard_normal((n, 3)))
+    state = np.stack([pos, 0.3 * rng.standard_normal((n, 3))])
+    varpi, t1 = 0.4, 0.6
+    seed = np.zeros((6 * n + 1, 3))
+    seed[:-1, :2] = rng.standard_normal((6 * n, 2))
+    seed[-1, 2] = 1.0
+    res = integrate(state, masses, varpi, t1, tangents=seed)
+
+    def pair_loop_flow(y0, w):
+        sol = solve_ivp(_pair_loop_rhs(w, masses), (0.0, t1), y0,
+                        method="DOP853", rtol=1e-13, atol=1e-13)
+        assert sol.status == 0
+        return sol.y[:, -1]
+
+    y0 = state.ravel()
+    assert np.max(np.abs(res.state.ravel() - pair_loop_flow(y0, varpi))) \
+        < 1e-10
+    h = 1e-4
+    for k in range(3):
+        dy, dw = h * seed[:-1, k], h * seed[-1, k]
+        fd = (pair_loop_flow(y0 + dy, varpi + dw)
+              - pair_loop_flow(y0 - dy, varpi - dw)) / (2.0 * h)
+        assert np.max(np.abs(res.tangents[:, k] - fd)) < 1e-6
 
 
 def test_integrate_rejects_initial_collision():
@@ -580,17 +628,18 @@ def test_records_match_sampled_period(name, request):
             assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
-def _pair_loop_rhs(varpi):
-    # rotating-frame equations of unit masses, one pair at a time
+def _pair_loop_rhs(varpi, masses=None):
+    # rotating-frame equations, one pair at a time; unit masses by default
     def rhs(t, y):
         half = y.size // 2
         pos, vel = y[:half].reshape(-1, 3), y[half:].reshape(-1, 3)
+        mass = np.ones(len(pos)) if masses is None else masses
         acc = np.zeros_like(pos)
         for i in range(len(pos)):
             for j in range(len(pos)):
                 if j != i:
                     d = pos[j] - pos[i]
-                    acc[i] += d / np.dot(d, d) ** 1.5
+                    acc[i] += mass[j] * d / np.dot(d, d) ** 1.5
             x, y_, _ = pos[i]
             vx, vy, _ = vel[i]
             acc[i] += [varpi ** 2 * x + 2.0 * varpi * vy,

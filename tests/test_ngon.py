@@ -5,6 +5,7 @@ from unchained import (CollisionError, Configuration, LoopPath, NGonSystem,
                        RotatingFrame, action, angular_momentum_z, build_ngon,
                        gravity, newton_residual, potential, rescale,
                        wintner_matrix)
+from unchained.continuation import integrate
 from unchained.ngon import force_jacobian, jay, kinetic_energy
 
 # Frozen oracle values (direct trigonometric sums, independent of the
@@ -166,6 +167,21 @@ def test_action_time_translation_invariance():
     loop = sysn.rigid_loop(n_samples=360)
     shifted = LoopPath(np.roll(loop.positions, 17, axis=0), loop.period)
     assert action(shifted) == pytest.approx(action(loop), rel=1e-13)
+
+
+@pytest.mark.parametrize("masses", [[2.0], [1.0, 1.0], [1.0, -1.0, 1.0],
+                                    [1.0, 0.0, 1.0], [[1.0, 1.0, 1.0]]])
+def test_masses_are_checked_like_configuration(masses):
+    # a mass array that would broadcast, or a nonpositive mass, must not
+    # reach the action or the flow: [2.0] on the 3-gon loop gave an action
+    # of 71.6 against 21.5, and [1, -1, 1] a negative one
+    loop = build_ngon(3).rigid_loop(n_samples=64)
+    state = np.stack([loop.positions[0], loop.velocities()[0]])
+    for make in (lambda: LoopPath(loop.positions, loop.period, masses),
+                 lambda: Configuration(loop.positions[0], masses),
+                 lambda: integrate(state, masses, 0.0, 0.1)):
+        with pytest.raises(ValueError, match="masses"):
+            make()
 
 
 def test_rescale_maps_solutions_to_solutions():

@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from unchained.continuation import (ContinuationResult, FamilyRecord,
                                     write_family_csv)
 from unchained.ngon import (Configuration, _force_jacobian_apply,
-                            force_jacobian, gravity, pair_terms, potential)
+                            _pair_scatter, force_jacobian, gravity,
+                            pair_terms, potential)
 from unchained.symmetry import GroupSpec
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -64,7 +65,8 @@ def test_jacobian_action_is_directional_derivative_of_gravity(bodies, m,
     # along D[..., k], here by a central difference along that direction
     pos, masses = bodies
     dpos = np.random.default_rng(seed).normal(size=pos.shape + (m,))
-    got = _force_jacobian_apply(pair_terms(pos), masses, dpos)
+    got = _force_jacobian_apply(pair_terms(pos), _pair_scatter(masses),
+                                dpos)
     fd = np.stack([(gravity(pos + STEP * d, masses)
                     - gravity(pos - STEP * d, masses)) / (2.0 * STEP)
                    for d in np.moveaxis(dpos, -1, 0)], axis=-1)
