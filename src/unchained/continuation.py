@@ -38,9 +38,10 @@ from scipy.linalg import block_diag
 
 from .errors import (CollisionError, IntegrationFailure, NoConvergence,
                      SingularReduction)
-from .ngon import (LoopPath, _checked_masses, _force_jacobian_apply,
-                   _gravity, _kinetic, _lz, _pair_potential, _pair_scatter,
-                   _separated, check_separation, jay, pair_terms)
+from .ngon import (LoopPath, _checked_count, _checked_masses,
+                   _force_jacobian_apply, _gravity, _kinetic, _lz,
+                   _pair_potential, _pair_scatter, _separated,
+                   check_separation, jay, pair_terms)
 from .spectrum import vertical_spectrum
 from .symmetry import GroupElement, GroupSpec, _action, enumerate_elements
 from .torsion import reconstruct_loop, torsion_gamma
@@ -191,8 +192,9 @@ class _Reduction:
                      and g.t == self.shift.t]
         self.mid_eq = _fixed_subspace(
             spec, [g for g in frozen if g.xi == 1] + reversors)[1].T
-        self.shift_heights = _heights(_state_matrix(spec, self.shift))
-        self.mid_heights = _heights(_state_matrix(spec, reversors[0]))
+        h = slice(2, 3 * n, 3)  # rows and columns of the heights
+        self.shift_heights = _state_matrix(spec, self.shift)[h, h]
+        self.mid_heights = _state_matrix(spec, reversors[0])[h, h]
         # tangent seed in (state, varpi): the basis columns, then varpi
         self.seed = block_diag(self.basis, 1.0)
         self.spec = spec
@@ -224,12 +226,6 @@ def _fixed_subspace(spec: GroupSpec, group):
     proj = sum(_state_matrix(spec, g) for g in group) / len(group)
     vals, vecs = np.linalg.eigh(proj)
     return vecs[:, vals > 0.5], vecs[:, vals <= 0.5]
-
-
-def _heights(matrix) -> np.ndarray:
-    """Signed body permutation that a phase-space matrix applies to the
-    heights: its rows and columns of the vertical positions."""
-    return matrix[2:matrix.shape[0] // 2:3, 2:matrix.shape[0] // 2:3]
 
 
 @functools.cache
@@ -290,7 +286,10 @@ class PeriodicOrbit:
 
     def sample(self, n_samples: int = 512,
                tol: float = INTEGRATOR_TOL) -> LoopPath:
-        """Integrate one period and return the uniformly sampled loop."""
+        """Integrate one period and return the uniformly sampled loop;
+        ValueError, before any integration, unless n_samples is a positive
+        integer."""
+        n_samples = _checked_count(n_samples)
         t_eval = np.arange(n_samples + 1) * (self.period / n_samples)
         # dense-output interpolation is an order lower than the endpoint
         # values; cap the step so sampled points are as accurate as tol
@@ -692,30 +691,22 @@ def _make_record(red, state, varpi, residual, harmonic) -> FamilyRecord:
 # monodromy and the action diagram
 
 
-def monodromy(orbit: PeriodicOrbit,
-              integrator_tol: float = INTEGRATOR_TOL) -> float:
+def monodromy(orbit: PeriodicOrbit) -> float:
     """Rotation number mu in [0, 1) of the inertial orbit over one period.
 
     Defined by x(t + T) = R(2 pi mu) x(t) for the inertial continuation of
-    the rotating-frame orbit, and measured as the phase advance of the
-    leading horizontal Fourier mode sum_j h_j zeta^{-j} along the
-    trajectory.  Configurations with no horizontal extent leave the phase
-    undefined and raise SingularReduction.
+    the rotating-frame orbit.  The orbit closes in the frame, x_rot(t + T)
+    = x_rot(t), and its inertial image is x(t) = R(varpi t) x_rot(t), so
+    x(t + T) = R(varpi T) x(t) and mu = varpi T / 2 pi mod 1, with no
+    integration.  A rotation about the vertical axis fixes a state only
+    when all its horizontal positions and velocities vanish; such a state
+    stays on the axis, every mu fits, and SingularReduction is raised.
     """
-    n = orbit.spec.n_bodies
-    t = np.linspace(0.0, orbit.period, 256 + 1)
-    res = integrate(orbit.initial_state, np.ones(n), orbit.varpi,
-                    (0.0, orbit.period), integrator_tol, t_eval=t)
-    pos = res.trajectory[:, 0]
-    h = pos[:, :, 0] + 1j * pos[:, :, 1]
-    mode = h @ np.exp(-2j * np.pi * np.arange(n) / n)
-    mode = mode * np.exp(1j * orbit.varpi * t)  # frame -> inertial
-    scale = float(np.max(np.abs(h)))
-    if np.min(np.abs(mode)) < 1e-8 * max(scale, 1e-300) * n:
+    if not np.any(orbit.initial_state[..., :2]):
         raise SingularReduction(
-            "leading horizontal mode vanishes along the orbit")
-    phase = np.unwrap(np.angle(mode))
-    return float(((phase[-1] - phase[0]) / (2.0 * np.pi)) % 1.0)
+            "every body is on the vertical axis with no horizontal velocity")
+    mu = float(orbit.varpi * orbit.period / (2.0 * np.pi)) % 1.0
+    return mu if mu < 1.0 else 0.0  # a tiny negative product rounds to 1
 
 
 def re_branch_action(spec: GroupSpec, varpi) -> np.ndarray:

@@ -123,6 +123,14 @@ def _checked_masses(masses, n):
     return masses
 
 
+def _checked_count(count):
+    # a sample count: a positive integer, bool excluded
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) \
+            or count < 1:
+        raise ValueError(f"n_samples must be a positive integer: {count!r}")
+    return int(count)
+
+
 @dataclass
 class Configuration:
     """Instantaneous positions of n point masses in R^3."""
@@ -360,8 +368,10 @@ class LoopPath:
         Frequency k of the samples' FFT is turned by exp(2 pi i k offset /
         period) and added onto bin k mod n_samples, since exp(2 pi i k j /
         n_samples) depends on no more; one inverse FFT of n_samples points,
-        scaled by n_samples / m, sums the series on the grid.
+        scaled by n_samples / m, sums the series on the grid.  Raises
+        ValueError, before any FFT, unless n_samples is a positive integer.
         """
+        n_samples = _checked_count(n_samples)
         m = self.n_samples
         k = np.arange(m) - m // 2  # frequencies in fftshift order
         coef = np.fft.fftshift(np.fft.fft(self.positions, axis=0), axes=0)
@@ -454,9 +464,7 @@ def newton_residual(loop, varpi=0.0):
     acc = loop.derivative(2)
     vel = loop.derivative(1)
     frc = _gravity(terms, _pair_scatter(loop.masses))
-    cen = varpi ** 2 * np.concatenate(
-        [loop.positions[..., :2], np.zeros_like(loop.positions[..., 2:])],
-        axis=-1)
+    cen = varpi ** 2 * loop.positions * [1.0, 1.0, 0.0]
     res = acc - frc - cen + 2.0 * varpi * jay(vel)
     return float(np.max(np.abs(res)))
 

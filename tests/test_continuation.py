@@ -722,11 +722,11 @@ def test_tolerances_checked_before_any_integration(monkeypatch, solver,
             shoot_symmetric(P12, varpi, state, **kwargs)
 
 
-@pytest.mark.parametrize("call", ["integrate", "monodromy", "sample"])
+@pytest.mark.parametrize("call", ["integrate", "sample"])
 def test_flow_tolerance_checked_before_any_solve(monkeypatch, p12_family,
                                                  call):
     # tolerances of one or more gave a final state 3.99 away from the one
-    # at 1e-12, or a rotation number of 0.757 for 0.0066, without a word
+    # at 1e-12 without a word
     import unchained.continuation as continuation
 
     def never(*args, **kw):
@@ -738,10 +738,23 @@ def test_flow_tolerance_checked_before_any_solve(monkeypatch, p12_family,
         if call == "integrate":
             integrate(orbit.initial_state, np.ones(3), orbit.varpi, 1.0,
                       tol=2.0)
-        elif call == "monodromy":
-            monodromy(orbit, integrator_tol=5.0)
         else:
             orbit.sample(64, tol=3.0)
+
+
+@pytest.mark.parametrize("n_samples", [0, -3, 2.5])
+def test_sample_count_checked_before_any_integration(monkeypatch, p12_family,
+                                                     n_samples):
+    # 0 divided by zero, -3 failed in numpy and 2.5 sampled past the
+    # period, which scipy refused
+    import unchained.continuation as continuation
+
+    def never(*args, **kw):
+        raise AssertionError("integrated before the count was checked")
+
+    monkeypatch.setattr(continuation, "integrate", never)
+    with pytest.raises(ValueError, match="n_samples must be a positive"):
+        p12_family.records[1].orbit.sample(n_samples)
 
 
 def _counted_twenty(spec):
@@ -895,6 +908,93 @@ def test_monodromy_singular_for_vertical_configuration():
     orbit = PeriodicOrbit(P12, 0.0, 0.01, state, 0.0, 0.0)
     with pytest.raises(SingularReduction):
         monodromy(orbit)
+
+
+def test_monodromy_makes_no_integration(monkeypatch, p12_family):
+    import unchained.continuation as continuation
+
+    def never(*args, **kw):
+        raise AssertionError("monodromy integrated")
+
+    monkeypatch.setattr(continuation, "integrate", never)
+    monkeypatch.setattr(continuation, "solve_ivp", never)
+    for rec in p12_family.records:
+        expect = (rec.varpi * rec.period / (2.0 * np.pi)) % 1.0
+        assert monodromy(rec.orbit) == expect
+
+
+def test_monodromy_stays_below_one_for_a_tiny_negative_rate(p12_family):
+    # in floating point, -1e-17 % 1.0 is 1.0, outside [0, 1)
+    orbit = p12_family.records[1].orbit
+    tiny = PeriodicOrbit(P12, -1e-17, orbit.period, orbit.initial_state,
+                         orbit.amplitude, orbit.residual)
+    assert monodromy(tiny) == 0.0
+
+
+def _rotation_z(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _inertial(y, varpi, t):
+    # a rotating-frame state at time t in the inertial frame: positions
+    # turned by varpi t, velocities v + varpi e_z x q turned with them
+    pos, vel = y.reshape(2, -1, 3)
+    vel = vel + varpi * np.cross([0.0, 0.0, 1.0], pos)
+    return np.stack([pos, vel]) @ _rotation_z(varpi * t).T
+
+
+def _rotation_defect(orbit, mu):
+    # sup |x_in(T) - R(2 pi mu) x_in(0)| along the package-free flow of
+    # `_pair_loop_rhs` over one period
+    y0 = orbit.initial_state.ravel()
+    sol = solve_ivp(_pair_loop_rhs(orbit.varpi), (0.0, orbit.period), y0,
+                    method="DOP853", rtol=1e-13, atol=1e-13)
+    assert sol.status == 0
+    start = _inertial(y0, orbit.varpi, 0.0)
+    end = _inertial(sol.y[:, -1], orbit.varpi, orbit.period)
+    return np.max(np.abs(end - start @ _rotation_z(2.0 * np.pi * mu).T))
+
+
+def test_monodromy_rotates_the_inertial_orbit(p12_family, hh4_twenty):
+    # the rotation number against an independent flow: the inertial image
+    # of the full period is the initial state turned by 2 pi mu, and a
+    # rotation number off by 1 / 2n misses by the size of the orbit
+    hexagon = GroupSpec(6, 1, -1, 5, 1)
+    state, varpi = onset_state(hexagon, 0.05)
+    orbits = [p12_family.records[4].orbit, hh4_twenty[0].records[10].orbit,
+              shoot_symmetric(hexagon, varpi, state)]
+    for orbit in orbits:
+        mu = monodromy(orbit)
+        assert _rotation_defect(orbit, mu) <= 1e-9
+        assert _rotation_defect(orbit, mu + 0.5 / orbit.spec.n_bodies) > 0.1
+
+
+def test_monodromy_needs_only_horizontal_extent():
+    """A state with no horizontal extent, all bodies on the vertical axis
+    with vertical velocities only, is fixed by every rotation about the
+    axis and stays on it, so its rotation number is undefined and
+    SingularReduction is raised.  The triangle labelled against its sense,
+    h_j = zeta^{-j}, has horizontal extent but a vanishing leading mode
+    sum_j h_j zeta^{-j}; at rest in the frame of its own rate it closes
+    after any period, and monodromy returns its mu, which the independent
+    flow confirms.  Earlier versions measured mu as the phase advance of
+    that mode along a flow, and raised SingularReduction on this state.
+    """
+    pos = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    vel = np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 0.0], [0.0, 0.0, -0.3]])
+    axis = PeriodicOrbit(P12, 0.7, 1.0, np.stack([pos, vel]), 0.0, 0.0)
+    with pytest.raises(SingularReduction):
+        monodromy(axis)
+
+    ang = -2.0 * np.pi * np.arange(3) / 3
+    pos = np.column_stack([np.cos(ang), np.sin(ang), np.zeros(3)])
+    assert abs(np.sum((pos[:, 0] + 1j * pos[:, 1]) * np.exp(1j * ang))) < 1e-15
+    counter = PeriodicOrbit(P12, OMEGA1_3, 1.0,
+                            np.stack([pos, np.zeros_like(pos)]), 0.0, 0.0)
+    mu = monodromy(counter)
+    assert mu == pytest.approx(OMEGA1_3 / (2.0 * np.pi), abs=1e-15)
+    assert _rotation_defect(counter, mu) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,23 @@ def test_on_grid_matches_dense_interpolation(m, n_out):
         assert np.abs(got - ref).max() <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("call", [lambda loop: loop.resample(0),
+                                  lambda loop: loop.resample(-2),
+                                  lambda loop: loop.on_grid(0.1, 0),
+                                  lambda loop: loop.on_grid(0.1, 12.5)],
+                         ids=["resample0", "resample-2", "on_grid0",
+                              "on_grid12.5"])
+def test_grid_count_checked_before_any_fft(monkeypatch, call):
+    # resample(0) divided by zero and resample(-2) failed in a reshape
+    def never(*args, **kw):
+        raise AssertionError("transformed before the count was checked")
+
+    loop = LoopPath(np.random.default_rng(3).normal(size=(16, 3, 3)), 1.0)
+    monkeypatch.setattr(np.fft, "fft", never)
+    with pytest.raises(ValueError, match="n_samples must be a positive"):
+        call(loop)
+
+
 def test_resample_is_the_dense_interpolant_on_the_new_grid():
     rng = np.random.default_rng(7)
     loop = LoopPath(rng.normal(size=(64, 4, 3)), 2.0)
