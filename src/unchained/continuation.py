@@ -233,22 +233,22 @@ def _reduction(spec: GroupSpec) -> _Reduction:
     return _Reduction(spec)
 
 
-def _closing_residual(red: _Reduction, u, varpi, integrator_tol, seed):
+def _closing_residual(red: _Reduction, x, integrator_tol):
     """Midpoint defect E Phi_{tau/2}(Q u) of the reduced boundary value
-    problem, E = `red.mid_eq`.
+    problem at frame rate varpi, E = `red.mid_eq` and x = (u, varpi).
 
     Returns (residual, jac, harmonic) from one tangent flow over tau / 2
-    seeded with leading columns of `red.seed`: jac is E times the tangent
-    flow along them in (u, varpi), and harmonic the height quadratures
+    seeded with `red.seed`: jac is E times the tangent flow along it in
+    (u, varpi), and harmonic the height quadratures
     I = int_0^tau z(t) exp(-2 pi i t) dt of the whole segment, which
     `_amplitude` unfolds.  A reversor R of the midpoint stabilizer gives
     z(tau - t) = P_R z(t), P_R its signed body permutation of the heights,
     so the reflected half adds exp(-2 pi i tau) P_R conj(I_half) to the
     flow's I_half over [0, tau / 2] (z is real).
     """
-    x0 = (red.basis @ u).reshape(2, -1, 3)
-    res = integrate(x0, red.masses, varpi, 0.5 * red.tau, integrator_tol,
-                    tangents=seed)
+    x0 = (red.basis @ x[:-1]).reshape(2, -1, 3)
+    res = integrate(x0, red.masses, x[-1], 0.5 * red.tau, integrator_tol,
+                    tangents=red.seed)
     half = res.harmonic
     harmonic = half + np.exp(-2j * np.pi * red.tau) \
         * (red.mid_heights @ half.conj())
@@ -289,7 +289,7 @@ class PeriodicOrbit:
         """Integrate one period and return the uniformly sampled loop;
         ValueError, before any integration, unless n_samples is a positive
         integer."""
-        n_samples = _checked_count(n_samples)
+        n_samples = _checked_count(n_samples, "n_samples")
         t_eval = np.arange(n_samples + 1) * (self.period / n_samples)
         # dense-output interpolation is an order lower than the endpoint
         # values; cap the step so sampled points are as accurate as tol
@@ -341,39 +341,31 @@ def onset_state(spec: GroupSpec, epsilon: float = 0.0):
 
 
 def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
-                    tol: float = NEWTON_TOL, max_iter: int = 40,
+                    tol: float = NEWTON_TOL,
                     integrator_tol: float = INTEGRATOR_TOL) -> PeriodicOrbit:
     """Newton solve of the reduced closing condition at fixed frame rate.
 
-    guess is a (2, n, 3) state (or a PeriodicOrbit, whose state is reused);
-    it is first projected onto the fixed subspace of the time-zero
-    stabilizer elements.  The unknowns are the coordinates in that subspace,
-    the equations E Phi_{tau/2}(X) = 0: the flow over half the smallest
-    positive time shift tau of the group must end in the fixed subspace of
-    the midpoint stabilizer, whose complement E spans (`_Reduction`).
-    Raises NoConvergence when the damped iteration stalls above tol, and
-    ValueError, before any integration, unless tol and integrator_tol lie
-    in (0, 1).
+    guess is a (2, n, 3) state, projected onto the fixed subspace of the
+    time-zero stabilizer elements.  The unknowns are the coordinates u in
+    that subspace, the equations E Phi_{tau/2}(X) = 0: the flow over half
+    the smallest positive time shift tau of the group must end in the
+    fixed subspace of the midpoint stabilizer, whose complement E spans
+    (`_Reduction`).  This is the arclength corrector of `continue_family`
+    with its row pinned on varpi, so each closing flow carries one tangent
+    column more, along varpi.  Raises NoConvergence when the damped
+    iteration stalls or runs out of iterations above tol, and ValueError,
+    before any integration, unless tol and integrator_tol lie in (0, 1).
     """
     _checked_tol(tol, "tol")
     _checked_tol(integrator_tol, "integrator_tol")
     red = _reduction(spec)
-    if isinstance(guess, PeriodicOrbit):
-        guess = guess.initial_state
-    u0 = red.basis.T @ np.asarray(guess, dtype=float).ravel()
-
-    def closing(u):
-        # varpi is held, so its seed column is left out
-        return _closing_residual(red, u, varpi, integrator_tol,
-                                 red.seed[:, :red.dim])
-
-    u, residual, harmonic = _damped_newton(closing, u0, tol, integrator_tol,
-                                           max_iter)
-    return _finish_orbit(red, red.basis @ u, varpi,
-                         float(np.max(np.abs(residual))), harmonic)
+    x0 = np.append(red.basis.T @ np.asarray(guess, dtype=float).ravel(),
+                   varpi)
+    return _corrector(red, x0, np.eye(red.dim + 1)[-1], x0, tol,
+                      integrator_tol)[1]
 
 
-def _damped_newton(fun, x0, tol, integrator_tol, max_iter):
+def _damped_newton(fun, x0, tol, integrator_tol):
     """Gauss-Newton with a halving line search on a residual function.
 
     fun(x) returns (residual, Jacobian, extra).  Every point, line-search
@@ -384,13 +376,13 @@ def _damped_newton(fun, x0, tol, integrator_tol, max_iter):
     direction, as at a branch point, takes no step.  Returns (x, residual,
     extra) of the evaluation whose sup norm passed the test (at most tol).
     Raises NoConvergence when six halvings find no decrease above tol, or
-    max_iter steps end above it.
+    _CORRECTOR_ITER steps end above it.
     """
     x = np.asarray(x0, dtype=float).copy()
     residual, jac, extra = fun(x)
     norm, prev_norm = float(np.max(np.abs(residual))), np.inf
     floor = 0.25 * integrator_tol
-    for _ in range(max_iter):
+    for _ in range(_CORRECTOR_ITER):
         # polish past tol while convergence is still rapid; the closing
         # defect rings through spectral residuals of the sampled loop
         if norm <= floor or (norm <= tol and norm > 0.05 * prev_norm):
@@ -412,15 +404,9 @@ def _damped_newton(fun, x0, tol, integrator_tol, max_iter):
                 return x, residual, extra
             raise NoConvergence(f"Newton stalled at residual {norm:.3e}")
     if norm > tol:
-        raise NoConvergence(f"no convergence in {max_iter} iterations "
+        raise NoConvergence(f"no convergence in {_CORRECTOR_ITER} iterations "
                             f"(residual {norm:.3e})")
     return x, residual, extra
-
-
-def _finish_orbit(red, state, varpi, residual, harmonic) -> PeriodicOrbit:
-    state = np.reshape(state, (2, -1, 3))
-    return PeriodicOrbit(red.spec, float(varpi), float(red.spec.s), state,
-                         _amplitude(red, harmonic), float(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +451,7 @@ class ContinuationResult:
 
 # pinned vertical height of the first step off the branch point
 _ONSET_EPS = 0.02
-# corrector iterations, and the halving budget of the arclength step
+# iterations of every Newton solve, and the arclength step's halvings
 _CORRECTOR_ITER = 12
 _MAX_HALVINGS = 12
 
@@ -475,21 +461,25 @@ def _corrector(red, start, row, point, tol, integrator_tol):
 
     The unknown is packed x = (u, varpi), started at start, and the
     constraint row . (x - point) = 0 is the last equation.  Returns (x,
-    closing residual sup norm, harmonic, null), all from the converged
-    evaluation: null is the unit right singular vector of the smallest
-    singular value of its closing Jacobian in (u, varpi), the family
-    tangent up to sign, and costs no integration.
+    orbit, null), all from the converged evaluation: orbit is the
+    PeriodicOrbit at x with its closing residual's sup norm and amplitude;
+    null is the unit right singular vector of the smallest singular value
+    of its closing Jacobian in (u, varpi), the family tangent up to sign,
+    and costs no integration.
     """
     def bordered(x):
-        residual, jac, harmonic = _closing_residual(
-            red, x[:-1], x[-1], integrator_tol, red.seed)
+        residual, jac, harmonic = _closing_residual(red, x, integrator_tol)
         return (np.append(residual, row @ (x - point)), np.vstack([jac, row]),
                 (harmonic, jac))
 
     x, full, (harmonic, jac) = _damped_newton(bordered, start, tol,
-                                              integrator_tol, _CORRECTOR_ITER)
+                                              integrator_tol)
+    orbit = PeriodicOrbit(red.spec, float(x[-1]), float(red.spec.s),
+                          (red.basis @ x[:-1]).reshape(2, -1, 3),
+                          _amplitude(red, harmonic),
+                          float(np.max(np.abs(full[:-1]))))
     null = np.linalg.svd(jac)[2][-1]
-    return x, float(np.max(np.abs(full[:-1]))), harmonic, null
+    return x, orbit, null
 
 
 def _hermite_start(pred, tangent, h, here, t_here, prev, t_prev):
@@ -553,8 +543,9 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     corrector's converged closing flow, and its action and L_z from the
     initial state (see `FamilyRecord`).  `PeriodicOrbit.sample` gives the
     full period on demand.  Raises ValueError, before any integration, for
-    n_steps < 1, a step or max_step that is not positive, a varpi_range
-    (lo, hi) without lo <= hi, or a tol or integrator_tol outside (0, 1).
+    an n_steps that is not a positive integer, a step or max_step that is
+    not positive, a varpi_range (lo, hi) without lo <= hi, or a tol or
+    integrator_tol outside (0, 1).
     """
     _check_steps(n_steps, step, max_step, varpi_range)
     _checked_tol(tol, "tol")
@@ -566,12 +557,11 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
         return varpi_range is None or varpi_range[0] <= w <= varpi_range[1]
 
     x_re = np.append(red.basis.T @ state_re.ravel(), varpi_star)
-    res_re = _closing_residual(red, x_re[:-1], varpi_star, integrator_tol,
-                               red.seed)[0]
-    # the n-gon's heights vanish for all time, and so do their quadratures
-    records = [_make_record(red, state_re, varpi_star,
-                            float(np.max(np.abs(res_re))),
-                            np.zeros(spec.n_bodies))]
+    res_re = _closing_residual(red, x_re, integrator_tol)[0]
+    # the n-gon's heights vanish for all time, and so does the amplitude
+    records = [_record(PeriodicOrbit(spec, varpi_star, float(spec.s),
+                                     state_re, 0.0,
+                                     float(np.max(np.abs(res_re)))))]
     if not in_window(varpi_star):
         return ContinuationResult(spec, records, "varpi-range", varpi_star)
 
@@ -581,10 +571,9 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     x1 = np.append(red.basis.T @ state1.ravel(), varpi1)
     end_reason = "max-steps"
     try:
-        here, res1, harmonic1, null = _corrector(
+        here, orbit, null = _corrector(
             red, x1, np.append(red.basis[2], 0.0), x1, tol, integrator_tol)
-        records.append(_make_record(red, red.basis @ here[:-1], here[-1],
-                                    res1, harmonic1))
+        records.append(_record(orbit))
     except (CollisionError, IntegrationFailure, NoConvergence) as exc:
         return ContinuationResult(spec, records, f"onset-failure: {exc}",
                                   varpi_star)
@@ -601,10 +590,9 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
         pred = here + h * tangent
         start = _hermite_start(pred, tangent, h, here, t_here, prev, t_prev)
         try:
-            new, res_new, harmonic, null = _corrector(
-                red, start, tangent, pred, tol, integrator_tol)
-            records.append(_make_record(red, red.basis @ new[:-1], new[-1],
-                                        res_new, harmonic))
+            new, orbit, null = _corrector(red, start, tangent, pred, tol,
+                                          integrator_tol)
+            records.append(_record(orbit))
         except NoConvergence:
             h *= 0.5
             if step / h > 2 ** _MAX_HALVINGS:
@@ -634,15 +622,15 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
 
 
 def _check_steps(n_steps, step, max_step, varpi_range) -> None:
-    """Raise ValueError unless n_steps >= 1, both arclength steps are > 0
-    and varpi_range, when given, is a window (lo, hi) with lo <= hi.
+    """Raise ValueError unless n_steps is a positive integer (bool
+    excluded), both arclength steps are > 0 and varpi_range, when given,
+    is a window (lo, hi) with lo <= hi.
 
     A zero cap repeats the first record and a negative step walks back
     through the onset, and both would still end as "max-steps"; an empty
     or NaN window ends every run at its first record as "varpi-range".
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
+    _checked_count(n_steps, "n_steps")
     for name, value in (("step", step), ("max_step", max_step)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
@@ -676,15 +664,15 @@ def verify_against_continuation(spec: GroupSpec, gamma: float,
     return abs(gamma_fd - gamma) / abs(gamma)
 
 
-def _make_record(red, state, varpi, residual, harmonic) -> FamilyRecord:
-    orbit = _finish_orbit(red, state, varpi, residual, harmonic)
+def _record(orbit: PeriodicOrbit) -> FamilyRecord:
     pos, vel = orbit.initial_state
+    masses = np.ones(len(pos))
     vel = vel + orbit.varpi * jay(pos)  # inertial velocities
-    energy = _kinetic(red.masses, vel) \
-        - _pair_potential(pair_terms(pos)[1], red.masses)
+    energy = _kinetic(masses, vel) \
+        - _pair_potential(pair_terms(pos)[1], masses)
     return FamilyRecord(orbit.varpi, orbit.amplitude,
                         float(-3.0 * energy * orbit.period), orbit.period,
-                        float(_lz(red.masses, pos, vel)), orbit)
+                        float(_lz(masses, pos, vel)), orbit)
 
 
 # ---------------------------------------------------------------------------

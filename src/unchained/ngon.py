@@ -123,11 +123,12 @@ def _checked_masses(masses, n):
     return masses
 
 
-def _checked_count(count):
-    # a sample count: a positive integer, bool excluded
+def _checked_count(count, name):
+    # a count such as a sample or step count: a positive integer, bool
+    # excluded; name is the parameter the message names
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) \
             or count < 1:
-        raise ValueError(f"n_samples must be a positive integer: {count!r}")
+        raise ValueError(f"{name} must be a positive integer: {count!r}")
     return int(count)
 
 
@@ -273,8 +274,10 @@ class NGonSystem:
         """Loop of the n-gon rigidly rotating at frequency omega.
 
         Defaults to the proper frequency, for which the loop solves
-        Newton's equations.  Period is 2 pi / |omega|.
+        Newton's equations.  Period is 2 pi / |omega|.  Raises ValueError,
+        before any work, unless n_samples is a positive integer.
         """
+        n_samples = _checked_count(n_samples, "n_samples")
         if omega is None:
             omega = self.omega1
         if omega == 0:
@@ -317,8 +320,9 @@ class LoopPath:
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
-        if self.positions.ndim != 3 or self.positions.shape[2] != 3:
-            raise ValueError("positions must have shape (m, n, 3)")
+        if self.positions.ndim != 3 or self.positions.shape[2] != 3 \
+                or self.positions.shape[0] == 0:
+            raise ValueError("positions must have shape (m, n, 3), m >= 1")
         if self.period <= 0:
             raise ValueError("period must be positive")
         self.masses = _checked_masses(self.masses, self.positions.shape[1])
@@ -338,6 +342,10 @@ class LoopPath:
 
     @classmethod
     def from_function(cls, fun, period, n_samples=512):
+        """Loop of fun(t) on n_samples uniform times over one period;
+        ValueError, before fun is called, unless n_samples is a positive
+        integer."""
+        n_samples = _checked_count(n_samples, "n_samples")
         t = np.arange(n_samples) * (period / n_samples)
         pos = np.stack([np.asarray(fun(ti), dtype=float) for ti in t])
         return cls(pos, period)
@@ -371,7 +379,7 @@ class LoopPath:
         scaled by n_samples / m, sums the series on the grid.  Raises
         ValueError, before any FFT, unless n_samples is a positive integer.
         """
-        n_samples = _checked_count(n_samples)
+        n_samples = _checked_count(n_samples, "n_samples")
         m = self.n_samples
         k = np.arange(m) - m // 2  # frequencies in fftshift order
         coef = np.fft.fftshift(np.fft.fft(self.positions, axis=0), axes=0)

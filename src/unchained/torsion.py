@@ -30,7 +30,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateSystem
-from .ngon import LoopPath
+from .ngon import LoopPath, _checked_count
 from .spectrum import vertical_spectrum
 from .symmetry import GroupSpec
 
@@ -38,7 +38,6 @@ TWO_PI = 2.0 * np.pi
 
 # affine coefficient layout: constant term + the five unknowns
 _CONST, _ALPHA, _A2, _AM2, _C3, _GAMMA = range(6)
-_NAMES = ("alpha", "A2", "Am2", "C3", "gamma")
 
 
 @dataclass(frozen=True)
@@ -294,8 +293,10 @@ def reconstruct_loop(result: ExpansionResult, epsilon: float,
 
     Returns (loop, varpi): the frame rotates at varpi = w_hat
     + gamma eps^2 - 2 pi r/s, making the truncated solution s-periodic
-    with Newton residual O(eps^4).
+    with Newton residual O(eps^4).  Raises ValueError, before any work,
+    unless n_samples is a positive integer.
     """
+    n_samples = _checked_count(n_samples, "n_samples")
     spec = result.spec
     n, ke = spec.n_bodies, spec.k * spec.eta
     jj = np.arange(n)

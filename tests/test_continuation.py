@@ -330,13 +330,12 @@ def test_closing_jacobian_matches_finite_difference(spec):
     red = _reduction(spec)
     state, varpi = onset_state(spec, 0.05)
     x = np.append(red.basis.T @ state.ravel(), varpi)
-    _, jac, _ = _closing_residual(red, x[:-1], x[-1], INTEGRATOR_TOL,
-                                  red.seed)
+    _, jac, _ = _closing_residual(red, x, INTEGRATOR_TOL)
     assert jac.shape == (red.mid_eq.shape[0], red.dim + 1)
     h = 1e-5
     for j, e in enumerate(h * np.eye(red.dim + 1)):
-        plus, minus = (_closing_residual(red, y[:-1], y[-1], INTEGRATOR_TOL,
-                                         red.seed)[0] for y in (x + e, x - e))
+        plus, minus = (_closing_residual(red, y, INTEGRATOR_TOL)[0]
+                       for y in (x + e, x - e))
         fd = (plus - minus) / (2.0 * h)
         scale = max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(jac[:, j] - fd)) <= 1e-6 * scale
@@ -399,10 +398,21 @@ def test_shoot_symmetric_cylinder_guess():
     assert dev < 20.0 * eps ** 3
 
 
-def test_shoot_symmetric_no_convergence():
+def test_shoot_symmetric_no_convergence(monkeypatch):
+    # the shot is the corrector pinned at varpi, with its iteration budget
+    import unchained.continuation as continuation
+    monkeypatch.setattr(continuation, "_CORRECTOR_ITER", 1)
     state, varpi = onset_state(P12, 0.3)
-    with pytest.raises(NoConvergence):
-        shoot_symmetric(P12, varpi, state, max_iter=1)
+    with pytest.raises(NoConvergence, match="no convergence in 1"):
+        shoot_symmetric(P12, varpi, state)
+
+
+def test_shoot_symmetric_stalls_far_from_the_family():
+    # the expansion at amplitude 0.3 is too far from the Hip-Hop family
+    # for the line search to find a decrease
+    state, varpi = onset_state(HH4, 0.3)
+    with pytest.raises(NoConvergence, match="Newton stalled"):
+        shoot_symmetric(HH4, varpi, state)
 
 
 @pytest.mark.parametrize("spec", [GroupSpec(4, 1, -1, 1, 2),
@@ -437,7 +447,7 @@ def test_damped_newton_drops_numerically_null_direction():
         return a_mat @ x - b, a_mat, x.copy()
 
     x, residual, extra = _damped_newton(fun, np.zeros(3), NEWTON_TOL,
-                                        INTEGRATOR_TOL, 10)
+                                        INTEGRATOR_TOL)
     assert 0.25 * INTEGRATOR_TOL < np.max(np.abs(residual)) <= NEWTON_TOL
     assert abs(kernel @ x) < 1e-9
     assert np.max(np.abs(x - x_true)) < 1e-9
@@ -522,12 +532,14 @@ def test_family_action_continuity_halved_steps(p12_family):
 
 
 @pytest.mark.parametrize("fail_at, exc, reason, kept", [
-    (4, IntegrationFailure("forced"), "integration-failure: forced", 3),
-    (2, CollisionError(0, 1, 1e-8), "onset-failure: bodies 0 and 1", 1),
+    (3, IntegrationFailure("forced"), "integration-failure: forced", 3),
+    (1, CollisionError(0, 1, 1e-8), "onset-failure: bodies 0 and 1", 1),
 ])
 def test_record_failure_ends_family(monkeypatch, fail_at, exc, reason, kept):
     # a step counts only with its record: a failure while finishing the
-    # record ends the run with a typed reason and the records before it
+    # record ends the run with a typed reason and the records before it.
+    # The branch point's amplitude is 0 by construction, so the first
+    # amplitude computed is that of the pinned onset step
     import unchained.continuation as continuation
     calls = []
 
@@ -652,10 +664,19 @@ def test_records_close_under_independent_flow(p12_family, hh4_twenty):
     # a second integrator and right-hand side, sharing no code with the
     # package, flows every P12 record and every 4th Hip-Hop record of a
     # 20-step run over its full period: closing over half the symmetry
-    # segment must close the whole orbit
-    for rec in p12_family.records + hh4_twenty[0].records[::4]:
-        y0 = rec.orbit.initial_state.ravel()
-        sol = solve_ivp(_pair_loop_rhs(rec.varpi), (0.0, rec.period), y0,
+    # segment must close the whole orbit.  So must the fixed-rate shots
+    # of P12, the Hip-Hop and the hexagon, which keep the rate they were
+    # given exactly
+    orbits = [rec.orbit
+              for rec in p12_family.records + hh4_twenty[0].records[::4]]
+    for spec in (P12, HH4, GroupSpec(6, 1, -1, 5, 1)):
+        for eps in (0.03, 0.07):
+            state, varpi = onset_state(spec, eps)
+            orbits.append(shoot_symmetric(spec, varpi, state))
+            assert orbits[-1].varpi == varpi
+    for orbit in orbits:
+        y0 = orbit.initial_state.ravel()
+        sol = solve_ivp(_pair_loop_rhs(orbit.varpi), (0.0, orbit.period), y0,
                         method="DOP853", rtol=1e-13, atol=1e-13)
         assert sol.status == 0
         assert np.max(np.abs(sol.y[:, -1] - y0)) <= 2.5e-11
@@ -683,11 +704,13 @@ def test_continue_family_integrates_only_closing_flows(monkeypatch):
 @pytest.mark.parametrize("kwargs", [dict(step=0), dict(max_step=0),
                                     dict(step=-0.04), dict(n_steps=0),
                                     dict(varpi_range=(1.0, 0.0)),
-                                    dict(varpi_range=(np.nan, 1.0))])
+                                    dict(varpi_range=(np.nan, 1.0)),
+                                    dict(n_steps=1.5), dict(n_steps=True)])
 def test_continue_family_rejects_degenerate_steps(monkeypatch, kwargs):
     # a zero cap repeats the first record and a negative step walks back
     # through the onset; both used to end "max-steps" with no integration
-    # spared, so the check must come before the first one
+    # spared, so the check must come before the first one.  n_steps = 1.5
+    # ran 2 steps and True ran 1, both ending as a clean "max-steps"
     import unchained.continuation as continuation
 
     def never(*args, **kw):

@@ -7,6 +7,8 @@ from unchained import (CollisionError, Configuration, LoopPath, NGonSystem,
                        wintner_matrix)
 from unchained.continuation import integrate
 from unchained.ngon import force_jacobian, jay, kinetic_energy
+from unchained.symmetry import GroupSpec
+from unchained.torsion import reconstruct_loop, torsion_gamma
 
 # Frozen oracle values (direct trigonometric sums, independent of the
 # package): potential of the unit n-gon and its proper frequency.
@@ -283,6 +285,36 @@ def test_grid_count_checked_before_any_fft(monkeypatch, call):
     monkeypatch.setattr(np.fft, "fft", never)
     with pytest.raises(ValueError, match="n_samples must be a positive"):
         call(loop)
+
+
+def _never_called(t):
+    raise AssertionError("sampled before the count was checked")
+
+
+def _p12_expansion(n_samples):
+    return reconstruct_loop(torsion_gamma(GroupSpec(3, 1, -1, 2, 1)), 0.05,
+                            n_samples=n_samples)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: LoopPath(np.zeros((0, 3, 3)), 1.0), "positions must have"),
+    (lambda: build_ngon(3).rigid_loop(n_samples=0), "n_samples must be"),
+    (lambda: build_ngon(3).rigid_loop(n_samples=2.5), "n_samples must be"),
+    (lambda: LoopPath.from_function(_never_called, 1.0, 2.5),
+     "n_samples must be"),
+    (lambda: LoopPath.from_function(_never_called, 1.0, 0),
+     "n_samples must be"),
+    (lambda: _p12_expansion(2.5), "n_samples must be"),
+    (lambda: _p12_expansion(-4), "n_samples must be"),
+    (lambda: _p12_expansion(0), "n_samples must be"),
+], ids=["empty-loop", "rigid0", "rigid2.5", "from_function2.5",
+        "from_function0", "reconstruct2.5", "reconstruct-4", "reconstruct0"])
+def test_loop_counts_checked_before_any_work(call, match):
+    # rigid_loop(0) divided by zero into an empty loop whose action failed
+    # inside the FFT; 2.5 samples built 3; reconstruct_loop(-4) built an
+    # empty loop; from_function(0) and reconstruct_loop(0) divided by zero
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_resample_is_the_dense_interpolant_on_the_new_grid():
