@@ -30,11 +30,24 @@ from .symmetry import (FourierConstraints, GroupElement, GroupSpec,
 from .torsion import (AppendixGeometry, ExpansionResult, appendix_geometry,
                       build_equations, excluded_harmonics, reconstruct_loop,
                       torsion_gamma)
-from .continuation import (ActionDiagram, ContinuationResult, FamilyRecord,
-                           IntegrationResult, PeriodicOrbit, action_diagram,
-                           continue_family, integrate, monodromy,
-                           onset_state, re_branch_action, shoot_symmetric,
-                           verify_against_continuation, write_family_csv)
+
+# served on first access (PEP 562): continuation imports scipy, which the
+# exact layers and their CLI subcommands never need
+_CONTINUATION = (
+    "ActionDiagram", "ContinuationResult", "FamilyRecord",
+    "IntegrationResult", "PeriodicOrbit", "action_diagram",
+    "continue_family", "integrate", "monodromy", "onset_state",
+    "re_branch_action", "shoot_symmetric", "verify_against_continuation",
+    "write_family_csv",
+)
+
+
+def __getattr__(name):
+    if name in _CONTINUATION:
+        from . import continuation
+        return getattr(continuation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CollisionError", "DegenerateSystem", "IntegrationFailure",

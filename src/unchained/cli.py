@@ -15,8 +15,6 @@ import sys
 
 import numpy as np
 
-from .continuation import (INTEGRATOR_TOL, ActionDiagram, _check_steps,
-                           _checked_tol, continue_family, write_family_csv)
 from .errors import (
     CollisionError,
     DegenerateSystem,
@@ -169,6 +167,8 @@ def cmd_bounds(args) -> int:
 
 
 def _family_payload(result) -> dict:
+    from .continuation import ActionDiagram
+
     spec = result.spec
     return {
         "spec": [spec.n_bodies, spec.k, spec.eta, spec.r, spec.s],
@@ -180,6 +180,10 @@ def _family_payload(result) -> dict:
 
 
 def cmd_continue(args) -> int:
+    # imported here so that the exact subcommands never load scipy
+    from .continuation import (INTEGRATOR_TOL, _check_steps, _checked_tol,
+                               continue_family, write_family_csv)
+
     if len(args.spec) % 5:
         raise ValueError(
             f"continue wants N k eta r s per family, got {len(args.spec)} "
@@ -190,7 +194,8 @@ def cmd_continue(args) -> int:
     if outs and len(outs) != len(specs):
         raise ValueError(
             f"got {len(outs)} --out paths for {len(specs)} families")
-    integ_tol = _checked_tol(args.tol, "--tol")
+    integ_tol = _checked_tol(
+        INTEGRATOR_TOL if args.tol is None else args.tol, "--tol")
     newton_tol = _checked_tol(100.0 * integ_tol,
                               "Newton tolerance 100 * --tol")
     if args.jobs < 1:
@@ -300,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="initial arclength step (default: 0.04)")
     p.add_argument("--max-step", type=float, default=0.15,
                    help="arclength step cap (default: 0.15)")
-    p.add_argument("--tol", type=float, default=INTEGRATOR_TOL,
+    p.add_argument("--tol", type=float, default=None,
                    help="integrator tolerance, below 0.01 since the "
                         "Newton tolerance is 100 times it (default: 1e-12)")
     p.add_argument("--varpi-range", type=float, nargs=2,

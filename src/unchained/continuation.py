@@ -543,10 +543,13 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     corrector's converged closing flow, and its action and L_z from the
     initial state (see `FamilyRecord`).  `PeriodicOrbit.sample` gives the
     full period on demand.  Raises ValueError, before any integration, for
-    an n_steps that is not a positive integer, a step or max_step that is
-    not positive, a varpi_range (lo, hi) without lo <= hi, or a tol or
+    a direction other than 1 or -1 (a bool is refused too), an n_steps
+    that is not a positive integer, a step or max_step that is not
+    positive, a varpi_range (lo, hi) without lo <= hi, or a tol or
     integrator_tol outside (0, 1).
     """
+    if isinstance(direction, bool) or direction not in (1, -1):
+        raise ValueError(f"direction must be 1 or -1, got {direction!r}")
     _check_steps(n_steps, step, max_step, varpi_range)
     _checked_tol(tol, "tol")
     _checked_tol(integrator_tol, "integrator_tol")

@@ -156,6 +156,12 @@ def lambda_G_bruteforce(spec: GroupSpec, spectrum: VerticalSpectrum,
     every other candidate diverges and the infimum over the listed modes
     is 1 (the unlisted escape-to-infinity modes are excluded from the
     loop class by construction).
+
+    Both candidate lists are built as arrays over p (vertical p = 0..p_max,
+    horizontal 0 < |p| <= p_max) with the same float expressions as a
+    per-index loop, so the minimum is bit-identical to one.  The mode
+    folding is written out here rather than shared with
+    `vertical_bound_V` and `_h_one_side`, whose scans this checks.
     """
     spectrum = _resolve(spec, spectrum)
     n, ke = spec.n_bodies, spec.k * spec.eta
@@ -164,21 +170,22 @@ def lambda_G_bruteforce(spec: GroupSpec, spectrum: VerticalSpectrum,
     best = 1.0
     if x == 0.0:
         return best
-    for p in range(p_max + 1):
-        m = fold_mode(n, (1 + 2 * p) * ke)
-        if m == 0:
-            continue
-        root = (w1 / spectrum.omega(m)) * (1 + 2 * p) * TWO_PI / abs(x)
-        best = min(best, root * root)
-    for p in range(-p_max, p_max + 1):
-        if p == 0:
-            continue
-        m = fold_mode(n, 1 - 2 * p * ke)
-        if m == 0:
-            continue
-        root = (w1 / spectrum.omega(m)) * abs(x - 2 * p * TWO_PI) / abs(x)
-        best = min(best, root * root)
-    return best
+    odd = 1 + 2 * np.arange(p_max + 1)
+    p = np.arange(-p_max, p_max + 1)
+    p = p[p != 0]
+    m_v, m_h = odd * ke % n, (1 - 2 * p * ke) % n
+    m_v, m_h = np.minimum(m_v, n - m_v), np.minimum(m_h, n - m_h)
+    odd, m_v = odd[m_v != 0], m_v[m_v != 0]
+    p, m_h = p[m_h != 0], m_h[m_h != 0]
+    # m indexes omegas from 1; m = 0 has no transverse frequency
+    w_v, w_h = spectrum.omegas[m_v - 1], spectrum.omegas[m_h - 1]
+    # a tiny |X| sends candidates to inf, as with Python floats; inf never
+    # wins the minimum
+    with np.errstate(over="ignore"):
+        root_v = (w1 / w_v) * odd * TWO_PI / abs(x)
+        root_h = (w1 / w_h) * np.abs(x - 2 * p * TWO_PI) / abs(x)
+        return float(min(best, np.min(root_v * root_v, initial=best),
+                         np.min(root_h * root_h, initial=best)))
 
 
 def bar_action(loop: LoopPath, params: BarActionParams,

@@ -190,21 +190,41 @@ class StructureReport:
     k_cyclic_order: int | None
 
 
+def _multiplication_table(spec: GroupSpec,
+                          elements: list[GroupElement]) -> list[list[int]]:
+    """table[i][j] is the index of elements[i] elements[j] in elements.
+
+    `_law` runs once on int arrays of (t, delta, beta, xi) broadcast over
+    all pairs; a lookup array over the packed keys maps each product back
+    to its index.  Returned as nested lists, which the structure search
+    indexes faster than an array.
+    """
+    n, m = spec.n_bodies, 2 * spec.n_bodies * spec.s
+
+    def packed(t, delta, beta, xi):
+        return ((t * n + delta) * 2 + beta) * 2 + (xi == -1)
+
+    keys = np.array([(g.t, g.delta, g.beta, g.xi) for g in elements]).T
+    lookup = np.zeros(4 * n * m, dtype=int)
+    lookup[packed(*keys)] = np.arange(len(elements))
+    products = _law(spec, tuple(keys[:, :, None]), tuple(keys[:, None, :]))
+    return lookup[packed(*products)].tolist()
+
+
 def _is_dihedral_times_z2(spec: GroupSpec, elements: list[GroupElement]) -> bool:
     """Search for a D_N x Z/2 presentation on the multiplication table.
 
     Needs a of order N, b of order 2 with b a b = a^{-1}, and a central
     order-2 element c with <a, b> and <c> intersecting trivially and
-    a^i b^j c^l exhausting the group.
+    a^i b^j c^l exhausting the group.  The table is built in one array
+    pass (`_multiplication_table`); the search walks it as lists.
     """
     n = spec.n_bodies
     size = len(elements)
     if size != 4 * n:
         return False
-    # table[i][j] indexes elements[i] elements[j]; index 0 is the identity
-    keys = [(g.t, g.delta, g.beta, g.xi) for g in elements]
-    index = {key: i for i, key in enumerate(keys)}
-    table = [[index[_law(spec, a, b)] for b in keys] for a in keys]
+    # index 0 is the identity
+    table = _multiplication_table(spec, elements)
     orders = [_order(spec, g) for g in elements]
     central = [c for c in range(size) if orders[c] == 2
                and all(table[c][h] == table[h][c] for h in range(size))]

@@ -118,28 +118,6 @@ def excluded_harmonics(spec: GroupSpec) -> Dict[str, bool]:
     }
 
 
-def _hadd(table, m, vec):
-    if m in table:
-        table[m] = table[m] + vec
-    else:
-        table[m] = vec.copy()
-
-
-def _hconv(affine, known):
-    """Product of an affine harmonic table with a known one."""
-    out = {}
-    for m, vec in affine.items():
-        for q, c in known.items():
-            _hadd(out, m + q, c * vec)
-    return out
-
-
-def _unit(idx, value=1.0):
-    v = np.zeros(6, dtype=complex)
-    v[idx] = value
-    return v
-
-
 @dataclass(frozen=True)
 class AffineSystem:
     """Real rows of the second-order matching equations, matrix @ w = rhs."""
@@ -159,6 +137,15 @@ def build_equations(spec: GroupSpec) -> AffineSystem:
     the l -> -l symmetry of the sums) and the e^{2 pi i t}, e^{6 pi i t}
     parts of the vertical equation.  Excluded unknowns are dropped;
     their columns are identically zero.
+
+    Every harmonic table is an array over the harmonics -3..3 (in units
+    of e^{2 pi i t}) and the six affine slots, and every per-pair
+    quantity an array over the pairs (0, l), l = 1..N-1; the factors G_l
+    form one (N-1, 7, 6) array.  Each equation stacks its inertial terms
+    and then, pair by pair, its direct term and the weighted G_l (shifted
+    by the pair's first vertical harmonic in the vertical equation), and
+    sums the stack along its first axis: one weighted reduction per
+    equation, adding in the order of a loop over the pairs.
     """
     n, ke = spec.n_bodies, spec.k * spec.eta
     w_hat, a0 = _frequencies(n, spec.k)
@@ -172,68 +159,61 @@ def build_equations(spec: GroupSpec) -> AffineSystem:
     rho = np.abs(r0l)
     a_l = a0 * rho
     b_l = np.sin(np.pi * ke * ls / n) ** 2 / a_l
-    lp = {p: (-(2 * p * ke - 1) * ls) % n for p in (1, -1)}
+    # zeta^{l[p]} - 1, with l[p] = -(2 p k eta - 1) l mod N
+    zp_l = {p: np.exp(2j * np.pi * ((-(2 * p * ke - 1) * ls) % n) / n) - 1.0
+            for p in (1, -1)}
     # z_l - z_0 = -2 eps sin(2 pi(t + ke l/(2n))) sin(pi ke l/n) + ...
     u_l = -2.0 * np.sin(np.pi * ke * ls / n)
     v_l = -2.0 * np.sin(3.0 * np.pi * ke * ls / n)
     # vertical phase of the pair (0, l): sin 2 pi (t + ke l / (2n))
     phase1 = np.exp(1j * np.pi * ke * ls / n)
     phase3 = phase1 ** 3
+    c3 = a_l ** -3
 
-    # horizontal equation, frequencies in units of e^{2 pi i t}
-    horiz = {}
-    _hadd(horiz, 0, _unit(_GAMMA, -2.0 * a0 * w_hat)
-          + _unit(_ALPHA, -w_hat ** 2))
+    # the per-pair second-order factor G_l(t) of |x_l - x_0|^{-3};
+    # harmonic m sits at index m + 3
+    g = np.zeros((n - 1, 7, 6), dtype=complex)
+    # chord inner product weights alpha by rho_l, pair by pair
+    g[:, 3, _ALPHA] = rho
+    g[:, 3, _CONST] = b_l
+    cosphase = np.exp(2j * np.pi * ke * ls / n)
+    g[:, 5, _CONST] = -0.5 * b_l * cosphase
+    g[:, 1, _CONST] = -0.5 * b_l * np.conj(cosphase)
     for p in (1, -1):
         if keep_p[p]:
-            d_p = -w_hat ** 2 + 4.0 * TWO_PI * p * w_hat - 4.0 * TWO_PI ** 2
-            _hadd(horiz, -2 * p, _unit(idx_p[p], d_p))
+            z_pl = -(r0l / rho) * np.conj(zp_l[p])
+            g[:, 3 + 2 * p, idx_p[p]] = 0.5 * z_pl
+            g[:, 3 - 2 * p, idx_p[p]] = 0.5 * np.conj(z_pl)
 
-    # the per-pair second-order factor G_l(t) of |x_l - x_0|^{-3}
-    g_tables = []
-    for i, l in enumerate(ls):
-        g = {}
-        # chord inner product weights alpha by rho_l, pair by pair
-        _hadd(g, 0, _unit(_ALPHA, rho[i]) + _unit(_CONST, b_l[i]))
-        cosphase = np.exp(2j * np.pi * ke * l / n)
-        _hadd(g, 2, _unit(_CONST, -0.5 * b_l[i] * cosphase))
-        _hadd(g, -2, _unit(_CONST, -0.5 * b_l[i] * np.conj(cosphase)))
-        for p in (1, -1):
-            if not keep_p[p]:
-                continue
-            z_pl = (r0l[i] / rho[i]) * np.conj(1.0 - np.exp(
-                2j * np.pi * lp[p][i] / n))
-            _hadd(g, 2 * p, _unit(idx_p[p], 0.5 * z_pl))
-            _hadd(g, -2 * p, _unit(idx_p[p], 0.5 * np.conj(z_pl)))
-        g_tables.append(g)
+    # horizontal equation: the inertial terms, then pair by pair the direct
+    # attraction and the second-order expansion of |x|^{-3} against the
+    # leading chord, stacked in that order and summed along the stack
+    horiz = np.zeros((2 * n - 1, 7, 6), dtype=complex)
+    horiz[0, 3, _GAMMA] = -2.0 * a0 * w_hat
+    horiz[0, 3, _ALPHA] = -w_hat ** 2
+    horiz[1::2, 3, _ALPHA] = -c3 * (zl - 1.0)
+    for p in (1, -1):
+        if keep_p[p]:
+            horiz[0, 3 - 2 * p, idx_p[p]] = (
+                -w_hat ** 2 + 4.0 * TWO_PI * p * w_hat - 4.0 * TWO_PI ** 2)
+            horiz[1::2, 3 - 2 * p, idx_p[p]] = -c3 * zp_l[p]
+    chord = 3.0 * a0 * a_l ** -4 * (zl - 1.0)
+    horiz[2::2] = chord[:, None, None] * g
+    horiz = horiz.sum(axis=0)
 
-        # direct attraction terms of the horizontal equation
-        c3 = a_l[i] ** -3
-        _hadd(horiz, 0, _unit(_ALPHA, -c3 * (zl[i] - 1.0)))
-        for p in (1, -1):
-            if keep_p[p]:
-                _hadd(horiz, -2 * p, _unit(
-                    idx_p[p],
-                    -c3 * (np.exp(2j * np.pi * lp[p][i] / n) - 1.0)))
-        # second-order expansion of |x|^{-3} against the leading chord
-        factor = 3.0 * a0 * a_l[i] ** -4 * (zl[i] - 1.0)
-        for m, vec in g.items():
-            _hadd(horiz, m, factor * vec)
-
-    # vertical equation: e^{2 pi i t} and e^{6 pi i t} parts
-    vert = {}
-    _hadd(vert, 3, _unit(_C3, -0.5 * (3.0 * TWO_PI) ** 2))
-    _hadd(vert, -3, _unit(_C3, -0.5 * (3.0 * TWO_PI) ** 2))
-    for i, l in enumerate(ls):
-        sin1 = {1: phase1[i] / 2j, -1: -np.conj(phase1[i]) / 2j}
-        sin3 = {3: phase3[i] / 2j, -3: -np.conj(phase3[i]) / 2j}
-        c3 = a_l[i] ** -3
-        if not excl["C3"]:
-            for m, c in sin3.items():
-                _hadd(vert, m, _unit(_C3, -c3 * v_l[i] * c))
-        shaped = _hconv(g_tables[i], sin1)
-        for m, vec in shaped.items():
-            _hadd(vert, m, 3.0 * a_l[i] ** -4 * u_l[i] * vec)
+    # vertical equation: e^{2 pi i t} and e^{6 pi i t} parts, stacked the
+    # same way; G_l times sin 2 pi (t + ke l/(2n)) moves harmonic m to
+    # m + 1 and m - 1
+    vert = np.zeros((2 * n - 1, 7, 6), dtype=complex)
+    vert[0, [0, 6], _C3] = -0.5 * (3.0 * TWO_PI) ** 2
+    if not excl["C3"]:
+        vert[1::2, 6, _C3] = -c3 * v_l * (phase3 / 2j)
+        vert[1::2, 0, _C3] = -c3 * v_l * (-np.conj(phase3) / 2j)
+    shaped = vert[2::2]
+    shaped[:, 1:] = (phase1 / 2j)[:, None, None] * g[:, :-1]
+    shaped[:, :-1] += (-np.conj(phase1) / 2j)[:, None, None] * g[:, 1:]
+    shaped *= (3.0 * a_l ** -4 * u_l)[:, None, None]
+    vert = vert.sum(axis=0)
 
     unknown_idx = [_ALPHA]
     names = ["alpha"]
@@ -244,22 +224,14 @@ def build_equations(spec: GroupSpec) -> AffineSystem:
     unknown_idx.append(_GAMMA)
     names.append("gamma")
 
-    rows, rhs, labels = [], [], []
-    for m, tag in ((0, "U"), (2, "V"), (-2, "W")):
-        vec = horiz.get(m, np.zeros(6, dtype=complex))
-        for part, pname in ((np.real, "re"), (np.imag, "im")):
-            rows.append(part(vec[unknown_idx]))
-            rhs.append(-part(vec[_CONST]))
-            labels.append(f"{tag}.{pname}")
-    for m, tag in ((1, "X"), (3, "Y")):
-        vec = vert.get(m, np.zeros(6, dtype=complex))
-        for part, pname in ((np.real, "re"), (np.imag, "im")):
-            rows.append(part(vec[unknown_idx]))
-            rhs.append(-part(vec[_CONST]))
-            labels.append(f"{tag}.{pname}")
-    return AffineSystem(spec=spec, matrix=np.array(rows),
-                        rhs=np.array(rhs), unknowns=tuple(names),
-                        row_labels=tuple(labels))
+    # rows U, V, W: horizontal harmonics 0, 2, -2; rows X, Y: vertical 1, 3;
+    # each split into its real and imaginary parts
+    picked = np.stack([horiz[3], horiz[5], horiz[1], vert[4], vert[6]])
+    rows = np.stack([picked.real, picked.imag], axis=1).reshape(10, 6)
+    return AffineSystem(spec=spec, matrix=rows[:, unknown_idx],
+                        rhs=-rows[:, _CONST], unknowns=tuple(names),
+                        row_labels=tuple(f"{tag}.{part}" for tag in "UVWXY"
+                                         for part in ("re", "im")))
 
 
 def torsion_gamma(spec: GroupSpec) -> ExpansionResult:

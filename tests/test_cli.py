@@ -271,13 +271,14 @@ def test_continue_out_count_mismatch(capsys, tmp_path):
 
 @pytest.fixture
 def no_family(monkeypatch):
-    # a rejected option must stop the command before any family is started
-    import unchained.cli as cli
+    # a rejected option must stop the command before any family is started;
+    # the CLI imports continue_family from its module when the command runs
+    import unchained.continuation as continuation
 
     def never(*args, **kwargs):
         raise AssertionError("continue_family called with bad options")
 
-    monkeypatch.setattr(cli, "continue_family", never)
+    monkeypatch.setattr(continuation, "continue_family", never)
 
 
 @pytest.mark.parametrize("bad", [
@@ -464,3 +465,25 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert "omega_1 = 0.75983568565159" in proc.stdout
     assert "6 eigenvalues" in proc.stdout
+
+
+def test_exact_subcommands_load_no_scipy():
+    # only continuation needs scipy; the CLI and the exact subcommands start
+    # without it, and the package still serves continuation's names
+    code = (
+        "import os, sys\n"
+        "from unchained.cli import main\n"
+        "spec = ['5', '1', '-1', '4', '1', '--out', os.devnull]\n"
+        "for argv in (['spectrum', '5', '--out', os.devnull],\n"
+        "             ['group'] + spec, ['bounds'] + spec,\n"
+        "             ['torsion'] + spec):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "import unchained\n"
+        "from unchained import *\n"
+        "print(unchained.continue_family is continue_family,\n"
+        "      'scipy.integrate' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True"]

@@ -721,6 +721,20 @@ def test_continue_family_rejects_degenerate_steps(monkeypatch, kwargs):
         continue_family(P12, **kwargs)
 
 
+@pytest.mark.parametrize("direction", [0, 2, -2, 0.5, True])
+def test_continue_family_rejects_bad_direction(monkeypatch, direction):
+    # 0 failed inside scipy on a non-finite state, 2 pinned twice the onset
+    # amplitude without a word, and True passed as 1
+    import unchained.continuation as continuation
+
+    def never(*args, **kw):
+        raise AssertionError("integrated before the direction was checked")
+
+    monkeypatch.setattr(continuation, "integrate", never)
+    with pytest.raises(ValueError, match="direction must be 1 or -1"):
+        continue_family(P12, direction=direction)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(integrator_tol=0.0), dict(integrator_tol=1.0),
     dict(integrator_tol=0.5, tol=50.0), dict(tol=0.0),

@@ -1,7 +1,10 @@
 """Action bounds: closed forms, brute-force eigenvalue, comparison functional."""
 
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unchained.minimize import (BarActionParams, absolute_interval,
                                 bar_action, hessian_vertical, italian_bound,
@@ -119,6 +122,55 @@ def test_lambda_bruteforce_pmax_stable():
         a = lambda_G_bruteforce(spec, spm, x - 2 * PI, p_max=64)
         b = lambda_G_bruteforce(spec, spm, x - 2 * PI, p_max=128)
         assert a == b
+
+
+def scalar_lambda_G(spec, spectrum, varpi, p_max):
+    """Per-index enumeration of the candidates of lambda_G_bruteforce."""
+    n, ke = spec.n_bodies, spec.k * spec.eta
+    w1 = spectrum.omega1
+    two_pi = 2.0 * PI
+    x = varpi + two_pi * spec.r / spec.s
+    best = 1.0
+    if x == 0.0:
+        return best
+    for p in range(p_max + 1):
+        m = (1 + 2 * p) * ke % n
+        m = min(m, n - m)
+        if m:
+            w = float(spectrum.omegas[m - 1])
+            root = (w1 / w) * (1 + 2 * p) * two_pi / abs(x)
+            best = min(best, root * root)
+    for p in range(-p_max, p_max + 1):
+        m = (1 - 2 * p * ke) % n
+        m = min(m, n - m)
+        if p and m:
+            w = float(spectrum.omegas[m - 1])
+            root = (w1 / w) * abs(x - 2 * p * two_pi) / abs(x)
+            best = min(best, root * root)
+    return best
+
+
+@st.composite
+def bruteforce_cases(draw):
+    n = draw(st.integers(3, 12))
+    k = draw(st.integers(1, n // 2))
+    eta = draw(st.sampled_from((-1, 1)))
+    s = draw(st.integers(1, 6))
+    r = draw(st.integers(-2 * s, 2 * s).filter(lambda r: gcd(r, s) == 1))
+    spec = GroupSpec(n, k, eta, r, s)
+    # X = varpi + 2 pi r/s = 0 exactly takes the early return
+    zero = -(2 * PI * spec.r / spec.s)
+    varpi = draw(st.one_of(st.just(zero), st.floats(-40.0, 40.0)))
+    return spec, varpi, draw(st.sampled_from((8, 64, 128)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bruteforce_cases())
+def test_lambda_bruteforce_matches_scalar_enumeration(case):
+    spec, varpi, p_max = case
+    spm = vertical_spectrum(spec.n_bodies)
+    assert lambda_G_bruteforce(spec, spm, varpi, p_max=p_max) \
+        == scalar_lambda_G(spec, spm, varpi, p_max)
 
 
 def test_italian_bound():

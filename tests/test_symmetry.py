@@ -9,13 +9,14 @@ import pytest
 from unchained.errors import UnsupportedCase
 from unchained.ngon import LoopPath
 from unchained.spectrum import lyapunov_cylinder
-from unchained.symmetry import (GroupSpec, _action, apply_element, compose,
-                                dense_choreography_params, element_order,
-                                enumerate_elements, find_isomorphism,
-                                fourier_constraints, identity_element,
-                                invariance_defect, inverse, is_invariant,
-                                is_simple_choreography, make_element,
-                                structure_report)
+from unchained.symmetry import (GroupSpec, StructureReport, _action,
+                                _multiplication_table, apply_element,
+                                compose, dense_choreography_params,
+                                element_order, enumerate_elements,
+                                find_isomorphism, fourier_constraints,
+                                identity_element, invariance_defect, inverse,
+                                is_invariant, is_simple_choreography,
+                                make_element, structure_report)
 
 
 def cycle_bruteforce(spec):
@@ -128,6 +129,34 @@ def test_structure_report_dihedral_for_unit_s():
     rep4 = structure_report(GroupSpec(4, 2, 1, 1, 1))
     assert rep4.order == 16
     assert rep4.is_dihedral_times_z2
+
+
+def test_multiplication_table_matches_compose():
+    # every G_{r/s}(N, k, eta) with N <= 6, |r| <= N and s <= 2; GroupSpec
+    # folds eta = -1 into +1 for the mode k = N / 2
+    specs = {GroupSpec(n, k, eta, r, s)
+             for n in range(3, 7) for k in range(1, n // 2 + 1)
+             for eta in (1, -1) for s in (1, 2)
+             for r in range(-n, n + 1) if gcd(r, s) == 1}
+    assert len(specs) == 224
+    for spec in specs:
+        elements = enumerate_elements(spec)
+        index = {g: i for i, g in enumerate(elements)}
+        assert _multiplication_table(spec, elements) == [
+            [index[compose(spec, a, b)] for b in elements]
+            for a in elements], spec
+
+
+def test_structure_report_unit_s_battery():
+    # G_{r/1}(N, k, eta) for every mode and r = 1, 2: order 4N, 2N elements
+    # keep the orientation, D_N x Z/2, and delta = 1 generates the kernel
+    for n in range(3, 13):
+        for k in range(1, n // 2 + 1):
+            for eta in ((1,) if 2 * k == n else (-1, 1)):
+                for r in (1, 2):
+                    spec = GroupSpec(n, k, eta, r, 1)
+                    assert structure_report(spec) == StructureReport(
+                        4 * n, 2 * n, True, n), spec
 
 
 def test_structure_report_s2():
