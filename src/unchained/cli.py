@@ -140,8 +140,8 @@ def cmd_group(args) -> int:
 
 def cmd_bounds(args) -> int:
     spec = _spec_from(args)
-    rep = absolute_interval(spec)
     spm = vertical_spectrum(spec.n_bodies)
+    rep = absolute_interval(spec, spm)
     lo, hi = rep.interval
     shift = TWO_PI * spec.r / spec.s
 

@@ -39,9 +39,8 @@ from scipy.linalg import block_diag
 from .errors import (CollisionError, IntegrationFailure, NoConvergence,
                      SingularReduction)
 from .ngon import (LoopPath, _checked_count, _checked_masses,
-                   _force_jacobian_apply, _gravity, _kinetic, _lz,
-                   _pair_potential, _pair_scatter, _separated,
-                   check_separation, jay, pair_terms)
+                   _force_jacobian_apply, _kinetic, _lz, _pair_potential,
+                   _pair_scatter, _separated, jay, pair_terms)
 from .spectrum import vertical_spectrum
 from .symmetry import GroupElement, GroupSpec, _action, enumerate_elements
 from .torsion import reconstruct_loop, torsion_gamma
@@ -66,6 +65,25 @@ class IntegrationResult:
     trajectory: Optional[np.ndarray] = None
 
 
+@functools.lru_cache(maxsize=None)
+def _linear_parts(n):
+    # the constant (6n, 6n) parts of the flow's linear field on (x, v): the
+    # x' = v block, the centrifugal P_h x and the Coriolis J v in the
+    # velocity rows.  The frame varpi weighs them 1, varpi^2 and -2 varpi.
+    # Cached per n, so read-only
+    nv = 3 * n
+    drift = np.eye(2 * nv, k=nv)
+    centrifugal = np.zeros((2 * nv, 2 * nv))
+    centrifugal[nv:, :nv] = np.diag(np.tile(_HMASK, n))
+    coriolis = np.zeros((2 * nv, 2 * nv))
+    coriolis[nv:, nv:] = np.kron(np.eye(n), [[0.0, -1.0, 0.0],
+                                             [1.0, 0.0, 0.0],
+                                             [0.0, 0.0, 0.0]])
+    for a in (drift, centrifugal, coriolis):
+        a.flags.writeable = False
+    return drift, centrifugal, coriolis
+
+
 def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
               tangents=None, t_eval=None,
               max_step=np.inf) -> IntegrationResult:
@@ -85,14 +103,21 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
     harmonic the n quadratures int_{t0}^{t1} z_b(t) exp(-2 pi i t) dt of
     the body heights, carried as 2n more components.
 
-    The right-hand side is one constant linear field, built once per call,
-    plus the force and, for the tangent flow, the force Jacobian applied to
-    the tangent columns (never formed), all from one `pair_terms` call over
-    the n(n-1)/2 pairs i < j.  The mass-weighted scatter that sums pair
-    terms back onto the bodies is built once per call too.  The pair
-    distances are also the flow's collision check: initial positions, or
-    any evaluated state, with a pair closer than ngon.COLLISION_TOL raise
-    CollisionError naming the closest pair (i < j).  Solver breakdown raises
+    The flow carries the state as column 0 of one (6n, 1 + m) matrix, the
+    m tangent columns beside it (m = 0 without tangents), stored row by
+    row and followed by the quadratures.  Its right-hand side is one
+    product of the linear field, assembled once per call from the parts
+    `_linear_parts` caches per n, with that matrix, plus one pass of
+    `ngon._force_jacobian_apply` over the n(n-1)/2 pairs i < j: the force
+    Jacobian at the positions applied to the position rows of every
+    column.  Column 0 of that pass is J(x) x = -2 F(x) by Euler's identity
+    (each pair term of the force is homogeneous of degree -2), so the
+    force costs no pass of its own.  The mass-weighted scatter that sums
+    pair terms back onto the bodies is built once per call.  The same pass
+    is the flow's collision check: it compares the pair distances with
+    ngon.COLLISION_TOL before it divides by them, and so do the initial
+    positions before the solver starts; a closer pair raises
+    CollisionError naming it (i < j).  Solver breakdown raises
     IntegrationFailure with the time reached, and a tol outside (0, 1) or
     masses that are not n positive numbers raise ValueError before any
     integration.
@@ -108,43 +133,47 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
     else:
         t0, t1 = map(float, t_span)
     nv = 3 * n
-    n_core = 2 * nv
-    # the linear part of the flow: x' = v, and the centrifugal varpi^2 P_h x
-    # and Coriolis -2 varpi J v accelerations
-    hor = np.diag(np.tile(_HMASK, n))
-    rot = np.kron(np.eye(n), [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
-                              [0.0, 0.0, 0.0]])
-    lin = np.block([[np.zeros((nv, nv)), np.eye(nv)],
-                    [varpi ** 2 * hor, -2.0 * varpi * rot]])
-    y0 = state.ravel()
-    if tangents is not None:
-        seed = np.asarray(tangents, dtype=float)
-        w_varpi = seed[-1]
-        n_flow = n_core * (1 + seed.shape[1])
-        y0 = np.concatenate([y0, seed[:-1].ravel(), np.zeros(2 * n)])
-        # derivative of the velocity rows of lin in varpi
-        dlin = np.hstack([2.0 * varpi * hor, -2.0 * rot])
+    drift, centrifugal, coriolis = _linear_parts(n)
+    lin = drift + varpi ** 2 * centrifugal - 2.0 * varpi * coriolis
     scatter = _pair_scatter(masses)
+    width = 1 if tangents is None else 1 + np.shape(tangents)[1]
+    n_flow = 2 * nv * width
+    if tangents is None:
+        y0 = state.ravel()
+        # the pass gives J(x) x = -2 F(x): the scatter scaled by -1/2 sums
+        # the force
+        half_scatter = -0.5 * scatter
 
-    def rhs(t, y):
-        out = np.empty_like(y)
-        core = y[:n_core]
-        terms = pair_terms(core[:nv].reshape(n, 3))
-        check_separation(terms[1])
-        out[:n_core] = lin @ core
-        out[nv:n_core] += _gravity(terms, scatter).ravel()
-        if y.size == n_core:
+        def rhs(t, y):
+            flow = lin @ y
+            flow[nv:] += _force_jacobian_apply(y[:nv].reshape(n, 3, 1),
+                                               half_scatter).ravel()
+            return flow
+    else:
+        seed = np.asarray(tangents, dtype=float)
+        y0 = np.concatenate([np.column_stack([state.ravel(), seed[:-1]])
+                             .ravel(), np.zeros(2 * n)])
+        # the varpi term b w: b = (d lin / d varpi) x, in the velocity rows,
+        # and w the seed's last row, 0 in the state's column
+        dlin = (2.0 * varpi * centrifugal - 2.0 * coriolis)[nv:]
+        w_varpi = np.append(0.0, seed[-1])
+        col_scale = np.append(-0.5, np.ones(width - 1))
+
+        def rhs(t, y):
+            out = np.empty_like(y)
+            mat = y[:n_flow].reshape(-1, width)
+            flow = out[:n_flow].reshape(-1, width)
+            np.matmul(lin, mat, out=flow)
+            acc = _force_jacobian_apply(mat[:nv].reshape(n, 3, width),
+                                        scatter).reshape(nv, width)
+            acc *= col_scale
+            acc += (dlin @ mat[:, 0])[:, None] * w_varpi
+            flow[nv:] += acc
+            np.multiply.outer([math.cos(2.0 * math.pi * t),
+                               -math.sin(2.0 * math.pi * t)],
+                              mat[2:nv:3, 0],
+                              out=out[n_flow:].reshape(2, n))
             return out
-        cols = y[n_core:n_flow].reshape(n_core, -1)
-        flow = lin @ cols
-        flow[nv:] += _force_jacobian_apply(
-            terms, scatter, cols[:nv].reshape(n, 3, -1)).reshape(nv, -1) \
-            + (dlin @ core)[:, None] * w_varpi
-        out[n_core:n_flow] = flow.ravel()
-        heights = core[2:nv:3]
-        out[n_flow:n_flow + n] = heights * math.cos(2.0 * math.pi * t)
-        out[n_flow + n:] = heights * -math.sin(2.0 * math.pi * t)
-        return out
 
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,
                     t_eval=t_eval, max_step=max_step)
@@ -153,13 +182,14 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
             f"integrator stopped at t = {sol.t[-1]:.9g} of "
             f"[{t0:.9g}, {t1:.9g}]: {sol.message}")
 
-    yf = sol.y[:, -1]
-    result = IntegrationResult(state=yf[:n_core].reshape(2, n, 3))
+    final = sol.y[:n_flow, -1].reshape(-1, width)
+    result = IntegrationResult(state=final[:, 0].reshape(2, n, 3))
     if tangents is not None:
-        result.tangents = yf[n_core:n_flow].reshape(n_core, -1)
-        result.harmonic = yf[n_flow:n_flow + n] + 1j * yf[n_flow + n:]
+        result.tangents = final[:, 1:]
+        result.harmonic = sol.y[n_flow:n_flow + n, -1] \
+            + 1j * sol.y[n_flow + n:, -1]
     if t_eval is not None:
-        result.trajectory = sol.y[:n_core].T.reshape(-1, 2, n, 3)
+        result.trajectory = sol.y[:n_flow:width].T.reshape(-1, 2, n, 3)
     return result
 
 

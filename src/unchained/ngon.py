@@ -15,12 +15,21 @@ pairs go back to the bodies through the mass-weighted scatter of
 `_pair_scatter`, which adds m_j times a pair's vector to body i and -m_i
 times it to body j.  Two bodies closer than the single threshold
 COLLISION_TOL collide.  The functions that take positions from a caller
-(`potential`, `wintner_matrix`, `action`, `newton_residual`) raise
-CollisionError below it.  `gravity` and `force_jacobian` do not check, nor
-do `_gravity` and `_force_jacobian_apply` (the action of the force Jacobian
-on tangent columns).  The right-hand side of `continuation.integrate` uses
-these two and runs `check_separation` on the distances of the same
-`pair_terms` call, which is the flow's collision check.
+(`potential`, `wintner_matrix`, `force_jacobian`, `action`,
+`newton_residual`) raise CollisionError below it; `gravity` and `_gravity`
+do not check.
+
+The flow of `continuation.integrate` uses one kernel,
+`_force_jacobian_apply`, and never `_gravity`.  It takes the positions as
+column 0 of a stack of position columns and applies the force Jacobian
+there, in rank-one form, to every column with one pair-difference product
+and one scatter product.  Every pair term of the force is homogeneous of
+degree -2 in the positions, so column 0 comes out as J(x) x = -2 F(x)
+(Euler's identity): the flow reads the force off the same pass that moves
+its tangent columns.  With the positions alone, as in the plain flow, the
+rank-one term is -3 times the isotropic one and the pass writes -2 F(x)
+without it.  The kernel runs `check_separation` on the pair distances
+before it divides by them, which is the flow's collision check.
 """
 
 import functools
@@ -32,7 +41,6 @@ import numpy as np
 from .errors import CollisionError
 
 COLLISION_TOL = 1e-7
-_EYE3 = np.eye(3)
 _ONES3 = np.ones(3)
 
 
@@ -189,32 +197,49 @@ def force_jacobian(positions, masses):
 
     Returns the (3n, 3n) matrix of d(acceleration_i)/d(position_j) blocks,
     or a (..., 3n, 3n) batch for (..., n, 3) positions: the action of
-    `_force_jacobian_apply` on the 3n unit displacements.  Like `gravity`
-    it does no collision check.
+    `_force_jacobian_apply` on the 3n unit displacements.  Raises
+    CollisionError when two bodies are closer than COLLISION_TOL.
     """
-    n = np.shape(positions)[-2]
-    unit = np.eye(3 * n).reshape(n, 3, 3 * n)
-    jac = _force_jacobian_apply(pair_terms(positions), _pair_scatter(masses),
-                                unit)
+    pos = np.asarray(positions, dtype=float)
+    n = pos.shape[-2]
+    unit = np.broadcast_to(np.eye(3 * n).reshape(n, 3, 3 * n),
+                           pos.shape + (3 * n,))
+    cols = np.concatenate([pos[..., None], unit], axis=-1)
+    jac = _force_jacobian_apply(cols, _pair_scatter(masses))[..., 1:]
     return jac.reshape(*jac.shape[:-3], 3 * n, 3 * n)
 
 
-def _force_jacobian_apply(terms, scatter, dpos):
-    # force Jacobian, from the `pair_terms` of the positions and the
-    # `_pair_scatter` of the masses, applied to displacement columns dpos
-    # (..., n, 3, m) without forming the 3n x 3n matrix: pair p = (i, j) gives
-    # g_p = (I / r^3 - 3 d d^T / r^5)(dpos_j - dpos_i), even in d, which the
-    # scatter adds to body i times m_j and to body j times -m_i
-    diff, r, inv_r3 = terms
-    n, _, m = dpos.shape[-3:]
-    rel = _pairs(n)[2] @ dpos.reshape(*dpos.shape[:-2], 3 * m)
-    # the 3 x 3 block of pair p is inv_r3 I - u u^T, u = sqrt(3 / r^5) d
-    u = diff * (np.sqrt(3.0 * inv_r3) / r)[..., None]
-    blocks = (inv_r3[..., None, None] * _EYE3
-              - u[..., :, None] * u[..., None, :])
-    g = blocks @ rel.reshape(*rel.shape[:-1], 3, m)
-    out = scatter @ g.reshape(*g.shape[:-2], 3 * m)
-    return out.reshape(*out.shape[:-1], 3, m)
+def _force_jacobian_apply(cols, scatter):
+    # force Jacobian J at the positions x = cols[..., 0], applied to every
+    # column of cols (..., n, 3, k), with the `_pair_scatter` of the
+    # masses, in one pass over the pairs.  Pair p = (i, j) takes the column
+    # differences rel = c_j - c_i and gives the rank-one form of
+    # (I / r^3 - 3 d d^T / r^5) rel, d = x_j - x_i, which the scatter adds
+    # to body i times m_j and to body j times -m_i.  Column 0 comes out as
+    # J x = -2 F(x): each pair term of F is homogeneous of degree -2.  The
+    # separation check runs before any division
+    shape = cols.shape
+    n, k, lead = shape[-3], shape[-1], shape[:-3]
+    rel = (_pairs(n)[2] @ cols.reshape(lead + (n, 3 * k))).reshape(
+        lead + (-1, 3, k))
+    d = rel[..., 0]
+    # d . rel of every column, (..., P, 1, k); column 0 holds r^2
+    proj = d[..., None, :] @ rel
+    sq = proj[..., 0, 0]
+    check_separation(np.sqrt(sq))
+    # the pair weights r^-3 go into the scatter; weight is taken before
+    # proj, and so sq, is scaled in place
+    weight = sq ** -1.5
+    if k == 1:
+        # the positions alone: d . rel = r^2 makes the rank-one term -3
+        # times the first, J x = -2 F(x) term by term
+        g = rel
+        weight *= -2.0
+    else:
+        proj *= (3.0 / sq)[..., None, None]
+        g = rel - d[..., None] * proj
+    return ((scatter * weight[..., None, :])
+            @ g.reshape(lead + (-1, 3 * k))).reshape(shape)
 
 
 def wintner_matrix(config):

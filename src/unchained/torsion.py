@@ -120,13 +120,17 @@ def excluded_harmonics(spec: GroupSpec) -> Dict[str, bool]:
 
 @dataclass(frozen=True)
 class AffineSystem:
-    """Real rows of the second-order matching equations, matrix @ w = rhs."""
+    """Real rows of the second-order matching equations, matrix @ w = rhs,
+    with the rotation frequency w_hat and circumradius A0 they were built
+    from."""
 
     spec: GroupSpec
     matrix: np.ndarray
     rhs: np.ndarray
     unknowns: Tuple[str, ...]
     row_labels: Tuple[str, ...]
+    w_hat: float
+    A0: float
 
 
 def build_equations(spec: GroupSpec) -> AffineSystem:
@@ -231,7 +235,8 @@ def build_equations(spec: GroupSpec) -> AffineSystem:
     return AffineSystem(spec=spec, matrix=rows[:, unknown_idx],
                         rhs=-rows[:, _CONST], unknowns=tuple(names),
                         row_labels=tuple(f"{tag}.{part}" for tag in "UVWXY"
-                                         for part in ("re", "im")))
+                                         for part in ("re", "im")),
+                        w_hat=w_hat, A0=a0)
 
 
 def torsion_gamma(spec: GroupSpec) -> ExpansionResult:
@@ -248,9 +253,8 @@ def torsion_gamma(spec: GroupSpec) -> ExpansionResult:
         raise DegenerateSystem(
             f"torsion system inconsistent for {spec} (residual {residual})")
     values = dict(zip(system.unknowns, w))
-    w_hat, a0 = _frequencies(spec.n_bodies, spec.k)
     return ExpansionResult(
-        spec=spec, A0=a0, w_hat=w_hat,
+        spec=spec, A0=system.A0, w_hat=system.w_hat,
         alpha=float(values["alpha"]),
         A2=float(values["A2"]) if "A2" in values else None,
         Am2=float(values["Am2"]) if "Am2" in values else None,

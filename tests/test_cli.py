@@ -396,6 +396,34 @@ def test_torsion_json_hiphop(capsys):
     assert json.loads(out)["gamma"] > 19.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "5", "1", "-1", "4", "1"),
+    ("bounds", "3", "1", "-1", "2", "1"),
+    ("torsion", "3", "1", "-1", "2", "1"),
+    ("torsion", "4", "2", "1", "1", "1"),
+])
+def test_bounds_and_torsion_build_the_vertical_spectrum_once(capsys,
+                                                             monkeypatch,
+                                                             argv):
+    # the report and its probes, or the matching system and the result,
+    # share one spectrum: a counter at every module attribute that holds
+    # vertical_spectrum sees one call per command
+    calls = []
+
+    def counted(*args, real=vertical_spectrum, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "unchained" or name.startswith("unchained."):
+            for attr, value in list(vars(module).items()):
+                if value is vertical_spectrum:
+                    monkeypatch.setattr(module, attr, counted)
+    rc, _, _ = run(capsys, *argv)
+    assert rc == 0
+    assert calls == [(int(argv[1]),)]
+
+
 def test_torsion_malformed_spec(capsys):
     # k out of range passes argument parsing, fails spec validation
     rc, _, err = run(capsys, "torsion", "3", "2", "1", "1", "1")

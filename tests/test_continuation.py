@@ -13,9 +13,11 @@
 #  - torsion constants gamma are frozen in test_torsion.py and cross
 #    checked there against a direct collocation solve.
 import io
+import json
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,8 +184,8 @@ def test_integrate_four_body_collision_inside_the_flow():
 def test_integrate_unequal_masses_match_pair_loop_flow(masses):
     # every other flow test has unit masses, which a scatter that swapped
     # m_i and m_j would pass too: flow a perturbed polygon against the
-    # test-local pair loop, and check the tangent columns (two state
-    # directions and varpi) against central differences of that flow
+    # test-local pair loop, with its tangent columns (two state directions
+    # and varpi) and height quadratures, each pair block written out
     masses = np.array(masses)
     n = len(masses)
     rng = np.random.default_rng(n)
@@ -196,21 +198,17 @@ def test_integrate_unequal_masses_match_pair_loop_flow(masses):
     seed[-1, 2] = 1.0
     res = integrate(state, masses, varpi, t1, tangents=seed)
 
-    def pair_loop_flow(y0, w):
-        sol = solve_ivp(_pair_loop_rhs(w, masses), (0.0, t1), y0,
-                        method="DOP853", rtol=1e-13, atol=1e-13)
-        assert sol.status == 0
-        return sol.y[:, -1]
-
-    y0 = state.ravel()
-    assert np.max(np.abs(res.state.ravel() - pair_loop_flow(y0, varpi))) \
-        < 1e-10
-    h = 1e-4
-    for k in range(3):
-        dy, dw = h * seed[:-1, k], h * seed[-1, k]
-        fd = (pair_loop_flow(y0 + dy, varpi + dw)
-              - pair_loop_flow(y0 - dy, varpi - dw)) / (2.0 * h)
-        assert np.max(np.abs(res.tangents[:, k] - fd)) < 1e-6
+    y0 = np.concatenate([state.ravel(), seed[:-1].ravel(), np.zeros(2 * n)])
+    sol = solve_ivp(_pair_loop_tangent_rhs(varpi, masses, seed[-1]),
+                    (0.0, t1), y0, method="DOP853", rtol=1e-13, atol=1e-13)
+    assert sol.status == 0
+    yf = sol.y[:, -1]
+    assert np.max(np.abs(res.state.ravel() - yf[:6 * n])) < 1e-10
+    tangents = yf[6 * n:-2 * n].reshape(6 * n, 3)
+    assert np.max(np.abs(res.tangents - tangents)) \
+        < 1e-10 * np.max(np.abs(tangents))
+    harmonic = yf[-2 * n:-n] + 1j * yf[-n:]
+    assert np.max(np.abs(res.harmonic - harmonic)) < 1e-10
 
 
 def test_integrate_rejects_initial_collision():
@@ -660,6 +658,40 @@ def _pair_loop_rhs(varpi, masses=None):
     return rhs
 
 
+def _pair_loop_tangent_rhs(varpi, masses, w):
+    # the pair-loop flow of the state, its (6n, m) tangent columns seeded
+    # with w along varpi, and the quadratures of z_b(t) exp(-2 pi i t), one
+    # pair block m_j (I / r^3 - 3 d d^T / r^5) at a time
+    state_rhs = _pair_loop_rhs(varpi, masses)
+    n, m = len(masses), len(w)
+
+    def rhs(t, y):
+        core = y[:6 * n]
+        pos, vel = core[:3 * n].reshape(n, 3), core[3 * n:].reshape(n, 3)
+        cols = y[6 * n:-2 * n].reshape(2, n, 3, m)
+        acc = np.zeros((n, 3, m))
+        for i in range(n):
+            for j in range(n):
+                if j != i:
+                    d = pos[j] - pos[i]
+                    r2 = np.dot(d, d)
+                    block = masses[j] * (np.eye(3) - 3.0 * np.outer(d, d)
+                                         / r2) / r2 ** 1.5
+                    acc[i] += block @ (cols[0, j] - cols[0, i])
+            x, y_, _ = pos[i]
+            vx, vy, _ = vel[i]
+            acc[i, 0] += varpi ** 2 * cols[0, i, 0] + 2.0 * varpi \
+                * cols[1, i, 1] + (2.0 * varpi * x + 2.0 * vy) * w
+            acc[i, 1] += varpi ** 2 * cols[0, i, 1] - 2.0 * varpi \
+                * cols[1, i, 0] + (2.0 * varpi * y_ - 2.0 * vx) * w
+        heights = pos[:, 2]
+        return np.concatenate([state_rhs(t, core), cols[1].ravel(),
+                               acc.ravel(),
+                               heights * np.cos(2.0 * np.pi * t),
+                               -heights * np.sin(2.0 * np.pi * t)])
+    return rhs
+
+
 def test_records_close_under_independent_flow(p12_family, hh4_twenty):
     # a second integrator and right-hand side, sharing no code with the
     # package, flows every P12 record and every 4th Hip-Hop record of a
@@ -856,6 +888,21 @@ def test_twenty_steps_fit_the_nfev_budget(p12_twenty, hh4_twenty):
     assert p12_twenty[0].end_reason == "max-steps"
     assert hh4_twenty[0].end_reason == "max-steps"
     assert p12_twenty[3] + hh4_twenty[3] <= 27000
+
+
+def test_twenty_step_tables_match_the_snapshot(p12_twenty, hh4_twenty):
+    # the table gate: every record of the 20-step P12 and Hip-Hop runs
+    # (varpi, amplitude, action, L_z) within 1e-12 relative of the snapshot
+    # in tests/data, taken before the flow carried the state beside its
+    # tangents; the onset amplitudes are exactly 0 on both sides
+    snap = json.loads((Path(__file__).parent / "data"
+                       / "twenty_step_tables.json").read_text())
+    for key, (fam, *_) in (("p12", p12_twenty), ("hh4", hh4_twenty)):
+        got = np.array([[getattr(rec, c) for c in snap["columns"]]
+                        for rec in fam.records])
+        want = np.array(snap[key])
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 def test_hermite_start_finds_the_same_records(p12_twenty, monkeypatch):

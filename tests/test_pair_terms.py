@@ -112,19 +112,24 @@ def test_batch_matches_double_loop(sample):
 @given(bodies(batch=True), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
        st.booleans())
 def test_jacobian_action_matches_double_loop(sample, m, seed, batch):
-    # the flow applies the Jacobian to its tangent columns without forming
-    # it; the brute-force matrix times the same columns must agree
+    # the flow applies the Jacobian to its tangent columns, beside the
+    # positions, without forming it; the brute-force matrix times the same
+    # columns must agree, and the positions' column must be -2 gravity
     pos, masses = sample
     if not batch:
         pos = pos[0]
     n = pos.shape[-2]
     dpos = np.random.default_rng(seed).normal(size=pos.shape + (m,))
-    got = _force_jacobian_apply(pair_terms(pos), _pair_scatter(masses),
-                                dpos)
-    assert got.shape == dpos.shape
-    want = [brute_force(p, masses)["jacobian"] @ d.reshape(3 * n, m)
-            for p, d in zip(pos.reshape(-1, n, 3), dpos.reshape(-1, n, 3, m))]
-    assert_close(got, np.reshape(want, dpos.shape))
+    cols = np.concatenate([pos[..., None], dpos], axis=-1)
+    got = _force_jacobian_apply(cols, _pair_scatter(masses))
+    assert got.shape == cols.shape
+    refs = [brute_force(p, masses) for p in pos.reshape(-1, n, 3)]
+    want = [ref["jacobian"] @ d.reshape(3 * n, m)
+            for ref, d in zip(refs, dpos.reshape(-1, n, 3, m))]
+    assert_close(got[..., 1:], np.reshape(want, dpos.shape))
+    assert_close(got[..., 0],
+                 np.reshape([-2.0 * ref["gravity"] for ref in refs],
+                            pos.shape))
 
 
 @SETTINGS
@@ -168,6 +173,7 @@ def test_check_separation_names_closest_pair(sample, data, factor, batch):
     lambda pos: action(LoopPath(pos[None], 1.0)),
     lambda pos: integrate(np.stack([pos, np.zeros_like(pos)]),
                           np.ones(len(pos)), 0.0, 1.0),
+    lambda pos: force_jacobian(pos, np.ones(len(pos))),
 ])
 def test_coincident_bodies_raise_collision(call):
     pos = np.zeros((3, 3))

@@ -12,7 +12,7 @@ from unchained.continuation import (ContinuationResult, FamilyRecord,
                                     write_family_csv)
 from unchained.ngon import (Configuration, _force_jacobian_apply,
                             _pair_scatter, force_jacobian, gravity,
-                            pair_terms, potential)
+                            potential)
 from unchained.symmetry import GroupSpec
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -65,12 +65,34 @@ def test_jacobian_action_is_directional_derivative_of_gravity(bodies, m,
     # along D[..., k], here by a central difference along that direction
     pos, masses = bodies
     dpos = np.random.default_rng(seed).normal(size=pos.shape + (m,))
-    got = _force_jacobian_apply(pair_terms(pos), _pair_scatter(masses),
-                                dpos)
+    got = _force_jacobian_apply(
+        np.concatenate([pos[..., None], dpos], axis=-1),
+        _pair_scatter(masses))[..., 1:]
     fd = np.stack([(gravity(pos + STEP * d, masses)
                     - gravity(pos - STEP * d, masses)) / (2.0 * STEP)
                    for d in np.moveaxis(dpos, -1, 0)], axis=-1)
     assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(got))
+
+
+@SETTINGS
+@given(configurations(), st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
+def test_jacobian_pass_gives_force_and_matrix_action(bodies, m, seed):
+    # the flow's one pass over the pairs: applied to the positions, alone
+    # (m = 0) or beside m displacement columns, the force Jacobian gives
+    # -2 gravity (Euler's identity, every pair term homogeneous of degree
+    # -2), and on the displacements the matrix of force_jacobian times them
+    pos, masses = bodies
+    n = len(pos)
+    dpos = np.random.default_rng(seed).normal(size=pos.shape + (m,))
+    got = _force_jacobian_apply(
+        np.concatenate([pos[..., None], dpos], axis=-1),
+        _pair_scatter(masses))
+    force = gravity(pos, masses)
+    assert np.max(np.abs(got[..., 0] + 2.0 * force)) \
+        <= 1e-12 * np.max(np.abs(force))
+    want = force_jacobian(pos, masses) @ dpos.reshape(3 * n, m)
+    assert np.max(np.abs(got[..., 1:].reshape(3 * n, m) - want),
+                  initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=1.0)
 
 
 @SETTINGS
