@@ -6,16 +6,22 @@ of the rotating-frame linearization restricted to the translation-free
 subspace.  Also provides the model two-frequency loops (Lyapunov
 cylinders), the Pacella-Moeckel frequency test, and the quadratic energy
 forms used in the convexity argument for vertical mode subspaces.
+
+Both spectra depend on n alone, so each is computed once per n in a
+process and shared by every caller: their arrays are read-only, and a
+caller that wants to modify one copies it first.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSystem
-from .ngon import LoopPath, build_ngon, force_jacobian, wintner_matrix
+from .ngon import (LoopPath, _checked_count, build_ngon, force_jacobian,
+                   wintner_matrix)
 from .symmetry import GroupSpec
 
 __all__ = [
@@ -53,7 +59,8 @@ class VerticalSpectrum:
 
     lambdas[k] for k = 0..floor(n/2); lambda_0 = 0 is kept for
     bookkeeping.  omegas[k-1] = sqrt(-lambda_k) are the vertical
-    frequencies, indexed from k = 1.
+    frequencies, indexed from k = 1.  `vertical_spectrum` shares one
+    instance per n, so both arrays are read-only; copy them to modify.
     """
 
     n_bodies: int
@@ -87,20 +94,39 @@ class VerticalSpectrum:
         return float(self.omegas[f - 1])
 
 
+def _checked_bodies(n):
+    # a body count: an integer n >= 3, returned as int.  Checked before
+    # any cache lookup, since 3.0 == 3 would share a cache entry with 3
+    n = _checked_count(n, "n")
+    if n < 3:
+        raise ValueError(f"need at least 3 bodies, got {n}")
+    return n
+
+
 def vertical_spectrum(n: int) -> VerticalSpectrum:
     """Vertical frequencies of the unit-circumradius regular n-gon.
 
     lambda_k = -sum_{j=1}^{n-1} (1 - cos(2 pi j k / n)) / rho_j^3 with
-    rho_j = 2 sin(pi j / n) the polygon chord lengths.
+    rho_j = 2 sin(pi j / n) the polygon chord lengths.  Computed once per
+    n in a process: every call with the same n returns the same instance,
+    whose arrays are read-only.  Raises ValueError unless n is an integer
+    >= 3.
     """
-    if n < 3:
-        raise ValueError(f"need at least 3 bodies, got {n}")
+    return _vertical_spectrum(_checked_bodies(n))
+
+
+@functools.cache
+def _vertical_spectrum(n):
+    # cached per n, so read-only
     j = np.arange(1, n)
     rho3 = (2.0 * np.sin(np.pi * j / n)) ** 3
     k = np.arange(0, n // 2 + 1)
     lam = -np.sum((1.0 - np.cos(2.0 * np.pi * np.outer(k, j) / n)) / rho3, axis=1)
     lam[0] = 0.0
-    return VerticalSpectrum(n_bodies=n, lambdas=lam, omegas=np.sqrt(-lam[1:]))
+    omegas = np.sqrt(-lam[1:])
+    for a in (lam, omegas):
+        a.flags.writeable = False
+    return VerticalSpectrum(n_bodies=n, lambdas=lam, omegas=omegas)
 
 
 def check_monotone(n: int) -> bool:
@@ -122,6 +148,8 @@ class HorizontalSpectrum:
     Eigenvalues are stored in units of omega_1 with the trivial modes
     (uniform translations and the rotation/angular-momentum pair)
     removed, leaving 4n - 6 values including the Kepler pair +-i.
+    `horizontal_spectrum` shares one instance per n, so `eigenvalues` is
+    read-only; copy it to modify.
     """
 
     n_bodies: int
@@ -174,10 +202,17 @@ def horizontal_spectrum(n: int) -> HorizontalSpectrum:
     Builds the first-order rotating-frame system on (positions,
     velocities), restricts it to the translation-free subspace, and drops
     the double zero eigenvalue of the rotation degeneracy.  The Kepler
-    pair +-i is part of the reported spectrum.
+    pair +-i is part of the reported spectrum.  Computed once per n in a
+    process: every call with the same n returns the same instance, whose
+    `eigenvalues` are read-only.  Raises ValueError unless n is an
+    integer >= 3.
     """
-    if n < 3:
-        raise ValueError(f"need at least 3 bodies, got {n}")
+    return _horizontal_spectrum(_checked_bodies(n))
+
+
+@functools.cache
+def _horizontal_spectrum(n):
+    # cached per n, so read-only
     w1 = build_ngon(n).omega1
     df = _planar_jacobian(n)
     jrot = np.kron(np.eye(n), np.array([[0.0, -1.0], [1.0, 0.0]]))
@@ -200,6 +235,7 @@ def horizontal_spectrum(n: int) -> HorizontalSpectrum:
     if np.abs(ev[order[1]]) > 1e-6 or np.abs(kept).min() < 1e-3:
         raise DegenerateSystem(f"zero-mode separation failed for n={n}")
     kept = np.sort_complex(kept)
+    kept.flags.writeable = False
     return HorizontalSpectrum(n_bodies=n, eigenvalues=kept, omega1=w1)
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from unchained.errors import DegenerateSystem
 from unchained.ngon import build_ngon, newton_residual, wintner_matrix
-from unchained.spectrum import (check_monotone, convexity_report, fold_mode,
+from unchained.spectrum import (_horizontal_spectrum, _vertical_spectrum,
+                                check_monotone, convexity_report, fold_mode,
                                 horizontal_spectrum, lyapunov_cylinder,
                                 pacella_moeckel, vertical_spectrum)
 
@@ -54,6 +55,49 @@ def quadruple(z):
 def test_vertical_rejects_small_n():
     with pytest.raises(ValueError):
         vertical_spectrum(2)
+
+
+@pytest.mark.parametrize("spectrum", [vertical_spectrum, horizontal_spectrum])
+@pytest.mark.parametrize("n", [3.0, 4.5, True, 2])
+def test_spectra_refuse_a_count_that_is_not_an_integer_from_3(spectrum, n):
+    # refused before the cache is consulted: 3.0 == 3 hash alike, so a
+    # cached float count would reach every later caller with n = 3
+    with pytest.raises(ValueError):
+        spectrum(n)
+
+
+@pytest.mark.parametrize("spectrum", [vertical_spectrum, horizontal_spectrum])
+def test_spectra_accept_numpy_integers_as_the_same_count(spectrum):
+    shared = spectrum(np.int64(4))
+    assert shared is spectrum(4)
+    assert type(shared.n_bodies) is int
+
+
+def _bits(spectrum):
+    # every field of a spectrum, floats and arrays by their bytes
+    return {name: (np.asarray(value).dtype.str, np.asarray(value).tobytes())
+            for name, value in vars(spectrum).items()}
+
+
+@pytest.mark.parametrize("spectrum,core,arrays", [
+    (vertical_spectrum, _vertical_spectrum, ("lambdas", "omegas")),
+    (horizontal_spectrum, _horizontal_spectrum, ("eigenvalues",)),
+])
+def test_spectra_are_computed_once_per_n_and_shared_read_only(spectrum, core,
+                                                              arrays):
+    for n in range(3, 13):
+        shared = spectrum(n)
+        assert spectrum(n) is shared
+        # the cache returns what a fresh computation gives, bit for bit
+        fresh = core.__wrapped__(n)
+        assert fresh is not shared
+        assert _bits(shared) == _bits(fresh)
+        for name in arrays:
+            with pytest.raises(ValueError):
+                getattr(shared, name)[0] = 0.0
+            with pytest.raises(ValueError):
+                getattr(shared, name)[...] *= 2.0
+        assert _bits(spectrum(n)) == _bits(fresh)
 
 
 def test_vertical_frozen_closed_forms():
