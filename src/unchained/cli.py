@@ -140,13 +140,12 @@ def cmd_group(args) -> int:
 
 def cmd_bounds(args) -> int:
     spec = _spec_from(args)
-    spm = vertical_spectrum(spec.n_bodies)
-    rep = absolute_interval(spec, spm)
+    rep = absolute_interval(spec)
     lo, hi = rep.interval
     shift = TWO_PI * spec.r / spec.s
 
     def lam_at(x):
-        return lambda_G_bruteforce(spec, spm, x - shift)
+        return lambda_G_bruteforce(spec, x - shift)
 
     consistent = (lam_at(hi + PROBE_OFFSET) < 1.0
                   and lam_at(lo - PROBE_OFFSET) < 1.0)
@@ -194,10 +193,8 @@ def cmd_continue(args) -> int:
     if outs and len(outs) != len(specs):
         raise ValueError(
             f"got {len(outs)} --out paths for {len(specs)} families")
-    integ_tol = _checked_tol(
-        INTEGRATOR_TOL if args.tol is None else args.tol, "--tol")
-    newton_tol = _checked_tol(100.0 * integ_tol,
-                              "Newton tolerance 100 * --tol")
+    integ_tol = INTEGRATOR_TOL if args.tol is None else args.tol
+    _checked_tol(100.0 * integ_tol, "Newton tolerance 100 * --tol")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     varpi_range = tuple(args.varpi_range) if args.varpi_range else None
@@ -208,7 +205,6 @@ def cmd_continue(args) -> int:
         n_steps=args.steps,
         step=args.step,
         max_step=args.max_step,
-        tol=newton_tol,
         integrator_tol=integ_tol,
         varpi_range=varpi_range,
     )

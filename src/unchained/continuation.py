@@ -46,7 +46,7 @@ from .symmetry import GroupElement, GroupSpec, _action, enumerate_elements
 from .torsion import reconstruct_loop, torsion_gamma
 
 INTEGRATOR_TOL = 1e-12
-NEWTON_TOL = 1e-10
+NEWTON_TOL = 100 * INTEGRATOR_TOL
 
 _HMASK = np.array([1.0, 1.0, 0.0])
 
@@ -213,7 +213,7 @@ class _Reduction:
         n = spec.n_bodies
         elements = enumerate_elements(spec)
         frozen = [g for g in elements if g.t == 0]
-        self.basis = _fixed_subspace(spec, frozen)[0]
+        self.basis = _fixed_subspace(frozen)[0]
         self.shift = min((g for g in elements if g.xi == 1 and g.t > 0),
                          key=lambda g: (g.t, g.delta, g.beta))
         # theta = t / 2N counts time in units where the loop period is s
@@ -221,10 +221,10 @@ class _Reduction:
         reversors = [g for g in elements if g.xi == -1
                      and g.t == self.shift.t]
         self.mid_eq = _fixed_subspace(
-            spec, [g for g in frozen if g.xi == 1] + reversors)[1].T
+            [g for g in frozen if g.xi == 1] + reversors)[1].T
         h = slice(2, 3 * n, 3)  # rows and columns of the heights
-        self.shift_heights = _state_matrix(spec, self.shift)[h, h]
-        self.mid_heights = _state_matrix(spec, reversors[0])[h, h]
+        self.shift_heights = _state_matrix(self.shift)[h, h]
+        self.mid_heights = _state_matrix(reversors[0])[h, h]
         # tangent seed in (state, varpi): the basis columns, then varpi
         self.seed = block_diag(self.basis, 1.0)
         self.spec = spec
@@ -235,25 +235,25 @@ class _Reduction:
         return self.basis.shape[1]
 
 
-def _state_matrix(spec: GroupSpec, g: GroupElement) -> np.ndarray:
+def _state_matrix(g: GroupElement) -> np.ndarray:
     """Phase-space action of a group element evaluated at time zero.
 
     Positions map by the body relabelling and block of `symmetry._action`;
     velocities pick up the extra factor xi from time reversal.
     """
-    src, block = _action(spec, g)
-    positions = np.kron(np.eye(spec.n_bodies)[src], block)
+    src, block = _action(g)
+    positions = np.kron(np.eye(g.spec.n_bodies)[src], block)
     return np.kron(np.diag([1.0, g.xi]), positions)
 
 
-def _fixed_subspace(spec: GroupSpec, group):
+def _fixed_subspace(group):
     """Orthonormal bases, as columns, of the states a group of elements
     fixes and of their complement.
 
     The mean of the orthogonal state matrices over a group is the
     orthogonal projector onto their common fixed subspace.
     """
-    proj = sum(_state_matrix(spec, g) for g in group) / len(group)
+    proj = sum(_state_matrix(g) for g in group) / len(group)
     vals, vecs = np.linalg.eigh(proj)
     return vecs[:, vals > 0.5], vecs[:, vals <= 0.5]
 
@@ -371,7 +371,6 @@ def onset_state(spec: GroupSpec, epsilon: float = 0.0):
 
 
 def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
-                    tol: float = NEWTON_TOL,
                     integrator_tol: float = INTEGRATOR_TOL) -> PeriodicOrbit:
     """Newton solve of the reduced closing condition at fixed frame rate.
 
@@ -383,19 +382,20 @@ def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
     (`_Reduction`).  This is the arclength corrector of `continue_family`
     with its row pinned on varpi, so each closing flow carries one tangent
     column more, along varpi.  Raises NoConvergence when the damped
-    iteration stalls or runs out of iterations above tol, and ValueError,
-    before any integration, unless tol and integrator_tol lie in (0, 1).
+    iteration stalls or runs out of iterations above 100 integrator_tol,
+    and ValueError, before any integration, unless integrator_tol lies in
+    (0, 0.01).
     """
-    _checked_tol(tol, "tol")
-    _checked_tol(integrator_tol, "integrator_tol")
+    _checked_tol(100.0 * integrator_tol,
+                 "Newton tolerance 100 * integrator_tol")
     red = _reduction(spec)
     x0 = np.append(red.basis.T @ np.asarray(guess, dtype=float).ravel(),
                    varpi)
-    return _corrector(red, x0, np.eye(red.dim + 1)[-1], x0, tol,
+    return _corrector(red, x0, np.eye(red.dim + 1)[-1], x0,
                       integrator_tol)[1]
 
 
-def _damped_newton(fun, x0, tol, integrator_tol):
+def _damped_newton(fun, x0, integrator_tol):
     """Gauss-Newton with a halving line search on a residual function.
 
     fun(x) returns (residual, Jacobian, extra).  Every point, line-search
@@ -404,14 +404,14 @@ def _damped_newton(fun, x0, tol, integrator_tol):
     singular values below 100 integrator_tol of the largest dropped: the
     Jacobian is no more accurate than the flow, so a numerically null
     direction, as at a branch point, takes no step.  Returns (x, residual,
-    extra) of the evaluation whose sup norm passed the test (at most tol).
-    Raises NoConvergence when six halvings find no decrease above tol, or
-    _CORRECTOR_ITER steps end above it.
+    extra) of the evaluation whose sup norm passed the test, at most tol =
+    100 integrator_tol.  Raises NoConvergence when six halvings find no
+    decrease above tol, or _CORRECTOR_ITER steps end above it.
     """
     x = np.asarray(x0, dtype=float).copy()
     residual, jac, extra = fun(x)
     norm, prev_norm = float(np.max(np.abs(residual))), np.inf
-    floor = 0.25 * integrator_tol
+    tol, floor = 100.0 * integrator_tol, 0.25 * integrator_tol
     for _ in range(_CORRECTOR_ITER):
         # polish past tol while convergence is still rapid; the closing
         # defect rings through spectral residuals of the sampled loop
@@ -486,7 +486,7 @@ _CORRECTOR_ITER = 12
 _MAX_HALVINGS = 12
 
 
-def _corrector(red, start, row, point, tol, integrator_tol):
+def _corrector(red, start, row, point, integrator_tol):
     """Gauss-Newton on the closing condition plus one linear constraint.
 
     The unknown is packed x = (u, varpi), started at start, and the
@@ -502,7 +502,7 @@ def _corrector(red, start, row, point, tol, integrator_tol):
         return (np.append(residual, row @ (x - point)), np.vstack([jac, row]),
                 (harmonic, jac))
 
-    x, full, (harmonic, jac) = _damped_newton(bordered, start, tol,
+    x, full, (harmonic, jac) = _damped_newton(bordered, start,
                                               integrator_tol)
     orbit = PeriodicOrbit(red.spec, float(x[-1]), float(red.spec.s),
                           (red.basis @ x[:-1]).reshape(2, -1, 3),
@@ -539,7 +539,6 @@ def _hermite_start(pred, tangent, h, here, t_here, prev, t_prev):
 
 def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
                     step: float = 0.04, max_step: float = 0.15,
-                    tol: float = NEWTON_TOL,
                     integrator_tol: float = INTEGRATOR_TOL,
                     varpi_range=None) -> ContinuationResult:
     """Pseudo-arclength continuation of a vertical family from its onset.
@@ -575,14 +574,15 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     full period on demand.  Raises ValueError, before any integration, for
     a direction other than 1 or -1 (a bool is refused too), an n_steps
     that is not a positive integer, a step or max_step that is not
-    positive, a varpi_range (lo, hi) without lo <= hi, or a tol or
-    integrator_tol outside (0, 1).
+    positive, a varpi_range (lo, hi) without lo <= hi, or an
+    integrator_tol outside (0, 0.01): every Newton solve stops at 100
+    integrator_tol (`_damped_newton`), and from 0.01 on passes any orbit.
     """
     if isinstance(direction, bool) or direction not in (1, -1):
         raise ValueError(f"direction must be 1 or -1, got {direction!r}")
     _check_steps(n_steps, step, max_step, varpi_range)
-    _checked_tol(tol, "tol")
-    _checked_tol(integrator_tol, "integrator_tol")
+    _checked_tol(100.0 * integrator_tol,
+                 "Newton tolerance 100 * integrator_tol")
     red = _reduction(spec)
     state_re, varpi_star = onset_state(spec, 0.0)
 
@@ -605,7 +605,7 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     end_reason = "max-steps"
     try:
         here, orbit, null = _corrector(
-            red, x1, np.append(red.basis[2], 0.0), x1, tol, integrator_tol)
+            red, x1, np.append(red.basis[2], 0.0), x1, integrator_tol)
         records.append(_record(orbit))
     except (CollisionError, IntegrationFailure, NoConvergence) as exc:
         return ContinuationResult(spec, records, f"onset-failure: {exc}",
@@ -623,7 +623,7 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
         pred = here + h * tangent
         start = _hermite_start(pred, tangent, h, here, t_here, prev, t_prev)
         try:
-            new, orbit, null = _corrector(red, start, tangent, pred, tol,
+            new, orbit, null = _corrector(red, start, tangent, pred,
                                           integrator_tol)
             records.append(_record(orbit))
         except NoConvergence:
@@ -671,15 +671,14 @@ def _check_steps(n_steps, step, max_step, varpi_range) -> None:
         raise ValueError(f"varpi_range needs lo <= hi, got {varpi_range}")
 
 
-def _checked_tol(tol, source: str) -> float:
-    """Return tol, or raise ValueError unless 0 < tol < 1.
+def _checked_tol(tol, source: str) -> None:
+    """Raise ValueError unless 0 < tol < 1.
 
     A zero integrator tolerance stalls the stepper, and a tolerance of
     one or more passes any orbit as closed.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"{source} out of range (0, 1): {tol}")
-    return tol
 
 
 def verify_against_continuation(spec: GroupSpec, gamma: float,

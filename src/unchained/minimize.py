@@ -60,14 +60,6 @@ class BarActionParams:
                    lambda_G=float(lambda_G))
 
 
-def _resolve(spec: GroupSpec, spectrum: Optional[VerticalSpectrum]):
-    if spectrum is None:
-        spectrum = vertical_spectrum(spec.n_bodies)
-    if spectrum.n_bodies != spec.n_bodies:
-        raise ValueError("spectrum does not match spec body count")
-    return spectrum
-
-
 def hessian_vertical(n: int, k: int, omega: float, varpi: float) -> float:
     """Second variation coefficient (1 - (omega+varpi)^2) omega_k^2 of the
     action at the relative equilibrium along the k-th vertical mode, in
@@ -77,15 +69,14 @@ def hessian_vertical(n: int, k: int, omega: float, varpi: float) -> float:
     return (1.0 - (omega + varpi) ** 2) * wk ** 2
 
 
-def vertical_bound_V(spec: GroupSpec,
-                     spectrum: Optional[VerticalSpectrum] = None) -> float:
+def vertical_bound_V(spec: GroupSpec) -> float:
     """V = inf_{p >= 0} (omega_1 / omega_{(1+2p) k eta}) (1+2p) 2 pi.
 
     Mode indices are folded into 1..n/2; multiples of N are skipped (no
     such invariant mode).  Candidates grow linearly in p, so the scan
     stops once the odd multiplier exceeds omega_max/omega_1.
     """
-    spectrum = _resolve(spec, spectrum)
+    spectrum = vertical_spectrum(spec.n_bodies)
     n, ke = spec.n_bodies, spec.k * spec.eta
     w1, wmax = spectrum.omega1, spectrum.omega_max
     p_stop = int(np.ceil(wmax / w1)) + n
@@ -116,9 +107,7 @@ def _h_one_side(n, ke, spectrum, sign):
     return best
 
 
-def horizontal_bounds_H(spec: GroupSpec,
-                        spectrum: Optional[VerticalSpectrum] = None
-                        ) -> Tuple[float, float]:
+def horizontal_bounds_H(spec: GroupSpec) -> Tuple[float, float]:
     """(H+, H-) from the complete infimum over invariant horizontal modes.
 
     Every admissible p contributes; in particular the first admissible
@@ -126,27 +115,24 @@ def horizontal_bounds_H(spec: GroupSpec,
     factor of the next p, without changing the final clipped interval
     whenever V is the smaller constraint).
     """
-    spectrum = _resolve(spec, spectrum)
+    spectrum = vertical_spectrum(spec.n_bodies)
     n, ke = spec.n_bodies, spec.k * spec.eta
     h_plus = _h_one_side(n, ke, spectrum, +1)
     h_minus = _h_one_side(n, ke, spectrum, -1)
     return h_plus, h_minus
 
 
-def absolute_interval(spec: GroupSpec,
-                      spectrum: Optional[VerticalSpectrum] = None
-                      ) -> BoundReport:
+def absolute_interval(spec: GroupSpec) -> BoundReport:
     """Certified interval -min(V, H-) <= varpi + 2 pi r/s <= min(V, H+)."""
-    spectrum = _resolve(spec, spectrum)
-    v = vertical_bound_V(spec, spectrum)
-    h_plus, h_minus = horizontal_bounds_H(spec, spectrum)
+    v = vertical_bound_V(spec)
+    h_plus, h_minus = horizontal_bounds_H(spec)
     return BoundReport(
         spec=spec, V=v, H_plus=h_plus, H_minus=h_minus,
         interval=(-min(v, h_minus), min(v, h_plus)))
 
 
-def lambda_G_bruteforce(spec: GroupSpec, spectrum: VerticalSpectrum,
-                        varpi: float, p_max: int = 64) -> float:
+def lambda_G_bruteforce(spec: GroupSpec, varpi: float,
+                        p_max: int = 64) -> float:
     """Smallest Poincare eigenvalue over the listed invariant modes.
 
     Vertical candidates sqrt(lambda) = (w1/w_{(1+2p)ke}) (1+2p) 2pi/|X|
@@ -163,7 +149,7 @@ def lambda_G_bruteforce(spec: GroupSpec, spectrum: VerticalSpectrum,
     folding is written out here rather than shared with
     `vertical_bound_V` and `_h_one_side`, whose scans this checks.
     """
-    spectrum = _resolve(spec, spectrum)
+    spectrum = vertical_spectrum(spec.n_bodies)
     n, ke = spec.n_bodies, spec.k * spec.eta
     w1 = spectrum.omega1
     x = varpi + TWO_PI * spec.r / spec.s

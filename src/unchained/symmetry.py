@@ -54,7 +54,7 @@ INVARIANCE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Parameters (N, k, eta, r, s) naming a stabilizer group."""
+    """Integer parameters (N, k, eta, r, s) naming a stabilizer group."""
 
     n_bodies: int
     k: int
@@ -63,6 +63,12 @@ class GroupSpec:
     s: int = 1
 
     def __post_init__(self):
+        for name in ("n_bodies", "k", "eta", "r", "s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer: {value!r}")
+            object.__setattr__(self, name, int(value))
         n = self.n_bodies
         if n < 3:
             raise ValueError("need at least 3 bodies")
@@ -150,24 +156,28 @@ def _law(spec: GroupSpec, g2: tuple, g1: tuple) -> tuple:
             (b2 + b1) % 2, x2 * x1)
 
 
-def compose(spec: GroupSpec, g2: GroupElement, g1: GroupElement) -> GroupElement:
-    """Product g2 g1 (apply g1 first)."""
+def compose(g2: GroupElement, g1: GroupElement) -> GroupElement:
+    """Product g2 g1 (apply g1 first); ValueError if their groups differ."""
+    spec = g2.spec
+    if g1.spec != spec:
+        raise ValueError(f"cannot compose elements of {spec} and {g1.spec}")
     return GroupElement(*_law(spec, (g2.t, g2.delta, g2.beta, g2.xi),
                               (g1.t, g1.delta, g1.beta, g1.xi)), spec)
 
 
-def inverse(spec: GroupSpec, g: GroupElement) -> GroupElement:
-    n = spec.n_bodies
-    return GroupElement((-g.xi * g.t) % (2 * n * spec.s),
-                        (-g.xi * g.delta) % n, g.beta, g.xi, spec)
+def inverse(g: GroupElement) -> GroupElement:
+    """Inverse of g in its own group."""
+    n, s = g.spec.n_bodies, g.spec.s
+    return GroupElement((-g.xi * g.t) % (2 * n * s),
+                        (-g.xi * g.delta) % n, g.beta, g.xi, g.spec)
 
 
-def element_order(spec: GroupSpec, g: GroupElement) -> int:
+def element_order(g: GroupElement) -> int:
     """Smallest k >= 1 with g^k the identity."""
-    return _order(spec, g)
+    return _order(g)
 
 
-def _order(spec: GroupSpec, g: GroupElement) -> int:
+def _order(g: GroupElement) -> int:
     """Order of g, read off its integers.
 
     A time reversal (xi = -1) squares to the identity.  Elements with
@@ -176,7 +186,7 @@ def _order(spec: GroupSpec, g: GroupElement) -> int:
     """
     if g.xi == -1:
         return 2
-    n, m = spec.n_bodies, 2 * spec.n_bodies * spec.s
+    n, m = g.spec.n_bodies, 2 * g.spec.n_bodies * g.spec.s
     return lcm(m // gcd(g.t, m), n // gcd(g.delta, n), 2 if g.beta else 1)
 
 
@@ -225,7 +235,7 @@ def _is_dihedral_times_z2(spec: GroupSpec, elements: list[GroupElement]) -> bool
         return False
     # index 0 is the identity
     table = _multiplication_table(spec, elements)
-    orders = [_order(spec, g) for g in elements]
+    orders = [_order(g) for g in elements]
     central = [c for c in range(size) if orders[c] == 2
                and all(table[c][h] == table[h][c] for h in range(size))]
     for a in (g for g in range(size) if orders[g] == n):
@@ -250,7 +260,7 @@ def _is_dihedral_times_z2(spec: GroupSpec, elements: list[GroupElement]) -> bool
 def _k_subgroup_cyclic_order(spec: GroupSpec,
                              elements: list[GroupElement]) -> int | None:
     """Order of the kernel K = {(theta, delta), beta = 0} if cyclic."""
-    best = max(_order(spec, g) for g in elements
+    best = max(_order(g) for g in elements
                if g.xi == 1 and g.beta == 0)
     order = spec.n_bodies * spec.s
     return order if best == order else None
@@ -273,16 +283,16 @@ def _check_loop(spec: GroupSpec, loop: LoopPath) -> None:
             f"loop has {loop.n_bodies} bodies, spec expects {spec.n_bodies}")
 
 
-def _action(spec: GroupSpec, g: GroupElement) -> tuple[np.ndarray, np.ndarray]:
+def _action(g: GroupElement) -> tuple[np.ndarray, np.ndarray]:
     """Spatial part of g: source body of each body, and its 3 x 3 block.
 
     Body j takes the position of body xi (j + delta) mod N, rotated in the
     horizontal plane by 2 pi alpha (conjugated first when xi = -1) and
     with the vertical flipped by (-1)^beta.
     """
-    n = spec.n_bodies
+    n = g.spec.n_bodies
     src = (g.xi * (np.arange(n) + g.delta)) % n
-    ang = 2.0 * np.pi * (_rotation(g) / (2 * n * spec.s))
+    ang = 2.0 * np.pi * (_rotation(g) / (2 * n * g.spec.s))
     c, s = np.cos(ang), np.sin(ang)
     block = np.array([[c, -s * g.xi, 0.0],
                       [s, c * g.xi, 0.0],
@@ -290,7 +300,7 @@ def _action(spec: GroupSpec, g: GroupElement) -> tuple[np.ndarray, np.ndarray]:
     return src, block
 
 
-def apply_element(g: GroupElement, spec: GroupSpec, loop: LoopPath) -> LoopPath:
+def apply_element(g: GroupElement, loop: LoopPath) -> LoopPath:
     """Transformed loop (gx)_j(t) = rho x_{xi(j+delta)}(xi(t - theta)).
 
     rho is the block of `_action`.  theta is read in units where the loop
@@ -299,11 +309,12 @@ def apply_element(g: GroupElement, spec: GroupSpec, loop: LoopPath) -> LoopPath:
     read in the order xi i, so one spectral shift (`LoopPath.on_grid`)
     gives them, on or off the grid.
     """
+    spec = g.spec
     _check_loop(spec, loop)
     m = loop.n_samples
     offset = -g.xi * g.t / (2 * spec.n_bodies * spec.s) * loop.period
     shifted = loop.on_grid(offset, m)[(g.xi * np.arange(m)) % m]
-    src, block = _action(spec, g)
+    src, block = _action(g)
     return LoopPath(shifted[:, src, :] @ block.T, loop.period,
                     loop.masses.copy())
 
@@ -312,7 +323,7 @@ def invariance_defect(loop: LoopPath, spec: GroupSpec) -> float:
     """Sup-norm deviation of g x from x over the whole group."""
     worst = 0.0
     for g in enumerate_elements(spec):
-        moved = apply_element(g, spec, loop)
+        moved = apply_element(g, loop)
         worst = max(worst, float(np.abs(moved.positions - loop.positions).max()))
     return worst
 

@@ -218,15 +218,14 @@ def test_criterion_6_bounds():
     # brute-force eigenvalue probes just inside/outside each interval
     offset = 1e-3
     for n in range(3, 9):
-        spm_n = vertical_spectrum(n)
         for k in range(1, n // 2 + 1):
             for eta in ((1,) if 2 * k == n else (-1, 1)):
                 spec = GroupSpec(n, k, eta, 2, 1)
-                lo, hi = absolute_interval(spec, spm_n).interval
+                lo, hi = absolute_interval(spec).interval
                 shift = TWO_PI * spec.r / spec.s
 
                 def lam(x):
-                    return lambda_G_bruteforce(spec, spm_n, x - shift)
+                    return lambda_G_bruteforce(spec, x - shift)
 
                 assert lam(hi + offset) < 1.0
                 assert lam(lo - offset) < 1.0

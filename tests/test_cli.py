@@ -7,6 +7,7 @@ forms H+ = 4 pi w1/(w1+w2) and 2 pi w1/w2 for the five-body bounds
 (test_minimize), and gamma(P12) = 16.589... (test_torsion).
 """
 
+import functools
 import json
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+from unchained import spectrum
 from unchained.cli import main
 from unchained.spectrum import vertical_spectrum
 
@@ -406,22 +408,19 @@ def test_bounds_and_torsion_build_the_vertical_spectrum_once(capsys,
                                                              monkeypatch,
                                                              argv):
     # the report and its probes, or the matching system and the result,
-    # share one spectrum: a counter at every module attribute that holds
-    # vertical_spectrum sees one call per command
-    calls = []
+    # share one spectrum: behind an emptied per-N cache, the spectrum of N
+    # is computed once per command, however often it is looked up
+    computed = []
 
-    def counted(*args, real=vertical_spectrum, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(n, real=spectrum._vertical_spectrum.__wrapped__):
+        computed.append(n)
+        return real(n)
 
-    for name, module in list(sys.modules.items()):
-        if name == "unchained" or name.startswith("unchained."):
-            for attr, value in list(vars(module).items()):
-                if value is vertical_spectrum:
-                    monkeypatch.setattr(module, attr, counted)
+    monkeypatch.setattr(spectrum, "_vertical_spectrum",
+                        functools.cache(counted))
     rc, _, _ = run(capsys, *argv)
     assert rc == 0
-    assert calls == [(int(argv[1]),)]
+    assert computed == [int(argv[1])]
 
 
 def test_torsion_malformed_spec(capsys):

@@ -69,7 +69,7 @@ def test_views_and_compose_match_oracle(case):
     o1, o2 = oracle_element(spec, *a1), oracle_element(spec, *a2)
     assert views(g1) == o1 and views(g2) == o2
     assert g1.alpha == oracle_alpha(spec, o1)
-    product = compose(spec, g2, g1)
+    product = compose(g2, g1)
     expected = oracle_product(spec, o2, o1)
     assert views(product) == expected
     assert product.alpha == oracle_alpha(spec, expected)
@@ -84,8 +84,7 @@ def test_views_and_compose_match_oracle(case):
 def test_associativity(case):
     spec, args = case
     f, g, h = (make_element(spec, *a) for a in args)
-    assert (compose(spec, f, compose(spec, g, h))
-            == compose(spec, compose(spec, f, g), h))
+    assert compose(f, compose(g, h)) == compose(compose(f, g), h)
 
 
 @settings(max_examples=200, deadline=None)
@@ -95,9 +94,9 @@ def test_identity_and_inverse(case):
     g = make_element(spec, *a)
     e = identity_element(spec)
     assert views(e) == (0, 0, 0, 1) and e.alpha == 0
-    assert compose(spec, e, g) == g == compose(spec, g, e)
-    g_inv = inverse(spec, g)
-    assert compose(spec, g, g_inv) == e == compose(spec, g_inv, g)
+    assert compose(e, g) == g == compose(g, e)
+    g_inv = inverse(g)
+    assert compose(g, g_inv) == e == compose(g_inv, g)
     # the oracle product of g with its inverse is the oracle identity
     assert oracle_product(spec, oracle_element(spec, *a),
                           views(g_inv)) == (0, 0, 0, 1)
@@ -111,5 +110,5 @@ def test_element_order_divides_group_order(case):
     acc, order = g, 1
     while acc != (0, 0, 0, 1):
         acc, order = oracle_product(spec, g, acc), order + 1
-    assert element_order(spec, make_element(spec, *a)) == order
+    assert element_order(make_element(spec, *a)) == order
     assert (4 * spec.n_bodies * spec.s) % order == 0

@@ -40,9 +40,9 @@ def test_hessian_vertical_roots_and_sign():
 
 def test_vertical_bound_closed_forms():
     s5 = vertical_spectrum(5)
-    assert vertical_bound_V(GroupSpec(5, 1, -1, 4, 1), s5) == pytest.approx(
+    assert vertical_bound_V(GroupSpec(5, 1, -1, 4, 1)) == pytest.approx(
         2 * PI, abs=1e-12)
-    assert vertical_bound_V(GroupSpec(5, 2, -1, 2, 1), s5) == pytest.approx(
+    assert vertical_bound_V(GroupSpec(5, 2, -1, 2, 1)) == pytest.approx(
         2 * PI * s5.omega1 / s5.omega(2), abs=1e-12)
     assert vertical_bound_V(GroupSpec(3, 1, -1, 2, 1)) == pytest.approx(
         2 * PI, abs=1e-12)
@@ -52,7 +52,7 @@ def test_vertical_bound_highest_mode():
     # antisymmetric (k = n) family: V = 2 pi omega_1 / omega_n
     for n in (4, 6, 8):
         spm = vertical_spectrum(n)
-        v = vertical_bound_V(GroupSpec(n, n // 2, 1, 1, 1), spm)
+        v = vertical_bound_V(GroupSpec(n, n // 2, 1, 1, 1))
         assert v == pytest.approx(2 * PI * spm.omega1 / spm.omega(n // 2),
                                   abs=1e-12)
 
@@ -60,10 +60,10 @@ def test_vertical_bound_highest_mode():
 def test_horizontal_bounds_closed_forms():
     s5 = vertical_spectrum(5)
     w1, w2 = s5.omega1, s5.omega(2)
-    hp, hm = horizontal_bounds_H(GroupSpec(5, 1, -1, 4, 1), s5)
+    hp, hm = horizontal_bounds_H(GroupSpec(5, 1, -1, 4, 1))
     assert hp == pytest.approx(4 * PI * w1 / (w1 + w2), abs=1e-12)
     assert hm == pytest.approx(2 * PI, abs=1e-12)
-    hp, hm = horizontal_bounds_H(GroupSpec(5, 2, -1, 2, 1), s5)
+    hp, hm = horizontal_bounds_H(GroupSpec(5, 2, -1, 2, 1))
     assert hp == pytest.approx(4 * PI, abs=1e-12)
     # complete infimum: the first admissible mode (p = 1, folded index 2)
     # already binds; keeping only p = 2 would report 8 pi w1/(w1+w2)
@@ -89,10 +89,10 @@ def test_interval_examples():
     assert rep.interval[0] == pytest.approx(-2 * PI, abs=1e-12)
     assert rep.interval[1] == pytest.approx(2 * PI, abs=1e-12)
     s5 = vertical_spectrum(5)
-    rep = absolute_interval(GroupSpec(5, 2, -1, 2, 1), s5)
+    rep = absolute_interval(GroupSpec(5, 2, -1, 2, 1))
     v = 2 * PI * s5.omega1 / s5.omega(2)
     assert rep.interval == pytest.approx((-v, v), abs=1e-12)
-    rep = absolute_interval(GroupSpec(5, 1, -1, 4, 1), s5)
+    rep = absolute_interval(GroupSpec(5, 1, -1, 4, 1))
     assert rep.interval[1] == pytest.approx(
         4 * PI * s5.omega1 / (s5.omega1 + s5.omega(2)), abs=1e-12)
     assert rep.interval[1] < rep.V
@@ -100,27 +100,24 @@ def test_interval_examples():
 
 def test_lambda_bruteforce_interval_consistency():
     for spec in bound_battery():
-        spm = vertical_spectrum(spec.n_bodies)
-        lo, hi = absolute_interval(spec, spm).interval
+        lo, hi = absolute_interval(spec).interval
         shift = 2 * PI * spec.r / spec.s
         for x in np.linspace(lo, hi, 20):
-            assert lambda_G_bruteforce(spec, spm, x - shift) >= 1 - 1e-12
-        assert lambda_G_bruteforce(spec, spm, hi + 1e-3 - shift) < 1
-        assert lambda_G_bruteforce(spec, spm, lo - 1e-3 - shift) < 1
+            assert lambda_G_bruteforce(spec, x - shift) >= 1 - 1e-12
+        assert lambda_G_bruteforce(spec, hi + 1e-3 - shift) < 1
+        assert lambda_G_bruteforce(spec, lo - 1e-3 - shift) < 1
 
 
 def test_lambda_bruteforce_zero_frame():
     spec = GroupSpec(5, 2, -1, 2, 1)
-    spm = vertical_spectrum(5)
-    assert lambda_G_bruteforce(spec, spm, -2 * PI * 2) == 1.0
+    assert lambda_G_bruteforce(spec, -2 * PI * 2) == 1.0
 
 
 def test_lambda_bruteforce_pmax_stable():
     spec = GroupSpec(6, 2, -1, 1, 1)
-    spm = vertical_spectrum(6)
     for x in (0.3, 1.0, 5.0, 9.0):
-        a = lambda_G_bruteforce(spec, spm, x - 2 * PI, p_max=64)
-        b = lambda_G_bruteforce(spec, spm, x - 2 * PI, p_max=128)
+        a = lambda_G_bruteforce(spec, x - 2 * PI, p_max=64)
+        b = lambda_G_bruteforce(spec, x - 2 * PI, p_max=128)
         assert a == b
 
 
@@ -169,7 +166,7 @@ def bruteforce_cases(draw):
 def test_lambda_bruteforce_matches_scalar_enumeration(case):
     spec, varpi, p_max = case
     spm = vertical_spectrum(spec.n_bodies)
-    assert lambda_G_bruteforce(spec, spm, varpi, p_max=p_max) \
+    assert lambda_G_bruteforce(spec, varpi, p_max=p_max) \
         == scalar_lambda_G(spec, spm, varpi, p_max)
 
 
@@ -240,7 +237,7 @@ def test_bar_action_below_action_on_invariant_loops():
     spm = vertical_spectrum(5)
     x = PI
     varpi = x - 2 * PI * spec.r / spec.s
-    lam = lambda_G_bruteforce(spec, spm, varpi)
+    lam = lambda_G_bruteforce(spec, varpi)
     assert lam == 1.0
     radius = (spm.omega1 / x) ** (2.0 / 3.0)
     reference = radius * build_ngon(5).configuration.positions

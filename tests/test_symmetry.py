@@ -1,5 +1,6 @@
 """Group structure, loop actions, Fourier constraints, classification."""
 
+import dataclasses
 from fractions import Fraction
 from math import gcd
 
@@ -66,6 +67,34 @@ def test_spec_validation():
     assert GroupSpec(4, 2, -1, 1, 1) == GroupSpec(4, 2, 1, 1, 1)
 
 
+@pytest.mark.parametrize("fields", [
+    (3.0, 1, -1, 2, 1), (3, True, -1, 2, 1), (3, 1, -1, 2, 1.0),
+    (3, 1, -1, 2.5, 1), (3, 1, np.bool_(True), 2, 1), (3, 1, -1, "2", 1),
+])
+def test_spec_refuses_non_integer_fields(fields):
+    # 3.0 and True were built and compared and hashed equal to the int
+    # spec; 1.0 and 2.5 raised TypeError from gcd
+    with pytest.raises(ValueError, match="must be an integer"):
+        GroupSpec(*fields)
+
+
+def test_spec_stores_numpy_integers_as_int():
+    spec = GroupSpec(*np.array([3, 1, -1, 2, 1], dtype=np.int64))
+    assert spec == GroupSpec(3, 1, -1, 2, 1)
+    assert hash(spec) == hash(GroupSpec(3, 1, -1, 2, 1))
+    assert all(type(v) is int for v in dataclasses.astuple(spec))
+
+
+def test_compose_refuses_elements_of_different_groups():
+    # with one spec passed beside both, elements of P12's group composed
+    # under G_{2/1}(5,2,-1) gave theta = 9/10, which no P12 element has
+    g = enumerate_elements(GroupSpec(3, 1, -1, 2, 1))[5]
+    h = enumerate_elements(GroupSpec(5, 2, -1, 2, 1))[5]
+    for pair in ((g, h), (h, g)):
+        with pytest.raises(ValueError, match="cannot compose"):
+            compose(*pair)
+
+
 def test_group_order():
     assert len(enumerate_elements(GroupSpec(3, 1, -1, 2, 1))) == 12
     assert len(enumerate_elements(GroupSpec(4, 2, 1, 3, 2))) == 32
@@ -98,13 +127,13 @@ def test_group_axioms():
     table = set(elements)
     assert len(table) == 12
     for g in elements:
-        assert compose(spec, g, inverse(spec, g)) == identity_element(spec)
+        assert compose(g, inverse(g)) == identity_element(spec)
         for h in elements:
-            gh = compose(spec, g, h)
+            gh = compose(g, h)
             assert gh in table
             for f in elements:
-                left = compose(spec, f, gh)
-                right = compose(spec, compose(spec, f, g), h)
+                left = compose(f, gh)
+                right = compose(compose(f, g), h)
                 assert left == right
 
 
@@ -116,7 +145,7 @@ def test_group_closure_larger():
         assert len(table) == 4 * spec.n_bodies * spec.s
         pick = rng.choice(len(elements), size=(60, 2))
         for i, j in pick:
-            assert compose(spec, elements[i], elements[j]) in table
+            assert compose(elements[i], elements[j]) in table
 
 
 def test_structure_report_dihedral_for_unit_s():
@@ -143,7 +172,7 @@ def test_multiplication_table_matches_compose():
         elements = enumerate_elements(spec)
         index = {g: i for i, g in enumerate(elements)}
         assert _multiplication_table(spec, elements) == [
-            [index[compose(spec, a, b)] for b in elements]
+            [index[compose(a, b)] for b in elements]
             for a in elements], spec
 
 
@@ -177,13 +206,13 @@ def test_k_subgroup_cyclicity():
 def test_element_orders_divide_group_order():
     spec = GroupSpec(5, 2, -1, 2, 1)
     for g in enumerate_elements(spec):
-        assert (4 * spec.n_bodies * spec.s) % element_order(spec, g) == 0
+        assert (4 * spec.n_bodies * spec.s) % element_order(g) == 0
 
 
 def test_apply_identity_returns_same_loop():
     spec = GroupSpec(5, 2, -1, 2, 1)
     loop = lyapunov_cylinder(5, 2, -1, 2, 1, 0.2)
-    out = apply_element(identity_element(spec), spec, loop)
+    out = apply_element(identity_element(spec), loop)
     np.testing.assert_allclose(out.positions, loop.positions, atol=1e-14)
 
 
@@ -191,14 +220,14 @@ def test_apply_rejects_wrong_body_count():
     spec = GroupSpec(5, 2, -1, 2, 1)
     loop = lyapunov_cylinder(4, 1, -1, 2, 1, 0.2)
     with pytest.raises(ValueError):
-        apply_element(identity_element(spec), spec, loop)
+        apply_element(identity_element(spec), loop)
 
 
 def _dense_apply(g, spec, loop):
     """Oracle for apply_element: `LoopPath.evaluate` at xi (t - theta),
     theta/s of the period, then the body map and block of `_action`."""
     t = g.xi * (loop.times - g.t / (2 * spec.n_bodies * spec.s) * loop.period)
-    src, block = _action(spec, g)
+    src, block = _action(g)
     return loop.evaluate(t)[:, src, :] @ block.T
 
 
@@ -212,7 +241,7 @@ def test_apply_element_matches_dense_oracle(spec):
     scale = np.abs(loop.positions).max()
     on_grid = set()
     for g in enumerate_elements(spec):
-        moved = apply_element(g, spec, loop)
+        moved = apply_element(g, loop)
         on_grid.add((g.t * 64) % (2 * spec.n_bodies * spec.s) == 0)
         assert moved.period == loop.period
         assert np.abs(moved.positions - _dense_apply(g, spec, loop)).max() \
