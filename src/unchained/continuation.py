@@ -263,7 +263,7 @@ def _reduction(spec: GroupSpec) -> _Reduction:
     return _Reduction(spec)
 
 
-def _closing_residual(red: _Reduction, x, integrator_tol):
+def _closing_residual(red: _Reduction, x, tol):
     """Midpoint defect E Phi_{tau/2}(Q u) of the reduced boundary value
     problem at frame rate varpi, E = `red.mid_eq` and x = (u, varpi).
 
@@ -277,7 +277,7 @@ def _closing_residual(red: _Reduction, x, integrator_tol):
     flow's I_half over [0, tau / 2] (z is real).
     """
     x0 = (red.basis @ x[:-1]).reshape(2, -1, 3)
-    res = integrate(x0, red.masses, x[-1], 0.5 * red.tau, integrator_tol,
+    res = integrate(x0, red.masses, x[-1], 0.5 * red.tau, tol=tol,
                     tangents=red.seed)
     half = res.harmonic
     harmonic = half + np.exp(-2j * np.pi * red.tau) \
@@ -381,10 +381,11 @@ def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
     fixed subspace of the midpoint stabilizer, whose complement E spans
     (`_Reduction`).  This is the arclength corrector of `continue_family`
     with its row pinned on varpi, so each closing flow carries one tangent
-    column more, along varpi.  Raises NoConvergence when the damped
-    iteration stalls or runs out of iterations above 100 integrator_tol,
-    and ValueError, before any integration, unless integrator_tol lies in
-    (0, 0.01).
+    column more, along varpi, and the guess is flowed at the coarser
+    max(integrator_tol, _START_TOL) (`_damped_newton`).  Raises
+    NoConvergence when the damped iteration stalls or runs out of
+    iterations above 100 integrator_tol, and ValueError, before any
+    integration, unless integrator_tol lies in (0, 0.01).
     """
     _checked_tol(100.0 * integrator_tol,
                  "Newton tolerance 100 * integrator_tol")
@@ -398,41 +399,65 @@ def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
 def _damped_newton(fun, x0, integrator_tol):
     """Gauss-Newton with a halving line search on a residual function.
 
-    fun(x) returns (residual, Jacobian, extra).  Every point, line-search
-    trials included, is evaluated once, and an accepted trial's Jacobian
-    gives the next step.  That step is the least-squares solution with
-    singular values below 100 integrator_tol of the largest dropped: the
-    Jacobian is no more accurate than the flow, so a numerically null
-    direction, as at a branch point, takes no step.  Returns (x, residual,
-    extra) of the evaluation whose sup norm passed the test, at most tol =
-    100 integrator_tol.  Raises NoConvergence when six halvings find no
-    decrease above tol, or _CORRECTOR_ITER steps end above it.
+    fun(x, tol) returns (residual, Jacobian, extra) from a flow integrated
+    at tolerance tol.  The start is evaluated at the coarser tolerance
+    max(integrator_tol, _START_TOL): it only has to give the first step,
+    from a residual far above the Newton test, so its error stays out of
+    the result (inexact Newton; Dembo, Eisenstat and Steihaug, SIAM J.
+    Numer. Anal. 19, 1982).  Every later point, line-search trials
+    included, is evaluated once at integrator_tol, and an accepted
+    trial's Jacobian gives the next step.  That step is the least-squares
+    solution with singular values below 100 integrator_tol of the largest
+    dropped: the Jacobian is no more accurate than the flow, so a
+    numerically null direction, as at a branch point, takes no step.  The
+    line search tries the full step and five halvings.
+
+    No solve ends on a coarse evaluation: when the start would pass the
+    Newton test, or no trial from it decreases the residual, the start is
+    evaluated once more at integrator_tol, in place of one of the
+    _CORRECTOR_ITER steps, and the iteration goes on from there; this is
+    the only point evaluated twice.  Returns (x, residual, extra) of the
+    evaluation whose sup norm passed the test, at most tol = 100
+    integrator_tol.  Raises NoConvergence when no trial decreases a
+    residual above tol, or _CORRECTOR_ITER steps end above it.
     """
     x = np.asarray(x0, dtype=float).copy()
-    residual, jac, extra = fun(x)
+    start_tol = max(integrator_tol, _START_TOL)
+    coarse = start_tol > integrator_tol
+    residual, jac, extra = fun(x, start_tol)
     norm, prev_norm = float(np.max(np.abs(residual))), np.inf
     tol, floor = 100.0 * integrator_tol, 0.25 * integrator_tol
     for _ in range(_CORRECTOR_ITER):
         # polish past tol while convergence is still rapid; the closing
         # defect rings through spectral residuals of the sampled loop
         if norm <= floor or (norm <= tol and norm > 0.05 * prev_norm):
-            return x, residual, extra
-        step = np.linalg.lstsq(jac, -residual,
-                               rcond=100.0 * integrator_tol)[0]
-        for scale in 0.5 ** np.arange(6):
-            trial = x + scale * step
-            if np.array_equal(trial, x):
-                continue  # the step rounds away: x's evaluation stands
-            evaluation = fun(trial)
-            trial_norm = float(np.max(np.abs(evaluation[0])))
-            if trial_norm < norm:
-                x, prev_norm, norm = trial, norm, trial_norm
-                residual, jac, extra = evaluation
-                break
-        else:
-            if norm <= tol:
+            if not coarse:
                 return x, residual, extra
-            raise NoConvergence(f"Newton stalled at residual {norm:.3e}")
+        else:
+            step = np.linalg.lstsq(jac, -residual,
+                                   rcond=100.0 * integrator_tol)[0]
+            for scale in 0.5 ** np.arange(6):
+                trial = x + scale * step
+                if np.array_equal(trial, x):
+                    continue  # the step rounds away: x's evaluation stands
+                evaluation = fun(trial, integrator_tol)
+                trial_norm = float(np.max(np.abs(evaluation[0])))
+                if trial_norm < norm:
+                    x, prev_norm, norm = trial, norm, trial_norm
+                    residual, jac, extra = evaluation
+                    coarse = False
+                    break
+            else:
+                if not coarse:
+                    if norm <= tol:
+                        return x, residual, extra
+                    raise NoConvergence(
+                        f"Newton stalled at residual {norm:.3e}")
+        if coarse:
+            # the solve would end on the coarse start: evaluate it again
+            # at integrator_tol and go on from there
+            residual, jac, extra = fun(x, integrator_tol)
+            norm, coarse = float(np.max(np.abs(residual))), False
     if norm > tol:
         raise NoConvergence(f"no convergence in {_CORRECTOR_ITER} iterations "
                             f"(residual {norm:.3e})")
@@ -483,6 +508,8 @@ class ContinuationResult:
 _ONSET_EPS = 0.02
 # iterations of every Newton solve, and the arclength step's halvings
 _CORRECTOR_ITER = 12
+# flow tolerance of every Newton solve's start (`_damped_newton`)
+_START_TOL = 1e-8
 _MAX_HALVINGS = 12
 
 
@@ -497,8 +524,8 @@ def _corrector(red, start, row, point, integrator_tol):
     of its closing Jacobian in (u, varpi), the family tangent up to sign,
     and costs no integration.
     """
-    def bordered(x):
-        residual, jac, harmonic = _closing_residual(red, x, integrator_tol)
+    def bordered(x, tol):
+        residual, jac, harmonic = _closing_residual(red, x, tol)
         return (np.append(residual, row @ (x - point)), np.vstack([jac, row]),
                 (harmonic, jac))
 
@@ -570,13 +597,17 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
 
     A record costs no integration of its own: its amplitude comes from the
     corrector's converged closing flow, and its action and L_z from the
-    initial state (see `FamilyRecord`).  `PeriodicOrbit.sample` gives the
-    full period on demand.  Raises ValueError, before any integration, for
-    a direction other than 1 or -1 (a bool is refused too), an n_steps
-    that is not a positive integer, a step or max_step that is not
-    positive, a varpi_range (lo, hi) without lo <= hi, or an
-    integrator_tol outside (0, 0.01): every Newton solve stops at 100
-    integrator_tol (`_damped_newton`), and from 0.01 on passes any orbit.
+    initial state (see `FamilyRecord`).  Every corrector flows its start
+    at max(integrator_tol, _START_TOL) and every later point at
+    integrator_tol, and never ends on the coarse flow (`_damped_newton`),
+    so each record comes from a flow at integrator_tol.
+    `PeriodicOrbit.sample` gives the full period on demand.  Raises
+    ValueError, before any integration, for a direction other than 1 or
+    -1 (a bool is refused too), an n_steps that is not a positive
+    integer, a step or max_step that is not positive, a varpi_range (lo,
+    hi) without lo <= hi, or an integrator_tol outside (0, 0.01): every
+    Newton solve stops at 100 integrator_tol (`_damped_newton`), and from
+    0.01 on passes any orbit.
     """
     if isinstance(direction, bool) or direction not in (1, -1):
         raise ValueError(f"direction must be 1 or -1, got {direction!r}")

@@ -126,8 +126,8 @@ def _checked_masses(masses, n):
     masses = np.asarray(masses, dtype=float)
     if masses.shape != (n,):
         raise ValueError("masses must have shape (n,)")
-    if np.any(masses <= 0):
-        raise ValueError("masses must be positive")
+    if not np.all((masses > 0) & (masses < np.inf)):
+        raise ValueError("masses must be positive and finite")
     return masses
 
 
@@ -138,6 +138,12 @@ def _checked_count(count, name):
             or count < 1:
         raise ValueError(f"{name} must be a positive integer: {count!r}")
     return int(count)
+
+
+def _checked_positive(value, name):
+    # a finite value > 0: NaN fails both comparisons, so it is refused too
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -262,7 +268,8 @@ class NGonSystem:
 
     Vertices sit at scale * (cos(2 pi j / n), sin(2 pi j / n), 0).  The
     rigid rotation at frequency `omega1` solves Newton's equations; the
-    identity n * omega1(1)^2 = U(unit n-gon) fixes the frequency.
+    identity n * omega1(1)^2 = U(unit n-gon) fixes the frequency.  A
+    scale that is not finite and positive raises ValueError.
     """
 
     n: int
@@ -273,8 +280,7 @@ class NGonSystem:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("n-gon needs n >= 3")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        _checked_positive(self.scale, "scale")
         j = np.arange(self.n)
         ang = 2.0 * np.pi * j / self.n
         pos = self.scale * np.stack(
@@ -300,13 +306,13 @@ class NGonSystem:
 
         Defaults to the proper frequency, for which the loop solves
         Newton's equations.  Period is 2 pi / |omega|.  Raises ValueError,
-        before any work, unless n_samples is a positive integer.
+        before any work, unless n_samples is a positive integer and omega
+        finite and nonzero.
         """
         n_samples = _checked_count(n_samples, "n_samples")
         if omega is None:
             omega = self.omega1
-        if omega == 0:
-            raise ValueError("omega must be nonzero")
+        _checked_positive(abs(omega), "|omega|")
         period = 2.0 * np.pi / abs(omega)
         t = np.arange(n_samples) * (period / n_samples)
         ang = omega * t[:, None] + 2.0 * np.pi * np.arange(self.n)[None, :] / self.n
@@ -337,6 +343,7 @@ class LoopPath:
     derivatives and off-grid values come from trigonometric interpolation.
     Values on a shifted uniform grid (`on_grid`, `resample`) come from a
     phase shift of the samples' FFT; `evaluate` takes arbitrary times.
+    A period or masses that are not finite and positive raise ValueError.
     """
 
     positions: np.ndarray
@@ -348,8 +355,7 @@ class LoopPath:
         if self.positions.ndim != 3 or self.positions.shape[2] != 3 \
                 or self.positions.shape[0] == 0:
             raise ValueError("positions must have shape (m, n, 3), m >= 1")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        _checked_positive(self.period, "period")
         self.masses = _checked_masses(self.masses, self.positions.shape[1])
 
     @property
@@ -478,10 +484,10 @@ def rescale(loop, lam):
     """Homogeneity rescaling x -> lam^(-2/3) x(lam t).
 
     Maps solutions to solutions; the period becomes period / lam and the
-    action scales by lam^(-1/3).
+    action scales by lam^(-1/3).  Raises ValueError unless lam is finite
+    and positive.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _checked_positive(lam, "lam")
     return LoopPath(loop.positions * lam ** (-2.0 / 3.0), loop.period / lam,
                     loop.masses.copy())
 

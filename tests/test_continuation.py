@@ -29,9 +29,9 @@ from unchained.continuation import (INTEGRATOR_TOL, NEWTON_TOL,
                                     action_diagram, continue_family,
                                     integrate, monodromy, onset_state,
                                     re_branch_action, shoot_symmetric,
-                                    write_family_csv, _closing_residual,
-                                    _damped_newton, _reduction,
-                                    _state_matrix)
+                                    write_family_csv, _START_TOL,
+                                    _closing_residual, _damped_newton,
+                                    _reduction, _state_matrix)
 from unchained.errors import (CollisionError, IntegrationFailure,
                               NoConvergence, SingularReduction)
 from unchained.ngon import (COLLISION_TOL, Configuration, action,
@@ -440,7 +440,7 @@ def test_damped_newton_drops_numerically_null_direction():
     b = a_mat @ x_true + 5e-12 * u_mat[:, 2]
     seen = []
 
-    def fun(x):
+    def fun(x, tol):
         seen.append(x.copy())
         return a_mat @ x - b, a_mat, x.copy()
 
@@ -452,6 +452,66 @@ def test_damped_newton_drops_numerically_null_direction():
     # and no point is evaluated twice
     assert np.array_equal(extra, x)
     assert len({p.tobytes() for p in seen}) == len(seen)
+
+
+def _recorded(residual):
+    # a stub fun(x, tol) with a fixed Jacobian that logs every call and
+    # returns its own (x, tol) as extra
+    calls = []
+
+    def fun(x, tol):
+        calls.append((x.copy(), tol))
+        return residual(x, tol), np.eye(len(x)), (x.copy(), tol)
+
+    return fun, calls
+
+
+def test_damped_newton_never_ends_on_the_coarse_start():
+    # a start already below the Newton test at 1e-8 is evaluated once
+    # more at integrator_tol, and that evaluation is the one returned
+    fun, calls = _recorded(lambda x, tol: np.full(2, 1e-14))
+    x0 = np.array([0.3, -0.2])
+    x, residual, (x_extra, tol) = _damped_newton(fun, x0, INTEGRATOR_TOL)
+    assert [t for _, t in calls] == [_START_TOL, INTEGRATOR_TOL]
+    assert all(np.array_equal(p, x0) for p, _ in calls)
+    assert np.array_equal(x, x0) and np.array_equal(x_extra, x0)
+    assert tol == INTEGRATOR_TOL
+
+
+def test_damped_newton_stall_is_reported_at_integrator_tol():
+    # every step leaves the start worse, so no trial decreases the
+    # residual: the stall is reported from the start's evaluation at
+    # integrator_tol (2e-3 here), not from the coarse one (1e-3)
+    x0 = np.array([1.0, 2.0])
+
+    def residual(x, tol):
+        base = 1e-3 if tol == _START_TOL else 2e-3
+        return np.full(2, base + np.sum((x - x0) ** 2))
+
+    fun, calls = _recorded(residual)
+    with pytest.raises(NoConvergence, match="stalled at residual 2.000e-03"):
+        _damped_newton(fun, x0, INTEGRATOR_TOL)
+    starts = [t for p, t in calls if np.array_equal(p, x0)]
+    assert starts == [_START_TOL, INTEGRATOR_TOL]
+    assert all(t == INTEGRATOR_TOL for _, t in calls[1:])
+
+
+@pytest.mark.parametrize("integrator_tol", [1e-8, 1e-6])
+@pytest.mark.parametrize("offset", [0.1, 1e6])
+def test_damped_newton_at_coarse_tolerance_evaluates_once(integrator_tol,
+                                                          offset):
+    # from integrator_tol = _START_TOL on, the start is no coarser than the
+    # rest: every call gets integrator_tol and no point is evaluated twice,
+    # for a start that passes the test (offset 0.1 integrator_tol) and for
+    # one that needs a step
+    target = np.array([0.7, -1.3])
+    fun, calls = _recorded(lambda x, tol: x - target)
+    x, _, (_, tol) = _damped_newton(fun, target + offset * integrator_tol,
+                                    integrator_tol)
+    assert len(calls) == (1 if offset < 1 else 2)
+    assert tol == integrator_tol
+    assert all(t == integrator_tol for _, t in calls)
+    assert len({p.tobytes() for p, _ in calls}) == len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -827,14 +887,16 @@ def test_sample_count_checked_before_any_integration(monkeypatch, p12_family,
 
 
 def _counted_twenty(spec):
-    # the default run at 20 steps, with its tangent integrations and their
-    # right-hand-side evaluations counted and each converged corrector's
-    # family tangent kept
+    # the default run at 20 steps, with each integration's tolerance
+    # logged (None for one without tangents), their right-hand-side
+    # evaluations counted and each converged corrector's family tangent
+    # kept
     import unchained.continuation as continuation
     calls, nulls, nfev = [], [], []
 
     def counted(*args, real=continuation.integrate, **kwargs):
-        calls.append(kwargs.get("tangents") is not None)
+        calls.append(kwargs["tol"] if kwargs.get("tangents") is not None
+                     else None)
         return real(*args, **kwargs)
 
     def solved(*args, real=continuation.solve_ivp, **kwargs):
@@ -877,17 +939,28 @@ def test_hermite_start_saves_closing_integrations(p12_twenty):
     # per solve the Newton test allows
     fam, calls, _, _ = p12_twenty
     assert fam.end_reason == "max-steps" and len(fam.records) == 21
-    assert all(calls)
+    assert None not in calls
     assert len(calls) <= 61
+
+
+def test_each_corrector_starts_with_one_coarse_flow(p12_twenty):
+    # the start of each of the 20 correctors is flowed at _START_TOL; the
+    # branch point's residual and every later evaluation at INTEGRATOR_TOL
+    _, calls, nulls, _ = p12_twenty
+    assert len(nulls) == 20
+    assert calls.count(_START_TOL) == 20
+    assert calls.count(INTEGRATOR_TOL) == 41
+    assert len(calls) == 61
 
 
 def test_twenty_steps_fit_the_nfev_budget(p12_twenty, hh4_twenty):
     # P12 and the Hip-Hop at 20 steps took 42348 right-hand-side
     # evaluations when every closing flow ran over the whole symmetry
-    # segment; over half of it they take about 21400
+    # segment, and 21442 over half of it; with each corrector's start
+    # flowed at _START_TOL they take 17566
     assert p12_twenty[0].end_reason == "max-steps"
     assert hh4_twenty[0].end_reason == "max-steps"
-    assert p12_twenty[3] + hh4_twenty[3] <= 27000
+    assert p12_twenty[3] + hh4_twenty[3] <= 19000
 
 
 def test_twenty_step_tables_match_the_snapshot(p12_twenty, hh4_twenty):

@@ -172,11 +172,13 @@ def test_action_time_translation_invariance():
 
 
 @pytest.mark.parametrize("masses", [[2.0], [1.0, 1.0], [1.0, -1.0, 1.0],
-                                    [1.0, 0.0, 1.0], [[1.0, 1.0, 1.0]]])
+                                    [1.0, 0.0, 1.0], [[1.0, 1.0, 1.0]],
+                                    [1.0, np.nan, 1.0], [np.inf, 1.0, 1.0]])
 def test_masses_are_checked_like_configuration(masses):
-    # a mass array that would broadcast, or a nonpositive mass, must not
-    # reach the action or the flow: [2.0] on the 3-gon loop gave an action
-    # of 71.6 against 21.5, and [1, -1, 1] a negative one
+    # a mass array that would broadcast, or a mass that is not positive
+    # and finite, must not reach the action or the flow: [2.0] on the 3-gon
+    # loop gave an action of 71.6 against 21.5, and [1, -1, 1] a negative
+    # one
     loop = build_ngon(3).rigid_loop(n_samples=64)
     state = np.stack([loop.positions[0], loop.velocities()[0]])
     for make in (lambda: LoopPath(loop.positions, loop.period, masses),
@@ -184,6 +186,33 @@ def test_masses_are_checked_like_configuration(masses):
                  lambda: integrate(state, masses, 0.0, 0.1)):
         with pytest.raises(ValueError, match="masses"):
             make()
+
+
+# each size with the values it must refuse: a negative omega is a
+# clockwise rotation, so of the finite ones only omega = 0 is refused
+_SIZES = {
+    "period": (lambda loop, bad: LoopPath(loop.positions, bad),
+               [np.nan, np.inf, 0.0, -1.0]),
+    "lam": (lambda loop, bad: rescale(loop, bad), [np.nan, np.inf, 0.0, -1.0]),
+    "omega": (lambda loop, bad: build_ngon(3).rigid_loop(omega=bad,
+                                                         n_samples=8),
+              [np.nan, np.inf, -np.inf, 0.0]),
+    "scale": (lambda loop, bad: NGonSystem(3, scale=bad),
+              [np.nan, np.inf, 0.0, -1.0]),
+}
+
+
+@pytest.mark.parametrize("name, bad", [(name, bad)
+                                       for name, (_, bads) in _SIZES.items()
+                                       for bad in bads])
+def test_sizes_must_be_finite_and_positive(name, bad):
+    # NaN passed every `<= 0` check: LoopPath(pos, nan) built a loop whose
+    # action and Newton residual were NaN, rescale(loop, nan) and
+    # rigid_loop(omega=nan) built NaN periods, and NGonSystem(3, nan) or
+    # (3, inf) a NaN omega1 after a RuntimeWarning
+    loop = build_ngon(3).rigid_loop(n_samples=8)
+    with pytest.raises(ValueError, match=name):
+        _SIZES[name][0](loop, bad)
 
 
 def test_rescale_maps_solutions_to_solutions():
