@@ -39,8 +39,9 @@ from scipy.linalg import block_diag
 from .errors import (CollisionError, IntegrationFailure, NoConvergence,
                      SingularReduction)
 from .ngon import (LoopPath, _checked_count, _checked_masses,
-                   _force_jacobian_apply, _kinetic, _lz, _pair_potential,
-                   _pair_scatter, _separated, jay, pair_terms)
+                   _checked_positive, _force_jacobian_apply, _kinetic, _lz,
+                   _pair_potential, _pair_scatter, _separated, jay,
+                   pair_terms)
 from .spectrum import vertical_spectrum
 from .symmetry import GroupElement, GroupSpec, _action, enumerate_elements
 from .torsion import reconstruct_loop, torsion_gamma
@@ -84,15 +85,25 @@ def _linear_parts(n):
     return drift, centrifugal, coriolis
 
 
-def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
+def integrate(state, masses, varpi, t_span, tol=INTEGRATOR_TOL, *,
               tangents=None, t_eval=None,
               max_step=np.inf) -> IntegrationResult:
     """Flow the rotating-frame equations of motion with a DOP853 stepper.
 
     state is (2, n, 3): positions and velocities; varpi the frame rate;
     t_span a duration or a (t0, t1) pair.  Returns an IntegrationResult
-    whose state is the final state, with the trajectory on t_eval when
-    requested.
+    whose state is the final state, with the trajectory on t_eval, of
+    shape (len(t_eval),) + state.shape, when requested.
+
+    Without tangents, state may also be a stack (..., 2, n, 3) of states
+    flowed together in one solver call, and varpi a frame rate per member
+    broadcast over the stack's leading axes.  The members share every
+    step and DOP853's error norm, the RMS over all components, so the
+    stack takes the steps its hardest member needs, and a member's error
+    may reach sqrt(m) times the tolerance of a flow of its own, m the
+    number of members.  The linear field is then one block-diagonal
+    matrix over the members, and the pair pass takes the stack as its
+    leading axes.
 
     tangents, when given, is a (6n + 1, m) matrix of directions in
     (initial state, varpi).  The flow then also carries the tangent flow
@@ -117,27 +128,38 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
     is the flow's collision check: it compares the pair distances with
     ngon.COLLISION_TOL before it divides by them, and so do the initial
     positions before the solver starts; a closer pair raises
-    CollisionError naming it (i < j).  Solver breakdown raises
-    IntegrationFailure with the time reached, and a tol outside (0, 1) or
-    masses that are not n positive numbers raise ValueError before any
-    integration.
+    CollisionError naming it (i < j), in whichever member it occurs.
+    Solver breakdown raises IntegrationFailure with the time reached, and
+    a tol outside (0, 1), masses that are not n positive numbers, a
+    stacked state with tangents or a varpi that does not broadcast over
+    the stack raise ValueError before any integration.
     """
     _checked_tol(tol, "tol")
     state = np.asarray(state, dtype=float)
-    _separated(state[0])
-    n = state.shape[1]
+    stack = state.shape[:-3]
+    if tangents is not None and stack:
+        raise ValueError(f"tangents need one (2, n, 3) state, got a stack "
+                         f"of shape {state.shape}")
+    try:
+        rates = np.broadcast_to(np.asarray(varpi, dtype=float), stack)
+    except ValueError:
+        raise ValueError(f"varpi of shape {np.shape(varpi)} does not "
+                         f"broadcast over a stack of shape {stack}") from None
+    _separated(state[..., 0, :, :])
+    n = state.shape[-2]
     masses = _checked_masses(masses, n)
-    varpi = float(varpi)
     if np.ndim(t_span) == 0:
         t0, t1 = 0.0, float(t_span)
     else:
         t0, t1 = map(float, t_span)
     nv = 3 * n
     drift, centrifugal, coriolis = _linear_parts(n)
-    lin = drift + varpi ** 2 * centrifugal - 2.0 * varpi * coriolis
+    lins = [drift + w ** 2 * centrifugal - 2.0 * w * coriolis
+            for w in rates.flat]
+    lin = lins[0] if len(lins) == 1 else block_diag(*lins)
     scatter = _pair_scatter(masses)
     width = 1 if tangents is None else 1 + np.shape(tangents)[1]
-    n_flow = 2 * nv * width
+    n_flow = state.size * width
     if tangents is None:
         y0 = state.ravel()
         # the pass gives J(x) x = -2 F(x): the scatter scaled by -1/2 sums
@@ -146,8 +168,8 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
 
         def rhs(t, y):
             flow = lin @ y
-            flow[nv:] += _force_jacobian_apply(y[:nv].reshape(n, 3, 1),
-                                               half_scatter).ravel()
+            flow.reshape(-1, 2, nv)[:, 1] += _force_jacobian_apply(
+                y.reshape(-1, 2, n, 3, 1)[:, 0], half_scatter).reshape(-1, nv)
             return flow
     else:
         seed = np.asarray(tangents, dtype=float)
@@ -155,7 +177,7 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
                              .ravel(), np.zeros(2 * n)])
         # the varpi term b w: b = (d lin / d varpi) x, in the velocity rows,
         # and w the seed's last row, 0 in the state's column
-        dlin = (2.0 * varpi * centrifugal - 2.0 * coriolis)[nv:]
+        dlin = (2.0 * float(varpi) * centrifugal - 2.0 * coriolis)[nv:]
         w_varpi = np.append(0.0, seed[-1])
         col_scale = np.append(-0.5, np.ones(width - 1))
 
@@ -183,13 +205,14 @@ def integrate(state, masses, varpi: float, t_span, tol=INTEGRATOR_TOL, *,
             f"[{t0:.9g}, {t1:.9g}]: {sol.message}")
 
     final = sol.y[:n_flow, -1].reshape(-1, width)
-    result = IntegrationResult(state=final[:, 0].reshape(2, n, 3))
+    result = IntegrationResult(state=final[:, 0].reshape(state.shape))
     if tangents is not None:
         result.tangents = final[:, 1:]
         result.harmonic = sol.y[n_flow:n_flow + n, -1] \
             + 1j * sol.y[n_flow + n:, -1]
     if t_eval is not None:
-        result.trajectory = sol.y[:n_flow:width].T.reshape(-1, 2, n, 3)
+        result.trajectory = sol.y[:n_flow:width].T.reshape(
+            (-1,) + state.shape)
     return result
 
 
@@ -302,9 +325,9 @@ class PeriodicOrbit:
     the heights, which a reversor reflects to the whole shift and the group
     unfolds to the period (`_amplitude`); residual is the sup norm of the
     midpoint reversor defect, the part of the state at tau / 2 outside the
-    fixed subspace of the midpoint stabilizer.  `sample` integrates the
-    whole period and uses no symmetry, so it is an independent check of
-    the values built from the half segment.
+    fixed subspace of the midpoint stabilizer.  `sample` flows the whole
+    period, from both ends at once, and uses no symmetry, so it is an
+    independent check of the values built from the half segment.
     """
 
     spec: GroupSpec
@@ -318,20 +341,44 @@ class PeriodicOrbit:
                tol: float = INTEGRATOR_TOL) -> LoopPath:
         """Integrate one period and return the uniformly sampled loop;
         ValueError, before any integration, unless n_samples is a positive
-        integer."""
+        integer.
+
+        The period is flowed from both ends at once, in one stacked
+        `integrate` call over [0, T / 2].  The forward member starts at
+        the initial state (p, v).  By time reversal in the rotating frame,
+        x(T - s) is the forward flow of (p, -v) at frame rate -varpi (the
+        Coriolis term flips sign, and x(T) = x(0) on a closed orbit), so
+        the backward member is that flow.  Samples at t <= T / 2 are read
+        off the forward member, the rest off the backward one at s = T - t.
+        The two members miss each other at T / 2 by a gap delta, the
+        closing defect of the flow.  It is spread as a hat: +(t / T) delta
+        on forward samples and -((T - t) / T) delta on backward ones, so
+        the loop is continuous at T / 2 and across the seam, and sample 0
+        is exactly the initial positions.  No group element is used.
+        """
         n_samples = _checked_count(n_samples, "n_samples")
-        t_eval = np.arange(n_samples + 1) * (self.period / n_samples)
-        # dense-output interpolation is an order lower than the endpoint
-        # values; cap the step so sampled points are as accurate as tol
-        res = integrate(self.initial_state, np.ones(self.spec.n_bodies),
-                        self.varpi, (0.0, self.period), tol, t_eval=t_eval,
-                        max_step=self.period / 128.0)
-        pos = res.trajectory[:, 0]
-        # spread the residual closing defect over the period: a seam jump of
-        # size delta would otherwise ring through spectral derivatives
-        delta = pos[-1] - pos[0]
+        period = self.period
+        # grid times below T / 2, then T / 2 itself: the forward member is
+        # read at t = k T / n_samples <= T / 2, the backward one at
+        # s = T - t < T / 2, which is a grid time too
+        n_below = (n_samples + 1) // 2
+        t_eval = np.append(np.arange(n_below) * (period / n_samples),
+                           0.5 * period)
+        pos0, vel0 = self.initial_state
+        # on P12 and the Hip-Hop the step cap of T / 128, not tol, sets the
+        # samples' error: uncapped at 1e-12 they land 16 to 23 times
+        # further from a flow at 1e-13 with the step capped at T / 1024
+        res = integrate(np.stack([self.initial_state, [pos0, -vel0]]),
+                        np.ones(self.spec.n_bodies),
+                        [self.varpi, -self.varpi], (0.0, 0.5 * period), tol,
+                        t_eval=t_eval, max_step=period / 128.0)
+        forward, backward = res.trajectory[:, 0, 0], res.trajectory[:, 1, 0]
+        delta = backward[-1] - forward[-1]
+        # the hat: -((T - t) / T) delta = (t / T) delta - delta
+        pos = np.concatenate([forward[:n_samples // 2 + 1],
+                              backward[n_below - 1:0:-1] - delta])
         ramp = np.arange(n_samples)[:, None, None] / n_samples
-        return LoopPath(pos[:-1] - ramp * delta, self.period)
+        return LoopPath(pos + ramp * delta, period)
 
 
 def _amplitude(red: _Reduction, harmonic) -> float:
@@ -604,10 +651,10 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     `PeriodicOrbit.sample` gives the full period on demand.  Raises
     ValueError, before any integration, for a direction other than 1 or
     -1 (a bool is refused too), an n_steps that is not a positive
-    integer, a step or max_step that is not positive, a varpi_range (lo,
-    hi) without lo <= hi, or an integrator_tol outside (0, 0.01): every
-    Newton solve stops at 100 integrator_tol (`_damped_newton`), and from
-    0.01 on passes any orbit.
+    integer, a step or max_step that is not positive and finite, a
+    varpi_range (lo, hi) without lo <= hi, or an integrator_tol outside
+    (0, 0.01): every Newton solve stops at 100 integrator_tol
+    (`_damped_newton`), and from 0.01 on passes any orbit.
     """
     if isinstance(direction, bool) or direction not in (1, -1):
         raise ValueError(f"direction must be 1 or -1, got {direction!r}")
@@ -687,17 +734,17 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
 
 def _check_steps(n_steps, step, max_step, varpi_range) -> None:
     """Raise ValueError unless n_steps is a positive integer (bool
-    excluded), both arclength steps are > 0 and varpi_range, when given,
-    is a window (lo, hi) with lo <= hi.
+    excluded), both arclength steps are positive and finite and
+    varpi_range, when given, is a window (lo, hi) with lo <= hi.
 
     A zero cap repeats the first record and a negative step walks back
-    through the onset, and both would still end as "max-steps"; an empty
-    or NaN window ends every run at its first record as "varpi-range".
+    through the onset, and both would still end as "max-steps"; an
+    infinite step puts a non-finite start into the solver; an empty or
+    NaN window ends every run at its first record as "varpi-range".
     """
     _checked_count(n_steps, "n_steps")
-    for name, value in (("step", step), ("max_step", max_step)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+    _checked_positive(step, "step")
+    _checked_positive(max_step, "max_step")
     if varpi_range is not None and not varpi_range[0] <= varpi_range[1]:
         raise ValueError(f"varpi_range needs lo <= hi, got {varpi_range}")
 

@@ -299,6 +299,31 @@ def test_continue_rejects_bad_options_before_any_work(capsys, no_family,
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("bad", [("--step", "inf"), ("--step", "nan"),
+                                 ("--max-step", "inf"),
+                                 ("--max-step", "nan")])
+def test_continue_rejects_non_finite_steps_before_any_solve(capsys,
+                                                            monkeypatch,
+                                                            bad):
+    # --step inf ran two solves, then failed inside scipy on a non-finite
+    # start with a RuntimeWarning on the way
+    import warnings
+    import unchained.continuation as continuation
+
+    def never(*args, **kwargs):
+        raise AssertionError("solved before the steps were checked")
+
+    monkeypatch.setattr(continuation, "solve_ivp", never)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "continue", "3", "1", "-1", "2", "1",
+                           "--steps", "2", *bad)
+    assert rc == 2
+    assert out == ""
+    name = bad[0][2:].replace("-", "_")
+    assert err.startswith(f"error: {name} must be positive and finite")
+
+
 @pytest.mark.parametrize("flag", ["0.02", "0.5"])
 def test_continue_rejects_newton_tolerance_out_of_range(capsys, no_family,
                                                        flag):

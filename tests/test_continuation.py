@@ -12,6 +12,7 @@
 #    equals (3/2) U T for the n-gon scaled to vertical frequency 2 pi.
 #  - torsion constants gamma are frozen in test_torsion.py and cross
 #    checked there against a direct collocation solve.
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -35,7 +36,7 @@ from unchained.continuation import (INTEGRATOR_TOL, NEWTON_TOL,
 from unchained.errors import (CollisionError, IntegrationFailure,
                               NoConvergence, SingularReduction)
 from unchained.ngon import (COLLISION_TOL, Configuration, action,
-                            angular_momentum_z, build_ngon, jay,
+                            angular_momentum_z, build_ngon, gravity, jay,
                             newton_residual, potential, rescale)
 from unchained.spectrum import lyapunov_cylinder, vertical_spectrum
 from unchained.symmetry import (GroupSpec, compose, enumerate_elements,
@@ -51,6 +52,7 @@ GAMMA_HH4 = 19.104492602095
 P12 = GroupSpec(3, 1, -1, 2, 1)
 HH4 = GroupSpec(4, 2, 1, 1, 1)
 TILT3 = GroupSpec(3, 1, 1, 2, 1)
+HEXAGON = GroupSpec(6, 1, -1, 5, 1)
 
 KEPLER_PERIOD = 2.0 * np.pi / np.sqrt(2.0)
 
@@ -246,6 +248,82 @@ def test_integrate_trajectory_shapes():
     assert res.trajectory.shape == (11, 2, 2, 3)
     assert np.max(np.abs(res.trajectory[0] - state)) < 1e-13
     assert np.max(np.abs(res.trajectory[-1] - res.state)) < 1e-13
+
+
+def _perturbed_ngon_state(n, seed):
+    rng = np.random.default_rng(seed)
+    pos = (1.5 * build_ngon(n).configuration.positions
+           + 0.2 * rng.standard_normal((n, 3)))
+    return np.stack([pos, 0.3 * rng.standard_normal((n, 3))])
+
+
+def test_integrate_stack_matches_single_flows():
+    # two members at two frame rates in one call: each must follow its
+    # own flow, though they share the steps and the error norm
+    masses = np.array([1.0, 2.0, 0.5])
+    states = np.stack([_perturbed_ngon_state(3, 1),
+                       _perturbed_ngon_state(3, 2)])
+    varpis = [0.4, -1.1]
+    t_eval = np.linspace(0.0, 0.6, 7)
+    res = integrate(states, masses, varpis, 0.6, t_eval=t_eval)
+    assert res.state.shape == (2, 2, 3, 3)
+    assert res.trajectory.shape == (7, 2, 2, 3, 3)
+    for member, (state, varpi) in enumerate(zip(states, varpis)):
+        single = integrate(state, masses, varpi, 0.6, t_eval=t_eval)
+        assert np.max(np.abs(res.state[member] - single.state)) < 1e-10
+        assert np.max(np.abs(res.trajectory[:, member]
+                             - single.trajectory)) < 1e-10
+
+
+def test_integrate_time_reversal_flips_frame_and_velocities():
+    # x(-s) is the forward flow of (p, -v) at -varpi, its velocity
+    # negated: the identity `PeriodicOrbit.sample` reads the second half
+    # of the period with
+    masses = np.ones(4)
+    state = _perturbed_ngon_state(4, 3)
+    varpi, s = 0.7, 0.5
+    back = integrate(state, masses, varpi, (0.0, -s)).state
+    pos, vel = integrate(np.stack([state[0], -state[1]]), masses, -varpi,
+                         s).state
+    assert np.max(np.abs(pos - back[0])) < 1e-10
+    assert np.max(np.abs(vel + back[1])) < 1e-10
+
+
+def test_integrate_stack_collision_names_the_member_pair():
+    # member 1 is the head-on fall of bodies 1 and 3 from
+    # test_integrate_four_body_collision_inside_the_flow; member 0, a
+    # wide square at rest, stays far from any collision meanwhile
+    falling = np.array([[5.0, 0.0, 0.0], [0.0, 0.5, 0.0],
+                        [-5.0, 0.0, 0.0], [0.0, -0.5, 0.0]])
+    wide = 10.0 * build_ngon(4).configuration.positions
+    states = np.stack([np.stack([p, np.zeros_like(p)])
+                       for p in (wide, falling)])
+    with pytest.raises(CollisionError) as err:
+        integrate(states, [1.0, 2.0, 1.0, 0.5], 0.0, 3.0)
+    assert err.value.pair == (1, 3)
+    assert err.value.distance < COLLISION_TOL
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(tangents=np.vstack([np.eye(12)[:, :1], [0.0]])),
+    dict(varpi=[0.1, 0.2, 0.3]),
+    dict(varpi=[[0.1, 0.2]]),
+])
+def test_integrate_stack_arguments_checked_before_any_solve(monkeypatch,
+                                                            kwargs):
+    # tangent columns are carried for one state only, and a frame rate
+    # per member must line up with the stack's leading axes
+    import unchained.continuation as continuation
+
+    def never(*args, **kw):
+        raise AssertionError("solved before the stack was checked")
+
+    monkeypatch.setattr(continuation, "solve_ivp", never)
+    states = np.stack([two_body_circular()] * 2)
+    kwargs = dict(dict(varpi=0.0), **kwargs)
+    varpi = kwargs.pop("varpi")
+    with pytest.raises(ValueError, match="stack"):
+        integrate(states, [1.0, 1.0], varpi, 1.0, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -796,18 +874,24 @@ def test_continue_family_integrates_only_closing_flows(monkeypatch):
                                     dict(step=-0.04), dict(n_steps=0),
                                     dict(varpi_range=(1.0, 0.0)),
                                     dict(varpi_range=(np.nan, 1.0)),
-                                    dict(n_steps=1.5), dict(n_steps=True)])
+                                    dict(n_steps=1.5), dict(n_steps=True),
+                                    dict(step=np.inf), dict(step=np.nan),
+                                    dict(max_step=np.inf),
+                                    dict(max_step=np.nan)])
 def test_continue_family_rejects_degenerate_steps(monkeypatch, kwargs):
     # a zero cap repeats the first record and a negative step walks back
     # through the onset; both used to end "max-steps" with no integration
     # spared, so the check must come before the first one.  n_steps = 1.5
-    # ran 2 steps and True ran 1, both ending as a clean "max-steps"
+    # ran 2 steps and True ran 1, both ending as a clean "max-steps".
+    # step = inf failed inside scipy on a non-finite start after two
+    # solves
     import unchained.continuation as continuation
 
     def never(*args, **kw):
         raise AssertionError("integrated before the arguments were checked")
 
     monkeypatch.setattr(continuation, "integrate", never)
+    monkeypatch.setattr(continuation, "solve_ivp", never)
     with pytest.raises(ValueError):
         continue_family(P12, **kwargs)
 
@@ -884,6 +968,105 @@ def test_sample_count_checked_before_any_integration(monkeypatch, p12_family,
     monkeypatch.setattr(continuation, "integrate", never)
     with pytest.raises(ValueError, match="n_samples must be a positive"):
         p12_family.records[1].orbit.sample(n_samples)
+
+
+
+@pytest.fixture(scope="module")
+def shot_orbits():
+    # P12, the Hip-Hop and the hexagon shot at onset amplitude 0.05
+    orbits = {}
+    for spec in (P12, HH4, HEXAGON):
+        state, varpi = onset_state(spec, 0.05)
+        orbits[spec] = shoot_symmetric(spec, varpi, state)
+    return orbits
+
+
+def _gravity_rhs(varpi, n):
+    # rotating-frame equations through ngon.gravity, not the flow's pass
+    def rhs(t, y):
+        pos, vel = y[:3 * n].reshape(n, 3), y[3 * n:].reshape(n, 3)
+        acc = gravity(pos, np.ones(n)) + varpi ** 2 * pos * [1.0, 1.0, 0.0]
+        acc[:, 0] += 2.0 * varpi * vel[:, 1]
+        acc[:, 1] -= 2.0 * varpi * vel[:, 0]
+        return np.concatenate([vel.ravel(), acc.ravel()])
+    return rhs
+
+
+# max |sample(512) - reference| of the single forward flow over the whole
+# period, with the closing defect ramped over it, that `sample` used
+# before it flowed the period from both ends: 3.0e-13 (P12), 4.7e-13
+# (Hip-Hop) and 1.6e-11 (hexagon).  The bound is max(2 gap, 1e-12)
+@pytest.mark.parametrize("spec, bound", [(P12, 1e-12), (HH4, 1e-12),
+                                         (HEXAGON, 3.2e-11)])
+def test_sample_matches_a_finer_full_period_flow(shot_orbits, spec, bound):
+    # the reference flows forward over the whole period at tol 1e-13 with
+    # the step capped at period / 1024
+    orbit = shot_orbits[spec]
+    n, period = spec.n_bodies, orbit.period
+    loop = orbit.sample(512)
+    sol = solve_ivp(_gravity_rhs(orbit.varpi, n), (0.0, period),
+                    orbit.initial_state.ravel(), method="DOP853",
+                    rtol=1e-13, atol=1e-13, max_step=period / 1024.0,
+                    t_eval=loop.times)
+    assert sol.status == 0
+    reference = sol.y[:3 * n].T.reshape(-1, n, 3)
+    assert np.max(np.abs(loop.positions - reference)) <= bound
+
+
+@pytest.mark.parametrize("coarse", [7, 513])
+def test_sample_odd_counts_match_the_doubled_grid(shot_orbits, coarse):
+    # an odd count has no sample at T / 2; its samples are the even ones
+    # of twice the count
+    orbit = shot_orbits[HEXAGON]
+    fine = orbit.sample(2 * coarse).positions[::2]
+    assert np.max(np.abs(orbit.sample(coarse).positions - fine)) < 1e-11
+
+
+def _fourth_differences(loop):
+    # largest periodic fourth difference of the positions: about
+    # (T / m)^4 |x''''| on a smooth loop of m samples, and up to 3 times
+    # the size of any jump
+    pos = loop.positions
+    wrapped = np.concatenate([pos, pos[:4]])
+    return float(np.max(np.abs(np.diff(wrapped, n=4, axis=0))))
+
+
+@pytest.mark.parametrize("n_samples", [512, 513])
+def test_sample_hat_joins_members_that_miss(shot_orbits, n_samples):
+    # velocities off by 1e-6 open the orbit, and the two members then miss
+    # each other at T / 2 by about 1e-6: left as a jump it would raise the
+    # fourth differences 30-fold, while the hat keeps them at the closed
+    # loop's level (8.9e-8 there, 1.1e-7 with the hat)
+    orbit = shot_orbits[P12]
+    state = orbit.initial_state.copy()
+    state[1] += 1e-6
+    opened = dataclasses.replace(orbit, initial_state=state)
+    assert _fourth_differences(opened.sample(n_samples)) \
+        <= 2.0 * _fourth_differences(orbit.sample(n_samples))
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 7, 512])
+def test_sample_starts_exactly_at_the_initial_positions(shot_orbits,
+                                                        n_samples):
+    for orbit in shot_orbits.values():
+        loop = orbit.sample(n_samples)
+        assert loop.n_samples == n_samples
+        assert np.array_equal(loop.positions[0], orbit.initial_state[0])
+
+
+def test_sample_uses_no_symmetry(monkeypatch, shot_orbits):
+    # the loop checks the values built from the symmetry-reduced closing
+    # flow, so it must not be built from the group itself
+    import unchained.continuation as continuation
+    orbit = shot_orbits[HH4]
+    expected = orbit.sample(64).positions
+
+    def never(*args, **kw):
+        raise AssertionError("sample used the symmetry group")
+
+    monkeypatch.setattr(continuation, "enumerate_elements", never)
+    monkeypatch.setattr(continuation, "_reduction", never)
+    assert np.array_equal(orbit.sample(64).positions, expected)
 
 
 def _counted_twenty(spec):
