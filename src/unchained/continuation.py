@@ -846,11 +846,8 @@ class ActionDiagram:
 def action_diagram(family) -> ActionDiagram:
     """Tabulate a continued family against the relative equilibrium branch
     on 129 evenly spaced frame rates."""
-    if isinstance(family, ContinuationResult):
-        spec, records = family.spec, family.records
-    else:
-        records = list(family)
-        spec = records[0].orbit.spec
+    records = list(family)
+    spec = records[0].orbit.spec
     rows = np.array([[getattr(r, c) for c in ActionDiagram.columns]
                      for r in records])
     lo = float(rows[:, 0].min())

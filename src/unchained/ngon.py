@@ -8,28 +8,29 @@ the Wintner matrix governing vertical variations, periodic paths sampled
 on a uniform grid, and the Lagrangian action in a frame rotating at an
 arbitrary rate varpi.
 
-Every pairwise quantity comes from one kernel, `pair_terms`, over the
-n(n-1)/2 pairs i < j in `np.triu_indices(n, 1)` order: the differences
-x_j - x_i, the distances r_ij and r_ij^-3, with no diagonal.  Sums over
-pairs go back to the bodies through the mass-weighted scatter of
-`_pair_scatter`, which adds m_j times a pair's vector to body i and -m_i
-times it to body j.  Two bodies closer than the single threshold
-COLLISION_TOL collide.  The functions that take positions from a caller
-(`potential`, `wintner_matrix`, `force_jacobian`, `action`,
-`newton_residual`) raise CollisionError below it; `gravity` and `_gravity`
-do not check.
+Every pairwise quantity but the force Jacobian comes from one kernel,
+`pair_terms`, over the n(n-1)/2 pairs i < j in `np.triu_indices(n, 1)`
+order: the differences x_j - x_i, the distances r_ij and r_ij^-3, with
+no diagonal.  Sums over pairs go back to the bodies through the
+mass-weighted scatter of `_pair_scatter`, which adds m_j times a pair's
+vector to body i and -m_i times it to body j.  Two bodies closer than the
+single threshold COLLISION_TOL collide.  The functions that take
+positions from a caller (`potential`, `wintner_matrix`, `force_jacobian`,
+`action`, `newton_residual`) raise CollisionError below it; `gravity` and
+`_gravity` do not check.
 
-The flow of `continuation.integrate` uses one kernel,
-`_force_jacobian_apply`, and never `_gravity`.  It takes the positions as
-column 0 of a stack of position columns and applies the force Jacobian
-there, in rank-one form, to every column with one pair-difference product
-and one scatter product.  Every pair term of the force is homogeneous of
-degree -2 in the positions, so column 0 comes out as J(x) x = -2 F(x)
-(Euler's identity): the flow reads the force off the same pass that moves
-its tangent columns.  With the positions alone, as in the plain flow, the
-rank-one term is -3 times the isotropic one and the pass writes -2 F(x)
-without it.  The kernel runs `check_separation` on the pair distances
-before it divides by them, which is the flow's collision check.
+`force_jacobian` and the flow of `continuation.integrate` use one kernel,
+`_force_jacobian_apply`, and never `pair_terms` or `_gravity`.  It takes
+the positions as column 0 of a stack of position columns and applies the
+force Jacobian there, in rank-one form, to every column with one
+pair-difference product and one scatter product.  Every pair term of the
+force is homogeneous of degree -2 in the positions, so column 0 comes out
+as J(x) x = -2 F(x) (Euler's identity): the flow reads the force off the
+same pass that moves its tangent columns.  With the positions alone, as
+in the plain flow, the rank-one term is -3 times the isotropic one and
+the pass writes -2 F(x) without it.  The kernel runs `check_separation`
+on the pair distances before it divides by them, which is the flow's
+collision check.
 """
 
 import functools
@@ -138,6 +139,16 @@ def _checked_count(count, name):
             or count < 1:
         raise ValueError(f"{name} must be a positive integer: {count!r}")
     return int(count)
+
+
+def _checked_bodies(n):
+    # a body count: an integer n >= 3, returned as int.  The spectrum
+    # caches check it before any lookup, since 3.0 == 3 would share a
+    # cache entry with 3
+    n = _checked_count(n, "n")
+    if n < 3:
+        raise ValueError(f"need at least 3 bodies, got {n}")
+    return n
 
 
 def _checked_positive(value, name):
@@ -268,8 +279,9 @@ class NGonSystem:
 
     Vertices sit at scale * (cos(2 pi j / n), sin(2 pi j / n), 0).  The
     rigid rotation at frequency `omega1` solves Newton's equations; the
-    identity n * omega1(1)^2 = U(unit n-gon) fixes the frequency.  A
-    scale that is not finite and positive raises ValueError.
+    identity n * omega1(1)^2 = U(unit n-gon) fixes the frequency.  An n
+    that is not an integer >= 3 (bool refused), or a scale that is not
+    finite and positive, raises ValueError.
     """
 
     n: int
@@ -278,8 +290,7 @@ class NGonSystem:
     omega1: float = field(init=False)
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("n-gon needs n >= 3")
+        self.n = _checked_bodies(self.n)
         _checked_positive(self.scale, "scale")
         j = np.arange(self.n)
         ang = 2.0 * np.pi * j / self.n

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSystem
-from .ngon import (LoopPath, _checked_count, build_ngon, force_jacobian,
+from .ngon import (LoopPath, _checked_bodies, build_ngon, force_jacobian,
                    wintner_matrix)
 from .symmetry import GroupSpec
 
@@ -92,15 +92,6 @@ class VerticalSpectrum:
                 f"mode {m} folds to 0 mod {self.n_bodies}; no vertical frequency"
             )
         return float(self.omegas[f - 1])
-
-
-def _checked_bodies(n):
-    # a body count: an integer n >= 3, returned as int.  Checked before
-    # any cache lookup, since 3.0 == 3 would share a cache entry with 3
-    n = _checked_count(n, "n")
-    if n < 3:
-        raise ValueError(f"need at least 3 bodies, got {n}")
-    return n
 
 
 def vertical_spectrum(n: int) -> VerticalSpectrum:

@@ -173,12 +173,7 @@ def inverse(g: GroupElement) -> GroupElement:
 
 
 def element_order(g: GroupElement) -> int:
-    """Smallest k >= 1 with g^k the identity."""
-    return _order(g)
-
-
-def _order(g: GroupElement) -> int:
-    """Order of g, read off its integers.
+    """Smallest k >= 1 with g^k the identity, read off g's integers.
 
     A time reversal (xi = -1) squares to the identity.  Elements with
     xi = +1 compose by adding (t, delta, beta) in Z/2NsZ x Z/NZ x Z/2Z, so
@@ -200,80 +195,38 @@ class StructureReport:
     k_cyclic_order: int | None
 
 
-def _multiplication_table(spec: GroupSpec,
-                          elements: list[GroupElement]) -> list[list[int]]:
-    """table[i][j] is the index of elements[i] elements[j] in elements.
-
-    `_law` runs once on int arrays of (t, delta, beta, xi) broadcast over
-    all pairs; a lookup array over the packed keys maps each product back
-    to its index.  Returned as nested lists, which the structure search
-    indexes faster than an array.
-    """
-    n, m = spec.n_bodies, 2 * spec.n_bodies * spec.s
-
-    def packed(t, delta, beta, xi):
-        return ((t * n + delta) * 2 + beta) * 2 + (xi == -1)
-
-    keys = np.array([(g.t, g.delta, g.beta, g.xi) for g in elements]).T
-    lookup = np.zeros(4 * n * m, dtype=int)
-    lookup[packed(*keys)] = np.arange(len(elements))
-    products = _law(spec, tuple(keys[:, :, None]), tuple(keys[:, None, :]))
-    return lookup[packed(*products)].tolist()
-
-
-def _is_dihedral_times_z2(spec: GroupSpec, elements: list[GroupElement]) -> bool:
-    """Search for a D_N x Z/2 presentation on the multiplication table.
-
-    Needs a of order N, b of order 2 with b a b = a^{-1}, and a central
-    order-2 element c with <a, b> and <c> intersecting trivially and
-    a^i b^j c^l exhausting the group.  The table is built in one array
-    pass (`_multiplication_table`); the search walks it as lists.
-    """
-    n = spec.n_bodies
-    size = len(elements)
-    if size != 4 * n:
-        return False
-    # index 0 is the identity
-    table = _multiplication_table(spec, elements)
-    orders = [_order(g) for g in elements]
-    central = [c for c in range(size) if orders[c] == 2
-               and all(table[c][h] == table[h][c] for h in range(size))]
-    for a in (g for g in range(size) if orders[g] == n):
-        powers = [0]
-        for _ in range(n - 1):
-            powers.append(table[a][powers[-1]])
-        a_inv = table[a].index(0)
-        for b in (g for g in range(size) if orders[g] == 2 and g not in powers):
-            if table[b][table[a][b]] != a_inv:
-                continue
-            dihedral = set(powers) | {table[p][b] for p in powers}
-            if len(dihedral) != 2 * n:
-                continue
-            for c in central:
-                if c not in dihedral:
-                    full = dihedral | {table[d][c] for d in dihedral}
-                    if len(full) == 4 * n:
-                        return True
-    return False
-
-
-def _k_subgroup_cyclic_order(spec: GroupSpec,
-                             elements: list[GroupElement]) -> int | None:
-    """Order of the kernel K = {(theta, delta), beta = 0} if cyclic."""
-    best = max(_order(g) for g in elements
-               if g.xi == 1 and g.beta == 0)
-    order = spec.n_bodies * spec.s
-    return order if best == order else None
-
-
 def structure_report(spec: GroupSpec) -> StructureReport:
-    elements = enumerate_elements(spec)
-    h_order = sum(1 for g in elements if g.xi == 1)
+    """Order, xi = +1 half, D_N x Z/2 test and kernel cyclicity of G.
+
+    All four are closed forms in (N, k, eta, r, s); no element is built.
+    The group has 4 N s elements, half of them with xi = +1 (the
+    subgroup H).
+
+    D_N x Z/2 iff s = 1.  For s = 1, (delta, beta) -> make_element(spec,
+    delta, beta) maps Z/N x Z/2 onto H, and it is a homomorphism because
+    t = N beta + 2 k eta delta mod 2N is additive, so H is Z/N x Z/2.  The
+    pure time reversal rho = (t 0, delta 0, beta 0, xi -1) lies in every
+    group and sends (t, delta, beta) to (-t, -delta, beta), so G = H x| <rho>
+    is D_N x Z/2 with the beta flip central.  For s > 1, |G| = 4 N s is not
+    |D_N x Z/2| = 4 N.
+
+    The kernel K (xi = +1, beta = 0) is cyclic, of order N s, iff
+    gcd(N, k, s) = 1.  Halving t, K is {(x, delta) in Z/Ns x Z/N :
+    x = k eta delta mod N}: N s pairs, x fixed mod N by delta.  K is
+    abelian, so it is cyclic iff its p-torsion has at most p elements for
+    every prime p.  That torsion lies in the pairs with p x = 0 and
+    p delta = 0.  If p does not divide N, delta = 0 and x lies in the
+    cyclic N Z/Ns, so there are at most p.  If p divides N, those pairs
+    form (Z/p)^2 generated by (Ns/p, 0) and (0, N/p); the congruence cuts
+    out a subgroup, which is all p^2 pairs iff both generators satisfy it:
+    Ns/p = 0 mod N iff p | s, and k eta N/p = 0 mod N iff p | k.
+    """
+    n, s = spec.n_bodies, spec.s
     return StructureReport(
-        order=len(elements),
-        h_order=h_order,
-        is_dihedral_times_z2=_is_dihedral_times_z2(spec, elements),
-        k_cyclic_order=_k_subgroup_cyclic_order(spec, elements),
+        order=4 * n * s,
+        h_order=2 * n * s,
+        is_dihedral_times_z2=(s == 1),
+        k_cyclic_order=n * s if gcd(n, spec.k, s) == 1 else None,
     )
 
 
@@ -479,16 +432,19 @@ def dense_choreography_params(n: int, k: int, eta: int,
     """Coprime (r, s) with s <= max_denominator making (N,k,eta) choreographic.
 
     Returns pairs with |r/s| <= N, sorted by r/s; their density in that
-    window grows with max_denominator.
+    window grows with max_denominator.  (n, k, eta) that name no group
+    raise ValueError as GroupSpec does.
     """
+    spec = GroupSpec(n, k, eta, 0)
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
+    n, ke = spec.n_bodies, spec.k * spec.eta
     found = []
     for s in range(1, max_denominator + 1):
         for r in range(-n * s, n * s + 1):
             if gcd(r, s) != 1:
                 continue
-            if (s - k * eta * r) % n == 0:
+            if (s - ke * r) % n == 0:
                 found.append((r, s))
     return sorted(found, key=lambda rs: Fraction(rs[0], rs[1]))
 

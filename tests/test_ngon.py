@@ -22,6 +22,21 @@ def test_build_ngon_rejects_small_n():
         build_ngon(2)
 
 
+@pytest.mark.parametrize("make", [lambda: build_ngon(4.5),
+                                  lambda: build_ngon(3.0),
+                                  lambda: NGonSystem(True)])
+def test_body_count_must_be_an_integer(make):
+    # 4.5 would give 5 vertices at angles 2 pi j / 4.5, and 3.0 a float n
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        make()
+
+
+def test_body_count_accepts_numpy_integers():
+    ngon = build_ngon(np.int64(4))
+    assert type(ngon.n) is int and ngon.n == 4
+    assert ngon.configuration.n == 4
+
+
 def test_unit_triangle_potential():
     sys3 = build_ngon(3)
     assert potential(sys3.configuration) == pytest.approx(U_TRIANGLE, abs=1e-14)

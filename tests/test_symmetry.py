@@ -7,12 +7,13 @@ from math import gcd
 import numpy as np
 import pytest
 
+from unchained import symmetry
 from unchained.errors import UnsupportedCase
 from unchained.ngon import LoopPath
 from unchained.spectrum import lyapunov_cylinder
 from unchained.symmetry import (GroupSpec, StructureReport, _action,
-                                _multiplication_table, apply_element,
-                                compose, dense_choreography_params,
+                                apply_element, compose,
+                                dense_choreography_params,
                                 element_order, enumerate_elements,
                                 find_isomorphism, fourier_constraints,
                                 identity_element, invariance_defect, inverse,
@@ -160,20 +161,66 @@ def test_structure_report_dihedral_for_unit_s():
     assert rep4.is_dihedral_times_z2
 
 
-def test_multiplication_table_matches_compose():
-    # every G_{r/s}(N, k, eta) with N <= 6, |r| <= N and s <= 2; GroupSpec
-    # folds eta = -1 into +1 for the mode k = N / 2
-    specs = {GroupSpec(n, k, eta, r, s)
-             for n in range(3, 7) for k in range(1, n // 2 + 1)
-             for eta in (1, -1) for s in (1, 2)
-             for r in range(-n, n + 1) if gcd(r, s) == 1}
-    assert len(specs) == 224
-    for spec in specs:
+# every G_{r/s}(N, k, eta) with N <= 6, |r| <= N and s <= 2; GroupSpec
+# folds eta = -1 into +1 for the mode k = N / 2
+SMALL_SPECS = sorted({GroupSpec(n, k, eta, r, s)
+                      for n in range(3, 7) for k in range(1, n // 2 + 1)
+                      for eta in (1, -1) for s in (1, 2)
+                      for r in range(-n, n + 1) if gcd(r, s) == 1},
+                     key=dataclasses.astuple)
+
+
+def test_dihedral_presentation_by_compose():
+    # oracle for is_dihedral_times_z2, from the group law alone: for s = 1
+    # a = (delta 1), b = the pure time reversal and c = the vertical flip
+    # satisfy the D_N x Z/2 relations and their 4N words fill the group;
+    # for s > 1 the group has more than 4N elements
+    assert len(SMALL_SPECS) == 224
+    for spec in SMALL_SPECS:
+        n = spec.n_bodies
         elements = enumerate_elements(spec)
-        index = {g: i for i, g in enumerate(elements)}
-        assert _multiplication_table(spec, elements) == [
-            [index[compose(a, b)] for b in elements]
-            for a in elements], spec
+        dihedral = structure_report(spec).is_dihedral_times_z2
+        if spec.s > 1:
+            assert len(elements) > 4 * n and not dihedral, spec
+            continue
+        e = identity_element(spec)
+        a, c = make_element(spec, 1, 0), make_element(spec, 0, 1)
+        b = make_element(spec, 0, 0, xi=-1)
+        powers = [e]
+        for _ in range(n):
+            powers.append(compose(a, powers[-1]))
+        assert powers[n] == e, spec
+        assert compose(b, b) == e and compose(c, c) == e, spec
+        assert compose(b, compose(a, b)) == powers[n - 1], spec
+        assert all(compose(c, g) == compose(g, c) for g in elements), spec
+        words = {compose(compose(p, bj), cl)
+                 for p in powers[:n] for bj in (e, b) for cl in (e, c)}
+        assert len(words) == 4 * n == len(elements), spec
+        assert dihedral, spec
+
+
+def test_kernel_cyclic_order_matches_element_orders():
+    # oracle for k_cyclic_order: the kernel (xi = +1, beta = 0) is cyclic
+    # iff some element's order equals its size
+    for spec in SMALL_SPECS + [GroupSpec(6, 3, 1, 1, 3),
+                               GroupSpec(4, 2, 1, 1, 6)]:
+        kernel = [g for g in enumerate_elements(spec)
+                  if g.xi == 1 and g.beta == 0]
+        assert len(kernel) == spec.n_bodies * spec.s, spec
+        best = max(element_order(g) for g in kernel)
+        expected = len(kernel) if best == len(kernel) else None
+        assert structure_report(spec).k_cyclic_order == expected, spec
+
+
+def test_structure_report_builds_no_element(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("structure_report built a group element")
+
+    for name in ("enumerate_elements", "make_element", "GroupElement"):
+        monkeypatch.setattr(symmetry, name, refuse)
+    assert structure_report(GroupSpec(6, 2, 1, 5, 3)) == StructureReport(
+        72, 36, False, 18)
+    assert structure_report(GroupSpec(6, 3, 1, 1, 3)).k_cyclic_order is None
 
 
 def test_structure_report_unit_s_battery():
@@ -384,6 +431,14 @@ def test_choreography_matches_cycle_bruteforce():
 def test_choreography_matches_curve_bruteforce():
     for spec in spec_battery(n_max=5, r_range=(-2, 4), s_max=2):
         assert is_simple_choreography(spec) == curve_bruteforce(spec), spec
+
+
+@pytest.mark.parametrize("n, k, eta", [(4, 3, 1), (4, 0, 1), (4, 1, 0),
+                                       (0, 1, 1), (2, 1, 1), (4.0, 1, 1)])
+def test_dense_choreography_params_needs_a_group(n, k, eta):
+    # (n, k, eta) must name a group, as GroupSpec checks them
+    with pytest.raises(ValueError):
+        dense_choreography_params(n, k, eta, 2)
 
 
 def test_dense_choreography_params():
