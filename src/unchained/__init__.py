@@ -27,9 +27,8 @@ from .symmetry import (FourierConstraints, GroupElement, GroupSpec,
                        invariance_defect, inverse, is_invariant,
                        is_simple_choreography, make_element,
                        structure_report)
-from .torsion import (AppendixGeometry, ExpansionResult, appendix_geometry,
-                      build_equations, excluded_harmonics, reconstruct_loop,
-                      torsion_gamma)
+from .torsion import (ExpansionResult, build_equations, excluded_harmonics,
+                      reconstruct_loop, torsion_gamma)
 
 # served on first access (PEP 562): continuation imports scipy, which the
 # exact layers and their CLI subcommands never need
@@ -68,9 +67,8 @@ __all__ = [
     "BarActionParams", "BoundReport", "absolute_interval", "bar_action",
     "hessian_vertical", "horizontal_bounds_H", "italian_bound",
     "lambda_G_bruteforce", "vertical_bound_V",
-    "AppendixGeometry", "ExpansionResult", "appendix_geometry",
-    "build_equations", "excluded_harmonics", "reconstruct_loop",
-    "torsion_gamma", "verify_against_continuation",
+    "ExpansionResult", "build_equations", "excluded_harmonics",
+    "reconstruct_loop", "torsion_gamma", "verify_against_continuation",
     "ActionDiagram", "ContinuationResult", "FamilyRecord",
     "IntegrationResult", "PeriodicOrbit", "action_diagram",
     "continue_family", "integrate", "monodromy", "onset_state",

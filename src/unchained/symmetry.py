@@ -26,7 +26,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import UnsupportedCase
-from .ngon import LoopPath
+from .ngon import LoopPath, _checked_count
 
 __all__ = [
     "GroupSpec",
@@ -147,22 +147,15 @@ def enumerate_elements(spec: GroupSpec) -> list[GroupElement]:
     ]
 
 
-def _law(spec: GroupSpec, g2: tuple, g1: tuple) -> tuple:
-    """Integer product of (t, delta, beta, xi) tuples."""
-    t2, d2, b2, x2 = g2
-    t1, d1, b1, x1 = g1
-    n = spec.n_bodies
-    return ((t2 + x2 * t1) % (2 * n * spec.s), (d2 + x2 * d1) % n,
-            (b2 + b1) % 2, x2 * x1)
-
-
 def compose(g2: GroupElement, g1: GroupElement) -> GroupElement:
     """Product g2 g1 (apply g1 first); ValueError if their groups differ."""
     spec = g2.spec
     if g1.spec != spec:
         raise ValueError(f"cannot compose elements of {spec} and {g1.spec}")
-    return GroupElement(*_law(spec, (g2.t, g2.delta, g2.beta, g2.xi),
-                              (g1.t, g1.delta, g1.beta, g1.xi)), spec)
+    n = spec.n_bodies
+    return GroupElement((g2.t + g2.xi * g1.t) % (2 * n * spec.s),
+                        (g2.delta + g2.xi * g1.delta) % n,
+                        (g2.beta + g1.beta) % 2, g2.xi * g1.xi, spec)
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -291,49 +284,59 @@ class FourierConstraints:
 
     With loops expanded as x_j(t) = sum_l a_l^j e^{2 pi i l t / s}
     (horizontal, complex) and z_j(t) = sum_l b_l^j e^{2 pi i l t / s}
-    (vertical), invariance forces every coefficient onto a one-real-
-    dimensional line or to zero:
+    (vertical), invariance kills every other harmonic and forces these
+    onto a one-real-dimensional line:
 
       a_l^j = e^{-2 pi i (2 p k eta - 1) j / N} a^0,  l = r - 2 p s,
               allowed iff 2 p k eta - 1 != 0 (mod N), a^0 real;
       b_l^j = e^{ 2 pi i k eta (l/s) j / N} b^0,      l = (2q+1) s,
               allowed iff (l/s) k eta != 0 (mod N),   b^0 real,
 
-    plus b_{-l} = conj(b_l) from reality of z.
+    plus b_{-l} = conj(b_l) from reality of z.  Where the congruence
+    fails the phase is the same at every body: the line is a translation
+    of the centre of mass, which sits at the origin, so the harmonic is
+    forbidden.  The allowed_* methods decide the congruences in integers
+    and the *_phase methods call them; the torsion expansion reads its
+    exclusions and body phases here.
     """
 
     spec: GroupSpec
 
+    def allowed_horizontal(self, l: int) -> bool:
+        sp = self.spec
+        if (sp.r - l) % (2 * sp.s):
+            return False
+        p = (sp.r - l) // (2 * sp.s)
+        return (2 * p * sp.k * sp.eta - 1) % sp.n_bodies != 0
+
+    def allowed_vertical(self, l: int) -> bool:
+        sp = self.spec
+        if l <= 0 or l % sp.s:
+            return False
+        mult = l // sp.s
+        return mult % 2 == 1 and (mult * sp.k * sp.eta) % sp.n_bodies != 0
+
     def horizontal_phase(self, l: int) -> np.ndarray | None:
-        """Per-body phase vector of harmonic l, or None if forbidden."""
+        """Per-body phase vector of harmonic l, or None if forbidden.
+
+        The exponent -(2 p k eta - 1) j is reduced mod N before the
+        exponential is taken.
+        """
+        if not self.allowed_horizontal(l):
+            return None
         sp = self.spec
         n = sp.n_bodies
-        if (sp.r - l) % (2 * sp.s):
-            return None
-        p = (sp.r - l) // (2 * sp.s)
-        factor = 2 * p * sp.k * sp.eta - 1
-        if factor % n == 0:
-            return None
-        j = np.arange(n)
-        return np.exp(-2j * np.pi * factor * j / n)
+        factor = 2 * ((sp.r - l) // (2 * sp.s)) * sp.k * sp.eta - 1
+        return np.exp(2j * np.pi * ((-factor * np.arange(n)) % n) / n)
 
     def vertical_phase(self, l: int) -> np.ndarray | None:
         """Per-body phase vector of vertical harmonic l > 0, or None."""
+        if not self.allowed_vertical(l):
+            return None
         sp = self.spec
         n = sp.n_bodies
-        if l <= 0 or l % sp.s:
-            return None
-        mult = l // sp.s
-        if mult % 2 == 0 or (mult * sp.k * sp.eta) % n == 0:
-            return None
         j = np.arange(n)
-        return np.exp(2j * np.pi * sp.k * sp.eta * mult * j / n)
-
-    def allowed_horizontal(self, l: int) -> bool:
-        return self.horizontal_phase(l) is not None
-
-    def allowed_vertical(self, l: int) -> bool:
-        return self.vertical_phase(l) is not None
+        return np.exp(2j * np.pi * sp.k * sp.eta * (l // sp.s) * j / n)
 
     def project(self, loop: LoopPath) -> LoopPath:
         """Orthogonal projection of a loop onto the invariant subspace."""
@@ -433,11 +436,11 @@ def dense_choreography_params(n: int, k: int, eta: int,
 
     Returns pairs with |r/s| <= N, sorted by r/s; their density in that
     window grows with max_denominator.  (n, k, eta) that name no group
-    raise ValueError as GroupSpec does.
+    raise ValueError as GroupSpec does, and so does a max_denominator
+    that is not a positive integer.
     """
     spec = GroupSpec(n, k, eta, 0)
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be >= 1")
+    max_denominator = _checked_count(max_denominator, "max_denominator")
     n, ke = spec.n_bodies, spec.k * spec.eta
     found = []
     for s in range(1, max_denominator + 1):

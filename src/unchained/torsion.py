@@ -11,13 +11,16 @@ harmonic of body 0, the family expands as
   z_j = eps cos 2 pi(t + k eta j/N)
         + C3 eps^3 cos 6 pi(t + k eta j/N) + O(eps^5),
 
-with j[p] = -(2 p k eta - 1) j mod N.  Matching the equations of
-motion at second order gives an affine system for the unknowns
-(alpha, A2, Am2, C3, gamma): the constant and e^{+-4 pi i t} parts of
-the horizontal equation at body 0 plus the e^{2 pi i t} and
-e^{6 pi i t} parts of the vertical one.  Harmonics whose symmetry
-phase sums to zero over the bodies are excluded from the ansatz (and
-their equations vanish identically).
+where e^{2 pi i j[p]/N} is the body phase of the horizontal harmonic
+r - 2 p s.  Matching the equations of motion at second order gives an
+affine system for the unknowns (alpha, A2, Am2, C3, gamma): the
+constant and e^{+-4 pi i t} parts of the horizontal equation at body 0
+plus the e^{2 pi i t} and e^{6 pi i t} parts of the vertical one.
+Harmonics that the symmetry group and the fixed centre of mass forbid
+are excluded from the ansatz (and their equations vanish identically).
+Both the exclusions and the body phases are read from
+symmetry.FourierConstraints, the one statement of the group's harmonic
+rules.
 
 The torsion gamma is the leading frame-frequency shift
 varpi_tilde = gamma eps^2 + O(eps^4); it depends only on (N, k, eta),
@@ -32,34 +35,12 @@ import numpy as np
 from .errors import DegenerateSystem
 from .ngon import LoopPath, _checked_count
 from .spectrum import vertical_spectrum
-from .symmetry import GroupSpec
+from .symmetry import FourierConstraints, GroupSpec
 
 TWO_PI = 2.0 * np.pi
 
 # affine coefficient layout: constant term + the five unknowns
 _CONST, _ALPHA, _A2, _AM2, _C3, _GAMMA = range(6)
-
-
-@dataclass(frozen=True)
-class AppendixGeometry:
-    """Pairwise geometry of the reference n-gon used by the expansion.
-
-    r_vec[j, l] = zeta^j - zeta^l = rho e^{i 4 pi theta}; A = A0 rho;
-    B[j, l] = sin^2(pi k eta (j-l)/N) / A[j, l]; Theta[p][j, l] =
-    theta[j, l] - theta[j[p], l[p]]; jp_map[p][j] = -(2 p k eta - 1) j
-    mod N.  theta and Theta are set to zero on pairs whose difference
-    vector vanishes (the accompanying amplitude rho vanishes there).
-    """
-
-    n_bodies: int
-    A0: float
-    r_vec: np.ndarray
-    rho: np.ndarray
-    theta: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    Theta: Dict[int, np.ndarray]
-    jp_map: Dict[int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -83,38 +64,17 @@ def _frequencies(n: int, k: int) -> Tuple[float, float]:
     return w_hat, a0
 
 
-def appendix_geometry(spec: GroupSpec) -> AppendixGeometry:
-    n, ke = spec.n_bodies, spec.k * spec.eta
-    _, a0 = _frequencies(n, spec.k)
-    j = np.arange(n)
-    zeta = np.exp(2j * np.pi * j / n)
-    r_vec = zeta[:, None] - zeta[None, :]
-    rho = np.abs(r_vec)
-    theta = np.where(rho > 0, np.angle(r_vec) / (2.0 * TWO_PI), 0.0)
-    a = a0 * rho
-    b = np.zeros((n, n))
-    off = rho > 0
-    b[off] = np.sin(np.pi * ke * (j[:, None] - j[None, :])[off] / n) ** 2
-    b[off] /= a[off]
-    jp_map, big_theta = {}, {}
-    for p in (1, -1):
-        perm = (-(2 * p * ke - 1) * j) % n
-        jp_map[p] = perm
-        mapped = theta[np.ix_(perm, perm)]
-        rho_mapped = rho[np.ix_(perm, perm)]
-        big_theta[p] = np.where(rho_mapped > 0, theta - mapped, 0.0)
-    return AppendixGeometry(n_bodies=n, A0=a0, r_vec=r_vec, rho=rho,
-                            theta=theta, A=a, B=b, Theta=big_theta,
-                            jp_map=jp_map)
-
-
 def excluded_harmonics(spec: GroupSpec) -> Dict[str, bool]:
-    """Which expansion coefficients the symmetry kills (mod-N rules)."""
-    n, ke = spec.n_bodies, spec.k * spec.eta
+    """Which expansion coefficients the symmetry kills.
+
+    Read from FourierConstraints: A2 and Am2 sit on the horizontal
+    harmonics r - 2s and r + 2s, C3 on the vertical harmonic 3s.
+    """
+    fc = FourierConstraints(spec)
     return {
-        "A2": (2 * ke - 1) % n == 0,
-        "Am2": (-2 * ke - 1) % n == 0,
-        "C3": (3 * ke) % n == 0,
+        "A2": not fc.allowed_horizontal(spec.r - 2 * spec.s),
+        "Am2": not fc.allowed_horizontal(spec.r + 2 * spec.s),
+        "C3": not fc.allowed_vertical(3 * spec.s),
     }
 
 
@@ -154,7 +114,6 @@ def build_equations(spec: GroupSpec) -> AffineSystem:
     n, ke = spec.n_bodies, spec.k * spec.eta
     w_hat, a0 = _frequencies(n, spec.k)
     excl = excluded_harmonics(spec)
-    keep_p = {1: not excl["A2"], -1: not excl["Am2"]}
     idx_p = {1: _A2, -1: _AM2}
 
     ls = np.arange(1, n)
@@ -163,9 +122,11 @@ def build_equations(spec: GroupSpec) -> AffineSystem:
     rho = np.abs(r0l)
     a_l = a0 * rho
     b_l = np.sin(np.pi * ke * ls / n) ** 2 / a_l
-    # zeta^{l[p]} - 1, with l[p] = -(2 p k eta - 1) l mod N
-    zp_l = {p: np.exp(2j * np.pi * ((-(2 * p * ke - 1) * ls) % n) / n) - 1.0
-            for p in (1, -1)}
+    # zeta^{l[p]} - 1, body l's phase of the harmonic r - 2 p s, for each
+    # of the two the group allows
+    fc = FourierConstraints(spec)
+    phases = {p: fc.horizontal_phase(spec.r - 2 * p * spec.s) for p in (1, -1)}
+    zp_l = {p: u[1:] - 1.0 for p, u in phases.items() if u is not None}
     # z_l - z_0 = -2 eps sin(2 pi(t + ke l/(2n))) sin(pi ke l/n) + ...
     u_l = -2.0 * np.sin(np.pi * ke * ls / n)
     v_l = -2.0 * np.sin(3.0 * np.pi * ke * ls / n)
@@ -183,11 +144,10 @@ def build_equations(spec: GroupSpec) -> AffineSystem:
     cosphase = np.exp(2j * np.pi * ke * ls / n)
     g[:, 5, _CONST] = -0.5 * b_l * cosphase
     g[:, 1, _CONST] = -0.5 * b_l * np.conj(cosphase)
-    for p in (1, -1):
-        if keep_p[p]:
-            z_pl = -(r0l / rho) * np.conj(zp_l[p])
-            g[:, 3 + 2 * p, idx_p[p]] = 0.5 * z_pl
-            g[:, 3 - 2 * p, idx_p[p]] = 0.5 * np.conj(z_pl)
+    for p, zp in zp_l.items():
+        z_pl = -(r0l / rho) * np.conj(zp)
+        g[:, 3 + 2 * p, idx_p[p]] = 0.5 * z_pl
+        g[:, 3 - 2 * p, idx_p[p]] = 0.5 * np.conj(z_pl)
 
     # horizontal equation: the inertial terms, then pair by pair the direct
     # attraction and the second-order expansion of |x|^{-3} against the
@@ -196,11 +156,10 @@ def build_equations(spec: GroupSpec) -> AffineSystem:
     horiz[0, 3, _GAMMA] = -2.0 * a0 * w_hat
     horiz[0, 3, _ALPHA] = -w_hat ** 2
     horiz[1::2, 3, _ALPHA] = -c3 * (zl - 1.0)
-    for p in (1, -1):
-        if keep_p[p]:
-            horiz[0, 3 - 2 * p, idx_p[p]] = (
-                -w_hat ** 2 + 4.0 * TWO_PI * p * w_hat - 4.0 * TWO_PI ** 2)
-            horiz[1::2, 3 - 2 * p, idx_p[p]] = -c3 * zp_l[p]
+    for p, zp in zp_l.items():
+        horiz[0, 3 - 2 * p, idx_p[p]] = (
+            -w_hat ** 2 + 4.0 * TWO_PI * p * w_hat - 4.0 * TWO_PI ** 2)
+        horiz[1::2, 3 - 2 * p, idx_p[p]] = -c3 * zp
     chord = 3.0 * a0 * a_l ** -4 * (zl - 1.0)
     horiz[2::2] = chord[:, None, None] * g
     horiz = horiz.sum(axis=0)
@@ -276,21 +235,22 @@ def reconstruct_loop(result: ExpansionResult, epsilon: float,
     spec = result.spec
     n, ke = spec.n_bodies, spec.k * spec.eta
     jj = np.arange(n)
-    zeta_j = np.exp(2j * np.pi * jj / n)
-    jp1 = (-(2 * ke - 1) * jj) % n
-    jm1 = ((2 * ke + 1) * jj) % n
-    a2 = result.A2 or 0.0
-    am2 = result.Am2 or 0.0
     c3 = result.C3 or 0.0
     period = float(spec.s)
     m = n_samples
     t = np.arange(m) * (period / m)
-    carrier = np.exp(2j * np.pi * (spec.r / spec.s) * t)[:, None]
-    h = carrier * (
-        (result.A0 + result.alpha * epsilon ** 2) * zeta_j[None, :]
-        + epsilon ** 2 * (
-            a2 * np.exp(2j * np.pi * (-2.0 * t[:, None] + jp1[None, :] / n))
-            + am2 * np.exp(2j * np.pi * (2.0 * t[:, None] + jm1[None, :] / n))))
+    # horizontal harmonics r - 2 p s with their body phases: the n-gon at
+    # p = 0, A2 and Am2 at p = +-1 where the group allows them
+    fc = FourierConstraints(spec)
+    waves = 0.0
+    for p, coef in ((1, result.A2), (-1, result.Am2)):
+        if coef is not None:
+            phase = fc.horizontal_phase(spec.r - 2 * p * spec.s)
+            waves = waves + coef * (
+                np.exp(-4j * np.pi * p * t)[:, None] * phase[None, :])
+    h = np.exp(2j * np.pi * (spec.r / spec.s) * t)[:, None] * (
+        (result.A0 + result.alpha * epsilon ** 2)
+        * fc.horizontal_phase(spec.r)[None, :] + epsilon ** 2 * waves)
     z = (epsilon * np.cos(TWO_PI * (t[:, None] + ke * jj[None, :] / n))
          + c3 * epsilon ** 3 * np.cos(
              3.0 * TWO_PI * (t[:, None] + ke * jj[None, :] / n)))

@@ -19,6 +19,7 @@ from unchained.symmetry import (GroupSpec, StructureReport, _action,
                                 identity_element, invariance_defect, inverse,
                                 is_invariant, is_simple_choreography,
                                 make_element, structure_report)
+from unchained.torsion import excluded_harmonics
 
 
 def cycle_bruteforce(spec):
@@ -417,6 +418,50 @@ def test_projection_agrees_with_invariance():
         assert np.abs(moved.positions - noisy.positions).max() > 1e-4
 
 
+def test_group_average_oracle_for_the_torsion_harmonics():
+    # oracle for the harmonic rules, sharing no code with their
+    # congruences: a loop carrying only the horizontal harmonics r - 2s,
+    # r + 2s and the vertical harmonic 3s, with random complex body
+    # coefficients summing to zero over the bodies (centre of mass at the
+    # origin), averaged over the whole group.  Every element keeps each
+    # harmonic and the centre of mass, so the average is the projection
+    # onto the invariant loops harmonic by harmonic: nonzero exactly where
+    # the harmonic is allowed, and then along the body phases of
+    # FourierConstraints.  An odd sample count above twice the largest
+    # harmonic aliases none.
+    rng = np.random.default_rng(23)
+    for spec in SMALL_SPECS:
+        n, r, s = spec.n_bodies, spec.r, spec.s
+        fc = fourier_constraints(spec)
+        m = 2 * (abs(r) + 3 * s) + 1
+        t = np.arange(m) * (s / m)
+        coef = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        coef -= coef.mean(axis=1, keepdims=True)
+        h = (coef[0] * np.exp(2j * np.pi * (r - 2 * s) * t / s)[:, None]
+             + coef[1] * np.exp(2j * np.pi * (r + 2 * s) * t / s)[:, None])
+        z = 2.0 * (coef[2] * np.exp(6j * np.pi * t)[:, None]).real
+        loop = LoopPath(np.stack([h.real, h.imag, z], axis=2), float(s))
+        elements = enumerate_elements(spec)
+        mean = sum(apply_element(g, loop).positions
+                   for g in elements) / len(elements)
+        hhat = np.fft.fft(mean[:, :, 0] + 1j * mean[:, :, 1], axis=0) / m
+        zhat = np.fft.fft(mean[:, :, 2], axis=0) / m
+        excl = excluded_harmonics(spec)
+        for name, avg, phase in (
+                ("A2", hhat[(r - 2 * s) % m], fc.horizontal_phase(r - 2 * s)),
+                ("Am2", hhat[(r + 2 * s) % m], fc.horizontal_phase(r + 2 * s)),
+                ("C3", zhat[3 * s], fc.vertical_phase(3 * s))):
+            allowed = np.abs(avg).max() > 1e-9
+            assert allowed == (not excl[name]) == (phase is not None), \
+                (spec, name)
+            # body j's coefficient is body 0's times the phase; compared
+            # as products, since a ratio would divide the rounding by
+            # |avg[0]|, which a random draw can make small
+            if allowed:
+                assert np.abs(avg - avg[0] * phase).max() < 1e-12, \
+                    (spec, name)
+
+
 def test_simple_choreography_worked_examples():
     assert is_simple_choreography(GroupSpec(3, 1, -1, 2, 1))
     assert is_simple_choreography(GroupSpec(4, 2, 1, 3, 2))
@@ -439,6 +484,13 @@ def test_dense_choreography_params_needs_a_group(n, k, eta):
     # (n, k, eta) must name a group, as GroupSpec checks them
     with pytest.raises(ValueError):
         dense_choreography_params(n, k, eta, 2)
+
+
+@pytest.mark.parametrize("max_denominator", [2.5, "3", True, 0, -1])
+def test_dense_choreography_params_needs_a_count(max_denominator):
+    # max_denominator is a positive integer, bool excluded
+    with pytest.raises(ValueError):
+        dense_choreography_params(3, 1, -1, max_denominator)
 
 
 def test_dense_choreography_params():

@@ -15,8 +15,7 @@ import pytest
 from unchained.ngon import gravity, force_jacobian, jay, newton_residual
 from unchained.spectrum import vertical_spectrum
 from unchained.symmetry import GroupSpec, invariance_defect
-from unchained.torsion import (AppendixGeometry, ExpansionResult,
-                               appendix_geometry, build_equations,
+from unchained.torsion import (ExpansionResult, build_equations,
                                excluded_harmonics, reconstruct_loop,
                                torsion_gamma)
 
@@ -134,29 +133,6 @@ def test_vertical_variational_identity(n, k, eta):
     phase = np.exp(1j * np.pi * ke * ls / n)
     c1 = np.sum((a0 * rho) ** -3.0 * u * phase / 2j)
     assert c1 == pytest.approx(-2.0 * PI ** 2, rel=1e-12)
-
-
-def test_appendix_geometry_invariants():
-    spec = GroupSpec(6, 1, -1, 1, 1)
-    geo = appendix_geometry(spec)
-    n = spec.n_bodies
-    assert isinstance(geo, AppendixGeometry)
-    off = ~np.eye(n, dtype=bool)
-    assert np.all(geo.rho[off] > 0)
-    assert np.allclose(geo.r_vec, -geo.r_vec.T)
-    assert np.allclose(geo.A, geo.A0 * geo.rho)
-    assert np.allclose(geo.B, geo.B.T)
-    # quarter-phase convention: r_vec = rho exp(4 pi i theta)
-    rec = geo.rho * np.exp(4j * np.pi * geo.theta)
-    assert np.allclose(rec[off], geo.r_vec[off])
-    for p in (1, -1):
-        perm = geo.jp_map[p]
-        ke = spec.k * spec.eta
-        if math.gcd(abs(2 * p * ke - 1), n) == 1:
-            assert sorted(perm) == list(range(n))
-        # Theta vanishes wherever the mapped chord degenerates
-        deg = geo.rho[np.ix_(perm, perm)] == 0
-        assert np.all(geo.Theta[p][deg] == 0)
 
 
 @pytest.mark.parametrize("spec", [
