@@ -38,10 +38,9 @@ from scipy.linalg import block_diag
 
 from .errors import (CollisionError, IntegrationFailure, NoConvergence,
                      SingularReduction)
-from .ngon import (LoopPath, _checked_count, _checked_masses,
-                   _checked_positive, _force_jacobian_apply, _kinetic, _lz,
-                   _pair_potential, _pair_scatter, _separated, jay,
-                   pair_terms)
+from .ngon import (LoopPath, _checked_count, _checked_positive,
+                   _force_jacobian_apply, _kinetic, _lz, _pair_potential,
+                   _pairs, _separated, jay, pair_terms)
 from .spectrum import vertical_spectrum
 from .symmetry import GroupElement, GroupSpec, _action, enumerate_elements
 from .torsion import reconstruct_loop, torsion_gamma
@@ -85,9 +84,8 @@ def _linear_parts(n):
     return drift, centrifugal, coriolis
 
 
-def integrate(state, masses, varpi, t_span, tol=INTEGRATOR_TOL, *,
-              tangents=None, t_eval=None,
-              max_step=np.inf) -> IntegrationResult:
+def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
+              t_eval=None, max_step=np.inf) -> IntegrationResult:
     """Flow the rotating-frame equations of motion with a DOP853 stepper.
 
     state is (2, n, 3): positions and velocities; varpi the frame rate;
@@ -123,16 +121,15 @@ def integrate(state, masses, varpi, t_span, tol=INTEGRATOR_TOL, *,
     Jacobian at the positions applied to the position rows of every
     column.  Column 0 of that pass is J(x) x = -2 F(x) by Euler's identity
     (each pair term of the force is homogeneous of degree -2), so the
-    force costs no pass of its own.  The mass-weighted scatter that sums
-    pair terms back onto the bodies is built once per call.  The same pass
-    is the flow's collision check: it compares the pair distances with
-    ngon.COLLISION_TOL before it divides by them, and so do the initial
-    positions before the solver starts; a closer pair raises
-    CollisionError naming it (i < j), in whichever member it occurs.
+    force costs no pass of its own.  The same pass is the flow's collision
+    check: it compares the pair distances with ngon.COLLISION_TOL before
+    it divides by them, and so do the initial positions before the solver
+    starts; a closer pair raises CollisionError naming it (i < j), in
+    whichever member it occurs.
     Solver breakdown raises IntegrationFailure with the time reached, and
-    a tol outside (0, 1), masses that are not n positive numbers, a
-    stacked state with tangents or a varpi that does not broadcast over
-    the stack raise ValueError before any integration.
+    a tol outside (0, 1), a stacked state with tangents or a varpi that
+    does not broadcast over the stack raise ValueError before any
+    integration.
     """
     _checked_tol(tol, "tol")
     state = np.asarray(state, dtype=float)
@@ -147,7 +144,6 @@ def integrate(state, masses, varpi, t_span, tol=INTEGRATOR_TOL, *,
                          f"broadcast over a stack of shape {stack}") from None
     _separated(state[..., 0, :, :])
     n = state.shape[-2]
-    masses = _checked_masses(masses, n)
     if np.ndim(t_span) == 0:
         t0, t1 = 0.0, float(t_span)
     else:
@@ -157,7 +153,7 @@ def integrate(state, masses, varpi, t_span, tol=INTEGRATOR_TOL, *,
     lins = [drift + w ** 2 * centrifugal - 2.0 * w * coriolis
             for w in rates.flat]
     lin = lins[0] if len(lins) == 1 else block_diag(*lins)
-    scatter = _pair_scatter(masses)
+    scatter = _pairs(n)[3]
     width = 1 if tangents is None else 1 + np.shape(tangents)[1]
     n_flow = state.size * width
     if tangents is None:
@@ -251,7 +247,6 @@ class _Reduction:
         # tangent seed in (state, varpi): the basis columns, then varpi
         self.seed = block_diag(self.basis, 1.0)
         self.spec = spec
-        self.masses = np.ones(n)
 
     @property
     def dim(self) -> int:
@@ -300,8 +295,7 @@ def _closing_residual(red: _Reduction, x, tol):
     flow's I_half over [0, tau / 2] (z is real).
     """
     x0 = (red.basis @ x[:-1]).reshape(2, -1, 3)
-    res = integrate(x0, red.masses, x[-1], 0.5 * red.tau, tol=tol,
-                    tangents=red.seed)
+    res = integrate(x0, x[-1], 0.5 * red.tau, tol=tol, tangents=red.seed)
     half = res.harmonic
     harmonic = half + np.exp(-2j * np.pi * red.tau) \
         * (red.mid_heights @ half.conj())
@@ -369,9 +363,8 @@ class PeriodicOrbit:
         # samples' error: uncapped at 1e-12 they land 16 to 23 times
         # further from a flow at 1e-13 with the step capped at T / 1024
         res = integrate(np.stack([self.initial_state, [pos0, -vel0]]),
-                        np.ones(self.spec.n_bodies),
-                        [self.varpi, -self.varpi], (0.0, 0.5 * period), tol,
-                        t_eval=t_eval, max_step=period / 128.0)
+                        [self.varpi, -self.varpi], (0.0, 0.5 * period),
+                        tol=tol, t_eval=t_eval, max_step=period / 128.0)
         forward, backward = res.trajectory[:, 0, 0], res.trajectory[:, 1, 0]
         delta = backward[-1] - forward[-1]
         # the hat: -((T - t) / T) delta = (t / T) delta - delta
@@ -520,7 +513,7 @@ class FamilyRecord:
     """One accepted continuation step.
 
     No value needs a sampled loop: amplitude is the orbit's;
-    angular_momentum_z is the first integral sum m (x cross (v + varpi J
+    angular_momentum_z is the first integral sum (x cross (v + varpi J
     x))_z at t = 0; action is -3 E T, with E = K - U the inertial energy
     of that state and T the period.  For U homogeneous of degree -1 the
     Lagrange-Jacobi identity I'' = 4K - 2U integrates to zero over a
@@ -762,11 +755,18 @@ def _checked_tol(tol, source: str) -> None:
 def verify_against_continuation(spec: GroupSpec, gamma: float,
                                 n_steps: int = 12) -> float:
     """Relative gap between gamma and the finite-difference slope of the
-    frame frequency against eps^2 along the numerically continued family."""
+    frame frequency against eps^2 along the numerically continued family.
+
+    Raises NoConvergence, naming the run's end reason, when no record
+    has a positive amplitude: the family never left the branch point.
+    """
     family = continue_family(spec, n_steps=n_steps)
     eps, varpi = np.array([(rec.amplitude, rec.varpi)
                            for rec in family.records]).T
     ok = eps > 0
+    if not ok.any():
+        raise NoConvergence(f"no record off the branch point to compare "
+                            f"with: {family.end_reason}")
     slopes = (varpi[ok] - family.varpi_onset) / eps[ok] ** 2
     gamma_fd = slopes[np.argsort(eps[ok])[:3]].mean()
     if gamma == 0.0:
@@ -776,13 +776,11 @@ def verify_against_continuation(spec: GroupSpec, gamma: float,
 
 def _record(orbit: PeriodicOrbit) -> FamilyRecord:
     pos, vel = orbit.initial_state
-    masses = np.ones(len(pos))
     vel = vel + orbit.varpi * jay(pos)  # inertial velocities
-    energy = _kinetic(masses, vel) \
-        - _pair_potential(pair_terms(pos)[1], masses)
+    energy = _kinetic(vel) - _pair_potential(pair_terms(pos)[1])
     return FamilyRecord(orbit.varpi, orbit.amplitude,
                         float(-3.0 * energy * orbit.period), orbit.period,
-                        float(_lz(masses, pos, vel)), orbit)
+                        float(_lz(pos, vel)), orbit)
 
 
 # ---------------------------------------------------------------------------

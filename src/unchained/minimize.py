@@ -19,7 +19,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ngon import Configuration, LoopPath, pair_terms, potential
+from .ngon import (Configuration, LoopPath, _checked_count, pair_terms,
+                   potential)
 from .spectrum import VerticalSpectrum, fold_mode, vertical_spectrum
 from .symmetry import GroupSpec
 
@@ -147,8 +148,11 @@ def lambda_G_bruteforce(spec: GroupSpec, varpi: float,
     horizontal 0 < |p| <= p_max) with the same float expressions as a
     per-index loop, so the minimum is bit-identical to one.  The mode
     folding is written out here rather than shared with
-    `vertical_bound_V` and `_h_one_side`, whose scans this checks.
+    `vertical_bound_V` and `_h_one_side`, whose scans this checks.  A p_max
+    that is not a positive integer, which would list no candidate and
+    certify 1 from nothing, raises ValueError.
     """
+    p_max = _checked_count(p_max, "p_max")
     spectrum = vertical_spectrum(spec.n_bodies)
     n, ke = spec.n_bodies, spec.k * spec.eta
     w1 = spectrum.omega1

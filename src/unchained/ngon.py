@@ -11,9 +11,9 @@ arbitrary rate varpi.
 Every pairwise quantity but the force Jacobian comes from one kernel,
 `pair_terms`, over the n(n-1)/2 pairs i < j in `np.triu_indices(n, 1)`
 order: the differences x_j - x_i, the distances r_ij and r_ij^-3, with
-no diagonal.  Sums over pairs go back to the bodies through the
-mass-weighted scatter of `_pair_scatter`, which adds m_j times a pair's
-vector to body i and -m_i times it to body j.  Two bodies closer than the
+no diagonal.  Sums over pairs go back to the bodies through the (n, P)
+scatter that `_pairs` caches per n, which adds a pair's vector to body i
+and subtracts it from body j.  Two bodies closer than the
 single threshold COLLISION_TOL collide.  The functions that take
 positions from a caller (`potential`, `wintner_matrix`, `force_jacobian`,
 `action`, `newton_residual`) raise CollisionError below it; `gravity` and
@@ -47,14 +47,18 @@ _ONES3 = np.ones(3)
 
 @functools.lru_cache(maxsize=None)
 def _pairs(n):
-    # (i, j, diff_matrix) of the pairs i < j of n bodies, in
-    # np.triu_indices(n, 1) order: diff_matrix @ x is x_j - x_i per pair.
-    # Cached per n, so read-only
+    # (i, j, diff_matrix, scatter) of the pairs i < j of n bodies, in
+    # np.triu_indices(n, 1) order: diff_matrix @ x is x_j - x_i per pair,
+    # and the (n, P) scatter takes pair vectors f_p to bodies, column
+    # p = (i, j) holding 1 at row i and -1 at row j, so scatter @ (inv_r3
+    # * diff) is the gravity of every body.  Cached per n, so read-only
     i, j = np.triu_indices(n, 1)
-    diff_matrix = np.eye(n)[j] - np.eye(n)[i]
-    for a in (i, j, diff_matrix):
+    eye = np.eye(n)
+    diff_matrix = eye[j] - eye[i]
+    scatter = np.ascontiguousarray((eye[i] - eye[j]).T)
+    for a in (i, j, diff_matrix, scatter):
         a.flags.writeable = False
-    return i, j, diff_matrix
+    return i, j, diff_matrix, scatter
 
 
 def pair_terms(positions):
@@ -73,16 +77,6 @@ def pair_terms(positions):
     return diff, r, 1.0 / (sq * r)
 
 
-def _pair_scatter(masses):
-    # (n, P) matrix taking pair vectors f_p to bodies: column p = (i, j)
-    # holds m_j at row i and -m_i at row j, so scatter @ (inv_r3 * diff)
-    # is the gravity of every body
-    masses = np.asarray(masses, dtype=float)
-    i, j, _ = _pairs(len(masses))
-    eye = np.eye(len(masses))
-    return eye[:, i] * masses[j] - eye[:, j] * masses[i]
-
-
 def closest_pair(r):
     """(i, j, distance), i < j, of the closest pair in a `pair_terms`
     distance array.
@@ -92,7 +86,7 @@ def closest_pair(r):
     """
     k = int(np.argmin(r))
     n_pairs = r.shape[-1]
-    i, j, _ = _pairs((1 + math.isqrt(1 + 8 * n_pairs)) // 2)
+    i, j = _pairs((1 + math.isqrt(1 + 8 * n_pairs)) // 2)[:2]
     p = k % n_pairs
     return int(i[p]), int(j[p]), float(r.flat[k])
 
@@ -114,22 +108,9 @@ def _separated(positions):
     return terms
 
 
-def _pair_potential(r, masses):
-    # U = sum_{i<j} m_i m_j / r_ij, over the leading axes of r
-    i, j, _ = _pairs(len(masses))
-    return np.sum(masses[i] * masses[j] / r, axis=-1)
-
-
-def _checked_masses(masses, n):
-    # masses of n bodies: unit by default, else shape (n,) and positive
-    if masses is None:
-        return np.ones(n)
-    masses = np.asarray(masses, dtype=float)
-    if masses.shape != (n,):
-        raise ValueError("masses must have shape (n,)")
-    if not np.all((masses > 0) & (masses < np.inf)):
-        raise ValueError("masses must be positive and finite")
-    return masses
+def _pair_potential(r):
+    # U = sum_{i<j} 1 / r_ij, over the leading axes of r
+    return np.sum(1.0 / r, axis=-1)
 
 
 def _checked_count(count, name):
@@ -159,57 +140,53 @@ def _checked_positive(value, name):
 
 @dataclass
 class Configuration:
-    """Instantaneous positions of n point masses in R^3."""
+    """Instantaneous positions of n unit point masses in R^3."""
 
     positions: np.ndarray
-    masses: np.ndarray = None
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 3:
             raise ValueError("positions must have shape (n, 3)")
-        self.masses = _checked_masses(self.masses, self.positions.shape[0])
 
     @property
     def n(self):
         return self.positions.shape[0]
 
     def center_of_mass(self):
-        return self.masses @ self.positions / self.masses.sum()
+        return self.positions.mean(axis=0)
 
     def centered(self):
         """Same configuration translated so the center of mass is 0."""
-        return Configuration(self.positions - self.center_of_mass(),
-                             self.masses.copy())
+        return Configuration(self.positions - self.center_of_mass())
 
     def moment_of_inertia(self):
-        return float(np.sum(self.masses[:, None] * self.positions ** 2))
+        return float(np.sum(self.positions ** 2))
 
 
 def potential(config):
-    """Newtonian potential U = sum_{i<j} m_i m_j / r_ij (positive)."""
+    """Newtonian potential U = sum_{i<j} 1 / r_ij (positive)."""
     _, r, _ = _separated(config.positions)
-    return float(_pair_potential(r, config.masses))
+    return float(_pair_potential(r))
 
 
-def gravity(positions, masses):
-    """Accelerations x_i'' = sum_{j != i} m_j (x_j - x_i) / r_ij^3.
+def gravity(positions):
+    """Accelerations x_i'' = sum_{j != i} (x_j - x_i) / r_ij^3.
 
     positions may be (n, 3) or a batch (..., n, 3); the pairwise force is
     evaluated pointwise over the leading axes.  No collision check: a
     coincident pair gives an infinite or undefined force.
     """
-    return _gravity(pair_terms(positions), _pair_scatter(masses))
+    return _gravity(pair_terms(positions), np.shape(positions)[-2])
 
 
-def _gravity(terms, scatter):
-    # accelerations from the `pair_terms` of the positions and the
-    # `_pair_scatter` of the masses
+def _gravity(terms, n):
+    # accelerations of n bodies from the `pair_terms` of their positions
     diff, _, inv_r3 = terms
-    return scatter @ (inv_r3[..., None] * diff)
+    return _pairs(n)[3] @ (inv_r3[..., None] * diff)
 
 
-def force_jacobian(positions, masses):
+def force_jacobian(positions):
     """Derivative of `gravity` with respect to positions.
 
     Returns the (3n, 3n) matrix of d(acceleration_i)/d(position_j) blocks,
@@ -222,17 +199,17 @@ def force_jacobian(positions, masses):
     unit = np.broadcast_to(np.eye(3 * n).reshape(n, 3, 3 * n),
                            pos.shape + (3 * n,))
     cols = np.concatenate([pos[..., None], unit], axis=-1)
-    jac = _force_jacobian_apply(cols, _pair_scatter(masses))[..., 1:]
+    jac = _force_jacobian_apply(cols, _pairs(n)[3])[..., 1:]
     return jac.reshape(*jac.shape[:-3], 3 * n, 3 * n)
 
 
 def _force_jacobian_apply(cols, scatter):
     # force Jacobian J at the positions x = cols[..., 0], applied to every
-    # column of cols (..., n, 3, k), with the `_pair_scatter` of the
-    # masses, in one pass over the pairs.  Pair p = (i, j) takes the column
+    # column of cols (..., n, 3, k), in one pass over the pairs, times a
+    # multiple of the `_pairs` scatter.  Pair p = (i, j) takes the column
     # differences rel = c_j - c_i and gives the rank-one form of
     # (I / r^3 - 3 d d^T / r^5) rel, d = x_j - x_i, which the scatter adds
-    # to body i times m_j and to body j times -m_i.  Column 0 comes out as
+    # to body i and subtracts from body j.  Column 0 comes out as
     # J x = -2 F(x): each pair term of F is homogeneous of degree -2.  The
     # separation check runs before any division
     shape = cols.shape
@@ -262,15 +239,14 @@ def _force_jacobian_apply(cols, scatter):
 def wintner_matrix(config):
     """Matrix of the variational equation z'' = W z normal to the plane.
 
-    Off diagonal W_ij = m_j / r_ij^3 and the diagonal makes every row sum
-    vanish.  W is symmetric with respect to the mass inner product
-    <u, v> = sum_i m_i u_i v_i and its spectrum is nonpositive for planar
+    Off diagonal W_ij = 1 / r_ij^3 and the diagonal makes every row sum
+    vanish.  W is symmetric and its spectrum is nonpositive for planar
     central configurations.
     """
     _, _, inv_r3 = _separated(config.positions)
     # gravity is linear in the positions at fixed inv_r3: W x = F(x)
-    return _pair_scatter(config.masses) @ (inv_r3[:, None]
-                                           * _pairs(config.n)[2])
+    _, _, diff_matrix, scatter = _pairs(config.n)
+    return scatter @ (inv_r3[:, None] * diff_matrix)
 
 
 @dataclass
@@ -354,12 +330,11 @@ class LoopPath:
     derivatives and off-grid values come from trigonometric interpolation.
     Values on a shifted uniform grid (`on_grid`, `resample`) come from a
     phase shift of the samples' FFT; `evaluate` takes arbitrary times.
-    A period or masses that are not finite and positive raise ValueError.
+    A period that is not finite and positive raises ValueError.
     """
 
     positions: np.ndarray
     period: float
-    masses: np.ndarray = None
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -367,7 +342,6 @@ class LoopPath:
                 or self.positions.shape[0] == 0:
             raise ValueError("positions must have shape (m, n, 3), m >= 1")
         _checked_positive(self.period, "period")
-        self.masses = _checked_masses(self.masses, self.positions.shape[1])
 
     @property
     def n_samples(self):
@@ -435,8 +409,7 @@ class LoopPath:
         return np.real(np.fft.ifft(folded, axis=0)) * (n_samples / m)
 
     def resample(self, n_samples):
-        return LoopPath(self.on_grid(0.0, n_samples), self.period,
-                        self.masses.copy())
+        return LoopPath(self.on_grid(0.0, n_samples), self.period)
 
     def min_separation(self):
         return float(pair_terms(self.positions)[1].min())
@@ -463,32 +436,31 @@ class RotatingFrame:
         x, y, z = (loop.positions[..., 0], loop.positions[..., 1],
                    loop.positions[..., 2])
         return LoopPath(np.stack([c * x - s * y, s * x + c * y, z], axis=-1),
-                        loop.period, loop.masses.copy())
+                        loop.period)
 
 
 def kinetic_energy(loop, varpi=0.0):
-    """Sampled kinetic energy (1/2) sum m |y' + varpi J y|^2."""
+    """Sampled kinetic energy (1/2) sum |y' + varpi J y|^2."""
     vel = loop.velocities() + varpi * jay(loop.positions)
-    return _kinetic(loop.masses, vel)
+    return _kinetic(vel)
 
 
-def _kinetic(masses, vel):
-    # (1/2) sum m |v|^2 over the body axis of (..., n, 3) velocities
-    return 0.5 * np.einsum("j,...jc,...jc->...", masses, vel, vel)
+def _kinetic(vel):
+    # (1/2) sum |v|^2 over the body axis of (..., n, 3) velocities
+    return 0.5 * np.einsum("...jc,...jc->...", vel, vel)
 
 
 def action(loop, varpi=0.0):
     """Lagrangian action of a loop in a frame rotating at rate varpi.
 
-    A = integral over one period of (1/2) sum_i m_i |y_i' + varpi J y_i|^2
+    A = integral over one period of (1/2) sum_i |y_i' + varpi J y_i|^2
     + U(y).  The loop samples are taken as rotating-frame coordinates;
     varpi = 0 is the inertial action.  Quadrature is the trapezoid rule on
     the uniform grid, which is spectrally accurate for smooth loops.
     """
     kin = kinetic_energy(loop, varpi)
     _, r, _ = _separated(loop.positions)
-    return float(np.mean(kin + _pair_potential(r, loop.masses))
-                 * loop.period)
+    return float(np.mean(kin + _pair_potential(r)) * loop.period)
 
 
 def rescale(loop, lam):
@@ -499,8 +471,7 @@ def rescale(loop, lam):
     and positive.
     """
     _checked_positive(lam, "lam")
-    return LoopPath(loop.positions * lam ** (-2.0 / 3.0), loop.period / lam,
-                    loop.masses.copy())
+    return LoopPath(loop.positions * lam ** (-2.0 / 3.0), loop.period / lam)
 
 
 def newton_residual(loop, varpi=0.0):
@@ -513,7 +484,7 @@ def newton_residual(loop, varpi=0.0):
     terms = _separated(loop.positions)
     acc = loop.derivative(2)
     vel = loop.derivative(1)
-    frc = _gravity(terms, _pair_scatter(loop.masses))
+    frc = _gravity(terms, loop.n_bodies)
     cen = varpi ** 2 * loop.positions * [1.0, 1.0, 0.0]
     res = acc - frc - cen + 2.0 * varpi * jay(vel)
     return float(np.max(np.abs(res)))
@@ -522,14 +493,14 @@ def newton_residual(loop, varpi=0.0):
 def angular_momentum_z(loop, varpi=0.0):
     """Vertical angular momentum along the loop (inertial value).
 
-    For rotating-frame samples this is sum m (y x (y' + varpi J y))_z,
+    For rotating-frame samples this is sum (y x (y' + varpi J y))_z,
     a first integral of the equations of motion.
     """
     vel = loop.velocities() + varpi * jay(loop.positions)
-    return _lz(loop.masses, loop.positions, vel)
+    return _lz(loop.positions, vel)
 
 
-def _lz(masses, pos, vel):
-    # sum m (x v_y - y v_x) over the body axis of (..., n, 3) arrays
-    return np.einsum("j,...j->...", masses,
+def _lz(pos, vel):
+    # sum (x v_y - y v_x) over the body axis of (..., n, 3) arrays
+    return np.einsum("...j->...",
                      pos[..., 0] * vel[..., 1] - pos[..., 1] * vel[..., 0])

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSystem
-from .ngon import (LoopPath, _checked_bodies, build_ngon, force_jacobian,
-                   wintner_matrix)
+from .ngon import (LoopPath, _checked_bodies, _checked_count, build_ngon,
+                   force_jacobian, wintner_matrix)
 from .symmetry import GroupSpec
 
 __all__ = [
@@ -84,8 +84,11 @@ class VerticalSpectrum:
         """Frequency of an arbitrary integer mode index, folded mod n.
 
         Raises DegenerateSystem when the index folds to 0 (resonant
-        direction along the rotation, no transverse oscillation).
+        direction along the rotation, no transverse oscillation), and
+        ValueError unless m is an integer (bool refused).
         """
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ValueError(f"mode index must be an integer: {m!r}")
         f = fold_mode(self.n_bodies, m)
         if f == 0:
             raise DegenerateSystem(
@@ -182,7 +185,7 @@ def _planar_jacobian(n: int) -> np.ndarray:
     horizontal/vertical components and the slice is exact.
     """
     pos = build_ngon(n).configuration.positions
-    full = force_jacobian(pos, np.ones(n))
+    full = force_jacobian(pos)
     idx = np.concatenate([(3 * j + np.array([0, 1])) for j in range(n)])
     return full[np.ix_(idx, idx)]
 
@@ -251,11 +254,11 @@ def lyapunov_cylinder(
 
     The sample count is a multiple of 2 n s so that the symmetry group
     acts on the time grid by exact index shifts.  (n, k, eta, r, s) must
-    name a `GroupSpec`.
+    name a `GroupSpec`, and the amplitude be finite and >= 0.
     """
     GroupSpec(n, k, eta, r, s)
-    if amplitude < 0.0:
-        raise ValueError("amplitude must be nonnegative")
+    if not 0.0 <= amplitude < np.inf:
+        raise ValueError(f"amplitude must be finite and >= 0: {amplitude!r}")
     wk = vertical_spectrum(n).omegas[k - 1]
     period = 2.0 * np.pi * s / wk
     block = 2 * n * s
@@ -291,8 +294,9 @@ class ConvexityReport:
 
 
 def convexity_report(n: int, ell: int) -> ConvexityReport:
-    """Second-order kinetic/potential forms of the vertical mode ell."""
-    if not 1 <= ell <= n // 2:
+    """Second-order kinetic/potential forms of the vertical mode ell, an
+    integer (bool refused) in 1..floor(n/2); ValueError otherwise."""
+    if not 1 <= _checked_count(ell, "ell") <= n // 2:
         raise ValueError(f"mode index ell={ell} outside 1..{n // 2}")
     wl2 = float(vertical_spectrum(n).omegas[ell - 1] ** 2)
     phase = 2.0 * np.pi * ell * np.arange(n) / n

@@ -261,8 +261,7 @@ def apply_element(g: GroupElement, loop: LoopPath) -> LoopPath:
     offset = -g.xi * g.t / (2 * spec.n_bodies * spec.s) * loop.period
     shifted = loop.on_grid(offset, m)[(g.xi * np.arange(m)) % m]
     src, block = _action(g)
-    return LoopPath(shifted[:, src, :] @ block.T, loop.period,
-                    loop.masses.copy())
+    return LoopPath(shifted[:, src, :] @ block.T, loop.period)
 
 
 def invariance_defect(loop: LoopPath, spec: GroupSpec) -> float:
@@ -377,7 +376,7 @@ class FourierConstraints:
         out[:, :, 0] = h.real
         out[:, :, 1] = h.imag
         out[:, :, 2] = z.real
-        return LoopPath(out, loop.period, loop.masses.copy())
+        return LoopPath(out, loop.period)
 
     def random_loop(self, rng: np.random.Generator,
                     amplitude: float = 0.1) -> LoopPath:

@@ -85,7 +85,7 @@ def tilt_family():
 
 def test_integrate_two_body_circular_period():
     state = two_body_circular()
-    final = integrate(state, [1.0, 1.0], 0.0, KEPLER_PERIOD).state
+    final = integrate(state, 0.0, KEPLER_PERIOD).state
     assert np.max(np.abs(final - state)) < 1e-10
 
 
@@ -93,7 +93,7 @@ def test_integrate_relative_equilibrium_round_trip():
     sys5 = build_ngon(5)
     loop = sys5.rigid_loop()
     state = np.stack([loop.positions[0], loop.velocities()[0]])
-    final = integrate(state, np.ones(5), 0.0, loop.period).state
+    final = integrate(state, 0.0, loop.period).state
     assert np.max(np.abs(final - state)) < 1e-10
 
 
@@ -104,9 +104,9 @@ def test_integrate_energy_drift():
 
     def energy(st):
         kin = 0.5 * np.sum(st[1] ** 2)
-        return kin - potential(Configuration(st[0], np.ones(2)))
+        return kin - potential(Configuration(st[0]))
 
-    res = integrate(state, [1.0, 1.0], 0.0, (0.0, 3.0), 1e-12,
+    res = integrate(state, 0.0, (0.0, 3.0), tol=1e-12,
                     t_eval=np.linspace(0.0, 3.0, 7))
     energies = [energy(s) for s in res.trajectory]
     assert np.ptp(energies) < 1e-10
@@ -117,10 +117,10 @@ def test_integrate_rotating_frame_consistency():
     # inertial flow of the inertially mapped initial condition
     state, varpi = onset_state(P12, 0.07)
     t1 = 0.4
-    rot = integrate(state, np.ones(3), varpi, t1).state
+    rot = integrate(state, varpi, t1).state
 
     inertial0 = np.stack([state[0], state[1] + varpi * jay(state[0])])
-    direct = integrate(inertial0, np.ones(3), 0.0, t1).state
+    direct = integrate(inertial0, 0.0, t1).state
 
     ang = varpi * t1
     c, s = np.cos(ang), np.sin(ang)
@@ -139,11 +139,11 @@ def test_integrate_variational_matches_finite_difference():
             for d in rng.standard_normal((3,) + state.shape)]
     seed = np.vstack([np.column_stack([d.ravel() for d in dirs]),
                       np.zeros(3)])
-    res = integrate(state, np.ones(3), varpi, t1, tangents=seed)
+    res = integrate(state, varpi, t1, tangents=seed)
     h = 1e-4
     for j, d in enumerate(dirs):
-        plus = integrate(state + h * d, np.ones(3), varpi, t1).state
-        minus = integrate(state - h * d, np.ones(3), varpi, t1).state
+        plus = integrate(state + h * d, varpi, t1).state
+        minus = integrate(state - h * d, varpi, t1).state
         fd = (plus - minus).ravel() / (2.0 * h)
         assert np.max(np.abs(res.tangents[:, j] - fd)) < 1e-6
 
@@ -151,11 +151,10 @@ def test_integrate_variational_matches_finite_difference():
 def test_integrate_varpi_gradient_matches_finite_difference():
     state, varpi = onset_state(P12, 0.05)
     t1 = 0.3
-    res = integrate(state, np.ones(3), varpi, t1,
-                    tangents=np.eye(state.size + 1)[:, -1:])
+    res = integrate(state, varpi, t1, tangents=np.eye(state.size + 1)[:, -1:])
     h = 1e-5
-    plus = integrate(state, np.ones(3), varpi + h, t1).state
-    minus = integrate(state, np.ones(3), varpi - h, t1).state
+    plus = integrate(state, varpi + h, t1).state
+    minus = integrate(state, varpi - h, t1).state
     fd = (plus - minus).ravel() / (2.0 * h)
     assert np.max(np.abs(res.tangents[:, 0] - fd)) < 1e-5
 
@@ -164,31 +163,31 @@ def test_integrate_collision_raises():
     pos = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
     state = np.stack([pos, np.zeros_like(pos)])
     with pytest.raises(CollisionError) as err:
-        integrate(state, [1.0, 1.0], 0.0, 3.0)
+        integrate(state, 0.0, 3.0)
     assert err.value.pair == (0, 1)
     assert err.value.distance < 1e-5
 
 
 def test_integrate_four_body_collision_inside_the_flow():
-    # bodies 1 and 3 fall head-on along the y axis (the pulls of the equal
-    # masses 0 and 2 cancel across it); the flow's own check must name
+    # bodies 1 and 3 fall head-on along the y axis (the pulls of bodies 0
+    # and 2 cancel across it); the flow's own check must name
     # them, not the initial check, which they pass at distance 1
     pos = np.array([[5.0, 0.0, 0.0], [0.0, 0.5, 0.0], [-5.0, 0.0, 0.0],
                     [0.0, -0.5, 0.0]])
     state = np.stack([pos, np.zeros_like(pos)])
     with pytest.raises(CollisionError) as err:
-        integrate(state, [1.0, 2.0, 1.0, 0.5], 0.0, 3.0)
+        integrate(state, 0.0, 3.0)
     assert err.value.pair == (1, 3)
     assert err.value.distance < COLLISION_TOL
 
 
-@pytest.mark.parametrize("masses", [(1.0, 2.0, 0.5), (0.7, 1.3, 2.1, 0.4)])
+@pytest.mark.parametrize("masses", [np.ones(3), np.ones(4)])
 def test_integrate_unequal_masses_match_pair_loop_flow(masses):
-    # every other flow test has unit masses, which a scatter that swapped
-    # m_i and m_j would pass too: flow a perturbed polygon against the
-    # test-local pair loop, with its tangent columns (two state directions
-    # and varpi) and height quadratures, each pair block written out
-    masses = np.array(masses)
+    # the flow against an independent oracle: a perturbed polygon flowed
+    # by the test-local pair loop, with its tangent columns (two state
+    # directions and varpi) and height quadratures, each pair block written
+    # out.  Masses are unit, the only ones the package has; a scatter with
+    # swapped signs flips the force and fails here too
     n = len(masses)
     rng = np.random.default_rng(n)
     pos = (1.5 * build_ngon(n).configuration.positions
@@ -198,10 +197,10 @@ def test_integrate_unequal_masses_match_pair_loop_flow(masses):
     seed = np.zeros((6 * n + 1, 3))
     seed[:-1, :2] = rng.standard_normal((6 * n, 2))
     seed[-1, 2] = 1.0
-    res = integrate(state, masses, varpi, t1, tangents=seed)
+    res = integrate(state, varpi, t1, tangents=seed)
 
     y0 = np.concatenate([state.ravel(), seed[:-1].ravel(), np.zeros(2 * n)])
-    sol = solve_ivp(_pair_loop_tangent_rhs(varpi, masses, seed[-1]),
+    sol = solve_ivp(_pair_loop_tangent_rhs(varpi, n, seed[-1]),
                     (0.0, t1), y0, method="DOP853", rtol=1e-13, atol=1e-13)
     assert sol.status == 0
     yf = sol.y[:, -1]
@@ -219,7 +218,7 @@ def test_integrate_rejects_initial_collision():
     pos = np.array([[0.0, 0.0, 0.0], [5e-8, 0.0, 0.0]])
     vel = np.array([[-0.5e5, 0.0, 0.0], [0.5e5, 0.0, 0.0]])
     with pytest.raises(CollisionError) as err:
-        integrate(np.stack([pos, vel]), [1.0, 1.0], 0.0, 1e-6)
+        integrate(np.stack([pos, vel]), 0.0, 1e-6)
     assert err.value.pair == (0, 1)
     assert err.value.distance == pytest.approx(5e-8)
 
@@ -231,7 +230,7 @@ def test_integrate_zero_span_returns_initial_state(t_span, with_tangents):
     # values: the state, the seed columns, and zero height quadratures
     state = two_body_circular()
     seed = np.vstack([np.eye(12)[:, :3], [0.0, 0.0, 1.0]])
-    res = integrate(state, [1.0, 1.0], 0.3, t_span,
+    res = integrate(state, 0.3, t_span,
                     tangents=seed if with_tangents else None)
     assert np.array_equal(res.state, state)
     if with_tangents:
@@ -244,7 +243,7 @@ def test_integrate_zero_span_returns_initial_state(t_span, with_tangents):
 def test_integrate_trajectory_shapes():
     state = two_body_circular()
     t_eval = np.linspace(0.0, 1.0, 11)
-    res = integrate(state, [1.0, 1.0], 0.0, (0.0, 1.0), t_eval=t_eval)
+    res = integrate(state, 0.0, (0.0, 1.0), t_eval=t_eval)
     assert res.trajectory.shape == (11, 2, 2, 3)
     assert np.max(np.abs(res.trajectory[0] - state)) < 1e-13
     assert np.max(np.abs(res.trajectory[-1] - res.state)) < 1e-13
@@ -260,16 +259,15 @@ def _perturbed_ngon_state(n, seed):
 def test_integrate_stack_matches_single_flows():
     # two members at two frame rates in one call: each must follow its
     # own flow, though they share the steps and the error norm
-    masses = np.array([1.0, 2.0, 0.5])
     states = np.stack([_perturbed_ngon_state(3, 1),
                        _perturbed_ngon_state(3, 2)])
     varpis = [0.4, -1.1]
     t_eval = np.linspace(0.0, 0.6, 7)
-    res = integrate(states, masses, varpis, 0.6, t_eval=t_eval)
+    res = integrate(states, varpis, 0.6, t_eval=t_eval)
     assert res.state.shape == (2, 2, 3, 3)
     assert res.trajectory.shape == (7, 2, 2, 3, 3)
     for member, (state, varpi) in enumerate(zip(states, varpis)):
-        single = integrate(state, masses, varpi, 0.6, t_eval=t_eval)
+        single = integrate(state, varpi, 0.6, t_eval=t_eval)
         assert np.max(np.abs(res.state[member] - single.state)) < 1e-10
         assert np.max(np.abs(res.trajectory[:, member]
                              - single.trajectory)) < 1e-10
@@ -279,12 +277,10 @@ def test_integrate_time_reversal_flips_frame_and_velocities():
     # x(-s) is the forward flow of (p, -v) at -varpi, its velocity
     # negated: the identity `PeriodicOrbit.sample` reads the second half
     # of the period with
-    masses = np.ones(4)
     state = _perturbed_ngon_state(4, 3)
     varpi, s = 0.7, 0.5
-    back = integrate(state, masses, varpi, (0.0, -s)).state
-    pos, vel = integrate(np.stack([state[0], -state[1]]), masses, -varpi,
-                         s).state
+    back = integrate(state, varpi, (0.0, -s)).state
+    pos, vel = integrate(np.stack([state[0], -state[1]]), -varpi, s).state
     assert np.max(np.abs(pos - back[0])) < 1e-10
     assert np.max(np.abs(vel + back[1])) < 1e-10
 
@@ -299,7 +295,7 @@ def test_integrate_stack_collision_names_the_member_pair():
     states = np.stack([np.stack([p, np.zeros_like(p)])
                        for p in (wide, falling)])
     with pytest.raises(CollisionError) as err:
-        integrate(states, [1.0, 2.0, 1.0, 0.5], 0.0, 3.0)
+        integrate(states, 0.0, 3.0)
     assert err.value.pair == (1, 3)
     assert err.value.distance < COLLISION_TOL
 
@@ -323,7 +319,7 @@ def test_integrate_stack_arguments_checked_before_any_solve(monkeypatch,
     kwargs = dict(dict(varpi=0.0), **kwargs)
     varpi = kwargs.pop("varpi")
     with pytest.raises(ValueError, match="stack"):
-        integrate(states, [1.0, 1.0], varpi, 1.0, **kwargs)
+        integrate(states, varpi, 1.0, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -775,18 +771,17 @@ def test_records_match_sampled_period(name, request):
             assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
-def _pair_loop_rhs(varpi, masses=None):
-    # rotating-frame equations, one pair at a time; unit masses by default
+def _pair_loop_rhs(varpi):
+    # rotating-frame equations, one pair at a time
     def rhs(t, y):
         half = y.size // 2
         pos, vel = y[:half].reshape(-1, 3), y[half:].reshape(-1, 3)
-        mass = np.ones(len(pos)) if masses is None else masses
         acc = np.zeros_like(pos)
         for i in range(len(pos)):
             for j in range(len(pos)):
                 if j != i:
                     d = pos[j] - pos[i]
-                    acc[i] += mass[j] * d / np.dot(d, d) ** 1.5
+                    acc[i] += d / np.dot(d, d) ** 1.5
             x, y_, _ = pos[i]
             vx, vy, _ = vel[i]
             acc[i] += [varpi ** 2 * x + 2.0 * varpi * vy,
@@ -795,12 +790,12 @@ def _pair_loop_rhs(varpi, masses=None):
     return rhs
 
 
-def _pair_loop_tangent_rhs(varpi, masses, w):
-    # the pair-loop flow of the state, its (6n, m) tangent columns seeded
+def _pair_loop_tangent_rhs(varpi, n, w):
+    # the pair-loop flow of n bodies, its (6n, m) tangent columns seeded
     # with w along varpi, and the quadratures of z_b(t) exp(-2 pi i t), one
-    # pair block m_j (I / r^3 - 3 d d^T / r^5) at a time
-    state_rhs = _pair_loop_rhs(varpi, masses)
-    n, m = len(masses), len(w)
+    # pair block (I / r^3 - 3 d d^T / r^5) at a time
+    state_rhs = _pair_loop_rhs(varpi)
+    m = len(w)
 
     def rhs(t, y):
         core = y[:6 * n]
@@ -812,8 +807,8 @@ def _pair_loop_tangent_rhs(varpi, masses, w):
                 if j != i:
                     d = pos[j] - pos[i]
                     r2 = np.dot(d, d)
-                    block = masses[j] * (np.eye(3) - 3.0 * np.outer(d, d)
-                                         / r2) / r2 ** 1.5
+                    block = (np.eye(3) - 3.0 * np.outer(d, d) / r2) \
+                        / r2 ** 1.5
                     acc[i] += block @ (cols[0, j] - cols[0, i])
             x, y_, _ = pos[i]
             vx, vy, _ = vel[i]
@@ -949,8 +944,7 @@ def test_flow_tolerance_checked_before_any_solve(monkeypatch, p12_family,
     monkeypatch.setattr(continuation, "solve_ivp", never)
     with pytest.raises(ValueError, match=r"tol out of range \(0, 1\)"):
         if call == "integrate":
-            integrate(orbit.initial_state, np.ones(3), orbit.varpi, 1.0,
-                      tol=2.0)
+            integrate(orbit.initial_state, orbit.varpi, 1.0, tol=2.0)
         else:
             orbit.sample(64, tol=3.0)
 
@@ -985,7 +979,7 @@ def _gravity_rhs(varpi, n):
     # rotating-frame equations through ngon.gravity, not the flow's pass
     def rhs(t, y):
         pos, vel = y[:3 * n].reshape(n, 3), y[3 * n:].reshape(n, 3)
-        acc = gravity(pos, np.ones(n)) + varpi ** 2 * pos * [1.0, 1.0, 0.0]
+        acc = gravity(pos) + varpi ** 2 * pos * [1.0, 1.0, 0.0]
         acc[:, 0] += 2.0 * varpi * vel[:, 1]
         acc[:, 1] -= 2.0 * varpi * vel[:, 0]
         return np.concatenate([vel.ravel(), acc.ravel()])
@@ -1213,6 +1207,23 @@ def test_verify_against_continuation_matches_gamma():
     assert verify_against_continuation(P12, GAMMA_P12, n_steps=5) < 0.05
 
 
+def test_verify_against_continuation_raises_without_a_family(monkeypatch):
+    # after an onset failure the family is the branch-point record alone,
+    # of amplitude 0: there is no slope to compare gamma with, so the
+    # failure is raised with its end reason, not returned as a NaN
+    import unchained.continuation as continuation
+
+    state, varpi = onset_state(P12, 0.0)
+    branch = FamilyRecord(varpi, 0.0, 0.0, 1.0, 0.0,
+                          PeriodicOrbit(P12, varpi, 1.0, state, 0.0, 0.0))
+    family = ContinuationResult(P12, [branch], "onset-failure: stalled",
+                                varpi)
+    monkeypatch.setattr(continuation, "continue_family",
+                        lambda spec, n_steps: family)
+    with pytest.raises(NoConvergence, match="onset-failure: stalled"):
+        verify_against_continuation(P12, GAMMA_P12)
+
+
 # ---------------------------------------------------------------------------
 # monodromy
 
@@ -1234,8 +1245,7 @@ def test_monodromy_relative_equilibrium_resonant(p12_family):
 def test_monodromy_time_origin_invariance(p12_family):
     rec = p12_family.records[2]
     mu0 = monodromy(rec.orbit)
-    shifted = integrate(rec.orbit.initial_state, np.ones(3), rec.varpi,
-                        0.23).state
+    shifted = integrate(rec.orbit.initial_state, rec.varpi, 0.23).state
     orbit2 = PeriodicOrbit(P12, rec.varpi, rec.period, shifted,
                            rec.amplitude, rec.orbit.residual)
     mu1 = monodromy(orbit2)

@@ -1,9 +1,13 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
+import unchained
 from unchained import (CollisionError, Configuration, LoopPath, NGonSystem,
                        RotatingFrame, action, angular_momentum_z, build_ngon,
-                       gravity, newton_residual, potential, rescale,
+                       gravity, newton_residual, ngon, potential, rescale,
                        wintner_matrix)
 from unchained.continuation import integrate
 from unchained.ngon import force_jacobian, jay, kinetic_energy
@@ -90,8 +94,7 @@ def test_collision_raises_with_pair():
 def test_gravity_matches_potential_gradient():
     rng = np.random.default_rng(7)
     pos = rng.normal(size=(5, 3))
-    masses = rng.uniform(0.5, 2.0, size=5)
-    acc = gravity(pos, masses)
+    acc = gravity(pos)
     h = 1e-6
     for i in range(5):
         for c in range(3):
@@ -99,17 +102,16 @@ def test_gravity_matches_potential_gradient():
             pm = pos.copy()
             pp[i, c] += h
             pm[i, c] -= h
-            du = (potential(Configuration(pp, masses))
-                  - potential(Configuration(pm, masses))) / (2 * h)
-            # m_i a_i = dU/dx_i
-            assert masses[i] * acc[i, c] == pytest.approx(du, abs=2e-7)
+            du = (potential(Configuration(pp))
+                  - potential(Configuration(pm))) / (2 * h)
+            # a_i = dU/dx_i
+            assert acc[i, c] == pytest.approx(du, abs=2e-7)
 
 
 def test_force_jacobian_matches_finite_differences():
     rng = np.random.default_rng(11)
     pos = rng.normal(size=(4, 3))
-    masses = rng.uniform(0.5, 2.0, size=4)
-    jac = force_jacobian(pos, masses)
+    jac = force_jacobian(pos)
     h = 1e-6
     for j in range(4):
         for c in range(3):
@@ -117,19 +119,16 @@ def test_force_jacobian_matches_finite_differences():
             pm = pos.copy()
             pp[j, c] += h
             pm[j, c] -= h
-            col = (gravity(pp, masses) - gravity(pm, masses)).ravel() / (2 * h)
+            col = (gravity(pp) - gravity(pm)).ravel() / (2 * h)
             assert np.allclose(jac[:, 3 * j + c], col, atol=5e-6)
 
 
 def test_wintner_rows_and_symmetry():
     rng = np.random.default_rng(3)
     pos = rng.normal(size=(6, 3))
-    masses = rng.uniform(0.5, 2.0, size=6)
-    w = wintner_matrix(Configuration(pos, masses))
+    w = wintner_matrix(Configuration(pos))
     assert np.allclose(w.sum(axis=1), 0.0, atol=1e-14)
-    # symmetric for the mass inner product: M W = (M W)^T
-    mw = masses[:, None] * w
-    assert np.allclose(mw, mw.T, atol=1e-13)
+    assert np.allclose(w, w.T, atol=1e-13)
 
 
 def test_wintner_vertical_variational():
@@ -142,7 +141,7 @@ def test_wintner_vertical_variational():
     pos = sysn.configuration.positions.copy()
     posp = pos.copy()
     posp[:, 2] = h * z
-    acc = gravity(posp, sysn.configuration.masses)[:, 2] / h
+    acc = gravity(posp)[:, 2] / h
     assert np.allclose(acc, w @ z, atol=1e-6)
 
 
@@ -186,21 +185,25 @@ def test_action_time_translation_invariance():
     assert action(shifted) == pytest.approx(action(loop), rel=1e-13)
 
 
-@pytest.mark.parametrize("masses", [[2.0], [1.0, 1.0], [1.0, -1.0, 1.0],
-                                    [1.0, 0.0, 1.0], [[1.0, 1.0, 1.0]],
-                                    [1.0, np.nan, 1.0], [np.inf, 1.0, 1.0]])
-def test_masses_are_checked_like_configuration(masses):
-    # a mass array that would broadcast, or a mass that is not positive
-    # and finite, must not reach the action or the flow: [2.0] on the 3-gon
-    # loop gave an action of 71.6 against 21.5, and [1, -1, 1] a negative
-    # one
+def test_masses_are_unit_by_construction():
+    # no public callable of the package takes masses, the kernels of ngon
+    # included, and no loop type stores them
+    public = {name: getattr(unchained, name) for name in unchained.__all__}
+    public.update((name, obj) for name, obj in vars(ngon).items()
+                  if getattr(obj, "__module__", None) == ngon.__name__
+                  and not name.startswith("_"))
+    for name, obj in public.items():
+        if callable(obj) and not (isinstance(obj, type)
+                                  and issubclass(obj, Exception)):
+            assert "masses" not in inspect.signature(obj).parameters, name
+    for cls in (Configuration, LoopPath):
+        assert "masses" not in {f.name for f in dataclasses.fields(cls)}
+    # tol is keyword-only: the old call integrate(state, masses, varpi, t)
+    # must not read the masses as the frame rate
     loop = build_ngon(3).rigid_loop(n_samples=64)
     state = np.stack([loop.positions[0], loop.velocities()[0]])
-    for make in (lambda: LoopPath(loop.positions, loop.period, masses),
-                 lambda: Configuration(loop.positions[0], masses),
-                 lambda: integrate(state, masses, 0.0, 0.1)):
-        with pytest.raises(ValueError, match="masses"):
-            make()
+    with pytest.raises(TypeError):
+        integrate(state, np.ones(3), 0.0, 0.1)
 
 
 # each size with the values it must refuse: a negative omega is a
@@ -290,7 +293,7 @@ def test_jay_is_vertical_rotation_generator():
 
 def test_center_of_mass_normalization():
     rng = np.random.default_rng(2)
-    cfg = Configuration(rng.normal(size=(4, 3)), rng.uniform(1, 2, size=4))
+    cfg = Configuration(rng.normal(size=(4, 3)))
     centered = cfg.centered()
     assert np.allclose(centered.center_of_mass(), 0.0, atol=1e-15)
     # potential is translation invariant

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from unchained import (CollisionError, Configuration, LoopPath, action,
                        gravity, potential, wintner_matrix)
 from unchained.continuation import integrate
-from unchained.ngon import (COLLISION_TOL, _force_jacobian_apply,
-                            _pair_scatter, check_separation, closest_pair,
-                            force_jacobian, kinetic_energy, pair_terms)
+from unchained.ngon import (COLLISION_TOL, _force_jacobian_apply, _pairs,
+                            check_separation, closest_pair, force_jacobian,
+                            kinetic_energy, pair_terms)
 
 # corners of a cube with side 1.5; jitter of at most 0.5 per coordinate
 # keeps every pair at least 0.5 apart before scaling
@@ -21,7 +21,7 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 @st.composite
 def bodies(draw, batch=False):
-    """(positions, masses): n in 2..8, masses in [0.5, 2], no collision.
+    """Positions of n in 2..8 unit masses, no collision.
 
     positions is (n, 3), or (m, n, 3) with m in 1..4 when batch is set.
     """
@@ -32,12 +32,12 @@ def bodies(draw, batch=False):
     rng = np.random.default_rng(seed)
     pos = scale * (CORNERS[rng.permutation(8)[:n]]
                    + rng.uniform(-0.5, 0.5, size=(m, n, 3)))
-    masses = rng.uniform(0.5, 2.0, size=n)
-    return (pos if batch else pos[0]), masses
+    return pos if batch else pos[0]
 
 
-def brute_force(pos, masses):
-    """Pair sums of one (n, 3) configuration by an explicit double loop."""
+def brute_force(pos):
+    """Pair sums of one (n, 3) configuration of unit masses by an explicit
+    double loop."""
     n = len(pos)
     diff = np.zeros((n, n, 3))
     dist = np.full((n, n), np.inf)
@@ -54,14 +54,13 @@ def brute_force(pos, masses):
             diff[i, j] = d
             dist[i, j] = r
             if i < j:
-                u += masses[i] * masses[j] / r
-            acc[i] += masses[j] * d / r ** 3
-            block = masses[j] * (np.eye(3) / r ** 3
-                                 - 3.0 * np.outer(d, d) / r ** 5)
+                u += 1.0 / r
+            acc[i] += d / r ** 3
+            block = np.eye(3) / r ** 3 - 3.0 * np.outer(d, d) / r ** 5
             jac[i, :, j, :] = block
             jac[i, :, i, :] -= block
-            wint[i, j] = masses[j] / r ** 3
-            wint[i, i] -= masses[j] / r ** 3
+            wint[i, j] = 1.0 / r ** 3
+            wint[i, i] -= 1.0 / r ** 3
     return dict(diff=diff, dist=dist, potential=u, gravity=acc,
                 jacobian=jac.reshape(3 * n, 3 * n), wintner=wint)
 
@@ -75,35 +74,32 @@ def assert_close(got, want, rtol=1e-12):
 
 @SETTINGS
 @given(bodies())
-def test_single_configuration_matches_double_loop(sample):
-    pos, masses = sample
-    ref = brute_force(pos, masses)
+def test_single_configuration_matches_double_loop(pos):
+    ref = brute_force(pos)
     diff, r, inv_r3 = pair_terms(pos)
     pairs = np.triu_indices(len(pos), 1)
     np.testing.assert_array_equal(diff, ref["diff"][pairs])
     assert_close(r, ref["dist"][pairs])
     assert_close(inv_r3, ref["dist"][pairs] ** -3.0)
-    config = Configuration(pos, masses)
+    config = Configuration(pos)
     assert potential(config) == pytest.approx(ref["potential"], rel=1e-13)
-    assert_close(gravity(pos, masses), ref["gravity"])
-    assert_close(force_jacobian(pos, masses), ref["jacobian"])
+    assert_close(gravity(pos), ref["gravity"])
+    assert_close(force_jacobian(pos), ref["jacobian"])
     assert_close(wintner_matrix(config), ref["wintner"])
 
 
 @SETTINGS
 @given(bodies(batch=True))
-def test_batch_matches_double_loop(sample):
-    pos, masses = sample
-    refs = [brute_force(p, masses) for p in pos]
+def test_batch_matches_double_loop(pos):
+    refs = [brute_force(p) for p in pos]
     _, r, _ = pair_terms(pos)
     pairs = np.triu_indices(pos.shape[1], 1)
     assert r.shape == (pos.shape[0], len(pairs[0]))
     for k, ref in enumerate(refs):
         assert_close(r[k], ref["dist"][pairs])
-    assert_close(gravity(pos, masses), [ref["gravity"] for ref in refs])
-    assert_close(force_jacobian(pos, masses),
-                 [ref["jacobian"] for ref in refs])
-    loop = LoopPath(pos, 1.0, masses)
+    assert_close(gravity(pos), [ref["gravity"] for ref in refs])
+    assert_close(force_jacobian(pos), [ref["jacobian"] for ref in refs])
+    loop = LoopPath(pos, 1.0)
     assert loop.min_separation() == pytest.approx(
         min(ref["dist"].min() for ref in refs), rel=1e-13)
 
@@ -111,19 +107,18 @@ def test_batch_matches_double_loop(sample):
 @SETTINGS
 @given(bodies(batch=True), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
        st.booleans())
-def test_jacobian_action_matches_double_loop(sample, m, seed, batch):
+def test_jacobian_action_matches_double_loop(pos, m, seed, batch):
     # the flow applies the Jacobian to its tangent columns, beside the
     # positions, without forming it; the brute-force matrix times the same
     # columns must agree, and the positions' column must be -2 gravity
-    pos, masses = sample
     if not batch:
         pos = pos[0]
     n = pos.shape[-2]
     dpos = np.random.default_rng(seed).normal(size=pos.shape + (m,))
     cols = np.concatenate([pos[..., None], dpos], axis=-1)
-    got = _force_jacobian_apply(cols, _pair_scatter(masses))
+    got = _force_jacobian_apply(cols, _pairs(n)[3])
     assert got.shape == cols.shape
-    refs = [brute_force(p, masses) for p in pos.reshape(-1, n, 3)]
+    refs = [brute_force(p) for p in pos.reshape(-1, n, 3)]
     want = [ref["jacobian"] @ d.reshape(3 * n, m)
             for ref, d in zip(refs, dpos.reshape(-1, n, 3, m))]
     assert_close(got[..., 1:], np.reshape(want, dpos.shape))
@@ -134,10 +129,9 @@ def test_jacobian_action_matches_double_loop(sample, m, seed, batch):
 
 @SETTINGS
 @given(bodies(batch=True), st.floats(0.1, 10.0), st.floats(-3.0, 3.0))
-def test_action_is_mean_lagrangian_times_period(sample, period, varpi):
-    pos, masses = sample
-    loop = LoopPath(pos, period, masses)
-    pot = [potential(Configuration(p, masses)) for p in pos]
+def test_action_is_mean_lagrangian_times_period(pos, period, varpi):
+    loop = LoopPath(pos, period)
+    pot = [potential(Configuration(p)) for p in pos]
     want = np.mean(kinetic_energy(loop, varpi) + pot) * period
     assert action(loop, varpi) == pytest.approx(want, rel=1e-13)
 
@@ -145,8 +139,7 @@ def test_action_is_mean_lagrangian_times_period(sample, period, varpi):
 @SETTINGS
 @given(bodies(), st.data(),
        st.one_of(st.floats(0.1, 0.9), st.floats(1.1, 10.0)), st.booleans())
-def test_check_separation_names_closest_pair(sample, data, factor, batch):
-    pos, _ = sample
+def test_check_separation_names_closest_pair(pos, data, factor, batch):
     n = len(pos)
     i = data.draw(st.integers(0, n - 2))
     j = data.draw(st.integers(i + 1, n - 1))
@@ -171,9 +164,8 @@ def test_check_separation_names_closest_pair(sample, data, factor, batch):
     lambda pos: potential(Configuration(pos)),
     lambda pos: wintner_matrix(Configuration(pos)),
     lambda pos: action(LoopPath(pos[None], 1.0)),
-    lambda pos: integrate(np.stack([pos, np.zeros_like(pos)]),
-                          np.ones(len(pos)), 0.0, 1.0),
-    lambda pos: force_jacobian(pos, np.ones(len(pos))),
+    lambda pos: integrate(np.stack([pos, np.zeros_like(pos)]), 0.0, 1.0),
+    lambda pos: force_jacobian(pos),
 ])
 def test_coincident_bodies_raise_collision(call):
     pos = np.zeros((3, 3))

@@ -10,9 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from unchained.continuation import (ContinuationResult, FamilyRecord,
                                     write_family_csv)
-from unchained.ngon import (Configuration, _force_jacobian_apply,
-                            _pair_scatter, force_jacobian, gravity,
-                            potential)
+from unchained.ngon import (Configuration, _force_jacobian_apply, _pairs,
+                            force_jacobian, gravity, potential)
 from unchained.symmetry import GroupSpec
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -22,16 +21,14 @@ MIN_SEPARATION = 0.25
 
 @st.composite
 def configurations(draw):
-    """(positions, masses): n in 2..6 in a box of side 4, masses unequal."""
+    """Positions of n in 2..6 unit masses in a box of side 4."""
     n = draw(st.integers(2, 6))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     pos = rng.uniform(-2.0, 2.0, size=(n, 3))
-    masses = rng.uniform(0.5, 2.0, size=n)
     dist = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
     assume(np.min(dist[np.triu_indices(n, 1)]) > MIN_SEPARATION)
-    assume(np.ptp(masses) > 0.05)
-    return pos, masses
+    return pos
 
 
 def central_difference(fun, pos):
@@ -48,61 +45,56 @@ def central_difference(fun, pos):
 
 @SETTINGS
 @given(configurations())
-def test_force_jacobian_is_derivative_of_gravity(bodies):
-    pos, masses = bodies
+def test_force_jacobian_is_derivative_of_gravity(pos):
     n = len(pos)
-    jac = force_jacobian(pos, masses)
-    fd = central_difference(lambda x: gravity(x, masses), pos)
+    jac = force_jacobian(pos)
+    fd = central_difference(gravity, pos)
     fd = fd.reshape(3 * n, 3 * n)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
 
 
 @SETTINGS
 @given(configurations(), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
-def test_jacobian_action_is_directional_derivative_of_gravity(bodies, m,
+def test_jacobian_action_is_directional_derivative_of_gravity(pos, m,
                                                               seed):
     # column k of the action on displacements D is the derivative of gravity
     # along D[..., k], here by a central difference along that direction
-    pos, masses = bodies
     dpos = np.random.default_rng(seed).normal(size=pos.shape + (m,))
     got = _force_jacobian_apply(
         np.concatenate([pos[..., None], dpos], axis=-1),
-        _pair_scatter(masses))[..., 1:]
-    fd = np.stack([(gravity(pos + STEP * d, masses)
-                    - gravity(pos - STEP * d, masses)) / (2.0 * STEP)
+        _pairs(len(pos))[3])[..., 1:]
+    fd = np.stack([(gravity(pos + STEP * d) - gravity(pos - STEP * d))
+                   / (2.0 * STEP)
                    for d in np.moveaxis(dpos, -1, 0)], axis=-1)
     assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(got))
 
 
 @SETTINGS
 @given(configurations(), st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
-def test_jacobian_pass_gives_force_and_matrix_action(bodies, m, seed):
+def test_jacobian_pass_gives_force_and_matrix_action(pos, m, seed):
     # the flow's one pass over the pairs: applied to the positions, alone
     # (m = 0) or beside m displacement columns, the force Jacobian gives
     # -2 gravity (Euler's identity, every pair term homogeneous of degree
     # -2), and on the displacements the matrix of force_jacobian times them
-    pos, masses = bodies
     n = len(pos)
     dpos = np.random.default_rng(seed).normal(size=pos.shape + (m,))
     got = _force_jacobian_apply(
         np.concatenate([pos[..., None], dpos], axis=-1),
-        _pair_scatter(masses))
-    force = gravity(pos, masses)
+        _pairs(n)[3])
+    force = gravity(pos)
     assert np.max(np.abs(got[..., 0] + 2.0 * force)) \
         <= 1e-12 * np.max(np.abs(force))
-    want = force_jacobian(pos, masses) @ dpos.reshape(3 * n, m)
+    want = force_jacobian(pos) @ dpos.reshape(3 * n, m)
     assert np.max(np.abs(got[..., 1:].reshape(3 * n, m) - want),
                   initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=1.0)
 
 
 @SETTINGS
 @given(configurations())
-def test_gravity_is_gradient_of_potential(bodies):
-    pos, masses = bodies
-    # m_i x_i'' = dU / dx_i
-    grad = central_difference(
-        lambda x: potential(Configuration(x, masses)), pos)
-    force = masses[:, None] * gravity(pos, masses)
+def test_gravity_is_gradient_of_potential(pos):
+    # x_i'' = dU / dx_i
+    grad = central_difference(lambda x: potential(Configuration(x)), pos)
+    force = gravity(pos)
     assert np.max(np.abs(force - grad)) <= 1e-6 * np.max(np.abs(force))
 
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from unchained.errors import DegenerateSystem
+from unchained.minimize import lambda_G_bruteforce
 from unchained.ngon import build_ngon, newton_residual, wintner_matrix
 from unchained.spectrum import (_horizontal_spectrum, _vertical_spectrum,
                                 check_monotone, convexity_report, fold_mode,
                                 horizontal_spectrum, lyapunov_cylinder,
                                 pacella_moeckel, vertical_spectrum)
+from unchained.symmetry import GroupSpec
 
 # Frozen vertical frequencies (unit circumradius).  Closed forms follow
 # from the chord-length sums; decimals were frozen from an independent
@@ -269,6 +271,31 @@ def test_cylinder_vertical_choreography_shift():
     for j in range(5):
         shift = (-2 * j * m // 5) % m
         np.testing.assert_allclose(z[:, j], np.roll(z[:, 0], -shift), atol=1e-12)
+
+
+_BAD_EXACT_ARGUMENTS = {
+    # each raises ValueError before any work: a float index would fail in
+    # numpy with IndexError, a bool would pass as 0 or 1, p_max = -3 would
+    # list no candidate and certify 1.0, and a NaN or infinite amplitude
+    # would build a NaN or infinite loop
+    "omega(1.5)": lambda: vertical_spectrum(5).omega(1.5),
+    "omega(True)": lambda: vertical_spectrum(5).omega(True),
+    "ell=1.0": lambda: convexity_report(4, 1.0),
+    "ell=True": lambda: convexity_report(4, True),
+    "p_max=-3": lambda: lambda_G_bruteforce(GroupSpec(5, 1, -1, 4, 1), 0.3,
+                                            p_max=-3),
+    "p_max=2.5": lambda: lambda_G_bruteforce(GroupSpec(5, 1, -1, 4, 1), 0.3,
+                                             p_max=2.5),
+    "amplitude=nan": lambda: lyapunov_cylinder(5, 2, -1, 2, 1, np.nan),
+    "amplitude=inf": lambda: lyapunov_cylinder(5, 2, -1, 2, 1, np.inf),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_EXACT_ARGUMENTS.values(),
+                         ids=_BAD_EXACT_ARGUMENTS.keys())
+def test_exact_layers_refuse_non_integer_and_non_finite_arguments(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_cylinder_argument_validation():

@@ -177,7 +177,6 @@ def _collocation_frequency(spec, eps, m=64, iters=25):
     fr = np.fft.fftfreq(m, d=loop.period / m) * 2j * np.pi
     D = np.real(np.fft.ifft(fr[:, None] * fmat, axis=0))
     D2 = D @ D
-    masses = np.ones(n)
     y = loop.positions.reshape(m, -1).copy()
     w = varpi
     t = np.arange(m) * (loop.period / m)
@@ -195,7 +194,7 @@ def _collocation_frequency(spec, eps, m=64, iters=25):
 
     def residual(y, w):
         pos = y.reshape(m, n, 3)
-        frc = gravity(pos, masses)
+        frc = gravity(pos)
         hor = pos.copy()
         hor[:, :, 2] = 0.0
         vel = (D @ y).reshape(m, n, 3)
@@ -215,8 +214,7 @@ def _collocation_frequency(spec, eps, m=64, iters=25):
         K = kd2 + 2.0 * w * kd
         for i in range(m):
             sl = slice(i * nv, (i + 1) * nv)
-            K[sl, sl] = K[sl, sl] - force_jacobian(pos[i], masses) \
-                - w ** 2 * ph
+            K[sl, sl] = K[sl, sl] - force_jacobian(pos[i]) - w ** 2 * ph
         J = np.zeros((m * nv + 3, m * nv + 1))
         J[:m * nv, :m * nv] = K
         hor = pos.copy()
