@@ -114,22 +114,18 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
 
     The flow carries the state as column 0 of one (6n, 1 + m) matrix, the
     m tangent columns beside it (m = 0 without tangents), stored row by
-    row and followed by the quadratures.  Its right-hand side is one
-    product of the linear field, assembled once per call from the parts
-    `_linear_parts` caches per n, with that matrix, plus one pass of
-    `ngon._force_jacobian_apply` over the n(n-1)/2 pairs i < j: the force
-    Jacobian at the positions applied to the position rows of every
-    column.  Column 0 of that pass is J(x) x = -2 F(x) by Euler's identity
-    (each pair term of the force is homogeneous of degree -2), so the
-    force costs no pass of its own.  The same pass is the flow's collision
-    check: it compares the pair distances with ngon.COLLISION_TOL before
-    it divides by them, and so do the initial positions before the solver
-    starts; a closer pair raises CollisionError naming it (i < j), in
-    whichever member it occurs.
+    row and followed by the quadratures.  One right-hand side serves every
+    flow: the product of the linear field, assembled once per call from
+    `_linear_parts`, with the flow rows, plus one pass of
+    `ngon._force_jacobian_apply`, which gives the force in column 0 and
+    the force Jacobian applied to every other column.  That pass compares
+    the pair distances with ngon.COLLISION_TOL, as the initial positions
+    are before the solver starts; a closer pair raises CollisionError
+    naming it (i < j), in whichever member it occurs.
     Solver breakdown raises IntegrationFailure with the time reached, and
-    a tol outside (0, 1), a stacked state with tangents or a varpi that
-    does not broadcast over the stack raise ValueError before any
-    integration.
+    a tol outside (0, 1), a stacked state with tangents, tangents that
+    are not a (6n + 1, m) matrix or a varpi that does not broadcast over
+    the stack raise ValueError before any integration.
     """
     _checked_tol(tol, "tol")
     state = np.asarray(state, dtype=float)
@@ -137,13 +133,18 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
     if tangents is not None and stack:
         raise ValueError(f"tangents need one (2, n, 3) state, got a stack "
                          f"of shape {state.shape}")
+    n = state.shape[-2]
+    if tangents is not None:
+        seed = np.asarray(tangents, dtype=float)
+        if seed.ndim != 2 or len(seed) != 6 * n + 1:
+            raise ValueError(f"tangents must be a ({6 * n + 1}, m) matrix, "
+                             f"got shape {seed.shape}")
     try:
         rates = np.broadcast_to(np.asarray(varpi, dtype=float), stack)
     except ValueError:
         raise ValueError(f"varpi of shape {np.shape(varpi)} does not "
                          f"broadcast over a stack of shape {stack}") from None
     _separated(state[..., 0, :, :])
-    n = state.shape[-2]
     if np.ndim(t_span) == 0:
         t0, t1 = 0.0, float(t_span)
     else:
@@ -154,44 +155,37 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
             for w in rates.flat]
     lin = lins[0] if len(lins) == 1 else block_diag(*lins)
     scatter = _pairs(n)[3]
-    width = 1 if tangents is None else 1 + np.shape(tangents)[1]
+    width = 1 if tangents is None else 1 + seed.shape[1]
     n_flow = state.size * width
+    # the flow rows: (6n, width) with tangents, else one flat vector, whose
+    # product with lin is the faster one
+    rows = (-1,) if tangents is None else (-1, width)
+    view = stack + (2, n, 3, width)
     if tangents is None:
         y0 = state.ravel()
-        # the pass gives J(x) x = -2 F(x): the scatter scaled by -1/2 sums
-        # the force
-        half_scatter = -0.5 * scatter
-
-        def rhs(t, y):
-            flow = lin @ y
-            flow.reshape(-1, 2, nv)[:, 1] += _force_jacobian_apply(
-                y.reshape(-1, 2, n, 3, 1)[:, 0], half_scatter).reshape(-1, nv)
-            return flow
     else:
-        seed = np.asarray(tangents, dtype=float)
         y0 = np.concatenate([np.column_stack([state.ravel(), seed[:-1]])
                              .ravel(), np.zeros(2 * n)])
         # the varpi term b w: b = (d lin / d varpi) x, in the velocity rows,
         # and w the seed's last row, 0 in the state's column
         dlin = (2.0 * float(varpi) * centrifugal - 2.0 * coriolis)[nv:]
         w_varpi = np.append(0.0, seed[-1])
-        col_scale = np.append(-0.5, np.ones(width - 1))
 
-        def rhs(t, y):
-            out = np.empty_like(y)
-            mat = y[:n_flow].reshape(-1, width)
-            flow = out[:n_flow].reshape(-1, width)
-            np.matmul(lin, mat, out=flow)
-            acc = _force_jacobian_apply(mat[:nv].reshape(n, 3, width),
-                                        scatter).reshape(nv, width)
-            acc *= col_scale
-            acc += (dlin @ mat[:, 0])[:, None] * w_varpi
-            flow[nv:] += acc
+    def rhs(t, y):
+        out = np.empty_like(y)
+        mat = y[:n_flow].reshape(rows)
+        flow = out[:n_flow].reshape(rows)
+        np.matmul(lin, mat, out=flow)
+        acc = _force_jacobian_apply(mat.reshape(view)[..., 0, :, :, :],
+                                    scatter)
+        if tangents is not None:
+            acc += (dlin @ mat[:, 0]).reshape(n, 3, 1) * w_varpi
             np.multiply.outer([math.cos(2.0 * math.pi * t),
                                -math.sin(2.0 * math.pi * t)],
                               mat[2:nv:3, 0],
                               out=out[n_flow:].reshape(2, n))
-            return out
+        flow.reshape(view)[..., 1, :, :, :] += acc
+        return out
 
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,
                     t_eval=t_eval, max_step=max_step)
@@ -805,6 +799,16 @@ def monodromy(orbit: PeriodicOrbit) -> float:
     return mu if mu < 1.0 else 0.0  # a tiny negative product rounds to 1
 
 
+def _re_branch(spec: GroupSpec, varpi):
+    # (omega_1^{4/3}, X) of the n-gon rotating at X = varpi + 2 pi r / s;
+    # ValueError where X <= 0
+    w1 = vertical_spectrum(spec.n_bodies).omega(1)
+    x = np.asarray(varpi, dtype=float) + 2.0 * np.pi * spec.r / spec.s
+    if np.any(x <= 0):
+        raise ValueError("frame rate beyond the rest point of the branch")
+    return w1 ** (4.0 / 3.0), x
+
+
 def re_branch_action(spec: GroupSpec, varpi) -> np.ndarray:
     """Action of the rotating n-gon branch as a function of the frame rate.
 
@@ -812,17 +816,14 @@ def re_branch_action(spec: GroupSpec, varpi) -> np.ndarray:
     rotates at X = varpi + 2 pi r / s; scaling the unit n-gon to that rate
     gives A = (3/2) s n omega_1^{4/3} X^{2/3}.
     """
-    w1 = vertical_spectrum(spec.n_bodies).omega(1)
-    x = np.asarray(varpi, dtype=float) + 2.0 * np.pi * spec.r / spec.s
-    if np.any(x <= 0):
-        raise ValueError("frame rate beyond the rest point of the branch")
-    return 1.5 * spec.s * spec.n_bodies * w1 ** (4.0 / 3.0) * x ** (2.0 / 3.0)
+    w43, x = _re_branch(spec, varpi)
+    return 1.5 * spec.s * spec.n_bodies * w43 * x ** (2.0 / 3.0)
 
 
 def _re_branch_lz(spec: GroupSpec, varpi) -> np.ndarray:
-    w1 = vertical_spectrum(spec.n_bodies).omega(1)
-    x = np.asarray(varpi, dtype=float) + 2.0 * np.pi * spec.r / spec.s
-    return spec.n_bodies * w1 ** (4.0 / 3.0) * x ** (-1.0 / 3.0)
+    # L_z = n omega_1^{4/3} X^{-1/3} of the same branch
+    w43, x = _re_branch(spec, varpi)
+    return spec.n_bodies * w43 * x ** (-1.0 / 3.0)
 
 
 @dataclass

@@ -21,16 +21,13 @@ positions from a caller (`potential`, `wintner_matrix`, `force_jacobian`,
 
 `force_jacobian` and the flow of `continuation.integrate` use one kernel,
 `_force_jacobian_apply`, and never `pair_terms` or `_gravity`.  It takes
-the positions as column 0 of a stack of position columns and applies the
-force Jacobian there, in rank-one form, to every column with one
-pair-difference product and one scatter product.  Every pair term of the
-force is homogeneous of degree -2 in the positions, so column 0 comes out
-as J(x) x = -2 F(x) (Euler's identity): the flow reads the force off the
-same pass that moves its tangent columns.  With the positions alone, as
-in the plain flow, the rank-one term is -3 times the isotropic one and
-the pass writes -2 F(x) without it.  The kernel runs `check_separation`
-on the pair distances before it divides by them, which is the flow's
-collision check.
+the positions as column 0 of a stack of position columns and, with one
+pair-difference product and one scatter product, returns the force F(x)
+in column 0 and the force Jacobian, in rank-one form, applied to every
+other column.  With the positions alone, as in the plain flow, it skips
+the rank-one term.  The kernel runs `check_separation` on the pair
+distances before it divides by them, which is the flow's collision
+check.
 """
 
 import functools
@@ -113,11 +110,16 @@ def _pair_potential(r):
     return np.sum(1.0 / r, axis=-1)
 
 
+def _checked_int(value, name, kind="an integer"):
+    # value as an int, bool refused: ValueError "{name} must be {kind}"
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be {kind}: {value!r}")
+    return int(value)
+
+
 def _checked_count(count, name):
-    # a count such as a sample or step count: a positive integer, bool
-    # excluded; name is the parameter the message names
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) \
-            or count < 1:
+    # a count such as a sample or step count: a positive integer
+    if _checked_int(count, name, "a positive integer") < 1:
         raise ValueError(f"{name} must be a positive integer: {count!r}")
     return int(count)
 
@@ -204,14 +206,14 @@ def force_jacobian(positions):
 
 
 def _force_jacobian_apply(cols, scatter):
-    # force Jacobian J at the positions x = cols[..., 0], applied to every
-    # column of cols (..., n, 3, k), in one pass over the pairs, times a
-    # multiple of the `_pairs` scatter.  Pair p = (i, j) takes the column
-    # differences rel = c_j - c_i and gives the rank-one form of
-    # (I / r^3 - 3 d d^T / r^5) rel, d = x_j - x_i, which the scatter adds
-    # to body i and subtracts from body j.  Column 0 comes out as
-    # J x = -2 F(x): each pair term of F is homogeneous of degree -2.  The
-    # separation check runs before any division
+    # the force F at the positions x = cols[..., 0] in column 0, and the
+    # force Jacobian J at x applied to every other column of cols
+    # (..., n, 3, k), in one pass over the pairs, times the `_pairs`
+    # scatter.  Pair p = (i, j) takes the column differences rel = c_j - c_i
+    # and gives the rank-one form of (I / r^3 - 3 d d^T / r^5) rel,
+    # d = x_j - x_i, which the scatter adds to body i and subtracts from
+    # body j; column 0 keeps only the isotropic term d / r^3, the pair's
+    # force.  The separation check runs before any division
     shape = cols.shape
     n, k, lead = shape[-3], shape[-1], shape[:-3]
     rel = (_pairs(n)[2] @ cols.reshape(lead + (n, 3 * k))).reshape(
@@ -225,12 +227,11 @@ def _force_jacobian_apply(cols, scatter):
     # proj, and so sq, is scaled in place
     weight = sq ** -1.5
     if k == 1:
-        # the positions alone: d . rel = r^2 makes the rank-one term -3
-        # times the first, J x = -2 F(x) term by term
+        # the positions alone: the force
         g = rel
-        weight *= -2.0
     else:
         proj *= (3.0 / sq)[..., None, None]
+        proj[..., 0] = 0.0
         g = rel - d[..., None] * proj
     return ((scatter * weight[..., None, :])
             @ g.reshape(lead + (-1, 3 * k))).reshape(shape)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSystem
-from .ngon import (LoopPath, _checked_bodies, _checked_count, build_ngon,
-                   force_jacobian, wintner_matrix)
+from .ngon import (LoopPath, _checked_bodies, _checked_count, _checked_int,
+                   build_ngon, force_jacobian, wintner_matrix)
 from .symmetry import GroupSpec
 
 __all__ = [
@@ -87,9 +87,7 @@ class VerticalSpectrum:
         direction along the rotation, no transverse oscillation), and
         ValueError unless m is an integer (bool refused).
         """
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-            raise ValueError(f"mode index must be an integer: {m!r}")
-        f = fold_mode(self.n_bodies, m)
+        f = fold_mode(self.n_bodies, _checked_int(m, "mode index"))
         if f == 0:
             raise DegenerateSystem(
                 f"mode {m} folds to 0 mod {self.n_bodies}; no vertical frequency"

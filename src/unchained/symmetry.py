@@ -26,7 +26,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import UnsupportedCase
-from .ngon import LoopPath, _checked_count
+from .ngon import LoopPath, _checked_count, _checked_int
 
 __all__ = [
     "GroupSpec",
@@ -64,11 +64,8 @@ class GroupSpec:
 
     def __post_init__(self):
         for name in ("n_bodies", "k", "eta", "r", "s"):
-            value = getattr(self, name)
-            if isinstance(value, bool) \
-                    or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer: {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name,
+                               _checked_int(getattr(self, name), name))
         n = self.n_bodies
         if n < 3:
             raise ValueError("need at least 3 bodies")

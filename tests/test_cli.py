@@ -520,8 +520,8 @@ def test_module_entry_point():
 
 
 def test_exact_subcommands_load_no_scipy():
-    # only continuation needs scipy; the CLI and the exact subcommands start
-    # without it, and the package still serves continuation's names
+    # only continuation needs scipy; the CLI and the exact subcommands load
+    # no scipy module, and the package still serves continuation's names
     code = (
         "import os, sys\n"
         "from unchained.cli import main\n"
@@ -530,7 +530,7 @@ def test_exact_subcommands_load_no_scipy():
         "             ['group'] + spec, ['bounds'] + spec,\n"
         "             ['torsion'] + spec):\n"
         "    assert main(argv) == 0, argv\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
         "import unchained\n"
         "from unchained import *\n"
         "print(unchained.continue_family is continue_family,\n"

@@ -181,14 +181,12 @@ def test_integrate_four_body_collision_inside_the_flow():
     assert err.value.distance < COLLISION_TOL
 
 
-@pytest.mark.parametrize("masses", [np.ones(3), np.ones(4)])
-def test_integrate_unequal_masses_match_pair_loop_flow(masses):
+@pytest.mark.parametrize("n", [3, 4])
+def test_integrate_matches_pair_loop_tangent_flow(n):
     # the flow against an independent oracle: a perturbed polygon flowed
     # by the test-local pair loop, with its tangent columns (two state
     # directions and varpi) and height quadratures, each pair block written
-    # out.  Masses are unit, the only ones the package has; a scatter with
-    # swapped signs flips the force and fails here too
-    n = len(masses)
+    # out.  A scatter with swapped signs flips the force and fails here
     rng = np.random.default_rng(n)
     pos = (1.5 * build_ngon(n).configuration.positions
            + 0.2 * rng.standard_normal((n, 3)))
@@ -210,6 +208,23 @@ def test_integrate_unequal_masses_match_pair_loop_flow(masses):
         < 1e-10 * np.max(np.abs(tangents))
     harmonic = yf[-2 * n:-n] + 1j * yf[-n:]
     assert np.max(np.abs(res.harmonic - harmonic)) < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(25,), (25, 2, 1), (24, 2), (26, 2)],
+                         ids=["1-D", "3-D", "24-rows", "26-rows"])
+def test_integrate_refuses_malformed_seed(monkeypatch, shape):
+    # the seed of four bodies is a (25, m) matrix: a 1-D, 3-D or wrong-row
+    # seed is named before any solve
+    import unchained.continuation as continuation
+
+    def never(*args, **kw):
+        raise AssertionError("solved before the seed was checked")
+
+    monkeypatch.setattr(continuation, "solve_ivp", never)
+    state = np.stack([build_ngon(4).configuration.positions,
+                      np.zeros((4, 3))])
+    with pytest.raises(ValueError, match=r"\(25, m\) matrix"):
+        integrate(state, 0.0, 1.0, tangents=np.zeros(shape))
 
 
 def test_integrate_rejects_initial_collision():

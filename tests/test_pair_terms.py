@@ -110,7 +110,7 @@ def test_batch_matches_double_loop(pos):
 def test_jacobian_action_matches_double_loop(pos, m, seed, batch):
     # the flow applies the Jacobian to its tangent columns, beside the
     # positions, without forming it; the brute-force matrix times the same
-    # columns must agree, and the positions' column must be -2 gravity
+    # columns must agree, and the positions' column must be gravity
     if not batch:
         pos = pos[0]
     n = pos.shape[-2]
@@ -123,7 +123,7 @@ def test_jacobian_action_matches_double_loop(pos, m, seed, batch):
             for ref, d in zip(refs, dpos.reshape(-1, n, 3, m))]
     assert_close(got[..., 1:], np.reshape(want, dpos.shape))
     assert_close(got[..., 0],
-                 np.reshape([-2.0 * ref["gravity"] for ref in refs],
+                 np.reshape([ref["gravity"] for ref in refs],
                             pos.shape))
 
 

@@ -72,17 +72,17 @@ def test_jacobian_action_is_directional_derivative_of_gravity(pos, m,
 @SETTINGS
 @given(configurations(), st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
 def test_jacobian_pass_gives_force_and_matrix_action(pos, m, seed):
-    # the flow's one pass over the pairs: applied to the positions, alone
-    # (m = 0) or beside m displacement columns, the force Jacobian gives
-    # -2 gravity (Euler's identity, every pair term homogeneous of degree
-    # -2), and on the displacements the matrix of force_jacobian times them
+    # the flow's one pass over the pairs: on the positions, alone (m = 0,
+    # the kernel's fast path) or beside m displacement columns, it gives
+    # gravity, and on the displacements the matrix of force_jacobian times
+    # them
     n = len(pos)
     dpos = np.random.default_rng(seed).normal(size=pos.shape + (m,))
     got = _force_jacobian_apply(
         np.concatenate([pos[..., None], dpos], axis=-1),
         _pairs(n)[3])
     force = gravity(pos)
-    assert np.max(np.abs(got[..., 0] + 2.0 * force)) \
+    assert np.max(np.abs(got[..., 0] - force)) \
         <= 1e-12 * np.max(np.abs(force))
     want = force_jacobian(pos) @ dpos.reshape(3 * n, m)
     assert np.max(np.abs(got[..., 1:].reshape(3 * n, m) - want),
