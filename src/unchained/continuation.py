@@ -124,8 +124,10 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
     naming it (i < j), in whichever member it occurs.
     Solver breakdown raises IntegrationFailure with the time reached, and
     a tol outside (0, 1), a stacked state with tangents, tangents that
-    are not a (6n + 1, m) matrix or a varpi that does not broadcast over
-    the stack raise ValueError before any integration.
+    are not a (6n + 1, m) matrix, a varpi that does not broadcast over
+    the stack, a non-finite varpi or t_span, and a max_step that is NaN
+    or not positive raise ValueError before any integration: DOP853 never
+    leaves its step loop once its first step size is NaN.
     """
     _checked_tol(tol, "tol")
     state = np.asarray(state, dtype=float)
@@ -144,11 +146,17 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
     except ValueError:
         raise ValueError(f"varpi of shape {np.shape(varpi)} does not "
                          f"broadcast over a stack of shape {stack}") from None
+    if not np.isfinite(rates).all():
+        raise ValueError(f"varpi must be finite, got {varpi!r}")
     _separated(state[..., 0, :, :])
     if np.ndim(t_span) == 0:
         t0, t1 = 0.0, float(t_span)
     else:
         t0, t1 = map(float, t_span)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got {t_span!r}")
+    if not max_step > 0:
+        raise ValueError(f"max_step must be positive, got {max_step!r}")
     nv = 3 * n
     drift, centrifugal, coriolis = _linear_parts(n)
     lins = [drift + w ** 2 * centrifugal - 2.0 * w * coriolis
@@ -419,7 +427,8 @@ def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
     max(integrator_tol, _START_TOL) (`_damped_newton`).  Raises
     NoConvergence when the damped iteration stalls or runs out of
     iterations above 100 integrator_tol, and ValueError, before any
-    integration, unless integrator_tol lies in (0, 0.01).
+    integration, unless integrator_tol lies in (0, 0.01) and varpi is
+    finite.
     """
     _checked_tol(100.0 * integrator_tol,
                  "Newton tolerance 100 * integrator_tol")
@@ -744,28 +753,6 @@ def _checked_tol(tol, source: str) -> None:
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"{source} out of range (0, 1): {tol}")
-
-
-def verify_against_continuation(spec: GroupSpec, gamma: float,
-                                n_steps: int = 12) -> float:
-    """Relative gap between gamma and the finite-difference slope of the
-    frame frequency against eps^2 along the numerically continued family.
-
-    Raises NoConvergence, naming the run's end reason, when no record
-    has a positive amplitude: the family never left the branch point.
-    """
-    family = continue_family(spec, n_steps=n_steps)
-    eps, varpi = np.array([(rec.amplitude, rec.varpi)
-                           for rec in family.records]).T
-    ok = eps > 0
-    if not ok.any():
-        raise NoConvergence(f"no record off the branch point to compare "
-                            f"with: {family.end_reason}")
-    slopes = (varpi[ok] - family.varpi_onset) / eps[ok] ** 2
-    gamma_fd = slopes[np.argsort(eps[ok])[:3]].mean()
-    if gamma == 0.0:
-        return abs(gamma_fd)
-    return abs(gamma_fd - gamma) / abs(gamma)
 
 
 def _record(orbit: PeriodicOrbit) -> FamilyRecord:

@@ -25,7 +25,8 @@ class UnsupportedCase(NotImplementedError):
 
 
 class SingularReduction(RuntimeError):
-    """Configuration too close to the vertical axis to define a phase."""
+    """A state with every body on the vertical axis and no horizontal
+    velocity, from which no rotation phase can be read."""
 
 
 class DegenerateSystem(RuntimeError):

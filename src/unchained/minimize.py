@@ -19,9 +19,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ngon import (Configuration, LoopPath, _checked_count, pair_terms,
-                   potential)
-from .spectrum import VerticalSpectrum, fold_mode, vertical_spectrum
+from .ngon import LoopPath, _checked_count, pair_terms, potential
+from .spectrum import fold_mode, vertical_spectrum
 from .symmetry import GroupSpec
 
 TWO_PI = 2.0 * np.pi
@@ -56,18 +55,9 @@ class BarActionParams:
     def from_configuration(cls, positions, lambda_G=1.0):
         pos = np.asarray(positions, dtype=float)
         # potential checks the separations before pair_terms divides by them
-        u_bar = potential(Configuration(pos))
+        u_bar = potential(pos)
         return cls(mu_bar=pair_terms(pos)[2], U_bar=u_bar,
                    lambda_G=float(lambda_G))
-
-
-def hessian_vertical(n: int, k: int, omega: float, varpi: float) -> float:
-    """Second variation coefficient (1 - (omega+varpi)^2) omega_k^2 of the
-    action at the relative equilibrium along the k-th vertical mode, in
-    units with unit reference frequency.  Vanishes exactly at the
-    Lyapunov bifurcations varpi = +-1 - omega."""
-    wk = vertical_spectrum(n).omega(k)
-    return (1.0 - (omega + varpi) ** 2) * wk ** 2
 
 
 def vertical_bound_V(spec: GroupSpec) -> float:
@@ -150,9 +140,12 @@ def lambda_G_bruteforce(spec: GroupSpec, varpi: float,
     folding is written out here rather than shared with
     `vertical_bound_V` and `_h_one_side`, whose scans this checks.  A p_max
     that is not a positive integer, which would list no candidate and
-    certify 1 from nothing, raises ValueError.
+    certify 1 from nothing, raises ValueError, and so does a varpi that
+    is not finite, whose candidates are NaN or 0.
     """
     p_max = _checked_count(p_max, "p_max")
+    if not -np.inf < varpi < np.inf:
+        raise ValueError(f"varpi must be finite, got {varpi!r}")
     spectrum = vertical_spectrum(spec.n_bodies)
     n, ke = spec.n_bodies, spec.k * spec.eta
     w1 = spectrum.omega1
@@ -197,10 +190,3 @@ def bar_action(loop: LoopPath, params: BarActionParams,
     s_bar = float(params.mu_bar @ xi)
     lam = params.lambda_G
     return 0.5 * lam * s_bar + (params.U_bar * T) ** 1.5 / np.sqrt(s_bar)
-
-
-def italian_bound(spectrum: VerticalSpectrum) -> float:
-    """sqrt(lambda) <= inf_k omega_1/omega_k = omega_1/omega_max for the
-    Italian symmetry class; strictly below 1 once n >= 4, so this class
-    never certifies the n-gon as sole minimizer there."""
-    return spectrum.omega1 / spectrum.omega_max

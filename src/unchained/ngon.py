@@ -3,10 +3,11 @@
 Bodies have unit mass and G = 1 throughout.  The regular n-gon with unit
 circumradius, rigidly rotating about the vertical axis at its proper
 frequency omega1, is the reference relative equilibrium.  This module
-provides the configuration objects, the gravitational potential and force,
-the Wintner matrix governing vertical variations, periodic paths sampled
-on a uniform grid, and the Lagrangian action in a frame rotating at an
-arbitrary rate varpi.
+provides the n-gon, the gravitational potential and force, the Wintner
+matrix governing vertical variations, periodic paths sampled on a
+uniform grid, and the Lagrangian action in a frame rotating at an
+arbitrary rate varpi.  Positions are plain arrays: one configuration is
+(n, 3), and a loop is (m, n, 3) samples in a `LoopPath`.
 
 Every pairwise quantity but the force Jacobian comes from one kernel,
 `pair_terms`, over the n(n-1)/2 pairs i < j in `np.triu_indices(n, 1)`
@@ -15,9 +16,11 @@ no diagonal.  Sums over pairs go back to the bodies through the (n, P)
 scatter that `_pairs` caches per n, which adds a pair's vector to body i
 and subtracts it from body j.  Two bodies closer than the
 single threshold COLLISION_TOL collide.  The functions that take
-positions from a caller (`potential`, `wintner_matrix`, `force_jacobian`,
-`action`, `newton_residual`) raise CollisionError below it; `gravity` and
-`_gravity` do not check.
+positions from a caller raise CollisionError below it: `potential` and
+`wintner_matrix` of one (n, 3) configuration, which refuse any other
+shape with ValueError, `force_jacobian` of (..., n, 3) positions, and
+`action` and `newton_residual` of a loop.  `gravity` and `_gravity` do
+not check.
 
 `force_jacobian` and the flow of `continuation.integrate` use one kernel,
 `_force_jacobian_apply`, and never `pair_terms` or `_gravity`.  It takes
@@ -140,35 +143,18 @@ def _checked_positive(value, name):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-@dataclass
-class Configuration:
-    """Instantaneous positions of n unit point masses in R^3."""
-
-    positions: np.ndarray
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-        if self.positions.ndim != 2 or self.positions.shape[1] != 3:
-            raise ValueError("positions must have shape (n, 3)")
-
-    @property
-    def n(self):
-        return self.positions.shape[0]
-
-    def center_of_mass(self):
-        return self.positions.mean(axis=0)
-
-    def centered(self):
-        """Same configuration translated so the center of mass is 0."""
-        return Configuration(self.positions - self.center_of_mass())
-
-    def moment_of_inertia(self):
-        return float(np.sum(self.positions ** 2))
+def _configuration(positions):
+    # positions of one configuration as an (n, 3) float array
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 2 or pos.shape[1] != 3:
+        raise ValueError(f"positions must have shape (n, 3), got {pos.shape}")
+    return pos
 
 
-def potential(config):
-    """Newtonian potential U = sum_{i<j} 1 / r_ij (positive)."""
-    _, r, _ = _separated(config.positions)
+def potential(positions):
+    """Newtonian potential U = sum_{i<j} 1 / r_ij (positive) of (n, 3)
+    positions; ValueError for any other shape."""
+    _, r, _ = _separated(_configuration(positions))
     return float(_pair_potential(r))
 
 
@@ -237,16 +223,18 @@ def _force_jacobian_apply(cols, scatter):
             @ g.reshape(lead + (-1, 3 * k))).reshape(shape)
 
 
-def wintner_matrix(config):
+def wintner_matrix(positions):
     """Matrix of the variational equation z'' = W z normal to the plane.
 
     Off diagonal W_ij = 1 / r_ij^3 and the diagonal makes every row sum
     vanish.  W is symmetric and its spectrum is nonpositive for planar
-    central configurations.
+    central configurations.  positions must be (n, 3): ValueError
+    otherwise.
     """
-    _, _, inv_r3 = _separated(config.positions)
+    pos = _configuration(positions)
+    _, _, inv_r3 = _separated(pos)
     # gravity is linear in the positions at fixed inv_r3: W x = F(x)
-    _, _, diff_matrix, scatter = _pairs(config.n)
+    _, _, diff_matrix, scatter = _pairs(len(pos))
     return scatter @ (inv_r3[:, None] * diff_matrix)
 
 
@@ -254,7 +242,8 @@ def wintner_matrix(config):
 class NGonSystem:
     """Unit-mass regular n-gon relative equilibrium at a given scale.
 
-    Vertices sit at scale * (cos(2 pi j / n), sin(2 pi j / n), 0).  The
+    Vertices sit at scale * (cos(2 pi j / n), sin(2 pi j / n), 0), the
+    rows of the (n, 3) array `positions`.  The
     rigid rotation at frequency `omega1` solves Newton's equations; the
     identity n * omega1(1)^2 = U(unit n-gon) fixes the frequency.  An n
     that is not an integer >= 3 (bool refused), or a scale that is not
@@ -263,7 +252,7 @@ class NGonSystem:
 
     n: int
     scale: float = 1.0
-    configuration: Configuration = field(init=False)
+    positions: np.ndarray = field(init=False)
     omega1: float = field(init=False)
 
     def __post_init__(self):
@@ -273,21 +262,13 @@ class NGonSystem:
         ang = 2.0 * np.pi * j / self.n
         pos = self.scale * np.stack(
             [np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=1)
-        self.configuration = Configuration(pos)
-        u_unit = potential(Configuration(pos / self.scale))
+        self.positions = pos
+        u_unit = potential(pos / self.scale)
         self.omega1 = np.sqrt(u_unit / self.n) * self.scale ** -1.5
 
     def rho(self, d):
         """Distance between vertices d apart: 2 scale sin(pi d / n)."""
         return 2.0 * self.scale * np.sin(np.pi * (d % self.n) / self.n)
-
-    @property
-    def u(self):
-        return potential(self.configuration)
-
-    @property
-    def moment_of_inertia(self):
-        return self.configuration.moment_of_inertia()
 
     def rigid_loop(self, omega=None, n_samples=512):
         """Loop of the n-gon rigidly rotating at frequency omega.
@@ -307,11 +288,6 @@ class NGonSystem:
         pos = self.scale * np.stack(
             [np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=2)
         return LoopPath(pos, period)
-
-
-def build_ngon(n, scale=1.0):
-    """Construct the regular n-gon relative equilibrium (n >= 3)."""
-    return NGonSystem(n, scale)
 
 
 def _fourier_multiplier(m, period, order):
@@ -422,22 +398,6 @@ def jay(vectors):
     out[..., 0] = -vectors[..., 1]
     out[..., 1] = vectors[..., 0]
     return out
-
-
-@dataclass
-class RotatingFrame:
-    """Frame rotating at rate varpi about the vertical axis."""
-
-    varpi: float
-
-    def to_rotating(self, loop):
-        """Map a loop of inertial coordinates to the frame's."""
-        ang = -self.varpi * loop.times
-        c, s = np.cos(ang)[:, None], np.sin(ang)[:, None]
-        x, y, z = (loop.positions[..., 0], loop.positions[..., 1],
-                   loop.positions[..., 2])
-        return LoopPath(np.stack([c * x - s * y, s * x + c * y, z], axis=-1),
-                        loop.period)
 
 
 def kinetic_energy(loop, varpi=0.0):

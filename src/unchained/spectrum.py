@@ -4,8 +4,8 @@ Vertical frequencies come from the circulant interaction matrix in closed
 form.  The horizontal (planar) spectrum is obtained by a dense eigensolve
 of the rotating-frame linearization restricted to the translation-free
 subspace.  Also provides the model two-frequency loops (Lyapunov
-cylinders), the Pacella-Moeckel frequency test, and the quadratic energy
-forms used in the convexity argument for vertical mode subspaces.
+cylinders) and the quadratic energy forms used in the convexity argument
+for vertical mode subspaces.
 
 Both spectra depend on n alone, so each is computed once per n in a
 process and shared by every caller: their arrays are read-only, and a
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSystem
-from .ngon import (LoopPath, _checked_bodies, _checked_count, _checked_int,
-                   build_ngon, force_jacobian, wintner_matrix)
+from .ngon import (LoopPath, NGonSystem, _checked_bodies, _checked_count,
+                   _checked_int, force_jacobian, wintner_matrix)
 from .symmetry import GroupSpec
 
 __all__ = [
@@ -29,13 +29,10 @@ __all__ = [
     "HorizontalSpectrum",
     "ConvexityReport",
     "vertical_spectrum",
-    "check_monotone",
     "horizontal_spectrum",
-    "pacella_moeckel",
     "lyapunov_cylinder",
     "convexity_report",
     "fold_mode",
-    "zero_mean_basis",
 ]
 
 # |Re z| below this fraction of |z| counts as purely imaginary.
@@ -121,18 +118,6 @@ def _vertical_spectrum(n):
     return VerticalSpectrum(n_bodies=n, lambdas=lam, omegas=omegas)
 
 
-def check_monotone(n: int) -> bool:
-    """True iff lambda_k is negative and strictly decreasing for k = 1..floor(n/2)."""
-    lam = vertical_spectrum(n).lambdas[1:]
-    return bool(np.all(lam < 0.0) and np.all(np.diff(lam) < 0.0))
-
-
-def pacella_moeckel(n: int) -> bool:
-    """True iff some vertical frequency exceeds omega_1 (holds iff n >= 4)."""
-    spec = vertical_spectrum(n)
-    return bool(spec.omega_max > spec.omega1)
-
-
 @dataclass(frozen=True)
 class HorizontalSpectrum:
     """Linearization eigenvalues of the planar problem at the n-gon.
@@ -160,7 +145,7 @@ class HorizontalSpectrum:
         return z[mask]
 
 
-def zero_mean_basis(n: int) -> np.ndarray:
+def _zero_mean_basis(n: int) -> np.ndarray:
     """Orthonormal basis (n x (n-1)) of vectors with zero component sum.
 
     Columns are the classical contrasts (1,...,1,-m,0,...)/norm; exact
@@ -182,8 +167,7 @@ def _planar_jacobian(n: int) -> np.ndarray:
     The configuration is planar, so the 3D Jacobian is block diagonal in
     horizontal/vertical components and the slice is exact.
     """
-    pos = build_ngon(n).configuration.positions
-    full = force_jacobian(pos)
+    full = force_jacobian(NGonSystem(n).positions)
     idx = np.concatenate([(3 * j + np.array([0, 1])) for j in range(n)])
     return full[np.ix_(idx, idx)]
 
@@ -205,7 +189,7 @@ def horizontal_spectrum(n: int) -> HorizontalSpectrum:
 @functools.cache
 def _horizontal_spectrum(n):
     # cached per n, so read-only
-    w1 = build_ngon(n).omega1
+    w1 = NGonSystem(n).omega1
     df = _planar_jacobian(n)
     jrot = np.kron(np.eye(n), np.array([[0.0, -1.0], [1.0, 0.0]]))
     dim = 2 * n
@@ -215,7 +199,7 @@ def _horizontal_spectrum(n):
             [df + w1**2 * np.eye(dim), -2.0 * w1 * jrot],
         ]
     )
-    b2 = np.kron(zero_mean_basis(n), np.eye(2))
+    b2 = np.kron(_zero_mean_basis(n), np.eye(2))
     basis = np.block(
         [[b2, np.zeros_like(b2)], [np.zeros_like(b2), b2]]
     )
@@ -302,7 +286,7 @@ def convexity_report(n: int, ell: int) -> ConvexityReport:
     # W the Wintner matrix
     basis = np.column_stack([np.cos(phase), np.sin(phase)])
     profile = basis[:, ::-1]
-    pot = -basis.T @ wintner_matrix(build_ngon(n).configuration) @ basis
+    pot = -basis.T @ wintner_matrix(NGonSystem(n).positions) @ basis
     kin = wl2 * profile.T @ profile
     return ConvexityReport(
         n_bodies=n,

@@ -34,7 +34,6 @@ __all__ = [
     "StructureReport",
     "FourierConstraints",
     "make_element",
-    "identity_element",
     "enumerate_elements",
     "compose",
     "inverse",
@@ -42,15 +41,10 @@ __all__ = [
     "structure_report",
     "apply_element",
     "invariance_defect",
-    "is_invariant",
-    "fourier_constraints",
     "is_simple_choreography",
     "dense_choreography_params",
     "find_isomorphism",
 ]
-
-INVARIANCE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -129,10 +123,6 @@ def make_element(spec: GroupSpec, delta: int, beta: int, lift: int = 0,
     base = (n * beta + 2 * spec.k * spec.eta * delta) % (2 * n)
     t = (base + 2 * n * lift) % (2 * n * spec.s)
     return GroupElement(t, delta, beta, xi, spec)
-
-
-def identity_element(spec: GroupSpec) -> GroupElement:
-    return make_element(spec, 0, 0, 0, 1)
 
 
 def enumerate_elements(spec: GroupSpec) -> list[GroupElement]:
@@ -268,10 +258,6 @@ def invariance_defect(loop: LoopPath, spec: GroupSpec) -> float:
         moved = apply_element(g, loop)
         worst = max(worst, float(np.abs(moved.positions - loop.positions).max()))
     return worst
-
-
-def is_invariant(loop: LoopPath, spec: GroupSpec, tol: float = INVARIANCE_TOL) -> bool:
-    return invariance_defect(loop, spec) <= tol
 
 
 @dataclass(frozen=True)
@@ -410,10 +396,6 @@ class FourierConstraints:
             z += 2.0 * term.real
         pos = np.stack([h.real, h.imag, z], axis=-1)
         return LoopPath(pos, float(s))
-
-
-def fourier_constraints(spec: GroupSpec) -> FourierConstraints:
-    return FourierConstraints(spec)
 
 
 def is_simple_choreography(spec: GroupSpec) -> bool:

@@ -16,26 +16,23 @@ import numpy as np
 import pytest
 
 from unchained.ngon import (
-    Configuration,
     LoopPath,
+    NGonSystem,
     angular_momentum_z,
-    build_ngon,
     newton_residual,
     potential,
 )
 from unchained.spectrum import (
-    check_monotone,
     horizontal_spectrum,
     lyapunov_cylinder,
     vertical_spectrum,
 )
 from unchained.symmetry import (
+    FourierConstraints,
     GroupSpec,
     enumerate_elements,
     find_isomorphism,
-    fourier_constraints,
     invariance_defect,
-    is_invariant,
     is_simple_choreography,
     structure_report,
 )
@@ -112,7 +109,10 @@ def test_criterion_1_vertical_spectra():
 
 def test_criterion_2_monotonicity():
     start = time.perf_counter()
-    assert all(check_monotone(n) for n in range(3, 201))
+    # lambda_k < 0 and strictly decreasing for k = 1..floor(n/2)
+    for n in range(3, 201):
+        lam = vertical_spectrum(n).lambdas[1:]
+        assert np.all(lam < 0.0) and np.all(np.diff(lam) < 0.0), n
     assert time.perf_counter() - start < 1.0
 
 
@@ -183,7 +183,7 @@ def test_criterion_5_classifiers():
                 if perm is None:
                     continue
                 if spec2 not in loops:
-                    loops[spec2] = fourier_constraints(spec2).random_loop(
+                    loops[spec2] = FourierConstraints(spec2).random_loop(
                         rng, amplitude=0.3)
                 src = loops[spec2]
                 moved = LoopPath(src.positions[:, perm, :], src.period)
@@ -271,7 +271,7 @@ def test_criterion_8_continuation_consistency(continued_families):
         # every recorded orbit: invariance, residual, L_z conservation
         for rec in fam.records:
             loop = rec.orbit.sample(512)
-            assert is_invariant(loop, spec, 1e-6)
+            assert invariance_defect(loop, spec) <= 1e-6
             assert newton_residual(loop.resample(64), rec.varpi) <= 1e-8
             assert np.ptp(angular_momentum_z(loop, rec.varpi)) <= 1e-9
 
@@ -283,8 +283,7 @@ def test_criterion_8_continuation_consistency(continued_families):
         spm = vertical_spectrum(spec.n_bodies)
         w_hat = TWO_PI * spm.omega1 / spm.omega(spec.k)
         a0 = (spm.omega1 / w_hat) ** (2.0 / 3.0)
-        u_bar = potential(Configuration(
-            build_ngon(spec.n_bodies, a0).configuration.positions))
+        u_bar = potential(NGonSystem(spec.n_bodies, a0).positions)
         assert rec0.action == pytest.approx(1.5 * u_bar * spec.s, rel=1e-6)
     elapsed = family_seconds + (time.perf_counter() - start)
     assert elapsed < 600.0

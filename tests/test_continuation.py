@@ -35,13 +35,12 @@ from unchained.continuation import (INTEGRATOR_TOL, NEWTON_TOL,
                                     _reduction, _state_matrix)
 from unchained.errors import (CollisionError, IntegrationFailure,
                               NoConvergence, SingularReduction)
-from unchained.ngon import (COLLISION_TOL, Configuration, action,
-                            angular_momentum_z, build_ngon, gravity, jay,
-                            newton_residual, potential, rescale)
+from unchained.ngon import (COLLISION_TOL, NGonSystem, action,
+                            angular_momentum_z, gravity, jay, newton_residual,
+                            potential, rescale)
 from unchained.spectrum import lyapunov_cylinder, vertical_spectrum
 from unchained.symmetry import (GroupSpec, compose, enumerate_elements,
-                                is_invariant)
-from unchained.continuation import verify_against_continuation
+                                invariance_defect)
 
 OMEGA1_3 = 3.0 ** -0.25
 OMEGA1_4 = 0.97831834347851587
@@ -90,7 +89,7 @@ def test_integrate_two_body_circular_period():
 
 
 def test_integrate_relative_equilibrium_round_trip():
-    sys5 = build_ngon(5)
+    sys5 = NGonSystem(5)
     loop = sys5.rigid_loop()
     state = np.stack([loop.positions[0], loop.velocities()[0]])
     final = integrate(state, 0.0, loop.period).state
@@ -104,7 +103,7 @@ def test_integrate_energy_drift():
 
     def energy(st):
         kin = 0.5 * np.sum(st[1] ** 2)
-        return kin - potential(Configuration(st[0]))
+        return kin - potential(st[0])
 
     res = integrate(state, 0.0, (0.0, 3.0), tol=1e-12,
                     t_eval=np.linspace(0.0, 3.0, 7))
@@ -188,7 +187,7 @@ def test_integrate_matches_pair_loop_tangent_flow(n):
     # directions and varpi) and height quadratures, each pair block written
     # out.  A scatter with swapped signs flips the force and fails here
     rng = np.random.default_rng(n)
-    pos = (1.5 * build_ngon(n).configuration.positions
+    pos = (1.5 * NGonSystem(n).positions
            + 0.2 * rng.standard_normal((n, 3)))
     state = np.stack([pos, 0.3 * rng.standard_normal((n, 3))])
     varpi, t1 = 0.4, 0.6
@@ -221,7 +220,7 @@ def test_integrate_refuses_malformed_seed(monkeypatch, shape):
         raise AssertionError("solved before the seed was checked")
 
     monkeypatch.setattr(continuation, "solve_ivp", never)
-    state = np.stack([build_ngon(4).configuration.positions,
+    state = np.stack([NGonSystem(4).positions,
                       np.zeros((4, 3))])
     with pytest.raises(ValueError, match=r"\(25, m\) matrix"):
         integrate(state, 0.0, 1.0, tangents=np.zeros(shape))
@@ -266,7 +265,7 @@ def test_integrate_trajectory_shapes():
 
 def _perturbed_ngon_state(n, seed):
     rng = np.random.default_rng(seed)
-    pos = (1.5 * build_ngon(n).configuration.positions
+    pos = (1.5 * NGonSystem(n).positions
            + 0.2 * rng.standard_normal((n, 3)))
     return np.stack([pos, 0.3 * rng.standard_normal((n, 3))])
 
@@ -306,7 +305,7 @@ def test_integrate_stack_collision_names_the_member_pair():
     # wide square at rest, stays far from any collision meanwhile
     falling = np.array([[5.0, 0.0, 0.0], [0.0, 0.5, 0.0],
                         [-5.0, 0.0, 0.0], [0.0, -0.5, 0.0]])
-    wide = 10.0 * build_ngon(4).configuration.positions
+    wide = 10.0 * NGonSystem(4).positions
     states = np.stack([np.stack([p, np.zeros_like(p)])
                        for p in (wide, falling)])
     with pytest.raises(CollisionError) as err:
@@ -335,6 +334,32 @@ def test_integrate_stack_arguments_checked_before_any_solve(monkeypatch,
     varpi = kwargs.pop("varpi")
     with pytest.raises(ValueError, match="stack"):
         integrate(states, varpi, 1.0, **kwargs)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda state: integrate(state, np.nan, 1.0), "varpi"),
+    (lambda state: integrate(state, np.inf, 1.0), "varpi"),
+    (lambda state: integrate(np.stack([state] * 2), [0.0, np.nan], 1.0),
+     "varpi"),
+    (lambda state: integrate(state, 0.0, np.nan), "t_span"),
+    (lambda state: integrate(state, 0.0, (0.0, np.nan)), "t_span"),
+    (lambda state: integrate(state, 0.0, (-np.inf, 0.0)), "t_span"),
+    (lambda state: integrate(state, 0.0, 1.0, max_step=np.nan), "max_step"),
+    (lambda state: shoot_symmetric(P12, np.nan, onset_state(P12, 0.05)[0]),
+     "varpi"),
+], ids=["varpi-nan", "varpi-inf", "stack-member-nan", "span-nan",
+        "end-nan", "start-inf", "max_step-nan", "shoot-varpi-nan"])
+def test_integrate_refuses_non_finite_arguments(monkeypatch, call, name):
+    # DOP853's step loop never exits once its first step size is NaN, so
+    # each of these hung; max_step = nan was read as no cap
+    import unchained.continuation as continuation
+
+    def never(*args, **kw):
+        raise AssertionError("solved before the arguments were checked")
+
+    monkeypatch.setattr(continuation, "solve_ivp", never)
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        call(two_body_circular())
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +475,9 @@ def test_shoot_symmetric_zero_amplitude_relative_equilibrium():
     assert orbit.residual < 1e-10
     assert abs(orbit.amplitude) < 1e-9
     a0 = (OMEGA1_3 / (2.0 * np.pi)) ** (2.0 / 3.0)
-    ngon = build_ngon(3, a0)
     loop = orbit.sample(128)
-    assert abs(potential(Configuration(loop.positions[0]))
-               - ngon.u) < 1e-10
+    assert abs(potential(loop.positions[0])
+               - potential(NGonSystem(3, a0).positions)) < 1e-10
 
 
 def test_shoot_symmetric_converges_from_expansion():
@@ -647,7 +671,7 @@ def test_family_onset_action_closed_form(p12_family):
     assert rec0.action == pytest.approx(closed, rel=1e-12)
     # (3/2) U T for the n-gon scaled so the vertical frequency is 2 pi
     a0 = (OMEGA1_3 / (2.0 * np.pi)) ** (2.0 / 3.0)
-    u_bar = potential(Configuration(build_ngon(3, a0).configuration.positions))
+    u_bar = potential(NGonSystem(3, a0).positions)
     assert rec0.action == pytest.approx(1.5 * u_bar, rel=1e-12)
 
 
@@ -663,7 +687,7 @@ def test_family_orbit_quality(p12_family):
     for rec in (p12_family.records[1], p12_family.records[4],
                 p12_family.records[-1]):
         loop = rec.orbit.sample(512)
-        assert is_invariant(loop, P12, 1e-6)
+        assert invariance_defect(loop, P12) <= 1e-6
         assert newton_residual(loop.resample(64), rec.varpi) < 1e-8
         lz = angular_momentum_z(loop, rec.varpi)
         assert np.ptp(lz) < 1e-9
@@ -754,7 +778,7 @@ def test_hiphop_family_onset_and_slope(hh4_family):
 def test_hiphop_family_orbit_quality(hh4_family):
     rec = hh4_family.records[-1]
     loop = rec.orbit.sample(512)
-    assert is_invariant(loop, HH4, 1e-6)
+    assert invariance_defect(loop, HH4) <= 1e-6
     assert newton_residual(loop.resample(64), rec.varpi) < 1e-8
     assert np.ptp(angular_momentum_z(loop, rec.varpi)) < 1e-9
 
@@ -1212,31 +1236,10 @@ def test_action_is_minus_three_energy_period_hexagon():
     orbit = shoot_symmetric(spec, varpi, state)
     pos, vel = orbit.initial_state
     vel = vel + orbit.varpi * jay(pos)
-    energy = 0.5 * np.sum(vel ** 2) - potential(Configuration(pos))
+    energy = 0.5 * np.sum(vel ** 2) - potential(pos)
     loop = orbit.sample(512)
     assert -3.0 * energy * orbit.period == pytest.approx(
         action(loop, orbit.varpi), rel=1e-10)
-
-
-def test_verify_against_continuation_matches_gamma():
-    assert verify_against_continuation(P12, GAMMA_P12, n_steps=5) < 0.05
-
-
-def test_verify_against_continuation_raises_without_a_family(monkeypatch):
-    # after an onset failure the family is the branch-point record alone,
-    # of amplitude 0: there is no slope to compare gamma with, so the
-    # failure is raised with its end reason, not returned as a NaN
-    import unchained.continuation as continuation
-
-    state, varpi = onset_state(P12, 0.0)
-    branch = FamilyRecord(varpi, 0.0, 0.0, 1.0, 0.0,
-                          PeriodicOrbit(P12, varpi, 1.0, state, 0.0, 0.0))
-    family = ContinuationResult(P12, [branch], "onset-failure: stalled",
-                                varpi)
-    monkeypatch.setattr(continuation, "continue_family",
-                        lambda spec, n_steps: family)
-    with pytest.raises(NoConvergence, match="onset-failure: stalled"):
-        verify_against_continuation(P12, GAMMA_P12)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unchained.minimize import (BarActionParams, absolute_interval,
-                                bar_action, hessian_vertical, italian_bound,
-                                lambda_G_bruteforce, vertical_bound_V,
-                                horizontal_bounds_H)
-from unchained.ngon import LoopPath, action, build_ngon
+                                bar_action, lambda_G_bruteforce,
+                                vertical_bound_V, horizontal_bounds_H)
+from unchained.ngon import LoopPath, NGonSystem, action
 from unchained.spectrum import vertical_spectrum
-from unchained.symmetry import GroupSpec, fourier_constraints
+from unchained.symmetry import FourierConstraints, GroupSpec
 
 PI = np.pi
 
@@ -24,18 +23,6 @@ def bound_battery(n_max=8):
             for eta in ((1,) if 2 * k == n else (-1, 1)):
                 specs.append(GroupSpec(n, k, eta, 2, 1))
     return specs
-
-
-def test_hessian_vertical_roots_and_sign():
-    for n, k, omega in [(3, 1, 0.4), (5, 2, 0.7), (6, 3, 1.1)]:
-        wk2 = vertical_spectrum(n).omega(k) ** 2
-        assert hessian_vertical(n, k, omega, 1 - omega) == pytest.approx(0, abs=1e-14)
-        assert hessian_vertical(n, k, omega, -1 - omega) == pytest.approx(0, abs=1e-14)
-        assert hessian_vertical(n, k, omega, -omega) == pytest.approx(wk2, rel=1e-14)
-        assert hessian_vertical(n, k, omega, 1 - omega - 1e-3) > 0
-        assert hessian_vertical(n, k, omega, 1 - omega + 1e-3) < 0
-        assert hessian_vertical(n, k, omega, -1 - omega - 1e-3) < 0
-        assert hessian_vertical(n, k, omega, -1 - omega + 1e-3) > 0
 
 
 def test_vertical_bound_closed_forms():
@@ -113,6 +100,14 @@ def test_lambda_bruteforce_zero_frame():
     assert lambda_G_bruteforce(spec, -2 * PI * 2) == 1.0
 
 
+@pytest.mark.parametrize("varpi", [np.nan, np.inf])
+def test_lambda_bruteforce_refuses_non_finite_frame(varpi):
+    # min(1.0, nan, nan) is 1.0, which certified the n-gon at varpi = nan,
+    # and varpi = inf divided inf by inf into 0.0
+    with pytest.raises(ValueError, match="varpi must be finite"):
+        lambda_G_bruteforce(GroupSpec(5, 1, -1, 4, 1), varpi)
+
+
 def test_lambda_bruteforce_pmax_stable():
     spec = GroupSpec(6, 2, -1, 1, 1)
     for x in (0.3, 1.0, 5.0, 9.0):
@@ -171,18 +166,23 @@ def test_lambda_bruteforce_matches_scalar_enumeration(case):
 
 
 def test_italian_bound():
-    assert italian_bound(vertical_spectrum(3)) == 1.0
-    assert italian_bound(vertical_spectrum(4)) == pytest.approx(
-        1 / 1.2155625241, rel=1e-9)
-    s6 = vertical_spectrum(6)
-    assert italian_bound(s6) == pytest.approx(
-        s6.omega1 / (np.sqrt(17) / 2), abs=1e-12)
+    # sqrt(lambda) <= inf_k omega_1/omega_k = omega_1/omega_max for the
+    # Italian class: strictly below 1 once n >= 4, so that class never
+    # certifies the n-gon as sole minimizer there
+    def bound(n):
+        spec = vertical_spectrum(n)
+        return spec.omega1 / spec.omega_max
+
+    assert bound(3) == 1.0
+    assert bound(4) == pytest.approx(1 / 1.2155625241, rel=1e-9)
+    assert bound(6) == pytest.approx(
+        vertical_spectrum(6).omega1 / (np.sqrt(17) / 2), abs=1e-12)
     for n in range(4, 13):
-        assert italian_bound(vertical_spectrum(n)) < 1
+        assert bound(n) < 1
 
 
 def test_bar_action_relative_equilibrium_identity():
-    loop = build_ngon(5).rigid_loop()
+    loop = NGonSystem(5).rigid_loop()
     for lam in (1.0, 0.7, 1.3):
         params = BarActionParams.from_configuration(loop.positions[0],
                                                     lambda_G=lam)
@@ -191,7 +191,7 @@ def test_bar_action_relative_equilibrium_identity():
 
 
 def test_bar_action_equals_action_only_at_unit_lambda():
-    loop = build_ngon(5).rigid_loop()
+    loop = NGonSystem(5).rigid_loop()
     a = action(loop)
     params = BarActionParams.from_configuration(loop.positions[0], lambda_G=1.0)
     assert bar_action(loop, params) == pytest.approx(a, rel=1e-10)
@@ -200,7 +200,7 @@ def test_bar_action_equals_action_only_at_unit_lambda():
 
 
 def test_g_minimum_location_and_value():
-    loop = build_ngon(4).rigid_loop()
+    loop = NGonSystem(4).rigid_loop()
     lam = 0.85
     params = BarActionParams.from_configuration(loop.positions[0],
                                                 lambda_G=lam)
@@ -218,7 +218,7 @@ def test_jensen_step_on_random_loops():
     rng = np.random.default_rng(8)
     for _ in range(20):
         m, n = 64, 4
-        base = build_ngon(n).rigid_loop(n_samples=m).positions
+        base = NGonSystem(n).rigid_loop(n_samples=m).positions
         pos = base + 0.15 * rng.standard_normal(base.shape)
         loop = LoopPath(pos, 1.7)
         t_weight = loop.period / m
@@ -240,9 +240,9 @@ def test_bar_action_below_action_on_invariant_loops():
     lam = lambda_G_bruteforce(spec, varpi)
     assert lam == 1.0
     radius = (spm.omega1 / x) ** (2.0 / 3.0)
-    reference = radius * build_ngon(5).configuration.positions
+    reference = radius * NGonSystem(5).positions
     params = BarActionParams.from_configuration(reference, lambda_G=lam)
-    fc = fourier_constraints(spec)
+    fc = FourierConstraints(spec)
     rng = np.random.default_rng(17)
     for _ in range(100):
         loop = fc.random_loop(rng, amplitude=0.1)

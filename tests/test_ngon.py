@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import unchained
-from unchained import (CollisionError, Configuration, LoopPath, NGonSystem,
-                       RotatingFrame, action, angular_momentum_z, build_ngon,
-                       gravity, newton_residual, ngon, potential, rescale,
-                       wintner_matrix)
+from unchained import (CollisionError, LoopPath, NGonSystem, action,
+                       angular_momentum_z, gravity, newton_residual, ngon,
+                       potential, rescale, wintner_matrix)
 from unchained.continuation import integrate
 from unchained.ngon import force_jacobian, jay, kinetic_energy
 from unchained.symmetry import GroupSpec
@@ -21,13 +20,24 @@ U_SQUARE = 3.8284271247461898         # 2 sqrt(2) + 1
 OMEGA1_TRIANGLE = 0.75983568565159254  # 3^(-1/4)
 
 
+def to_rotating(loop, varpi):
+    """Oracle: a loop of inertial coordinates in the frame rotating at
+    rate varpi about the vertical axis."""
+    ang = -varpi * loop.times
+    c, s = np.cos(ang)[:, None], np.sin(ang)[:, None]
+    x, y, z = (loop.positions[..., 0], loop.positions[..., 1],
+               loop.positions[..., 2])
+    return LoopPath(np.stack([c * x - s * y, s * x + c * y, z], axis=-1),
+                    loop.period)
+
+
 def test_build_ngon_rejects_small_n():
     with pytest.raises(ValueError):
-        build_ngon(2)
+        NGonSystem(2)
 
 
-@pytest.mark.parametrize("make", [lambda: build_ngon(4.5),
-                                  lambda: build_ngon(3.0),
+@pytest.mark.parametrize("make", [lambda: NGonSystem(4.5),
+                                  lambda: NGonSystem(3.0),
                                   lambda: NGonSystem(True)])
 def test_body_count_must_be_an_integer(make):
     # 4.5 would give 5 vertices at angles 2 pi j / 4.5, and 3.0 a float n
@@ -36,47 +46,47 @@ def test_body_count_must_be_an_integer(make):
 
 
 def test_body_count_accepts_numpy_integers():
-    ngon = build_ngon(np.int64(4))
+    ngon = NGonSystem(np.int64(4))
     assert type(ngon.n) is int and ngon.n == 4
-    assert ngon.configuration.n == 4
+    assert ngon.positions.shape == (4, 3)
 
 
 def test_unit_triangle_potential():
-    sys3 = build_ngon(3)
-    assert potential(sys3.configuration) == pytest.approx(U_TRIANGLE, abs=1e-14)
+    sys3 = NGonSystem(3)
+    assert potential(sys3.positions) == pytest.approx(U_TRIANGLE, abs=1e-14)
 
 
 def test_unit_square_potential():
-    sys4 = build_ngon(4)
-    assert potential(sys4.configuration) == pytest.approx(U_SQUARE, abs=1e-14)
+    sys4 = NGonSystem(4)
+    assert potential(sys4.positions) == pytest.approx(U_SQUARE, abs=1e-14)
 
 
 def test_omega1_identity():
     # n omega1^2 equals the unit n-gon potential, for several n
     for n in (3, 4, 5, 6, 9, 17):
-        sysn = build_ngon(n)
-        u = potential(sysn.configuration)
+        sysn = NGonSystem(n)
+        u = potential(sysn.positions)
         assert n * sysn.omega1 ** 2 == pytest.approx(u, rel=1e-14)
-    assert build_ngon(3).omega1 == pytest.approx(OMEGA1_TRIANGLE, abs=1e-15)
+    assert NGonSystem(3).omega1 == pytest.approx(OMEGA1_TRIANGLE, abs=1e-15)
 
 
 def test_omega1_scaling():
     # omega1 scales like a^(-3/2) with the circumradius a
-    base = build_ngon(5).omega1
-    assert build_ngon(5, scale=4.0).omega1 == pytest.approx(base / 8.0, rel=1e-13)
+    base = NGonSystem(5).omega1
+    assert NGonSystem(5, scale=4.0).omega1 == pytest.approx(base / 8.0, rel=1e-13)
 
 
 def test_moment_of_inertia_identity():
     # U(C)/I(C) = omega1^2 at any scale
     for scale in (1.0, 0.7, 3.2):
-        sysn = build_ngon(6, scale)
-        ratio = potential(sysn.configuration) / sysn.moment_of_inertia
+        sysn = NGonSystem(6, scale)
+        ratio = potential(sysn.positions) / np.sum(sysn.positions ** 2)
         assert ratio == pytest.approx(sysn.omega1 ** 2, rel=1e-13)
 
 
 def test_rho_distances():
-    sysn = build_ngon(7, scale=2.5)
-    pos = sysn.configuration.positions
+    sysn = NGonSystem(7, scale=2.5)
+    pos = sysn.positions
     for d in range(1, 7):
         assert np.linalg.norm(pos[d] - pos[0]) == pytest.approx(
             sysn.rho(d), rel=1e-14)
@@ -87,7 +97,7 @@ def test_collision_raises_with_pair():
     pos[1, 0] = 1.0
     pos[2, 0] = 1.0 + 1e-12
     with pytest.raises(CollisionError) as err:
-        potential(Configuration(pos))
+        potential(pos)
     assert err.value.pair == (1, 2)
 
 
@@ -102,8 +112,7 @@ def test_gravity_matches_potential_gradient():
             pm = pos.copy()
             pp[i, c] += h
             pm[i, c] -= h
-            du = (potential(Configuration(pp))
-                  - potential(Configuration(pm))) / (2 * h)
+            du = (potential(pp) - potential(pm)) / (2 * h)
             # a_i = dU/dx_i
             assert acc[i, c] == pytest.approx(du, abs=2e-7)
 
@@ -126,19 +135,19 @@ def test_force_jacobian_matches_finite_differences():
 def test_wintner_rows_and_symmetry():
     rng = np.random.default_rng(3)
     pos = rng.normal(size=(6, 3))
-    w = wintner_matrix(Configuration(pos))
+    w = wintner_matrix(pos)
     assert np.allclose(w.sum(axis=1), 0.0, atol=1e-14)
     assert np.allclose(w, w.T, atol=1e-13)
 
 
 def test_wintner_vertical_variational():
     # z'' = W z reproduces the vertical force linearization at z = 0
-    sysn = build_ngon(5)
-    w = wintner_matrix(sysn.configuration)
+    sysn = NGonSystem(5)
+    w = wintner_matrix(sysn.positions)
     rng = np.random.default_rng(5)
     z = rng.normal(size=5)
     h = 1e-7
-    pos = sysn.configuration.positions.copy()
+    pos = sysn.positions.copy()
     posp = pos.copy()
     posp[:, 2] = h * z
     acc = gravity(posp)[:, 2] / h
@@ -147,21 +156,21 @@ def test_wintner_vertical_variational():
 
 def test_rigid_loop_solves_newton():
     for n in (3, 4, 6):
-        loop = build_ngon(n).rigid_loop(n_samples=256)
+        loop = NGonSystem(n).rigid_loop(n_samples=256)
         assert newton_residual(loop) < 1e-10
 
 
 def test_rigid_loop_wrong_frequency_fails_newton():
-    loop = build_ngon(3).rigid_loop(omega=1.0, n_samples=256)
+    loop = NGonSystem(3).rigid_loop(omega=1.0, n_samples=256)
     assert newton_residual(loop) > 1e-3
 
 
 def test_action_of_relative_equilibrium():
     # inertial action over one period is (3/2) U T
     for n in (3, 4, 5):
-        sysn = build_ngon(n)
+        sysn = NGonSystem(n)
         loop = sysn.rigid_loop(n_samples=512)
-        u = potential(sysn.configuration)
+        u = potential(sysn.positions)
         expect = 1.5 * u * loop.period
         assert action(loop) == pytest.approx(expect, rel=1e-12)
 
@@ -170,16 +179,16 @@ def test_action_rotating_frame_consistency():
     # the same physical solution, expressed in a rotating frame with the
     # matching varpi kinetic term, has the same action; varpi must be a
     # multiple of 2 pi / T for the transformed samples to stay periodic
-    sysn = build_ngon(4)
+    sysn = NGonSystem(4)
     loop = sysn.rigid_loop(n_samples=512)
     for m in (-1, 1, 2):
         varpi = m * sysn.omega1
-        rot = RotatingFrame(varpi).to_rotating(loop)
+        rot = to_rotating(loop, varpi)
         assert action(rot, varpi) == pytest.approx(action(loop), rel=1e-11)
 
 
 def test_action_time_translation_invariance():
-    sysn = build_ngon(3)
+    sysn = NGonSystem(3)
     loop = sysn.rigid_loop(n_samples=360)
     shifted = LoopPath(np.roll(loop.positions, 17, axis=0), loop.period)
     assert action(shifted) == pytest.approx(action(loop), rel=1e-13)
@@ -196,11 +205,10 @@ def test_masses_are_unit_by_construction():
         if callable(obj) and not (isinstance(obj, type)
                                   and issubclass(obj, Exception)):
             assert "masses" not in inspect.signature(obj).parameters, name
-    for cls in (Configuration, LoopPath):
-        assert "masses" not in {f.name for f in dataclasses.fields(cls)}
+    assert "masses" not in {f.name for f in dataclasses.fields(LoopPath)}
     # tol is keyword-only: the old call integrate(state, masses, varpi, t)
     # must not read the masses as the frame rate
-    loop = build_ngon(3).rigid_loop(n_samples=64)
+    loop = NGonSystem(3).rigid_loop(n_samples=64)
     state = np.stack([loop.positions[0], loop.velocities()[0]])
     with pytest.raises(TypeError):
         integrate(state, np.ones(3), 0.0, 0.1)
@@ -212,7 +220,7 @@ _SIZES = {
     "period": (lambda loop, bad: LoopPath(loop.positions, bad),
                [np.nan, np.inf, 0.0, -1.0]),
     "lam": (lambda loop, bad: rescale(loop, bad), [np.nan, np.inf, 0.0, -1.0]),
-    "omega": (lambda loop, bad: build_ngon(3).rigid_loop(omega=bad,
+    "omega": (lambda loop, bad: NGonSystem(3).rigid_loop(omega=bad,
                                                          n_samples=8),
               [np.nan, np.inf, -np.inf, 0.0]),
     "scale": (lambda loop, bad: NGonSystem(3, scale=bad),
@@ -228,13 +236,13 @@ def test_sizes_must_be_finite_and_positive(name, bad):
     # action and Newton residual were NaN, rescale(loop, nan) and
     # rigid_loop(omega=nan) built NaN periods, and NGonSystem(3, nan) or
     # (3, inf) a NaN omega1 after a RuntimeWarning
-    loop = build_ngon(3).rigid_loop(n_samples=8)
+    loop = NGonSystem(3).rigid_loop(n_samples=8)
     with pytest.raises(ValueError, match=name):
         _SIZES[name][0](loop, bad)
 
 
 def test_rescale_maps_solutions_to_solutions():
-    loop = build_ngon(3).rigid_loop(n_samples=256)
+    loop = NGonSystem(3).rigid_loop(n_samples=256)
     lam = 1.7
     scaled = rescale(loop, lam)
     assert scaled.period == pytest.approx(loop.period / lam)
@@ -245,7 +253,7 @@ def test_rescale_maps_solutions_to_solutions():
 
 
 def test_rescale_composition():
-    loop = build_ngon(4).rigid_loop(n_samples=128)
+    loop = NGonSystem(4).rigid_loop(n_samples=128)
     a = rescale(rescale(loop, 2.0), 3.0)
     b = rescale(loop, 6.0)
     assert np.allclose(a.positions, b.positions, atol=1e-14)
@@ -253,7 +261,7 @@ def test_rescale_composition():
 
 
 def test_loop_derivative_and_interpolation():
-    sysn = build_ngon(3)
+    sysn = NGonSystem(3)
     loop = sysn.rigid_loop(n_samples=200)
     om = sysn.omega1
     vel = loop.velocities()
@@ -268,19 +276,19 @@ def test_loop_derivative_and_interpolation():
 
 
 def test_angular_momentum_of_rigid_loop():
-    sysn = build_ngon(5, scale=2.0)
+    sysn = NGonSystem(5, scale=2.0)
     loop = sysn.rigid_loop(n_samples=128)
     lz = angular_momentum_z(loop)
     expect = 5 * 2.0 ** 2 * sysn.omega1
     assert np.allclose(lz, expect, rtol=1e-12)
     # rotating frame samples with matching varpi give the same value
-    rot = RotatingFrame(sysn.omega1).to_rotating(loop)
+    rot = to_rotating(loop, sysn.omega1)
     assert np.allclose(angular_momentum_z(rot, sysn.omega1), expect,
                        rtol=1e-12)
 
 
 def test_kinetic_energy_rigid():
-    sysn = build_ngon(4)
+    sysn = NGonSystem(4)
     loop = sysn.rigid_loop(n_samples=64)
     expect = 0.5 * 4 * sysn.omega1 ** 2
     assert np.allclose(kinetic_energy(loop), expect, rtol=1e-11)
@@ -293,11 +301,21 @@ def test_jay_is_vertical_rotation_generator():
 
 def test_center_of_mass_normalization():
     rng = np.random.default_rng(2)
-    cfg = Configuration(rng.normal(size=(4, 3)))
-    centered = cfg.centered()
-    assert np.allclose(centered.center_of_mass(), 0.0, atol=1e-15)
+    pos = rng.normal(size=(4, 3))
+    centered = pos - pos.mean(axis=0)
+    assert np.allclose(centered.mean(axis=0), 0.0, atol=1e-15)
     # potential is translation invariant
-    assert potential(centered) == pytest.approx(potential(cfg), rel=1e-14)
+    assert potential(centered) == pytest.approx(potential(pos), rel=1e-14)
+
+
+@pytest.mark.parametrize("fun", [potential, wintner_matrix])
+@pytest.mark.parametrize("shape", [(4,), (4, 2), (2, 4, 3), (3, 4)],
+                         ids=["flat", "planar", "loop", "transposed"])
+def test_configuration_functions_refuse_other_shapes(fun, shape):
+    # one configuration is (n, 3): a loop, a flat vector or planar
+    # positions are refused, not summed over the wrong axis
+    with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
+        fun(np.ones(shape))
 
 
 @pytest.mark.parametrize("m", [48, 49])  # even m has a Nyquist bin
@@ -345,8 +363,8 @@ def _p12_expansion(n_samples):
 
 @pytest.mark.parametrize("call, match", [
     (lambda: LoopPath(np.zeros((0, 3, 3)), 1.0), "positions must have"),
-    (lambda: build_ngon(3).rigid_loop(n_samples=0), "n_samples must be"),
-    (lambda: build_ngon(3).rigid_loop(n_samples=2.5), "n_samples must be"),
+    (lambda: NGonSystem(3).rigid_loop(n_samples=0), "n_samples must be"),
+    (lambda: NGonSystem(3).rigid_loop(n_samples=2.5), "n_samples must be"),
     (lambda: LoopPath.from_function(_never_called, 1.0, 2.5),
      "n_samples must be"),
     (lambda: LoopPath.from_function(_never_called, 1.0, 0),

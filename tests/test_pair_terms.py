@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unchained import (CollisionError, Configuration, LoopPath, action,
-                       gravity, potential, wintner_matrix)
+from unchained import (CollisionError, LoopPath, action, gravity, potential,
+                       wintner_matrix)
 from unchained.continuation import integrate
 from unchained.ngon import (COLLISION_TOL, _force_jacobian_apply, _pairs,
                             check_separation, closest_pair, force_jacobian,
@@ -81,11 +81,10 @@ def test_single_configuration_matches_double_loop(pos):
     np.testing.assert_array_equal(diff, ref["diff"][pairs])
     assert_close(r, ref["dist"][pairs])
     assert_close(inv_r3, ref["dist"][pairs] ** -3.0)
-    config = Configuration(pos)
-    assert potential(config) == pytest.approx(ref["potential"], rel=1e-13)
+    assert potential(pos) == pytest.approx(ref["potential"], rel=1e-13)
     assert_close(gravity(pos), ref["gravity"])
     assert_close(force_jacobian(pos), ref["jacobian"])
-    assert_close(wintner_matrix(config), ref["wintner"])
+    assert_close(wintner_matrix(pos), ref["wintner"])
 
 
 @SETTINGS
@@ -131,7 +130,7 @@ def test_jacobian_action_matches_double_loop(pos, m, seed, batch):
 @given(bodies(batch=True), st.floats(0.1, 10.0), st.floats(-3.0, 3.0))
 def test_action_is_mean_lagrangian_times_period(pos, period, varpi):
     loop = LoopPath(pos, period)
-    pot = [potential(Configuration(p)) for p in pos]
+    pot = [potential(p) for p in pos]
     want = np.mean(kinetic_energy(loop, varpi) + pot) * period
     assert action(loop, varpi) == pytest.approx(want, rel=1e-13)
 
@@ -161,8 +160,8 @@ def test_check_separation_names_closest_pair(pos, data, factor, batch):
 
 
 @pytest.mark.parametrize("call", [
-    lambda pos: potential(Configuration(pos)),
-    lambda pos: wintner_matrix(Configuration(pos)),
+    lambda pos: potential(pos),
+    lambda pos: wintner_matrix(pos),
     lambda pos: action(LoopPath(pos[None], 1.0)),
     lambda pos: integrate(np.stack([pos, np.zeros_like(pos)]), 0.0, 1.0),
     lambda pos: force_jacobian(pos),

@@ -5,11 +5,11 @@ import pytest
 
 from unchained.errors import DegenerateSystem
 from unchained.minimize import lambda_G_bruteforce
-from unchained.ngon import build_ngon, newton_residual, wintner_matrix
+from unchained.ngon import NGonSystem, newton_residual, wintner_matrix
 from unchained.spectrum import (_horizontal_spectrum, _vertical_spectrum,
-                                check_monotone, convexity_report, fold_mode,
+                                convexity_report, fold_mode,
                                 horizontal_spectrum, lyapunov_cylinder,
-                                pacella_moeckel, vertical_spectrum)
+                                vertical_spectrum)
 from unchained.symmetry import GroupSpec
 
 # Frozen vertical frequencies (unit circumradius).  Closed forms follow
@@ -131,7 +131,7 @@ def test_lambda_signs_and_bookkeeping():
 def test_circulant_eigenvector_property():
     # W x_k = lambda_k x_k with x_k the discrete Fourier vector
     for n in range(3, 65):
-        w = wintner_matrix(build_ngon(n).configuration)
+        w = wintner_matrix(NGonSystem(n).positions)
         vs = vertical_spectrum(n)
         j = np.arange(n)
         # 1e-12 in units of the matrix norm (entries grow like n^3)
@@ -144,11 +144,14 @@ def test_circulant_eigenvector_property():
 def test_omega1_matches_rigid_rotation_frequency():
     for n in (3, 5, 11, 40):
         assert vertical_spectrum(n).omega1 == pytest.approx(
-            build_ngon(n).omega1, abs=1e-12)
+            NGonSystem(n).omega1, abs=1e-12)
 
 
 def test_monotone_through_200():
-    assert all(check_monotone(n) for n in range(3, 201))
+    # lambda_k < 0 and strictly decreasing for k = 1..floor(n/2)
+    for n in range(3, 201):
+        lam = vertical_spectrum(n).lambdas[1:]
+        assert np.all(lam < 0.0) and np.all(np.diff(lam) < 0.0), n
 
 
 def test_fold_mode():
@@ -165,8 +168,12 @@ def test_omega_folded_accessor():
 
 
 def test_pacella_moeckel():
-    assert not pacella_moeckel(3)
-    assert all(pacella_moeckel(n) for n in range(4, 51))
+    # some vertical frequency exceeds omega_1 iff n >= 4
+    spec = vertical_spectrum(3)
+    assert not spec.omega_max > spec.omega1
+    for n in range(4, 51):
+        spec = vertical_spectrum(n)
+        assert spec.omega_max > spec.omega1, n
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -229,7 +236,7 @@ def test_cylinder_vertical_variational_equation():
     loop = lyapunov_cylinder(5, 2, -1, 2, 1, 0.3)
     z = loop.positions[:, :, 2]
     zdd = loop.derivative(2)[:, :, 2]
-    w = wintner_matrix(build_ngon(5).configuration)
+    w = wintner_matrix(NGonSystem(5).positions)
     assert np.abs(zdd - z @ w).max() < 1e-10
 
 
@@ -340,14 +347,14 @@ def test_convexity_kinetic_positive_definite_below_half():
 
 
 def test_convexity_potential_matches_finite_differences():
-    from unchained.ngon import Configuration, potential as u_value
+    from unchained.ngon import potential as u_value
 
     def pot_energy(n, ell, a, b):
         j = np.arange(n)
         th = 2.0 * np.pi / n
         z = a * np.cos(j * ell * th) + b * np.sin(j * ell * th)
         pos = np.stack([np.cos(th * j), np.sin(th * j), z], axis=1)
-        return -u_value(Configuration(pos))
+        return -u_value(pos)
 
     h = 1e-4
     for n, ell in [(5, 2), (6, 2), (6, 3)]:

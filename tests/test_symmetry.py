@@ -11,14 +11,13 @@ from unchained import symmetry
 from unchained.errors import UnsupportedCase
 from unchained.ngon import LoopPath
 from unchained.spectrum import lyapunov_cylinder
-from unchained.symmetry import (GroupSpec, StructureReport, _action,
-                                apply_element, compose,
-                                dense_choreography_params,
+from unchained.symmetry import (FourierConstraints, GroupSpec,
+                                StructureReport, _action, apply_element,
+                                compose, dense_choreography_params,
                                 element_order, enumerate_elements,
-                                find_isomorphism, fourier_constraints,
-                                identity_element, invariance_defect, inverse,
-                                is_invariant, is_simple_choreography,
-                                make_element, structure_report)
+                                find_isomorphism, invariance_defect, inverse,
+                                is_simple_choreography, make_element,
+                                structure_report)
 from unchained.torsion import excluded_harmonics
 
 
@@ -106,7 +105,7 @@ def test_group_order():
 
 def test_identity_present():
     spec = GroupSpec(5, 2, -1, 2, 1)
-    e = identity_element(spec)
+    e = make_element(spec, 0, 0)
     assert e.theta == 0 and e.delta == 0 and e.beta == 0 and e.xi == 1
     assert e.alpha == 0
     assert e in enumerate_elements(spec)
@@ -129,7 +128,7 @@ def test_group_axioms():
     table = set(elements)
     assert len(table) == 12
     for g in elements:
-        assert compose(g, inverse(g)) == identity_element(spec)
+        assert compose(g, inverse(g)) == make_element(spec, 0, 0)
         for h in elements:
             gh = compose(g, h)
             assert gh in table
@@ -184,7 +183,7 @@ def test_dihedral_presentation_by_compose():
         if spec.s > 1:
             assert len(elements) > 4 * n and not dihedral, spec
             continue
-        e = identity_element(spec)
+        e = make_element(spec, 0, 0)
         a, c = make_element(spec, 1, 0), make_element(spec, 0, 1)
         b = make_element(spec, 0, 0, xi=-1)
         powers = [e]
@@ -260,7 +259,7 @@ def test_element_orders_divide_group_order():
 def test_apply_identity_returns_same_loop():
     spec = GroupSpec(5, 2, -1, 2, 1)
     loop = lyapunov_cylinder(5, 2, -1, 2, 1, 0.2)
-    out = apply_element(identity_element(spec), loop)
+    out = apply_element(make_element(spec, 0, 0), loop)
     np.testing.assert_allclose(out.positions, loop.positions, atol=1e-14)
 
 
@@ -268,7 +267,7 @@ def test_apply_rejects_wrong_body_count():
     spec = GroupSpec(5, 2, -1, 2, 1)
     loop = lyapunov_cylinder(4, 1, -1, 2, 1, 0.2)
     with pytest.raises(ValueError):
-        apply_element(identity_element(spec), loop)
+        apply_element(make_element(spec, 0, 0), loop)
 
 
 def _dense_apply(g, spec, loop):
@@ -312,7 +311,7 @@ def test_cylinder_stabilized_by_its_group(spec):
 
 def test_cylinder_not_invariant_under_other_mode():
     loop = lyapunov_cylinder(5, 2, -1, 2, 1, 0.3)
-    assert not is_invariant(loop, GroupSpec(5, 1, -1, 2, 1), tol=1e-6)
+    assert invariance_defect(loop, GroupSpec(5, 1, -1, 2, 1)) > 1e-6
 
 
 def test_equilibrium_invariant_for_matching_frame():
@@ -334,7 +333,7 @@ def test_equilibrium_invariant_for_matching_frame():
 def test_italian_symmetry_for_odd_r_s():
     spec = GroupSpec(5, 1, -1, 1, 1)
     rng = np.random.default_rng(3)
-    loop = fourier_constraints(spec).random_loop(rng, amplitude=0.2)
+    loop = FourierConstraints(spec).random_loop(rng, amplitude=0.2)
     m = loop.n_samples
     assert m % 2 == 0
     half = np.roll(loop.positions, -m // 2, axis=0)
@@ -344,7 +343,7 @@ def test_italian_symmetry_for_odd_r_s():
 def test_mirror_symmetry_at_time_zero():
     spec = GroupSpec(5, 2, -1, 2, 1)
     rng = np.random.default_rng(4)
-    loop = fourier_constraints(spec).random_loop(rng, amplitude=0.2)
+    loop = FourierConstraints(spec).random_loop(rng, amplitude=0.2)
     x0 = loop.positions[0]
     n = spec.n_bodies
     mirrored = x0[(-np.arange(n)) % n]
@@ -354,7 +353,7 @@ def test_mirror_symmetry_at_time_zero():
 
 
 def test_marchal_constraints_three_bodies():
-    fc = fourier_constraints(GroupSpec(3, 1, -1, 2, 1))
+    fc = FourierConstraints(GroupSpec(3, 1, -1, 2, 1))
     for l in range(-12, 13):
         expected = l % 2 == 0 and l % 3 != 0
         assert fc.allowed_horizontal(l) == expected
@@ -366,7 +365,7 @@ def test_marchal_constraints_three_bodies():
 def test_equilibrium_harmonic_always_allowed():
     for spec in (GroupSpec(5, 2, -1, 2, 1), GroupSpec(4, 2, 1, 3, 2),
                  GroupSpec(6, 1, 1, 1, 3)):
-        fc = fourier_constraints(spec)
+        fc = FourierConstraints(spec)
         u = fc.horizontal_phase(spec.r)
         np.testing.assert_allclose(
             u, np.exp(2j * np.pi * np.arange(spec.n_bodies) / spec.n_bodies),
@@ -375,7 +374,7 @@ def test_equilibrium_harmonic_always_allowed():
 
 def test_projector_idempotent():
     spec = GroupSpec(5, 2, -1, 2, 1)
-    fc = fourier_constraints(spec)
+    fc = FourierConstraints(spec)
     rng = np.random.default_rng(11)
     loop = LoopPath(rng.standard_normal((40, 5, 3)), 1.0)
     once = fc.project(loop)
@@ -385,7 +384,7 @@ def test_projector_idempotent():
 
 def test_projected_random_loop_is_invariant():
     for spec in (GroupSpec(5, 2, -1, 2, 1), GroupSpec(4, 1, -1, 3, 2)):
-        fc = fourier_constraints(spec)
+        fc = FourierConstraints(spec)
         rng = np.random.default_rng(12)
         m = 2 * spec.n_bodies * spec.s * 8
         loop = LoopPath(rng.standard_normal((m, spec.n_bodies, 3)),
@@ -397,24 +396,24 @@ def test_random_invariant_loop_passes_strict_tolerance():
     for seed, spec in [(1, GroupSpec(3, 1, -1, 2, 1)),
                        (2, GroupSpec(5, 2, -1, 2, 1)),
                        (3, GroupSpec(4, 2, 1, 3, 2))]:
-        fc = fourier_constraints(spec)
+        fc = FourierConstraints(spec)
         loop = fc.random_loop(np.random.default_rng(seed), amplitude=0.3)
         assert invariance_defect(loop, spec) < 1e-12
 
 
 def test_projection_agrees_with_invariance():
     spec = GroupSpec(4, 1, -1, 1, 1)
-    fc = fourier_constraints(spec)
+    fc = FourierConstraints(spec)
     rng = np.random.default_rng(5)
     for trial in range(25):
         invariant = fc.random_loop(rng, amplitude=0.25)
-        assert is_invariant(invariant, spec)
+        assert invariance_defect(invariant, spec) <= 1e-9
         noisy = LoopPath(
             invariant.positions + 0.05 * rng.standard_normal(
                 invariant.positions.shape),
             invariant.period)
         moved = fc.project(noisy)
-        assert not is_invariant(noisy, spec)
+        assert invariance_defect(noisy, spec) > 1e-9
         assert np.abs(moved.positions - noisy.positions).max() > 1e-4
 
 
@@ -432,7 +431,7 @@ def test_group_average_oracle_for_the_torsion_harmonics():
     rng = np.random.default_rng(23)
     for spec in SMALL_SPECS:
         n, r, s = spec.n_bodies, spec.r, spec.s
-        fc = fourier_constraints(spec)
+        fc = FourierConstraints(spec)
         m = 2 * (abs(r) + 3 * s) + 1
         t = np.arange(m) * (s / m)
         coef = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
@@ -540,7 +539,7 @@ def test_isomorphism_transports_invariance():
     for spec, spec2 in cases:
         perm = find_isomorphism(spec, spec2)
         assert perm is not None
-        source = fourier_constraints(spec2).random_loop(rng, amplitude=0.3)
+        source = FourierConstraints(spec2).random_loop(rng, amplitude=0.3)
         assert invariance_defect(source, spec2) < 1e-10
         relabeled = LoopPath(source.positions[:, perm, :], source.period)
         assert invariance_defect(relabeled, spec) < 1e-10
