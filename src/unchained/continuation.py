@@ -38,9 +38,9 @@ from scipy.linalg import block_diag
 
 from .errors import (CollisionError, IntegrationFailure, NoConvergence,
                      SingularReduction)
-from .ngon import (LoopPath, _checked_count, _checked_positive,
-                   _force_jacobian_apply, _kinetic, _lz, _pair_potential,
-                   _pairs, _separated, jay, pair_terms)
+from .ngon import (LoopPath, _checked_count, _checked_finite,
+                   _checked_positive, _force_jacobian_apply, _kinetic, _lz,
+                   _pair_potential, _pairs, _separated, jay, pair_terms)
 from .spectrum import vertical_spectrum
 from .symmetry import GroupElement, GroupSpec, _action, enumerate_elements
 from .torsion import reconstruct_loop, torsion_gamma
@@ -118,16 +118,19 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
     flow: the product of the linear field, assembled once per call from
     `_linear_parts`, with the flow rows, plus one pass of
     `ngon._force_jacobian_apply`, which gives the force in column 0 and
-    the force Jacobian applied to every other column.  That pass compares
-    the pair distances with ngon.COLLISION_TOL, as the initial positions
-    are before the solver starts; a closer pair raises CollisionError
-    naming it (i < j), in whichever member it occurs.
+    the force Jacobian applied to every other column.  A plain flow,
+    stacked or not, returns that product as a fresh vector with the force
+    added in place to its velocity rows.  The pass compares the pair
+    distances with ngon.COLLISION_TOL, as the initial positions are
+    before the solver starts; a closer pair raises CollisionError naming
+    it (i < j), in whichever member it occurs.
     Solver breakdown raises IntegrationFailure with the time reached, and
     a tol outside (0, 1), a stacked state with tangents, tangents that
     are not a (6n + 1, m) matrix, a varpi that does not broadcast over
-    the stack, a non-finite varpi or t_span, and a max_step that is NaN
-    or not positive raise ValueError before any integration: DOP853 never
-    leaves its step loop once its first step size is NaN.
+    the stack, a non-finite varpi, t_span or t_eval entry, and a max_step
+    that is NaN or not positive raise ValueError before any integration:
+    DOP853 never leaves its step loop once its first step size is NaN,
+    and scipy drops a NaN time from t_eval without a word.
     """
     _checked_tol(tol, "tol")
     state = np.asarray(state, dtype=float)
@@ -146,17 +149,17 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
     except ValueError:
         raise ValueError(f"varpi of shape {np.shape(varpi)} does not "
                          f"broadcast over a stack of shape {stack}") from None
-    if not np.isfinite(rates).all():
-        raise ValueError(f"varpi must be finite, got {varpi!r}")
+    _checked_finite(rates, "varpi")
     _separated(state[..., 0, :, :])
     if np.ndim(t_span) == 0:
         t0, t1 = 0.0, float(t_span)
     else:
         t0, t1 = map(float, t_span)
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError(f"t_span must be finite, got {t_span!r}")
+    _checked_finite([t0, t1], "t_span")
     if not max_step > 0:
         raise ValueError(f"max_step must be positive, got {max_step!r}")
+    if t_eval is not None:
+        _checked_finite(t_eval, "t_eval")
     nv = 3 * n
     drift, centrifugal, coriolis = _linear_parts(n)
     lins = [drift + w ** 2 * centrifugal - 2.0 * w * coriolis
@@ -180,6 +183,11 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
         w_varpi = np.append(0.0, seed[-1])
 
     def rhs(t, y):
+        if tangents is None:
+            out = lin @ y
+            out.reshape(view)[..., 1, :, :, :] += _force_jacobian_apply(
+                y.reshape(view)[..., 0, :, :, :], scatter)
+            return out
         out = np.empty_like(y)
         mat = y[:n_flow].reshape(rows)
         flow = out[:n_flow].reshape(rows)
@@ -361,12 +369,15 @@ class PeriodicOrbit:
         t_eval = np.append(np.arange(n_below) * (period / n_samples),
                            0.5 * period)
         pos0, vel0 = self.initial_state
-        # on P12 and the Hip-Hop the step cap of T / 128, not tol, sets the
-        # samples' error: uncapped at 1e-12 they land 16 to 23 times
-        # further from a flow at 1e-13 with the step capped at T / 1024
+        # on P12 and the Hip-Hop the step cap, not tol, sets the samples'
+        # error.  Against a two-ended flow at 1e-13 capped at T / 1024, the
+        # 20-step records land at most 2.8e-14, 9.1e-14, 3.3e-13 and
+        # 1.3e-12 away at caps T / 128, T / 112, T / 96 and T / 80, so
+        # T / 96 is the coarsest cap within the stated 1e-12 by a factor 3.
+        # The hexagon's steps are finer than any of these
         res = integrate(np.stack([self.initial_state, [pos0, -vel0]]),
                         [self.varpi, -self.varpi], (0.0, 0.5 * period),
-                        tol=tol, t_eval=t_eval, max_step=period / 128.0)
+                        tol=tol, t_eval=t_eval, max_step=period / 96.0)
         forward, backward = res.trajectory[:, 0, 0], res.trajectory[:, 1, 0]
         delta = backward[-1] - forward[-1]
         # the hat: -((T - t) / T) delta = (t / T) delta - delta

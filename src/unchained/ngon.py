@@ -19,18 +19,21 @@ single threshold COLLISION_TOL collide.  The functions that take
 positions from a caller raise CollisionError below it: `potential` and
 `wintner_matrix` of one (n, 3) configuration, which refuse any other
 shape with ValueError, `force_jacobian` of (..., n, 3) positions, and
-`action` and `newton_residual` of a loop.  `gravity` and `_gravity` do
-not check.
+`action` and `newton_residual` of a loop.  A NaN distance passes that
+test, so these positions, and those of every `LoopPath`, must be finite:
+ValueError otherwise.  `gravity` and `_gravity` do not check.
 
 `force_jacobian` and the flow of `continuation.integrate` use one kernel,
 `_force_jacobian_apply`, and never `pair_terms` or `_gravity`.  It takes
 the positions as column 0 of a stack of position columns and, with one
 pair-difference product and one scatter product, returns the force F(x)
 in column 0 and the force Jacobian, in rank-one form, applied to every
-other column.  With the positions alone, as in the plain flow, it skips
-the rank-one term.  The kernel runs `check_separation` on the pair
-distances before it divides by them, which is the flow's collision
-check.
+other column.  With the positions alone, as in the plain flow, it takes
+r^2 as d . d and skips the rank-one term.  Before it divides by them,
+the kernel compares the squared pair distances with a guard just above
+COLLISION_TOL^2 and runs `check_separation` on their roots only when one
+falls below it, which is the flow's collision check at the exact
+threshold.
 """
 
 import functools
@@ -42,6 +45,9 @@ import numpy as np
 from .errors import CollisionError
 
 COLLISION_TOL = 1e-7
+# just above COLLISION_TOL^2, so that no pair closer than COLLISION_TOL
+# passes it whatever the rounding of its squared distance
+_SQ_GUARD = 1.0001 * COLLISION_TOL ** 2
 _ONES3 = np.ones(3)
 
 
@@ -143,11 +149,19 @@ def _checked_positive(value, name):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _checked_finite(values, name):
+    # a value or array with no NaN or infinite entry: every comparison
+    # with NaN is False, so range checks and `check_separation` pass it
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+
+
 def _configuration(positions):
-    # positions of one configuration as an (n, 3) float array
+    # positions of one configuration as a finite (n, 3) float array
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise ValueError(f"positions must have shape (n, 3), got {pos.shape}")
+    _checked_finite(pos, "positions")
     return pos
 
 
@@ -183,6 +197,7 @@ def force_jacobian(positions):
     CollisionError when two bodies are closer than COLLISION_TOL.
     """
     pos = np.asarray(positions, dtype=float)
+    _checked_finite(pos, "positions")
     n = pos.shape[-2]
     unit = np.broadcast_to(np.eye(3 * n).reshape(n, 3, 3 * n),
                            pos.shape + (3 * n,))
@@ -202,25 +217,36 @@ def _force_jacobian_apply(cols, scatter):
     # force.  The separation check runs before any division
     shape = cols.shape
     n, k, lead = shape[-3], shape[-1], shape[:-3]
+    if k == 1:
+        # the positions alone: the force, with r^2 = d . d
+        d = _pairs(n)[2] @ cols[..., 0]
+        sq = (d * d) @ _ONES3
+        _check_squared(sq)
+        return ((scatter * (sq ** -1.5)[..., None, :]) @ d).reshape(shape)
     rel = (_pairs(n)[2] @ cols.reshape(lead + (n, 3 * k))).reshape(
         lead + (-1, 3, k))
     d = rel[..., 0]
     # d . rel of every column, (..., P, 1, k); column 0 holds r^2
     proj = d[..., None, :] @ rel
     sq = proj[..., 0, 0]
-    check_separation(np.sqrt(sq))
+    _check_squared(sq)
     # the pair weights r^-3 go into the scatter; weight is taken before
     # proj, and so sq, is scaled in place
     weight = sq ** -1.5
-    if k == 1:
-        # the positions alone: the force
-        g = rel
-    else:
-        proj *= (3.0 / sq)[..., None, None]
-        proj[..., 0] = 0.0
-        g = rel - d[..., None] * proj
+    proj *= (3.0 / sq)[..., None, None]
+    proj[..., 0] = 0.0
+    g = rel - d[..., None] * proj
     return ((scatter * weight[..., None, :])
             @ g.reshape(lead + (-1, 3 * k))).reshape(shape)
+
+
+def _check_squared(sq):
+    # `check_separation` of the distances sqrt(sq), run only when some
+    # squared distance falls below _SQ_GUARD: every sq at or above the
+    # guard has a rounded root above COLLISION_TOL, so skipping the roots
+    # changes no outcome and the threshold stays exact
+    if np.minimum.reduce(sq, axis=None, initial=np.inf) < _SQ_GUARD:
+        check_separation(np.sqrt(sq))
 
 
 def wintner_matrix(positions):
@@ -318,6 +344,7 @@ class LoopPath:
         if self.positions.ndim != 3 or self.positions.shape[2] != 3 \
                 or self.positions.shape[0] == 0:
             raise ValueError("positions must have shape (m, n, 3), m >= 1")
+        _checked_finite(self.positions, "positions")
         _checked_positive(self.period, "period")
 
     @property

@@ -33,7 +33,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateSystem
-from .ngon import LoopPath, _checked_count
+from .ngon import LoopPath, _checked_count, _checked_finite
 from .spectrum import vertical_spectrum
 from .symmetry import FourierConstraints, GroupSpec
 
@@ -229,9 +229,10 @@ def reconstruct_loop(result: ExpansionResult, epsilon: float,
     Returns (loop, varpi): the frame rotates at varpi = w_hat
     + gamma eps^2 - 2 pi r/s, making the truncated solution s-periodic
     with Newton residual O(eps^4).  Raises ValueError, before any work,
-    unless n_samples is a positive integer.
+    unless n_samples is a positive integer and epsilon finite.
     """
     n_samples = _checked_count(n_samples, "n_samples")
+    _checked_finite(epsilon, "epsilon")
     spec = result.spec
     n, ke = spec.n_bodies, spec.k * spec.eta
     jj = np.arange(n)

@@ -41,6 +41,7 @@ from unchained.ngon import (COLLISION_TOL, NGonSystem, action,
 from unchained.spectrum import lyapunov_cylinder, vertical_spectrum
 from unchained.symmetry import (GroupSpec, compose, enumerate_elements,
                                 invariance_defect)
+from unchained.torsion import reconstruct_loop, torsion_gamma
 
 OMEGA1_3 = 3.0 ** -0.25
 OMEGA1_4 = 0.97831834347851587
@@ -347,11 +348,16 @@ def test_integrate_stack_arguments_checked_before_any_solve(monkeypatch,
     (lambda state: integrate(state, 0.0, 1.0, max_step=np.nan), "max_step"),
     (lambda state: shoot_symmetric(P12, np.nan, onset_state(P12, 0.05)[0]),
      "varpi"),
+    (lambda state: integrate(state, 0.0, 1.0, t_eval=[0.5, np.nan]),
+     "t_eval"),
+    (lambda state: integrate(state, 0.0, 1.0, t_eval=[np.inf]), "t_eval"),
 ], ids=["varpi-nan", "varpi-inf", "stack-member-nan", "span-nan",
-        "end-nan", "start-inf", "max_step-nan", "shoot-varpi-nan"])
+        "end-nan", "start-inf", "max_step-nan", "shoot-varpi-nan",
+        "t_eval-nan", "t_eval-inf"])
 def test_integrate_refuses_non_finite_arguments(monkeypatch, call, name):
     # DOP853's step loop never exits once its first step size is NaN, so
-    # each of these hung; max_step = nan was read as no cap
+    # each of these hung; max_step = nan was read as no cap, and a NaN in
+    # t_eval was dropped, leaving one trajectory row fewer than the times
     import unchained.continuation as continuation
 
     def never(*args, **kw):
@@ -463,6 +469,24 @@ def test_onset_state_zero_amplitude_is_ngon():
     # rigid rotation at 2 pi r / s in this frame
     expect = 4.0 * np.pi * jay(state[0])
     assert np.max(np.abs(state[1] - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+def test_onset_amplitude_must_be_finite(monkeypatch, epsilon):
+    # NaN gave an all-NaN state and varpi = nan with no error, and inf NaN
+    # positions after three RuntimeWarnings.  reconstruct_loop checks the
+    # amplitude before it builds the loop's harmonics
+    import unchained.torsion as torsion
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        onset_state(P12, epsilon)
+    result = torsion_gamma(P12)
+
+    def never(*args, **kw):
+        raise AssertionError("built the loop before the amplitude was checked")
+
+    monkeypatch.setattr(torsion, "FourierConstraints", never)
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        reconstruct_loop(result, epsilon, n_samples=8)
 
 
 # ---------------------------------------------------------------------------
@@ -1044,6 +1068,78 @@ def test_sample_matches_a_finer_full_period_flow(shot_orbits, spec, bound):
     assert sol.status == 0
     reference = sol.y[:3 * n].T.reshape(-1, n, 3)
     assert np.max(np.abs(loop.positions - reference)) <= bound
+
+
+@pytest.fixture(scope="module")
+def amplitude_shots(shot_orbits):
+    # P12 and the Hip-Hop shot at onset amplitudes 0.03, 0.05 and 0.07
+    shots = {(spec, 0.05): shot_orbits[spec] for spec in (P12, HH4)}
+    for spec, eps in product((P12, HH4), (0.03, 0.07)):
+        state, varpi = onset_state(spec, eps)
+        shots[spec, eps] = shoot_symmetric(spec, varpi, state)
+    return shots
+
+
+def _two_ended_reference(orbit, n_samples=512):
+    # the loop `sample` stands for, n_samples even, from two flows of
+    # `_gravity_rhs` at tol 1e-13 with the step capped at T / 512: x(t) on
+    # t <= T / 2 from (p, v) at varpi, x(T - s) from (p, -v) at -varpi, and
+    # their gap at T / 2 spread as the hat, +(t / T) gap on the first half
+    # and -(s / T) gap on the second
+    n, period = orbit.spec.n_bodies, orbit.period
+    pos0, vel0 = orbit.initial_state
+    grid = np.arange(n_samples // 2 + 1) * (period / n_samples)
+    halves = []
+    for varpi, state in ((orbit.varpi, orbit.initial_state),
+                         (-orbit.varpi, np.stack([pos0, -vel0]))):
+        sol = solve_ivp(_gravity_rhs(varpi, n), (0.0, 0.5 * period),
+                        state.ravel(), method="DOP853", rtol=1e-13,
+                        atol=1e-13, max_step=period / 512.0, t_eval=grid)
+        assert sol.status == 0
+        halves.append(sol.y[:3 * n].T.reshape(-1, n, 3))
+    forward, backward = halves
+    gap = backward[-1] - forward[-1]
+    ramp = (grid / period)[:, None, None] * gap
+    return np.concatenate([forward + ramp, (backward - ramp)[-2:0:-1]])
+
+
+@pytest.mark.parametrize("source, key", [
+    *[pytest.param("shot", (spec, eps), id=f"{name}-shot-{eps}")
+      for name, spec in (("p12", P12), ("hh4", HH4))
+      for eps in (0.03, 0.05, 0.07)],
+    *[pytest.param(f"{name}_twenty", k, id=f"{name}-record-{k}")
+      for name in ("p12", "hh4") for k in (1, 10, 20)],
+])
+def test_sample_meets_its_stated_accuracy(request, amplitude_shots, source,
+                                          key):
+    # the stated accuracy of sample(512) on P12 and the Hip-Hop: within
+    # 1e-12 of a reference that shares no code with the flow.  Its step
+    # cap of T / 96 was chosen for 3.3e-13 at worst over the 20-step
+    # records, a factor 3 inside
+    if source == "shot":
+        orbit = amplitude_shots[key]
+    else:
+        orbit = request.getfixturevalue(source)[0].records[key].orbit
+    loop = orbit.sample(512)
+    assert np.max(np.abs(loop.positions - _two_ended_reference(orbit))) \
+        <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [P12, HH4])
+def test_sample_fits_its_work_budget(monkeypatch, shot_orbits, spec):
+    # sample(512) took 962 right-hand-side evaluations at a step cap of
+    # T / 128 and takes 722 at T / 96
+    import unchained.continuation as continuation
+    nfev = []
+
+    def solved(*args, real=continuation.solve_ivp, **kwargs):
+        sol = real(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(continuation, "solve_ivp", solved)
+    shot_orbits[spec].sample(512)
+    assert len(nfev) == 1 and nfev[0] <= 750
 
 
 @pytest.mark.parametrize("coarse", [7, 513])

@@ -9,7 +9,7 @@ from unchained import (CollisionError, LoopPath, action, gravity, potential,
 from unchained.continuation import integrate
 from unchained.ngon import (COLLISION_TOL, _force_jacobian_apply, _pairs,
                             check_separation, closest_pair, force_jacobian,
-                            kinetic_energy, pair_terms)
+                            kinetic_energy, newton_residual, pair_terms)
 
 # corners of a cube with side 1.5; jitter of at most 0.5 per coordinate
 # keeps every pair at least 0.5 apart before scaling
@@ -173,3 +173,47 @@ def test_coincident_bodies_raise_collision(call):
         call(pos)
     assert err.value.pair == (1, 2)
     assert err.value.distance == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda pos: potential(pos),
+    lambda pos: wintner_matrix(pos),
+    lambda pos: force_jacobian(pos),
+    lambda pos: force_jacobian(np.stack([2.0 * CORNERS[:4], pos])),
+    lambda pos: action(LoopPath(pos[None], 1.0)),
+    lambda pos: newton_residual(LoopPath(np.stack([pos] * 4), 1.0)),
+], ids=["potential", "wintner", "jacobian", "jacobian-batch", "action",
+        "residual"])
+def test_non_finite_positions_raise(call, bad):
+    # a NaN distance compares False against COLLISION_TOL, so each of
+    # these returned NaN without a word
+    pos = 2.0 * CORNERS[:4]
+    pos[1, 2] = bad
+    with pytest.raises(ValueError, match="positions must be finite"):
+        call(pos)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("batch", [False, True])
+def test_flow_kernel_threshold_is_collision_tol(k, batch):
+    # the kernel compares squared distances with a guard just above
+    # COLLISION_TOL^2 and takes roots only past it: a pair a millionth
+    # inside the threshold still collides, one a millionth outside does not
+    pos = 2.0 * CORNERS[:4]
+    for factor in (0.999999, 1.000001):
+        close = pos.copy()
+        close[3] = close[1] + factor * COLLISION_TOL * np.array([0.6, 0.0,
+                                                                 0.8])
+        if batch:
+            close = np.stack([pos, close, 3.0 * pos])
+        tangents = np.random.default_rng(k).normal(size=close.shape
+                                                   + (k - 1,))
+        cols = np.concatenate([close[..., None], tangents], axis=-1)
+        if factor < 1.0:
+            with pytest.raises(CollisionError) as err:
+                _force_jacobian_apply(cols, _pairs(4)[3])
+            assert err.value.pair == (1, 3)
+            assert err.value.distance < COLLISION_TOL
+        else:
+            assert np.isfinite(_force_jacobian_apply(cols, _pairs(4)[3])).all()
