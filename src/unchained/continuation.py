@@ -39,8 +39,8 @@ from scipy.linalg import block_diag
 from .errors import (CollisionError, IntegrationFailure, NoConvergence,
                      SingularReduction)
 from .ngon import (LoopPath, _checked_count, _checked_finite,
-                   _checked_positive, _force_jacobian_apply, _kinetic, _lz,
-                   _pair_potential, _pairs, _separated, jay, pair_terms)
+                   _checked_positive, _force, _force_jacobian_apply, _kinetic,
+                   _lz, _pair_squares, _pairs, jay, potential)
 from .spectrum import vertical_spectrum
 from .symmetry import GroupElement, GroupSpec, _action, enumerate_elements
 from .torsion import reconstruct_loop, torsion_gamma
@@ -114,16 +114,17 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
 
     The flow carries the state as column 0 of one (6n, 1 + m) matrix, the
     m tangent columns beside it (m = 0 without tangents), stored row by
-    row and followed by the quadratures.  One right-hand side serves every
-    flow: the product of the linear field, assembled once per call from
-    `_linear_parts`, with the flow rows, plus one pass of
-    `ngon._force_jacobian_apply`, which gives the force in column 0 and
-    the force Jacobian applied to every other column.  A plain flow,
-    stacked or not, returns that product as a fresh vector with the force
-    added in place to its velocity rows.  The pass compares the pair
-    distances with ngon.COLLISION_TOL, as the initial positions are
-    before the solver starts; a closer pair raises CollisionError naming
-    it (i < j), in whichever member it occurs.
+    row and followed by the quadratures.  Every flow's right-hand side is
+    the product of the linear field, assembled once per call from
+    `_linear_parts`, with the flow rows, plus one pass over the pairs.  A
+    plain flow, stacked or not, returns that product as a fresh vector
+    with the force of `ngon._force` added in place to its velocity rows.
+    A tangent flow takes `ngon._force_jacobian_apply`, which gives the
+    force in column 0 and the force Jacobian applied to every other
+    column.  Either pass compares the pair distances with
+    ngon.COLLISION_TOL, as the initial positions are before the solver
+    starts; a closer pair raises CollisionError naming it (i < j), in
+    whichever member it occurs.
     Solver breakdown raises IntegrationFailure with the time reached, and
     a tol outside (0, 1), a stacked state with tangents, tangents that
     are not a (6n + 1, m) matrix, a varpi that does not broadcast over
@@ -150,7 +151,7 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
         raise ValueError(f"varpi of shape {np.shape(varpi)} does not "
                          f"broadcast over a stack of shape {stack}") from None
     _checked_finite(rates, "varpi")
-    _separated(state[..., 0, :, :])
+    _pair_squares(state[..., 0, :, :])
     if np.ndim(t_span) == 0:
         t0, t1 = 0.0, float(t_span)
     else:
@@ -168,9 +169,6 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
     scatter = _pairs(n)[3]
     width = 1 if tangents is None else 1 + seed.shape[1]
     n_flow = state.size * width
-    # the flow rows: (6n, width) with tangents, else one flat vector, whose
-    # product with lin is the faster one
-    rows = (-1,) if tangents is None else (-1, width)
     view = stack + (2, n, 3, width)
     if tangents is None:
         y0 = state.ravel()
@@ -184,22 +182,21 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
 
     def rhs(t, y):
         if tangents is None:
+            # a flat vector, whose product with lin is the faster one
             out = lin @ y
-            out.reshape(view)[..., 1, :, :, :] += _force_jacobian_apply(
-                y.reshape(view)[..., 0, :, :, :], scatter)
+            out.reshape(view)[..., 1, :, :, 0] += _force(
+                y.reshape(view)[..., 0, :, :, 0])
             return out
         out = np.empty_like(y)
-        mat = y[:n_flow].reshape(rows)
-        flow = out[:n_flow].reshape(rows)
+        mat = y[:n_flow].reshape(-1, width)
+        flow = out[:n_flow].reshape(-1, width)
         np.matmul(lin, mat, out=flow)
         acc = _force_jacobian_apply(mat.reshape(view)[..., 0, :, :, :],
                                     scatter)
-        if tangents is not None:
-            acc += (dlin @ mat[:, 0]).reshape(n, 3, 1) * w_varpi
-            np.multiply.outer([math.cos(2.0 * math.pi * t),
-                               -math.sin(2.0 * math.pi * t)],
-                              mat[2:nv:3, 0],
-                              out=out[n_flow:].reshape(2, n))
+        acc += (dlin @ mat[:, 0]).reshape(n, 3, 1) * w_varpi
+        np.multiply.outer([math.cos(2.0 * math.pi * t),
+                           -math.sin(2.0 * math.pi * t)],
+                          mat[2:nv:3, 0], out=out[n_flow:].reshape(2, n))
         flow.reshape(view)[..., 1, :, :, :] += acc
         return out
 
@@ -769,7 +766,7 @@ def _checked_tol(tol, source: str) -> None:
 def _record(orbit: PeriodicOrbit) -> FamilyRecord:
     pos, vel = orbit.initial_state
     vel = vel + orbit.varpi * jay(pos)  # inertial velocities
-    energy = _kinetic(vel) - _pair_potential(pair_terms(pos)[1])
+    energy = _kinetic(vel) - potential(pos)
     return FamilyRecord(orbit.varpi, orbit.amplitude,
                         float(-3.0 * energy * orbit.period), orbit.period,
                         float(_lz(pos, vel)), orbit)
@@ -789,7 +786,9 @@ def monodromy(orbit: PeriodicOrbit) -> float:
     integration.  A rotation about the vertical axis fixes a state only
     when all its horizontal positions and velocities vanish; such a state
     stays on the axis, every mu fits, and SingularReduction is raised.
+    A varpi or period that is not finite raises ValueError.
     """
+    _checked_finite([orbit.varpi, orbit.period], "varpi and period")
     if not np.any(orbit.initial_state[..., :2]):
         raise SingularReduction(
             "every body is on the vertical axis with no horizontal velocity")
@@ -799,7 +798,8 @@ def monodromy(orbit: PeriodicOrbit) -> float:
 
 def _re_branch(spec: GroupSpec, varpi):
     # (omega_1^{4/3}, X) of the n-gon rotating at X = varpi + 2 pi r / s;
-    # ValueError where X <= 0
+    # ValueError where varpi is not finite or X <= 0
+    _checked_finite(varpi, "varpi")
     w1 = vertical_spectrum(spec.n_bodies).omega(1)
     x = np.asarray(varpi, dtype=float) + 2.0 * np.pi * spec.r / spec.s
     if np.any(x <= 0):

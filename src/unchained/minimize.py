@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ngon import LoopPath, _checked_count, pair_terms, potential
+from .ngon import LoopPath, _checked_count, _pair_squares, _pairs, potential
 from .spectrum import fold_mode, vertical_spectrum
 from .symmetry import GroupSpec
 
@@ -41,10 +41,11 @@ class BoundReport:
 class BarActionParams:
     """Coefficients of the comparison functional.
 
-    mu_bar[p] = 1 / rbar_ij^3 (unit masses) over the pairs i < j in the
-    `pair_terms` order, built from the mutual distances of a reference
-    central configuration with potential U_bar;
-    lambda_G is the Poincare constant of the loop class.
+    mu_bar[p] = 1 / rbar_ij^3 (unit masses) over the pairs i < j in
+    `np.triu_indices(n, 1)` order, the order of `ngon._pair_squares`,
+    built from the mutual distances of a reference central configuration
+    with potential U_bar; lambda_G is the Poincare constant of the loop
+    class.
     """
 
     mu_bar: np.ndarray
@@ -54,9 +55,9 @@ class BarActionParams:
     @classmethod
     def from_configuration(cls, positions, lambda_G=1.0):
         pos = np.asarray(positions, dtype=float)
-        # potential checks the separations before pair_terms divides by them
+        # potential checks the shape and finiteness of pos
         u_bar = potential(pos)
-        return cls(mu_bar=pair_terms(pos)[2], U_bar=u_bar,
+        return cls(mu_bar=_pair_squares(pos)[1] ** -1.5, U_bar=u_bar,
                    lambda_G=float(lambda_G))
 
 
@@ -183,9 +184,8 @@ def bar_action(loop: LoopPath, params: BarActionParams,
     """
     if T is None:
         T = loop.period
-    # only the differences are used, so a coincident pair must not warn
-    with np.errstate(divide="ignore"):
-        diff = pair_terms(loop.positions)[0]
+    # a collision loop is in the class, so no separation check
+    diff = _pairs(loop.n_bodies)[2] @ loop.positions
     xi = (diff * diff).sum(-1).mean(axis=0) * T
     s_bar = float(params.mu_bar @ xi)
     lam = params.lambda_G

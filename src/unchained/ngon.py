@@ -9,31 +9,30 @@ uniform grid, and the Lagrangian action in a frame rotating at an
 arbitrary rate varpi.  Positions are plain arrays: one configuration is
 (n, 3), and a loop is (m, n, 3) samples in a `LoopPath`.
 
-Every pairwise quantity but the force Jacobian comes from one kernel,
-`pair_terms`, over the n(n-1)/2 pairs i < j in `np.triu_indices(n, 1)`
-order: the differences x_j - x_i, the distances r_ij and r_ij^-3, with
-no diagonal.  Sums over pairs go back to the bodies through the (n, P)
-scatter that `_pairs` caches per n, which adds a pair's vector to body i
-and subtracts it from body j.  Two bodies closer than the
-single threshold COLLISION_TOL collide.  The functions that take
-positions from a caller raise CollisionError below it: `potential` and
-`wintner_matrix` of one (n, 3) configuration, which refuse any other
-shape with ValueError, `force_jacobian` of (..., n, 3) positions, and
-`action` and `newton_residual` of a loop.  A NaN distance passes that
-test, so these positions, and those of every `LoopPath`, must be finite:
-ValueError otherwise.  `gravity` and `_gravity` do not check.
-
-`force_jacobian` and the flow of `continuation.integrate` use one kernel,
-`_force_jacobian_apply`, and never `pair_terms` or `_gravity`.  It takes
-the positions as column 0 of a stack of position columns and, with one
-pair-difference product and one scatter product, returns the force F(x)
-in column 0 and the force Jacobian, in rank-one form, applied to every
-other column.  With the positions alone, as in the plain flow, it takes
-r^2 as d . d and skips the rank-one term.  Before it divides by them,
-the kernel compares the squared pair distances with a guard just above
+Every pairwise quantity is built from one front end, `_pair_squares`,
+over the n(n-1)/2 pairs i < j in `np.triu_indices(n, 1)` order: the
+differences x_j - x_i and their squared lengths r_ij^2, with no diagonal.
+Sums over pairs go back to the bodies through the (n, P) scatter that
+`_pairs` caches per n, which adds a pair's vector to body i and subtracts
+it from body j.  Two bodies closer than the single threshold
+COLLISION_TOL collide, and the front end is the one place that checks:
+it compares the squared distances with a guard just above
 COLLISION_TOL^2 and runs `check_separation` on their roots only when one
-falls below it, which is the flow's collision check at the exact
-threshold.
+falls below it, so the threshold is exact.  Every function that takes
+positions, and the flow of `continuation.integrate`, raises
+CollisionError below it.  A NaN distance passes that test, so the
+positions that `potential`, `wintner_matrix`, `gravity` and
+`force_jacobian` take, and those of every `LoopPath`, must be finite:
+ValueError otherwise.  `potential` and `wintner_matrix` take one (n, 3)
+configuration and refuse any other shape with ValueError.
+
+The force is `_force`, the plain flow's right-hand side and the body of
+`gravity` and `newton_residual`.  `force_jacobian` and the tangent flow
+use `_force_jacobian_apply`, which takes the positions as column 0 of a
+stack of position columns and, with one pair-difference product and one
+scatter product, returns the force in column 0 and the force Jacobian,
+in rank-one form, applied to every other column.  It reads r^2 off that
+product and runs the same guard as the front end.
 """
 
 import functools
@@ -67,28 +66,23 @@ def _pairs(n):
     return i, j, diff_matrix, scatter
 
 
-def pair_terms(positions):
-    """Pairwise differences, distances and inverse cubed distances.
-
-    positions is (..., n, 3).  Returns (diff, r, inv_r3) over the
-    P = n(n-1)/2 pairs i < j in `np.triu_indices(n, 1)` order:
-    diff[..., p, :] = x_j - x_i of shape (..., P, 3), and r, inv_r3 of
-    shape (..., P).  There is no diagonal, so r.min() is the closest
-    separation.
-    """
-    pos = np.asarray(positions, dtype=float)
-    diff = _pairs(pos.shape[-2])[2] @ pos
-    sq = (diff * diff) @ _ONES3
-    r = np.sqrt(sq)
-    return diff, r, 1.0 / (sq * r)
+def _pair_squares(pos):
+    # (d, sq) of (..., n, 3) positions: the pair differences d = x_j - x_i,
+    # (..., P, 3), and their squared lengths, (..., P), after the collision
+    # check of `_check_squared`: no caller divides by a closer pair
+    d = _pairs(pos.shape[-2])[2] @ pos
+    sq = (d * d) @ _ONES3
+    _check_squared(sq)
+    return d, sq
 
 
 def closest_pair(r):
-    """(i, j, distance), i < j, of the closest pair in a `pair_terms`
-    distance array.
+    """(i, j, distance), i < j, of the closest pair in an array r of pair
+    distances.
 
-    r is (..., P) over the pairs in `np.triu_indices(n, 1)` order; over a
-    batch the pair is the closest one of all samples.
+    r is (..., P) over the pairs in `np.triu_indices(n, 1)` order, the
+    roots of the squared distances of `_pair_squares`; over a batch the
+    pair is the closest one of all samples.
     """
     k = int(np.argmin(r))
     n_pairs = r.shape[-1]
@@ -103,20 +97,13 @@ def check_separation(r):
         raise CollisionError(*closest_pair(r))
 
 
-def _separated(positions):
-    """`pair_terms` of positions that must be collision-free.
-
-    A coincident pair raises CollisionError, not a division warning.
-    """
-    with np.errstate(divide="ignore"):
-        terms = pair_terms(positions)
-    check_separation(terms[1])
-    return terms
-
-
-def _pair_potential(r):
-    # U = sum_{i<j} 1 / r_ij, over the leading axes of r
-    return np.sum(1.0 / r, axis=-1)
+def _check_squared(sq):
+    # `check_separation` of the distances sqrt(sq), run only when some
+    # squared distance falls below _SQ_GUARD: every sq at or above the
+    # guard has a rounded root above COLLISION_TOL, so skipping the roots
+    # changes no outcome and the threshold stays exact
+    if np.minimum.reduce(sq, axis=None, initial=np.inf) < _SQ_GUARD:
+        check_separation(np.sqrt(sq))
 
 
 def _checked_int(value, name, kind="an integer"):
@@ -168,24 +155,28 @@ def _configuration(positions):
 def potential(positions):
     """Newtonian potential U = sum_{i<j} 1 / r_ij (positive) of (n, 3)
     positions; ValueError for any other shape."""
-    _, r, _ = _separated(_configuration(positions))
-    return float(_pair_potential(r))
+    _, sq = _pair_squares(_configuration(positions))
+    return float(np.sum(1.0 / np.sqrt(sq)))
 
 
 def gravity(positions):
     """Accelerations x_i'' = sum_{j != i} (x_j - x_i) / r_ij^3.
 
     positions may be (n, 3) or a batch (..., n, 3); the pairwise force is
-    evaluated pointwise over the leading axes.  No collision check: a
-    coincident pair gives an infinite or undefined force.
+    evaluated pointwise over the leading axes.  Raises ValueError for a
+    NaN or infinite entry and CollisionError when two bodies are closer
+    than COLLISION_TOL.
     """
-    return _gravity(pair_terms(positions), np.shape(positions)[-2])
+    pos = np.asarray(positions, dtype=float)
+    _checked_finite(pos, "positions")
+    return _force(pos)
 
 
-def _gravity(terms, n):
-    # accelerations of n bodies from the `pair_terms` of their positions
-    diff, _, inv_r3 = terms
-    return _pairs(n)[3] @ (inv_r3[..., None] * diff)
+def _force(pos):
+    # the force of (..., n, 3) positions: the `_pairs` scatter, its columns
+    # weighted by r^-3, adds d = x_j - x_i to body i and subtracts it from j
+    d, sq = _pair_squares(pos)
+    return (_pairs(pos.shape[-2])[3] * (sq ** -1.5)[..., None, :]) @ d
 
 
 def force_jacobian(positions):
@@ -214,15 +205,9 @@ def _force_jacobian_apply(cols, scatter):
     # and gives the rank-one form of (I / r^3 - 3 d d^T / r^5) rel,
     # d = x_j - x_i, which the scatter adds to body i and subtracts from
     # body j; column 0 keeps only the isotropic term d / r^3, the pair's
-    # force.  The separation check runs before any division
+    # force.  The front end's `_check_squared` runs before any division
     shape = cols.shape
     n, k, lead = shape[-3], shape[-1], shape[:-3]
-    if k == 1:
-        # the positions alone: the force, with r^2 = d . d
-        d = _pairs(n)[2] @ cols[..., 0]
-        sq = (d * d) @ _ONES3
-        _check_squared(sq)
-        return ((scatter * (sq ** -1.5)[..., None, :]) @ d).reshape(shape)
     rel = (_pairs(n)[2] @ cols.reshape(lead + (n, 3 * k))).reshape(
         lead + (-1, 3, k))
     d = rel[..., 0]
@@ -240,15 +225,6 @@ def _force_jacobian_apply(cols, scatter):
             @ g.reshape(lead + (-1, 3 * k))).reshape(shape)
 
 
-def _check_squared(sq):
-    # `check_separation` of the distances sqrt(sq), run only when some
-    # squared distance falls below _SQ_GUARD: every sq at or above the
-    # guard has a rounded root above COLLISION_TOL, so skipping the roots
-    # changes no outcome and the threshold stays exact
-    if np.minimum.reduce(sq, axis=None, initial=np.inf) < _SQ_GUARD:
-        check_separation(np.sqrt(sq))
-
-
 def wintner_matrix(positions):
     """Matrix of the variational equation z'' = W z normal to the plane.
 
@@ -258,10 +234,10 @@ def wintner_matrix(positions):
     otherwise.
     """
     pos = _configuration(positions)
-    _, _, inv_r3 = _separated(pos)
-    # gravity is linear in the positions at fixed inv_r3: W x = F(x)
+    _, sq = _pair_squares(pos)
+    # gravity is linear in the positions at fixed r^-3: W x = F(x)
     _, _, diff_matrix, scatter = _pairs(len(pos))
-    return scatter @ (inv_r3[:, None] * diff_matrix)
+    return scatter @ ((sq ** -1.5)[:, None] * diff_matrix)
 
 
 @dataclass
@@ -397,9 +373,11 @@ class LoopPath:
         period) and added onto bin k mod n_samples, since exp(2 pi i k j /
         n_samples) depends on no more; one inverse FFT of n_samples points,
         scaled by n_samples / m, sums the series on the grid.  Raises
-        ValueError, before any FFT, unless n_samples is a positive integer.
+        ValueError, before any FFT, unless n_samples is a positive integer
+        and offset finite.
         """
         n_samples = _checked_count(n_samples, "n_samples")
+        _checked_finite(offset, "offset")
         m = self.n_samples
         k = np.arange(m) - m // 2  # frequencies in fftshift order
         coef = np.fft.fftshift(np.fft.fft(self.positions, axis=0), axes=0)
@@ -415,9 +393,6 @@ class LoopPath:
     def resample(self, n_samples):
         return LoopPath(self.on_grid(0.0, n_samples), self.period)
 
-    def min_separation(self):
-        return float(pair_terms(self.positions)[1].min())
-
 
 def jay(vectors):
     """Generator of vertical rotations: (x, y, z) -> (-y, x, 0)."""
@@ -428,7 +403,9 @@ def jay(vectors):
 
 
 def kinetic_energy(loop, varpi=0.0):
-    """Sampled kinetic energy (1/2) sum |y' + varpi J y|^2."""
+    """Sampled kinetic energy (1/2) sum |y' + varpi J y|^2; ValueError
+    unless varpi is finite."""
+    _checked_finite(varpi, "varpi")
     vel = loop.velocities() + varpi * jay(loop.positions)
     return _kinetic(vel)
 
@@ -445,10 +422,12 @@ def action(loop, varpi=0.0):
     + U(y).  The loop samples are taken as rotating-frame coordinates;
     varpi = 0 is the inertial action.  Quadrature is the trapezoid rule on
     the uniform grid, which is spectrally accurate for smooth loops.
+    ValueError unless varpi is finite.
     """
     kin = kinetic_energy(loop, varpi)
-    _, r, _ = _separated(loop.positions)
-    return float(np.mean(kin + _pair_potential(r)) * loop.period)
+    _, sq = _pair_squares(loop.positions)
+    return float(np.mean(kin + np.sum(1.0 / np.sqrt(sq), axis=-1))
+                 * loop.period)
 
 
 def rescale(loop, lam):
@@ -467,12 +446,13 @@ def newton_residual(loop, varpi=0.0):
 
     In the rotating frame: y'' - F(y) - varpi^2 P_h y + 2 varpi J y',
     with P_h the horizontal projection.  Derivatives are spectral, so the
-    value is meaningful only for smooth well-sampled loops.
+    value is meaningful only for smooth well-sampled loops.  ValueError
+    unless varpi is finite.
     """
-    terms = _separated(loop.positions)
+    _checked_finite(varpi, "varpi")
+    frc = _force(loop.positions)
     acc = loop.derivative(2)
     vel = loop.derivative(1)
-    frc = _gravity(terms, loop.n_bodies)
     cen = varpi ** 2 * loop.positions * [1.0, 1.0, 0.0]
     res = acc - frc - cen + 2.0 * varpi * jay(vel)
     return float(np.max(np.abs(res)))
@@ -482,8 +462,10 @@ def angular_momentum_z(loop, varpi=0.0):
     """Vertical angular momentum along the loop (inertial value).
 
     For rotating-frame samples this is sum (y x (y' + varpi J y))_z,
-    a first integral of the equations of motion.
+    a first integral of the equations of motion.  ValueError unless varpi
+    is finite.
     """
+    _checked_finite(varpi, "varpi")
     vel = loop.velocities() + varpi * jay(loop.positions)
     return _lz(loop.positions, vel)
 

@@ -15,6 +15,8 @@
 import dataclasses
 import io
 import json
+import sys
+import types
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -36,8 +38,8 @@ from unchained.continuation import (INTEGRATOR_TOL, NEWTON_TOL,
 from unchained.errors import (CollisionError, IntegrationFailure,
                               NoConvergence, SingularReduction)
 from unchained.ngon import (COLLISION_TOL, NGonSystem, action,
-                            angular_momentum_z, gravity, jay, newton_residual,
-                            potential, rescale)
+                            angular_momentum_z, jay, kinetic_energy,
+                            newton_residual, potential, rescale)
 from unchained.spectrum import lyapunov_cylinder, vertical_spectrum
 from unchained.symmetry import (GroupSpec, compose, enumerate_elements,
                                 invariance_defect)
@@ -1039,10 +1041,16 @@ def shot_orbits():
 
 
 def _gravity_rhs(varpi, n):
-    # rotating-frame equations through ngon.gravity, not the flow's pass
+    # rotating-frame equations with the force summed here over all ordered
+    # body pairs, d[i, j] = x_j - x_i, sharing no code with `ngon._force`,
+    # which serves both `gravity` and the flow
     def rhs(t, y):
         pos, vel = y[:3 * n].reshape(n, 3), y[3 * n:].reshape(n, 3)
-        acc = gravity(pos) + varpi ** 2 * pos * [1.0, 1.0, 0.0]
+        d = pos[None, :, :] - pos[:, None, :]
+        r2 = np.einsum("ijc,ijc->ij", d, d)
+        np.fill_diagonal(r2, np.inf)  # inf ** -1.5 = 0: no self-force
+        acc = np.einsum("ij,ijc->ic", r2 ** -1.5, d) \
+            + varpi ** 2 * pos * [1.0, 1.0, 0.0]
         acc[:, 0] += 2.0 * varpi * vel[:, 1]
         acc[:, 1] -= 2.0 * varpi * vel[:, 0]
         return np.concatenate([vel.ravel(), acc.ravel()])
@@ -1484,6 +1492,68 @@ def test_action_diagram_tables(p12_family):
 def test_re_branch_action_domain():
     with pytest.raises(ValueError):
         re_branch_action(P12, -4.0 * np.pi)
+
+
+def _triangle_orbit(varpi, period):
+    # a PeriodicOrbit of the rotating triangle, built with no integration
+    pos = NGonSystem(3).positions
+    return PeriodicOrbit(P12, varpi, period, np.stack([pos, jay(pos)]),
+                         0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda bad: monodromy(_triangle_orbit(bad, 1.0)),
+    lambda bad: monodromy(_triangle_orbit(0.5, bad)),
+    lambda bad: action(NGonSystem(3).rigid_loop(n_samples=8), bad),
+    lambda bad: kinetic_energy(NGonSystem(3).rigid_loop(n_samples=8), bad),
+    lambda bad: angular_momentum_z(NGonSystem(3).rigid_loop(n_samples=8),
+                                   bad),
+    lambda bad: newton_residual(NGonSystem(3).rigid_loop(n_samples=8), bad),
+    lambda bad: re_branch_action(P12, bad),
+    lambda bad: NGonSystem(3).rigid_loop(n_samples=8).on_grid(bad, 8),
+], ids=["monodromy-varpi", "monodromy-period", "action", "kinetic",
+        "lz", "residual", "re-branch", "on-grid"])
+def test_non_finite_frame_rates_raise(call, bad):
+    # each of these returned a clean-looking number, or NaN, without a word:
+    # monodromy gave 0.0, and NaN passed the check X <= 0 of the branch
+    with pytest.raises(ValueError, match="must be finite"):
+        call(bad)
+
+
+def test_flow_calls_no_public_ngon_function(monkeypatch):
+    # the flow's right-hand side runs private kernels only, so that no
+    # public function of ngon, `gravity` included, is called, or wrapped by
+    # a tracer, once per evaluation.  Every attribute of the package bound
+    # to a public ngon function is replaced by a counting wrapper
+    import unchained.ngon as ngon
+
+    public = {name: fn for name, fn in vars(ngon).items()
+              if not name.startswith("_")
+              and isinstance(fn, types.FunctionType)
+              and fn.__module__ == ngon.__name__}
+    calls = dict.fromkeys(public, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    state, varpi = onset_state(P12, 0.05)
+    by_id = {id(fn): name for name, fn in public.items()}
+    for modname, module in list(sys.modules.items()):
+        if modname == "unchained" or modname.startswith("unchained."):
+            for attr, value in list(vars(module).items()):
+                name = by_id.get(id(value))
+                if name is not None and public[name] is value:
+                    monkeypatch.setattr(module, attr, counting(name, value))
+    assert {"gravity", "potential", "check_separation"} <= set(public)
+    integrate(np.stack([state, state]), [varpi, -varpi], 0.3)
+    integrate(state, varpi, 0.3, tangents=np.eye(19)[:, -3:])
+    assert calls == dict.fromkeys(public, 0)
+    ngon.gravity(state[0])  # the wrappers count
+    assert calls["gravity"] == 1
 
 
 def test_write_family_csv_round_trip(p12_family):

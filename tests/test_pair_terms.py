@@ -1,5 +1,7 @@
 # Property tests of the pairwise kernel and everything built on it, against
 # a brute-force double loop over body pairs written out below.
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from unchained import (CollisionError, LoopPath, action, gravity, potential,
                        wintner_matrix)
 from unchained.continuation import integrate
-from unchained.ngon import (COLLISION_TOL, _force_jacobian_apply, _pairs,
-                            check_separation, closest_pair, force_jacobian,
-                            kinetic_energy, newton_residual, pair_terms)
+from unchained.minimize import BarActionParams, bar_action
+from unchained.ngon import (COLLISION_TOL, _force, _force_jacobian_apply,
+                            _pair_squares, _pairs, check_separation,
+                            closest_pair, force_jacobian, kinetic_energy,
+                            newton_residual)
 
 # corners of a cube with side 1.5; jitter of at most 0.5 per coordinate
 # keeps every pair at least 0.5 apart before scaling
@@ -76,11 +80,10 @@ def assert_close(got, want, rtol=1e-12):
 @given(bodies())
 def test_single_configuration_matches_double_loop(pos):
     ref = brute_force(pos)
-    diff, r, inv_r3 = pair_terms(pos)
+    diff, sq = _pair_squares(pos)
     pairs = np.triu_indices(len(pos), 1)
     np.testing.assert_array_equal(diff, ref["diff"][pairs])
-    assert_close(r, ref["dist"][pairs])
-    assert_close(inv_r3, ref["dist"][pairs] ** -3.0)
+    assert_close(sq, ref["dist"][pairs] ** 2)
     assert potential(pos) == pytest.approx(ref["potential"], rel=1e-13)
     assert_close(gravity(pos), ref["gravity"])
     assert_close(force_jacobian(pos), ref["jacobian"])
@@ -91,16 +94,15 @@ def test_single_configuration_matches_double_loop(pos):
 @given(bodies(batch=True))
 def test_batch_matches_double_loop(pos):
     refs = [brute_force(p) for p in pos]
-    _, r, _ = pair_terms(pos)
+    diff, sq = _pair_squares(pos)
     pairs = np.triu_indices(pos.shape[1], 1)
-    assert r.shape == (pos.shape[0], len(pairs[0]))
+    assert diff.shape == (pos.shape[0], len(pairs[0]), 3)
+    assert sq.shape == (pos.shape[0], len(pairs[0]))
     for k, ref in enumerate(refs):
-        assert_close(r[k], ref["dist"][pairs])
+        np.testing.assert_array_equal(diff[k], ref["diff"][pairs])
+        assert_close(sq[k], ref["dist"][pairs] ** 2)
     assert_close(gravity(pos), [ref["gravity"] for ref in refs])
     assert_close(force_jacobian(pos), [ref["jacobian"] for ref in refs])
-    loop = LoopPath(pos, 1.0)
-    assert loop.min_separation() == pytest.approx(
-        min(ref["dist"].min() for ref in refs), rel=1e-13)
 
 
 @SETTINGS
@@ -148,7 +150,11 @@ def test_check_separation_names_closest_pair(pos, data, factor, batch):
     if batch:
         # the close pair sits in the middle one of three samples
         pos = np.stack([2.0 * CORNERS[:n], pos, 3.0 * CORNERS[:n]])
-    _, r, _ = pair_terms(pos)
+    # the distances of every pair i < j, by a double loop over bodies
+    n_lead = pos.shape[:-2]
+    r = np.array([[np.linalg.norm(p[b] - p[a]) for a in range(n)
+                   for b in range(a + 1, n)]
+                  for p in pos.reshape(-1, n, 3)]).reshape(n_lead + (-1,))
     assert closest_pair(r) == (i, j, pytest.approx(d, rel=1e-12))
     if factor < 1.0:
         with pytest.raises(CollisionError) as err:
@@ -165,6 +171,8 @@ def test_check_separation_names_closest_pair(pos, data, factor, batch):
     lambda pos: action(LoopPath(pos[None], 1.0)),
     lambda pos: integrate(np.stack([pos, np.zeros_like(pos)]), 0.0, 1.0),
     lambda pos: force_jacobian(pos),
+    lambda pos: gravity(pos),
+    lambda pos: newton_residual(LoopPath(np.stack([pos] * 4), 1.0)),
 ])
 def test_coincident_bodies_raise_collision(call):
     pos = np.zeros((3, 3))
@@ -183,8 +191,10 @@ def test_coincident_bodies_raise_collision(call):
     lambda pos: force_jacobian(np.stack([2.0 * CORNERS[:4], pos])),
     lambda pos: action(LoopPath(pos[None], 1.0)),
     lambda pos: newton_residual(LoopPath(np.stack([pos] * 4), 1.0)),
+    lambda pos: gravity(pos),
+    lambda pos: gravity(np.stack([2.0 * CORNERS[:4], pos])),
 ], ids=["potential", "wintner", "jacobian", "jacobian-batch", "action",
-        "residual"])
+        "residual", "gravity", "gravity-batch"])
 def test_non_finite_positions_raise(call, bad):
     # a NaN distance compares False against COLLISION_TOL, so each of
     # these returned NaN without a word
@@ -210,10 +220,33 @@ def test_flow_kernel_threshold_is_collision_tol(k, batch):
         tangents = np.random.default_rng(k).normal(size=close.shape
                                                    + (k - 1,))
         cols = np.concatenate([close[..., None], tangents], axis=-1)
+        if k == 1:
+            # the positions alone go to the plain flow's force pass
+            def kernel():
+                return _force(close)
+        else:
+            def kernel():
+                return _force_jacobian_apply(cols, _pairs(4)[3])
         if factor < 1.0:
             with pytest.raises(CollisionError) as err:
-                _force_jacobian_apply(cols, _pairs(4)[3])
+                kernel()
             assert err.value.pair == (1, 3)
             assert err.value.distance < COLLISION_TOL
         else:
-            assert np.isfinite(_force_jacobian_apply(cols, _pairs(4)[3])).all()
+            assert np.isfinite(kernel()).all()
+
+
+def test_bar_action_of_a_collision_loop_is_finite():
+    # a loop through a collision is in the class the comparison functional
+    # bounds, so bar_action takes the pair differences with no check and
+    # must neither raise nor warn where two bodies coincide
+    params = BarActionParams.from_configuration(2.0 * CORNERS[:3])
+    t = np.linspace(0.0, 1.0, 16, endpoint=False)
+    pos = np.zeros((16, 3, 3))
+    pos[:, 0, 0] = np.cos(2.0 * np.pi * t)
+    pos[:, 1, 1] = np.sin(2.0 * np.pi * t)
+    pos[:, 2, 1] = np.sin(2.0 * np.pi * t)  # bodies 1 and 2 coincide
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = bar_action(LoopPath(pos, 1.0), params)
+    assert np.isfinite(value)
