@@ -300,6 +300,25 @@ def _fourier_multiplier(m, period, order):
     return mult
 
 
+def _fold_spectrum(coef, m, n_samples):
+    # half spectrum (..., m // 2 + 1, n, 3) of a real m-sample interpolant
+    # to the half spectrum (..., n_samples // 2 + 1, n, 3) of its values on
+    # n_samples points: the full spectrum over k = -(m // 2) .. m // 2, an
+    # even m's Nyquist term split evenly between +-m / 2, padded to whole
+    # blocks of n_samples consecutive frequencies; each column of the
+    # blocks holds one residue, starting at -(m // 2).  Scales coef's
+    # Nyquist bin in place
+    if m % 2 == 0:
+        coef[..., -1, :, :] *= 0.5
+    full = np.concatenate([np.conj(coef[..., :0:-1, :, :]), coef], axis=-3)
+    lead, tail = full.shape[:-3], full.shape[-2:]
+    full = np.concatenate(
+        [full, np.zeros(lead + (-full.shape[-3] % n_samples,) + tail)],
+        axis=-3)
+    folded = full.reshape(lead + (-1, n_samples) + tail).sum(axis=-4)
+    return np.roll(folded, -(m // 2), axis=-3)[..., :n_samples // 2 + 1, :, :]
+
+
 @dataclass
 class LoopPath:
     """Periodic path of n bodies sampled uniformly over one period.
@@ -307,9 +326,9 @@ class LoopPath:
     positions[i] is the (n, 3) configuration at time i * period / m,
     i = 0 .. m-1 (the final endpoint is omitted).  Sampling is uniform so
     derivatives and off-grid values come from trigonometric interpolation.
-    Values on a shifted uniform grid (`on_grid`, `resample`) come from a
-    phase shift of the samples' FFT; `evaluate` takes arbitrary times.
-    A period that is not finite and positive raises ValueError.
+    Values on shifted uniform grids (`on_grid`, `resample`) come from a
+    phase shift of the samples' FFT.  A period that is not finite and
+    positive raises ValueError.
     """
 
     positions: np.ndarray
@@ -347,7 +366,14 @@ class LoopPath:
         return cls(pos, period)
 
     def derivative(self, order=1):
-        """Time derivative of the sampled path, by Fourier differentiation."""
+        """Time derivative of the sampled path, by Fourier differentiation.
+
+        order must be a non-negative integer (bool refused): ValueError,
+        before any FFT, otherwise.
+        """
+        order = _checked_int(order, "order", "a non-negative integer")
+        if order < 0:
+            raise ValueError(f"order must be a non-negative integer: {order}")
         coef = np.fft.fft(self.positions, axis=0)
         mult = _fourier_multiplier(self.n_samples, self.period, order)
         return np.real(np.fft.ifft(coef * mult[:, None, None], axis=0))
@@ -355,40 +381,35 @@ class LoopPath:
     def velocities(self):
         return self.derivative(1)
 
-    def evaluate(self, t):
-        """Trigonometric interpolation of positions at times t (any shape)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        coef = np.fft.fft(self.positions, axis=0) / self.n_samples
-        k = np.fft.fftfreq(self.n_samples, d=self.period / self.n_samples)
-        phase = np.exp(2j * np.pi * np.outer(t, k))
-        vals = np.tensordot(phase, coef, axes=(1, 0))
-        return np.real(vals)
-
-    def on_grid(self, offset, n_samples):
+    def on_grid(self, offsets, n_samples):
         """Trigonometric interpolant at offset + j * period / n_samples,
-        j = 0 .. n_samples-1: the values `evaluate` gives at those times,
-        Nyquist bin included, in O(m log m + n_samples log n_samples).
+        j = 0 .. n_samples-1, for one offset or a 1-D array of them.
 
-        Frequency k of the samples' FFT is turned by exp(2 pi i k offset /
-        period) and added onto bin k mod n_samples, since exp(2 pi i k j /
-        n_samples) depends on no more; one inverse FFT of n_samples points,
-        scaled by n_samples / m, sums the series on the grid.  Raises
-        ValueError, before any FFT, unless n_samples is a positive integer
-        and offset finite.
+        Returns (n_samples, n, 3) for one offset and (S, n_samples, n, 3)
+        for S offsets, from one real FFT of the m samples and one batched
+        inverse real FFT, in O(m log m + S n_samples log n_samples).  The
+        interpolant sums frequency k of the samples' FFT, 0 <= k <= m / 2,
+        with its conjugate at -k; an even m's Nyquist bin k = m / 2 counts
+        once, as the real part of its term.  Bin k is turned by
+        exp(2 pi i k offset / period) and lands on bin k mod n_samples of
+        the grid, since exp(2 pi i k j / n_samples) depends on no more; for
+        n_samples = m no bin moves, otherwise `_fold_spectrum` adds the
+        bins up.  Raises ValueError, before any FFT, unless n_samples is a
+        positive integer and the offsets are finite and at most 1-D.
         """
         n_samples = _checked_count(n_samples, "n_samples")
-        _checked_finite(offset, "offset")
+        offsets = np.asarray(offsets, dtype=float)
+        if offsets.ndim > 1:
+            raise ValueError(
+                f"offsets must be a number or a 1-D array, got {offsets.shape}")
+        _checked_finite(offsets, "offset")
         m = self.n_samples
-        k = np.arange(m) - m // 2  # frequencies in fftshift order
-        coef = np.fft.fftshift(np.fft.fft(self.positions, axis=0), axes=0)
-        coef *= np.exp(2j * np.pi * (offset / self.period) * k)[:, None, None]
-        # pad to whole blocks of n_samples consecutive frequencies: each
-        # column of the blocks holds one residue, starting at -(m // 2)
-        coef = np.concatenate([coef, np.zeros((-m % n_samples,)
-                                              + coef.shape[1:])])
-        folded = coef.reshape(-1, n_samples, *coef.shape[1:]).sum(axis=0)
-        folded = np.roll(folded, -(m // 2), axis=0)
-        return np.real(np.fft.ifft(folded, axis=0)) * (n_samples / m)
+        phase = np.exp(2j * np.pi * (offsets / self.period)[..., None]
+                       * np.arange(m // 2 + 1))
+        coef = np.fft.rfft(self.positions, axis=0) * phase[..., None, None]
+        if n_samples != m:
+            coef = _fold_spectrum(coef, m, n_samples)
+        return np.fft.irfft(coef, n_samples, axis=-3) * (n_samples / m)
 
     def resample(self, n_samples):
         return LoopPath(self.on_grid(0.0, n_samples), self.period)

@@ -260,7 +260,7 @@ def test_rescale_composition():
     assert a.period == pytest.approx(b.period)
 
 
-def test_loop_derivative_and_interpolation():
+def test_loop_derivative_and_interpolation(dense_interpolant):
     sysn = NGonSystem(3)
     loop = sysn.rigid_loop(n_samples=200)
     om = sysn.omega1
@@ -270,7 +270,7 @@ def test_loop_derivative_and_interpolation():
                              + 2 * np.pi * np.arange(3)[None, :] / 3)
     assert np.allclose(vel[..., 0], expect_vx, atol=1e-10)
     probe = np.array([0.123, 1.456])
-    vals = loop.evaluate(probe)
+    vals = dense_interpolant(loop, probe)
     ang = om * probe[:, None] + 2 * np.pi * np.arange(3)[None, :] / 3
     assert np.allclose(vals[..., 0], np.cos(ang), atol=1e-12)
 
@@ -320,9 +320,9 @@ def test_configuration_functions_refuse_other_shapes(fun, shape):
 
 @pytest.mark.parametrize("m", [48, 49])  # even m has a Nyquist bin
 @pytest.mark.parametrize("n_out", [12, 20, 48, 49, 75])
-def test_on_grid_matches_dense_interpolation(m, n_out):
-    # grid values from the spectral shift against `evaluate`'s dense sum at
-    # the same times; the offsets are on the sample grid, off it, negative
+def test_on_grid_matches_dense_interpolation(dense_interpolant, m, n_out):
+    # grid values from the spectral shift against the dense sum at the
+    # same times; the offsets are on the sample grid, off it, negative
     # and beyond one period, and n_out covers M < m (dividing m or not),
     # M = m and M > m
     rng = np.random.default_rng(m * 100 + n_out)
@@ -331,7 +331,8 @@ def test_on_grid_matches_dense_interpolation(m, n_out):
     for offset in (0.0, 5 * 1.7 / m, 0.123, -0.41, 2.3):
         got = loop.on_grid(offset, n_out)
         assert got.shape == (n_out, 3, 3)
-        ref = loop.evaluate(offset + np.arange(n_out) * (1.7 / n_out))
+        ref = dense_interpolant(loop,
+                                offset + np.arange(n_out) * (1.7 / n_out))
         assert np.abs(got - ref).max() <= 1e-13 * scale
 
 
@@ -341,15 +342,59 @@ def test_on_grid_matches_dense_interpolation(m, n_out):
                                   lambda loop: loop.on_grid(0.1, 12.5)],
                          ids=["resample0", "resample-2", "on_grid0",
                               "on_grid12.5"])
-def test_grid_count_checked_before_any_fft(monkeypatch, call):
-    # resample(0) divided by zero and resample(-2) failed in a reshape
-    def never(*args, **kw):
-        raise AssertionError("transformed before the count was checked")
-
+def test_grid_count_checked_before_any_fft(fft_calls, call):
+    # resample(0) divided by zero and resample(-2) failed in a reshape.
+    # Every transform the package calls is counted, real ones included
     loop = LoopPath(np.random.default_rng(3).normal(size=(16, 3, 3)), 1.0)
-    monkeypatch.setattr(np.fft, "fft", never)
     with pytest.raises(ValueError, match="n_samples must be a positive"):
         call(loop)
+    assert not any(fft_calls.values()), fft_calls
+
+
+@pytest.mark.parametrize("offsets, match", [
+    (np.nan, "must be finite"),
+    ([0.1, np.inf], "must be finite"),
+    ([[0.1, 0.2]], "1-D array"),
+    (np.zeros((2, 1)), "1-D array"),
+], ids=["nan", "inf-in-batch", "row", "column"])
+def test_on_grid_offsets_checked_before_any_fft(fft_calls, offsets, match):
+    loop = LoopPath(np.random.default_rng(3).normal(size=(16, 3, 3)), 1.0)
+    with pytest.raises(ValueError, match=match):
+        loop.on_grid(offsets, 16)
+    assert not any(fft_calls.values()), fft_calls
+
+
+@pytest.mark.parametrize("m", [48, 49])  # even m has a Nyquist bin
+@pytest.mark.parametrize("n_out", [20, 48, 49, 75])
+def test_on_grid_batch_is_the_stacked_single_shifts(m, n_out):
+    # S offsets in one call give the S single-offset grids, for n_out < m,
+    # = m and > m; one offset in a 1-D array still gives a batch of one
+    rng = np.random.default_rng(m + n_out)
+    loop = LoopPath(rng.normal(size=(m, 4, 3)), 2.1)
+    offsets = np.array([0.0, 7 * 2.1 / m, 0.37, -1.3, 4.4])
+    got = loop.on_grid(offsets, n_out)
+    assert got.shape == (len(offsets), n_out, 4, 3)
+    ref = np.stack([loop.on_grid(offset, n_out) for offset in offsets])
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(loop.positions).max()
+    assert loop.on_grid(offsets[2:3], n_out).shape == (1, n_out, 4, 3)
+
+
+@pytest.mark.parametrize("order", [-1, -2, 1.5, 2.0, True, "1", None],
+                         ids=["-1", "-2", "1.5", "2.0", "True", "str", "None"])
+def test_derivative_order_must_be_a_non_negative_integer(fft_calls, order):
+    # derivative(-1) divided by zero at k = 0 and returned NaN, 1.5 gave the
+    # real part of a complex power and True was read as 1
+    loop = NGonSystem(3).rigid_loop(n_samples=16)
+    with pytest.raises(ValueError, match="order must be a non-negative"):
+        loop.derivative(order)
+    assert not any(fft_calls.values()), fft_calls
+
+
+def test_derivative_of_order_zero_is_the_loop():
+    loop = LoopPath(np.random.default_rng(5).normal(size=(15, 3, 3)), 1.0)
+    assert np.abs(loop.derivative(0) - loop.positions).max() <= 1e-14
+    assert np.abs(loop.derivative(np.int64(1)) - loop.velocities()).max() \
+        == 0.0
 
 
 def _never_called(t):
@@ -382,12 +427,13 @@ def test_loop_counts_checked_before_any_work(call, match):
         call()
 
 
-def test_resample_is_the_dense_interpolant_on_the_new_grid():
+def test_resample_is_the_dense_interpolant_on_the_new_grid(
+        dense_interpolant):
     rng = np.random.default_rng(7)
     loop = LoopPath(rng.normal(size=(64, 4, 3)), 2.0)
     for n_out in (16, 64, 100):
         out = loop.resample(n_out)
         assert out.period == loop.period
-        ref = loop.evaluate(np.arange(n_out) * (2.0 / n_out))
+        ref = dense_interpolant(loop, np.arange(n_out) * (2.0 / n_out))
         assert np.abs(out.positions - ref).max() \
             <= 1e-13 * np.abs(loop.positions).max()

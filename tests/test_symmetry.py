@@ -270,17 +270,24 @@ def test_apply_rejects_wrong_body_count():
         apply_element(make_element(spec, 0, 0), loop)
 
 
-def _dense_apply(g, spec, loop):
-    """Oracle for apply_element: `LoopPath.evaluate` at xi (t - theta),
+def test_invariance_defect_checks_bodies_before_any_fft(fft_calls):
+    loop = lyapunov_cylinder(4, 1, -1, 2, 1, 0.2)
+    with pytest.raises(ValueError, match="loop has 4 bodies"):
+        invariance_defect(loop, GroupSpec(5, 2, -1, 2, 1))
+    assert not any(fft_calls.values()), fft_calls
+
+
+def _dense_apply(dense_interpolant, g, spec, loop):
+    """Oracle for apply_element: the dense interpolant at xi (t - theta),
     theta/s of the period, then the body map and block of `_action`."""
     t = g.xi * (loop.times - g.t / (2 * spec.n_bodies * spec.s) * loop.period)
     src, block = _action(g)
-    return loop.evaluate(t)[:, src, :] @ block.T
+    return dense_interpolant(loop, t)[:, src, :] @ block.T
 
 
 @pytest.mark.parametrize("spec", [GroupSpec(3, 1, -1, 2, 1),
                                   GroupSpec(6, 1, -1, 5, 1)])
-def test_apply_element_matches_dense_oracle(spec):
+def test_apply_element_matches_dense_oracle(dense_interpolant, spec):
     # a loop with no symmetry, so each element moves it; 64 samples put
     # some time shifts on the grid and the rest off it
     rng = np.random.default_rng(spec.n_bodies)
@@ -291,9 +298,39 @@ def test_apply_element_matches_dense_oracle(spec):
         moved = apply_element(g, loop)
         on_grid.add((g.t * 64) % (2 * spec.n_bodies * spec.s) == 0)
         assert moved.period == loop.period
-        assert np.abs(moved.positions - _dense_apply(g, spec, loop)).max() \
-            <= 1e-13 * scale
+        dense = _dense_apply(dense_interpolant, g, spec, loop)
+        assert np.abs(moved.positions - dense).max() <= 1e-13 * scale
     assert on_grid == {True, False}
+
+
+DEFECT_SPECS = [GroupSpec(3, 1, -1, 2, 1), GroupSpec(4, 2, 1, 1, 1),
+                GroupSpec(6, 1, -1, 5, 1), GroupSpec(6, 2, 1, 5, 3)]
+
+
+@pytest.mark.parametrize("m", [64, 63])  # even m has a Nyquist bin
+@pytest.mark.parametrize("spec", DEFECT_SPECS)
+def test_invariance_defect_matches_dense_oracle(dense_interpolant, spec, m):
+    # the sup norm over every element of the dense image minus the loop,
+    # on a loop with no symmetry.  Each case has time shifts on the grid
+    # and off it, but for the Hip-Hop at m = 64, whose shifts of 0 and half
+    # a period are all on it (the half period is off it at m = 63)
+    rng = np.random.default_rng(10 * spec.n_bodies + spec.s + m)
+    loop = LoopPath(rng.normal(size=(m, spec.n_bodies, 3)), 1.3)
+    scale = np.abs(loop.positions).max()
+    worst = max(np.abs(_dense_apply(dense_interpolant, g, spec, loop)
+                       - loop.positions).max()
+                for g in enumerate_elements(spec))
+    assert abs(invariance_defect(loop, spec) - worst) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("spec", DEFECT_SPECS)
+def test_invariance_defect_transforms_once_each_way(fft_calls, spec):
+    # one forward and one inverse transform whatever the group order
+    # (12, 16, 24 and 72 elements here); it took one of each per element
+    loop = LoopPath(np.random.default_rng(1).normal(
+        size=(48, spec.n_bodies, 3)), 1.0)
+    invariance_defect(loop, spec)
+    assert fft_calls == {"fft": 0, "rfft": 1, "ifft": 0, "irfft": 1}
 
 
 @pytest.mark.parametrize("spec", [
