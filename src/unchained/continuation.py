@@ -14,14 +14,18 @@ subspace.  Composed with the smallest positive time shift tau of the group,
 the time reversal at t = 0 gives reversors at t = tau, whose fixed time is
 tau / 2.  A state at t = 0 fixed by the first and a state at tau / 2 fixed
 by the second lie on one orbit that the shift closes (Devaney, Trans. AMS
-218, 1976; Munoz-Almaraz et al., Physica D 181, 2003), so the orbit is
-closed by flowing over tau / 2 alone and asking that the state there lie in
-the fixed subspace of the midpoint stabilizer: the reversors at t = tau
-with the xi = +1 elements at t = 0.  This cuts the unknown count roughly in
-half, leaves fewer equations than the 6n of matching the shifted initial
-state, and shortens every integration to tau / 2, while pinning the time
+218, 1976; Munoz-Almaraz et al., Physica D 181, 2003).  So the orbit is
+closed from both ends of [0, tau / 2]: the state at t = 0 is flowed
+forward over tau / 4, the state at tau / 2, confined to the fixed subspace
+of the midpoint stabilizer (the reversors at t = tau with the xi = +1
+elements at t = 0), is flowed backward over tau / 4 by the time reversal of
+the rotating frame, and the two must meet at tau / 4 in all 6n
+components.  The unknowns are the coordinates of both end states in their
+fixed subspaces and the frame rate.  Confining the ends pins the time
 origin and the in-plane rotation phase that would otherwise make the
-shooting Jacobian singular.
+shooting Jacobian singular, and both flows run as one stacked integration
+over a quarter of the symmetry segment, so every step moves two members
+over half the span a one-ended flow needs.
 """
 
 from __future__ import annotations
@@ -57,12 +61,14 @@ _HMASK = np.array([1.0, 1.0, 0.0])
 
 @dataclass
 class IntegrationResult:
-    """Final state of a flow, with the extras that were requested."""
+    """Final state of a flow, with the extras that were requested, and
+    the right-hand-side evaluations nfev it took."""
 
     state: np.ndarray
     tangents: Optional[np.ndarray] = None
     harmonic: Optional[np.ndarray] = None
     trajectory: Optional[np.ndarray] = None
+    nfev: int = 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,66 +91,72 @@ def _linear_parts(n):
 
 
 def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
-              t_eval=None, max_step=np.inf) -> IntegrationResult:
+              t_eval=None, max_step=np.inf,
+              _max_nfev=None) -> IntegrationResult:
     """Flow the rotating-frame equations of motion with a DOP853 stepper.
 
     state is (2, n, 3): positions and velocities; varpi the frame rate;
     t_span a duration or a (t0, t1) pair.  Returns an IntegrationResult
     whose state is the final state, with the trajectory on t_eval, of
-    shape (len(t_eval),) + state.shape, when requested.
+    shape (len(t_eval),) + state.shape, when requested, and nfev the
+    right-hand-side evaluations the solver made.
 
-    Without tangents, state may also be a stack (..., 2, n, 3) of states
-    flowed together in one solver call, and varpi a frame rate per member
-    broadcast over the stack's leading axes.  The members share every
-    step and DOP853's error norm, the RMS over all components, so the
-    stack takes the steps its hardest member needs, and a member's error
-    may reach sqrt(m) times the tolerance of a flow of its own, m the
-    number of members.  The linear field is then one block-diagonal
-    matrix over the members, and the pair pass takes the stack as its
-    leading axes.
+    state may also be a stack (..., 2, n, 3) of states flowed together in
+    one solver call, and varpi a frame rate per member broadcast over the
+    stack's leading axes.  The members share every step and DOP853's
+    error norm, the RMS over all components, so the stack takes the steps
+    its hardest member needs, and a member's error may reach sqrt(m)
+    times the tolerance of a flow of its own, m the number of members.
+    The linear field is then one block-diagonal matrix over the members,
+    and the pair pass takes the stack as its leading axes.
 
-    tangents, when given, is a (6n + 1, m) matrix of directions in
-    (initial state, varpi).  The flow then also carries the tangent flow
-    W' = A(t) W + b(t) w, A the linearised vector field, b its derivative
-    in varpi (2 varpi P_h x - 2 J v, in the velocity rows) and w the last
-    row of the seed, which stays constant.  The result's tangents is the
-    (6n, m) derivative of the final state along the seed columns, and its
-    harmonic the n quadratures int_{t0}^{t1} z_b(t) exp(-2 pi i t) dt of
-    the body heights, carried as 2n more components.
+    tangents, when given, is a (6n + 1, k) matrix of directions in
+    (initial state, varpi) for one state, and a (..., 6n + 1, k) stack of
+    them, one per member, for a stack.  Each member then also carries
+    its tangent flow W' = A(t) W + b(t) w, A its linearised vector field,
+    b the derivative in its own frame rate (2 varpi P_h x - 2 J v, in the
+    velocity rows) and w the last row of its own seed, which stays
+    constant: a member flowed at -varpi with w = -1 carries d / d varpi.
+    The result's tangents is the (..., 6n, k) derivative of each final
+    state along its seed columns, and its harmonic the (..., n)
+    quadratures int_{t0}^{t1} z_b(t) exp(-2 pi i t) dt of each member's
+    body heights, carried as 2n more components per member.
 
-    The flow carries the state as column 0 of one (6n, 1 + m) matrix, the
-    m tangent columns beside it (m = 0 without tangents), stored row by
-    row and followed by the quadratures.  Every flow's right-hand side is
-    the product of the linear field, assembled once per call from
-    `_linear_parts`, with the flow rows, plus one pass over the pairs.  A
-    plain flow, stacked or not, returns that product as a fresh vector
-    with the force of `ngon._force` added in place to its velocity rows.
-    A tangent flow takes `ngon._force_jacobian_apply`, which gives the
-    force in column 0 and the force Jacobian applied to every other
-    column.  Either pass compares the pair distances with
-    ngon.COLLISION_TOL, as the initial positions are before the solver
-    starts; a closer pair raises CollisionError naming it (i < j), in
-    whichever member it occurs.
+    The flow carries each member's state as column 0 of one (6n, 1 + k)
+    matrix, the k tangent columns beside it (k = 0 without tangents),
+    stored row by row, member after member, and followed by the
+    quadratures.  Every flow's right-hand side is the product of the
+    linear field, assembled once per call from `_linear_parts`, with the
+    flow rows, plus one pass over the pairs.  A plain flow returns that
+    product as a fresh vector with the force of `ngon._force` added in
+    place to its velocity rows.  A tangent flow takes
+    `ngon._force_jacobian_apply`, which gives the force in column 0 and
+    the force Jacobian applied to every other column.  Either pass
+    compares the pair distances with ngon.COLLISION_TOL, as the initial
+    positions are before the solver starts; a closer pair raises
+    CollisionError naming it (i < j), in whichever member it occurs.
     Solver breakdown raises IntegrationFailure with the time reached, and
-    a tol outside (0, 1), a stacked state with tangents, tangents that
-    are not a (6n + 1, m) matrix, a varpi that does not broadcast over
-    the stack, a non-finite varpi, t_span or t_eval entry, and a max_step
-    that is NaN or not positive raise ValueError before any integration:
-    DOP853 never leaves its step loop once its first step size is NaN,
-    and scipy drops a NaN time from t_eval without a word.
+    a tol outside (0, 1), tangents that are not one (6n + 1, k) matrix
+    per member, a varpi that does not broadcast over the stack, a
+    non-finite varpi, t_span or t_eval entry, and a max_step that is NaN
+    or not positive raise ValueError before any integration: DOP853
+    never leaves its step loop once its first step size is NaN, and
+    scipy drops a NaN time from t_eval without a word.  _max_nfev, for
+    the Newton solves of this module, stops the flow with
+    _BudgetExhausted once the solver asks for more right-hand sides.
     """
     _checked_tol(tol, "tol")
     state = np.asarray(state, dtype=float)
     stack = state.shape[:-3]
-    if tangents is not None and stack:
-        raise ValueError(f"tangents need one (2, n, 3) state, got a stack "
-                         f"of shape {state.shape}")
     n = state.shape[-2]
     if tangents is not None:
         seed = np.asarray(tangents, dtype=float)
-        if seed.ndim != 2 or len(seed) != 6 * n + 1:
-            raise ValueError(f"tangents must be a ({6 * n + 1}, m) matrix, "
-                             f"got shape {seed.shape}")
+        if seed.shape[:-1] != stack + (6 * n + 1,):
+            want = (f"a ({6 * n + 1}, m) matrix" if not stack else
+                    f"one ({6 * n + 1}, m) matrix per member of a stack "
+                    f"of shape {stack}")
+            raise ValueError(f"tangents must be {want}, got shape "
+                             f"{seed.shape}")
     try:
         rates = np.broadcast_to(np.asarray(varpi, dtype=float), stack)
     except ValueError:
@@ -167,18 +179,23 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
             for w in rates.flat]
     lin = lins[0] if len(lins) == 1 else block_diag(*lins)
     scatter = _pairs(n)[3]
-    width = 1 if tangents is None else 1 + seed.shape[1]
+    width = 1 if tangents is None else 1 + seed.shape[-1]
     n_flow = state.size * width
     view = stack + (2, n, 3, width)
     if tangents is None:
         y0 = state.ravel()
     else:
-        y0 = np.concatenate([np.column_stack([state.ravel(), seed[:-1]])
-                             .ravel(), np.zeros(2 * n)])
-        # the varpi term b w: b = (d lin / d varpi) x, in the velocity rows,
-        # and w the seed's last row, 0 in the state's column
-        dlin = (2.0 * float(varpi) * centrifugal - 2.0 * coriolis)[nv:]
-        w_varpi = np.append(0.0, seed[-1])
+        y0 = np.concatenate([
+            np.concatenate([state.reshape(stack + (2 * nv, 1)),
+                            seed[..., :-1, :]], axis=-1).ravel(),
+            np.zeros(state.size // 3)])
+        # the varpi term b w of each member: b = (d lin / d varpi) x at the
+        # member's own rate, in the velocity rows, and w its seed's last
+        # row, 0 in the state's column
+        dlin = (2.0 * rates[..., None, None] * centrifugal
+                - 2.0 * coriolis)[..., nv:, :]
+        w_varpi = np.concatenate([np.zeros(stack + (1,)), seed[..., -1, :]],
+                                 axis=-1)[..., None, None, :]
 
     def rhs(t, y):
         if tangents is None:
@@ -191,32 +208,57 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
         mat = y[:n_flow].reshape(-1, width)
         flow = out[:n_flow].reshape(-1, width)
         np.matmul(lin, mat, out=flow)
-        acc = _force_jacobian_apply(mat.reshape(view)[..., 0, :, :, :],
-                                    scatter)
-        acc += (dlin @ mat[:, 0]).reshape(n, 3, 1) * w_varpi
-        np.multiply.outer([math.cos(2.0 * math.pi * t),
-                           -math.sin(2.0 * math.pi * t)],
-                          mat[2:nv:3, 0], out=out[n_flow:].reshape(2, n))
+        cols = mat.reshape(view)
+        acc = _force_jacobian_apply(cols[..., 0, :, :, :], scatter)
+        acc += (dlin @ mat[:, :1].reshape(stack + (2 * nv, 1))).reshape(
+            stack + (n, 3, 1)) * w_varpi
+        np.multiply([[math.cos(2.0 * math.pi * t)],
+                     [-math.sin(2.0 * math.pi * t)]],
+                    cols[..., None, 0, :, 2, 0],
+                    out=out[n_flow:].reshape(stack + (2, n)))
         flow.reshape(view)[..., 1, :, :, :] += acc
         return out
 
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,
+    fun = rhs if _max_nfev is None else _budgeted(rhs, _max_nfev)
+    sol = solve_ivp(fun, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,
                     t_eval=t_eval, max_step=max_step)
     if sol.status != 0:
         raise IntegrationFailure(
             f"integrator stopped at t = {sol.t[-1]:.9g} of "
             f"[{t0:.9g}, {t1:.9g}]: {sol.message}")
 
-    final = sol.y[:n_flow, -1].reshape(-1, width)
-    result = IntegrationResult(state=final[:, 0].reshape(state.shape))
+    final = sol.y[:n_flow, -1].reshape(stack + (2 * nv, width))
+    result = IntegrationResult(state=final[..., 0].reshape(state.shape),
+                               nfev=sol.nfev)
     if tangents is not None:
-        result.tangents = final[:, 1:]
-        result.harmonic = sol.y[n_flow:n_flow + n, -1] \
-            + 1j * sol.y[n_flow + n:, -1]
+        result.tangents = final[..., 1:]
+        quad = sol.y[n_flow:, -1].reshape(stack + (2, n))
+        result.harmonic = quad[..., 0, :] + 1j * quad[..., 1, :]
     if t_eval is not None:
         result.trajectory = sol.y[:n_flow:width].T.reshape(
             (-1,) + state.shape)
     return result
+
+
+class _BudgetExhausted(NoConvergence):
+    """A flow asked for more right-hand sides than its Newton solve allows
+    (`_corrector`).  A line search counts it as no decrease
+    (`_damped_newton`); anywhere else it ends the solve as a stall."""
+
+
+def _budgeted(rhs, max_nfev):
+    # rhs, raising _BudgetExhausted from its (max_nfev + 1)-th call on
+    calls = 0
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        if calls > max_nfev:
+            raise _BudgetExhausted(
+                f"flow stopped at t = {t:.9g} after {max_nfev} "
+                f"right-hand-side evaluations")
+        return rhs(t, y)
+    return counted
 
 
 # ---------------------------------------------------------------------------
@@ -229,35 +271,54 @@ class _Reduction:
     basis spans the states at t = 0 that the time-zero stabilizer fixes.
     The midpoint stabilizer H_mid is the xi = +1 elements at t = 0 and the
     reversors (xi = -1) at t = tau, tau the minimal shift; each fixes the
-    state at tau / 2.  mid_eq is an orthonormal basis, as rows, of the
-    complement of its fixed subspace, so mid_eq x = 0 says x is fixed by
-    H_mid.  shift_heights and mid_heights are the signed body permutations
-    of the heights under the shift and under one reversor of H_mid.
+    state at tau / 2, and mid_basis spans its fixed subspace.  Both bases
+    are orthonormal columns.  shift_heights and mid_heights are the signed
+    body permutations of the heights under the shift and under one
+    reversor of H_mid.  seeds are the tangent seeds of the two members of
+    a closing flow (`_closing_residual`) in (state, varpi), one column
+    per unknown of the member, zero columns up to a common width, and the
+    varpi column last: the basis with varpi row 1, and the time-reversed
+    mid_basis with varpi row -1.
     """
 
     def __init__(self, spec: GroupSpec):
         n = spec.n_bodies
         elements = enumerate_elements(spec)
         frozen = [g for g in elements if g.t == 0]
-        self.basis = _fixed_subspace(frozen)[0]
+        self.basis = _fixed_subspace(frozen)
         self.shift = min((g for g in elements if g.xi == 1 and g.t > 0),
                          key=lambda g: (g.t, g.delta, g.beta))
         # theta = t / 2N counts time in units where the loop period is s
         self.tau = self.shift.t / (2 * n)
         reversors = [g for g in elements if g.xi == -1
                      and g.t == self.shift.t]
-        self.mid_eq = _fixed_subspace(
-            [g for g in frozen if g.xi == 1] + reversors)[1].T
+        self.mid_basis = _fixed_subspace(
+            [g for g in frozen if g.xi == 1] + reversors)
         h = slice(2, 3 * n, 3)  # rows and columns of the heights
         self.shift_heights = _state_matrix(self.shift)[h, h]
         self.mid_heights = _state_matrix(reversors[0])[h, h]
-        # tangent seed in (state, varpi): the basis columns, then varpi
-        self.seed = block_diag(self.basis, 1.0)
+        self.seeds = np.zeros((2, 6 * n + 1, 1 + max(self.dim, self.mid_dim)))
+        self.seeds[0, :-1, :self.dim] = self.basis
+        self.seeds[1, :-1, :self.mid_dim] = _reversal(n)[:, None] \
+            * self.mid_basis
+        self.seeds[:, -1, -1] = 1.0, -1.0
         self.spec = spec
 
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
+
+    @property
+    def mid_dim(self) -> int:
+        return self.mid_basis.shape[1]
+
+    @property
+    def metric(self) -> np.ndarray:
+        """1 on the coordinates (u, varpi) of an unknown x = (u, v, varpi),
+        in which arclength is measured, and 0 on v."""
+        mask = np.ones(self.dim + self.mid_dim + 1)
+        mask[self.dim:-1] = 0.0
+        return mask
 
 
 def _state_matrix(g: GroupElement) -> np.ndarray:
@@ -272,15 +333,15 @@ def _state_matrix(g: GroupElement) -> np.ndarray:
 
 
 def _fixed_subspace(group):
-    """Orthonormal bases, as columns, of the states a group of elements
-    fixes and of their complement.
+    """Orthonormal basis, as columns, of the states a group of elements
+    fixes.
 
     The mean of the orthogonal state matrices over a group is the
     orthogonal projector onto their common fixed subspace.
     """
     proj = sum(_state_matrix(g) for g in group) / len(group)
     vals, vecs = np.linalg.eigh(proj)
-    return vecs[:, vals > 0.5], vecs[:, vals <= 0.5]
+    return vecs[:, vals > 0.5]
 
 
 @functools.cache
@@ -288,26 +349,50 @@ def _reduction(spec: GroupSpec) -> _Reduction:
     return _Reduction(spec)
 
 
-def _closing_residual(red: _Reduction, x, tol):
-    """Midpoint defect E Phi_{tau/2}(Q u) of the reduced boundary value
-    problem at frame rate varpi, E = `red.mid_eq` and x = (u, varpi).
+def _reversal(n):
+    # the diagonal of the time reversal T = diag(I, -I) on a raveled state
+    # (positions, velocities) of n bodies
+    return np.repeat([1.0, -1.0], 3 * n)
 
-    Returns (residual, jac, harmonic) from one tangent flow over tau / 2
-    seeded with `red.seed`: jac is E times the tangent flow along it in
-    (u, varpi), and harmonic the height quadratures
-    I = int_0^tau z(t) exp(-2 pi i t) dt of the whole segment, which
-    `_amplitude` unfolds.  A reversor R of the midpoint stabilizer gives
-    z(tau - t) = P_R z(t), P_R its signed body permutation of the heights,
-    so the reflected half adds exp(-2 pi i tau) P_R conj(I_half) to the
-    flow's I_half over [0, tau / 2] (z is real).
+
+def _closing_residual(red: _Reduction, x, tol, max_nfev=None):
+    """Quarter-point matching defect of the reduced boundary value problem
+    at frame rate varpi, x = (u, v, varpi).
+
+    One stacked tangent flow over [0, tau / 4], seeded with `red.seeds`,
+    moves two members: x_1 from Q u at varpi, and x_2 from T y at -varpi,
+    y = Q_mid v the state at tau / 2 and T the time reversal (p, v) ->
+    (p, -v), so that T x_2(s) is the orbit at tau / 2 - s.  The residual
+    is x_1(tau / 4) - T x_2(tau / 4), 6n equations.  Returns (residual,
+    jac, harmonic, nfev): jac = [J_1u | -T J_2v | J_1varpi - T J_2varpi]
+    from the members' tangent columns, nfev the flow's right-hand-side
+    evaluations, and harmonic the height quadratures I = int_0^tau z(t)
+    exp(-2 pi i t) dt of the whole segment, which `_amplitude` unfolds.
+    The first quarter gives I_1; the second is the reversed member, so
+    z(tau / 2 - s) = z_2(s) adds exp(-i pi tau) conj(I_2) (z is real).  A
+    reversor R of the midpoint stabilizer gives z(tau - t) = P_R z(t), P_R
+    its signed body permutation of the heights, so the reflected half
+    adds exp(-2 pi i tau) P_R conj(I_half) to that I_half over
+    [0, tau / 2].  max_nfev caps the flow's right-hand-side evaluations
+    (`integrate`).
     """
-    x0 = (red.basis @ x[:-1]).reshape(2, -1, 3)
-    res = integrate(x0, x[-1], 0.5 * red.tau, tol=tol, tangents=red.seed)
-    half = res.harmonic
+    n = red.spec.n_bodies
+    flip = _reversal(n)
+    u, v, varpi = x[:red.dim], x[red.dim:-1], x[-1]
+    starts = np.stack([red.basis @ u, flip * (red.mid_basis @ v)])
+    res = integrate(starts.reshape(2, 2, n, 3), [varpi, -varpi],
+                    0.25 * red.tau, tol=tol, tangents=red.seeds,
+                    _max_nfev=max_nfev)
+    end, back = res.state.reshape(2, -1)
+    fwd, rev = res.tangents
+    jac = np.column_stack([fwd[:, :red.dim],
+                           -flip[:, None] * rev[:, :red.mid_dim],
+                           fwd[:, -1] - flip * rev[:, -1]])
+    first, second = res.harmonic
+    half = first + np.exp(-1j * np.pi * red.tau) * second.conj()
     harmonic = half + np.exp(-2j * np.pi * red.tau) \
         * (red.mid_heights @ half.conj())
-    eq = red.mid_eq
-    return eq @ res.state.ravel(), eq @ res.tangents, harmonic
+    return end - flip * back, jac, harmonic, res.nfev
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +406,16 @@ class PeriodicOrbit:
     initial_state is the (2, n, 3) stack of positions and velocities at
     t = 0, which lies in the fixed subspace of the time-zero stabilizer
     elements.  amplitude is the signed coefficient of the first vertical
-    harmonic of body 0: the closing flow over half the minimal time shift
-    that passed the Newton test also carries the harmonic quadratures of
-    the heights, which a reversor reflects to the whole shift and the group
-    unfolds to the period (`_amplitude`); residual is the sup norm of the
-    midpoint reversor defect, the part of the state at tau / 2 outside the
-    fixed subspace of the midpoint stabilizer.  `sample` flows the whole
-    period, from both ends at once, and uses no symmetry, so it is an
-    independent check of the values built from the half segment.
+    harmonic of body 0: the closing flow over the half of the minimal time
+    shift that passed the Newton test also carries the harmonic
+    quadratures of the heights, which a reversor reflects to the whole
+    shift and the group unfolds to the period (`_amplitude`); residual is
+    the sup norm of the quarter-point matching defect of that flow, which
+    runs from t = 0 and from the midpoint state at tau / 2, in the fixed
+    subspace of the midpoint stabilizer, and meets at tau / 4
+    (`_closing_residual`).  `sample` flows the whole period, from both
+    ends at once, and uses no symmetry, so it is an independent check of
+    the values built from the half segment.
     """
 
     spec: GroupSpec
@@ -414,10 +501,18 @@ def onset_state(spec: GroupSpec, epsilon: float = 0.0):
     vertical family, in the frame where it closes with period s after r
     turns.  Returns (state, varpi).
     """
-    result = torsion_gamma(spec)
-    loop, varpi = reconstruct_loop(result, epsilon, n_samples=64)
-    state = np.stack([loop.positions[0], loop.velocities()[0]])
-    return state, varpi
+    loop, varpi = _expansion(spec, epsilon)
+    return _first_state(loop), varpi
+
+
+def _expansion(spec: GroupSpec, epsilon):
+    # (loop, varpi) of the third-order expansion, 64 samples per period
+    return reconstruct_loop(torsion_gamma(spec), epsilon, n_samples=64)
+
+
+def _first_state(loop: LoopPath) -> np.ndarray:
+    # the (2, n, 3) state of a sampled loop at its first sample
+    return np.stack([loop.positions[0], loop.velocities()[0]])
 
 
 def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
@@ -425,14 +520,18 @@ def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
     """Newton solve of the reduced closing condition at fixed frame rate.
 
     guess is a (2, n, 3) state, projected onto the fixed subspace of the
-    time-zero stabilizer elements.  The unknowns are the coordinates u in
-    that subspace, the equations E Phi_{tau/2}(X) = 0: the flow over half
-    the smallest positive time shift tau of the group must end in the
-    fixed subspace of the midpoint stabilizer, whose complement E spans
-    (`_Reduction`).  This is the arclength corrector of `continue_family`
-    with its row pinned on varpi, so each closing flow carries one tangent
-    column more, along varpi, and the guess is flowed at the coarser
-    max(integrator_tol, _START_TOL) (`_damped_newton`).  Raises
+    time-zero stabilizer elements.  The unknowns are its coordinates u in
+    that subspace and the coordinates v of the state at tau / 2, half the
+    smallest positive time shift tau of the group, in the fixed subspace
+    of the midpoint stabilizer (`_Reduction`); the equations ask that the
+    flows from both meet at tau / 4 (`_closing_residual`).  v starts from
+    one plain flow of the projected guess over tau / 2.  This is the
+    arclength corrector of `continue_family` with its row pinned on
+    varpi, so each closing flow carries one tangent column more, along
+    varpi, and the guess and the start are flowed at the coarser
+    max(integrator_tol, _START_TOL) (`_damped_newton`).  A shot is one
+    solve, so it polishes down to round-off, past the floor at which a
+    continuation step stops (_FLOOR), for one flow more.  Raises
     NoConvergence when the damped iteration stalls or runs out of
     iterations above 100 integrator_tol, and ValueError, before any
     integration, unless integrator_tol lies in (0, 0.01) and varpi is
@@ -441,17 +540,21 @@ def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
     _checked_tol(100.0 * integrator_tol,
                  "Newton tolerance 100 * integrator_tol")
     red = _reduction(spec)
-    x0 = np.append(red.basis.T @ np.asarray(guess, dtype=float).ravel(),
-                   varpi)
-    return _corrector(red, x0, np.eye(red.dim + 1)[-1], x0,
-                      integrator_tol)[1]
+    u = red.basis.T @ np.asarray(guess, dtype=float).ravel()
+    mid = integrate((red.basis @ u).reshape(2, -1, 3), varpi,
+                    0.5 * red.tau, tol=max(integrator_tol, _START_TOL))
+    x0 = np.concatenate([u, red.mid_basis.T @ mid.state.ravel(), [varpi]])
+    return _corrector(red, x0, np.eye(len(x0))[-1], x0, integrator_tol,
+                      floor=0.0)[1]
 
 
-def _damped_newton(fun, x0, integrator_tol):
+def _damped_newton(fun, x0, integrator_tol, floor=None):
     """Gauss-Newton with a halving line search on a residual function.
 
-    fun(x, tol) returns (residual, Jacobian, extra) from a flow integrated
-    at tolerance tol.  The start is evaluated at the coarser tolerance
+    fun(x, tol, max_nfev) returns (residual, Jacobian, extra, nfev) from a
+    flow integrated at tolerance tol that takes nfev right-hand sides, and
+    raises _BudgetExhausted when it would take more than max_nfev (None:
+    no cap).  The start is evaluated at the coarser tolerance
     max(integrator_tol, _START_TOL): it only has to give the first step,
     from a residual far above the Newton test, so its error stays out of
     the result (inexact Newton; Dembo, Eisenstat and Steihaug, SIAM J.
@@ -461,23 +564,34 @@ def _damped_newton(fun, x0, integrator_tol):
     solution with singular values below 100 integrator_tol of the largest
     dropped: the Jacobian is no more accurate than the flow, so a
     numerically null direction, as at a branch point, takes no step.  The
-    line search tries the full step and five halvings.
+    line search tries the full step and five halvings.  Past the Newton
+    test the solve polishes with the full step alone while convergence is
+    rapid, and ends at the first evaluation at most floor integrator_tol
+    (_FLOOR when floor is None), at the first that decreased the residual
+    by less than a factor 20, or at a step that fails to decrease it.
 
     No solve ends on a coarse evaluation: when the start would pass the
     Newton test, or no trial from it decreases the residual, the start is
     evaluated once more at integrator_tol, in place of one of the
     _CORRECTOR_ITER steps, and the iteration goes on from there; this is
-    the only point evaluated twice.  Returns (x, residual, extra) of the
-    evaluation whose sup norm passed the test, at most tol = 100
-    integrator_tol.  Raises NoConvergence when no trial decreases a
-    residual above tol, or _CORRECTOR_ITER steps end above it.
+    the only point evaluated twice.  The start and that re-evaluation run
+    uncapped; every trial is capped at `_trial_budget` of the start's
+    right-hand sides, and one that runs out ends the line search as no
+    decrease, so a solve far from the family stalls there instead of
+    halving through flows that crawl towards a collision.  Returns (x,
+    residual, extra) of the evaluation whose sup norm passed the test, at
+    most tol = 100 integrator_tol.  Raises NoConvergence when no trial
+    decreases a residual above tol, or _CORRECTOR_ITER steps end above
+    it.
     """
     x = np.asarray(x0, dtype=float).copy()
     start_tol = max(integrator_tol, _START_TOL)
     coarse = start_tol > integrator_tol
-    residual, jac, extra = fun(x, start_tol)
+    residual, jac, extra, nfev = fun(x, start_tol, None)
+    cap = _trial_budget(nfev, start_tol, integrator_tol)
     norm, prev_norm = float(np.max(np.abs(residual))), np.inf
-    tol, floor = 100.0 * integrator_tol, 0.25 * integrator_tol
+    tol = 100.0 * integrator_tol
+    floor = (_FLOOR if floor is None else floor) * integrator_tol
     for _ in range(_CORRECTOR_ITER):
         # polish past tol while convergence is still rapid; the closing
         # defect rings through spectral residuals of the sampled loop
@@ -487,18 +601,22 @@ def _damped_newton(fun, x0, integrator_tol):
         else:
             step = np.linalg.lstsq(jac, -residual,
                                    rcond=100.0 * integrator_tol)[0]
-            for scale in 0.5 ** np.arange(6):
+            decreased = False
+            for scale in 0.5 ** np.arange(6 if norm > tol else 1):
                 trial = x + scale * step
                 if np.array_equal(trial, x):
                     continue  # the step rounds away: x's evaluation stands
-                evaluation = fun(trial, integrator_tol)
+                try:
+                    evaluation = fun(trial, integrator_tol, cap)
+                except _BudgetExhausted:
+                    break
                 trial_norm = float(np.max(np.abs(evaluation[0])))
                 if trial_norm < norm:
                     x, prev_norm, norm = trial, norm, trial_norm
-                    residual, jac, extra = evaluation
-                    coarse = False
+                    residual, jac, extra, _ = evaluation
+                    coarse, decreased = False, True
                     break
-            else:
+            if not decreased:
                 if not coarse:
                     if norm <= tol:
                         return x, residual, extra
@@ -507,7 +625,7 @@ def _damped_newton(fun, x0, integrator_tol):
         if coarse:
             # the solve would end on the coarse start: evaluate it again
             # at integrator_tol and go on from there
-            residual, jac, extra = fun(x, integrator_tol)
+            residual, jac, extra, _ = fun(x, integrator_tol, None)
             norm, coarse = float(np.max(np.abs(residual))), False
     if norm > tol:
         raise NoConvergence(f"no convergence in {_CORRECTOR_ITER} iterations "
@@ -561,51 +679,80 @@ _ONSET_EPS = 0.02
 _CORRECTOR_ITER = 12
 # flow tolerance of every Newton solve's start (`_damped_newton`)
 _START_TOL = 1e-8
+# right-hand sides of a line-search trial, in multiples of its solve's
+# start scaled to the trial's tolerance (`_trial_budget`).  Families of
+# 8 steps and shots at amplitudes 0.03 and 0.07, with integrator_tol from
+# 1e-9 to 1e-16, on P12, the Hip-Hop, the hexagon, (3,1,1,2,1),
+# (4,1,-1,1,2) and (5,2,-1,1,2), took at most 1.17 of that scaled start
+# in a trial (1.46 times the start at 1e-9, 2.90 at 1e-12, 4.47 at
+# 1e-14, 6.68 at 1e-16)
+_TRIAL_NFEV = 1.6
+# the polish floor of a Newton solve, in multiples of integrator_tol.
+# The quarter-point defect reaches the orbit's closure over its period
+# amplified several hundred times on the hexagon: a solve that stopped at
+# 2.2e-13 closed to 1.2e-10, ten times the worst of the midpoint closing,
+# while stops below 8e-14 closed as well as it did.  `shoot_symmetric`,
+# a single solve, polishes down to round-off instead
+_FLOOR = 0.05
 _MAX_HALVINGS = 12
 
 
-def _corrector(red, start, row, point, integrator_tol):
+def _trial_budget(start_nfev, start_tol, integrator_tol) -> int:
+    # right-hand sides a line-search trial at integrator_tol may take
+    # when its solve's start at start_tol took start_nfev.  DOP853's
+    # right-hand sides grow as tol^(-1/8) in the limit; the trials above
+    # grew as tol^(-1/10), from 1e-8 to 1e-16
+    return math.ceil(_TRIAL_NFEV * start_nfev
+                     * (start_tol / integrator_tol) ** 0.1)
+
+
+def _corrector(red, start, row, point, integrator_tol, floor=None):
     """Gauss-Newton on the closing condition plus one linear constraint.
 
-    The unknown is packed x = (u, varpi), started at start, and the
-    constraint row . (x - point) = 0 is the last equation.  Returns (x,
-    orbit, null), all from the converged evaluation: orbit is the
-    PeriodicOrbit at x with its closing residual's sup norm and amplitude;
-    null is the unit right singular vector of the smallest singular value
-    of its closing Jacobian in (u, varpi), the family tangent up to sign,
+    The unknown is packed x = (u, v, varpi), started at start, and the
+    constraint row . (x - point) = 0 is the last equation; floor is the
+    solve's polish floor and every line-search trial is capped at
+    `_trial_budget` of the start's right-hand sides (`_damped_newton`).
+    Returns (x, orbit, null), all from the converged evaluation: orbit is
+    the PeriodicOrbit at x with its closing residual's sup norm and
+    amplitude; null is the right singular vector of the smallest singular
+    value of its closing Jacobian, the family tangent in (u, v, varpi) up
+    to sign, scaled to unit length in the arclength metric (u, varpi),
     and costs no integration.
     """
-    def bordered(x, tol):
-        residual, jac, harmonic = _closing_residual(red, x, tol)
+    def bordered(x, tol, max_nfev):
+        residual, jac, harmonic, nfev = _closing_residual(red, x, tol,
+                                                          max_nfev)
         return (np.append(residual, row @ (x - point)), np.vstack([jac, row]),
-                (harmonic, jac))
+                (harmonic, jac), nfev)
 
     x, full, (harmonic, jac) = _damped_newton(bordered, start,
-                                              integrator_tol)
+                                              integrator_tol, floor)
     orbit = PeriodicOrbit(red.spec, float(x[-1]), float(red.spec.s),
-                          (red.basis @ x[:-1]).reshape(2, -1, 3),
+                          (red.basis @ x[:red.dim]).reshape(2, -1, 3),
                           _amplitude(red, harmonic),
                           float(np.max(np.abs(full[:-1]))))
     null = np.linalg.svd(jac)[2][-1]
-    return x, orbit, null
+    return x, orbit, null / np.linalg.norm(red.metric * null)
 
 
-def _hermite_start(pred, tangent, h, here, t_here, prev, t_prev):
+def _hermite_start(pred, tangent, h, here, t_here, prev, t_prev, chord):
     """First corrector iterate on the arclength hyperplane through pred.
 
     The cubic Hermite curve through the last two records prev and here,
-    with unit family tangents t_prev and t_here and the chord |here - prev|
-    as parameter length, is evaluated a further h beyond here.  prev is
-    None when the previous record is the branch point, which has no
-    tangent, and the start is then here + h t_here.  The point is projected
-    onto {x : tangent . (x - pred) = 0}, the hyperplane the corrector
-    solves on, so the record it converges to is the one a start at pred
-    finds.
+    with family tangents t_prev and t_here and the parameter length chord,
+    is evaluated a further h beyond here.  The tangents and chord are of
+    unit and of record distance in the arclength metric, which leaves
+    out the midpoint coordinates v of x = (u, v, varpi); v rides along.
+    prev is None when the previous record is the branch point, which has
+    no tangent, and the start is then here + h t_here.  The point is
+    projected onto {x : tangent . (x - pred) = 0}, the hyperplane the
+    corrector solves on, so the record it converges to is the one a start
+    at pred finds.
     """
     if prev is None:
         guess = here + h * t_here
     else:
-        chord = np.linalg.norm(here - prev)
         # Hermite basis at tau = (chord + h) / chord, past here at tau = 1
         tau = 1.0 + h / chord
         guess = ((2.0 * tau - 3.0) * tau * tau + 1.0) * prev \
@@ -623,18 +770,20 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
 
     The first record is the relative equilibrium at the branch point (zero
     amplitude).  Each later record solves the closing condition, with the
-    period held at T = s, for x = (reduced state, varpi) on one hyperplane
-    row . (x - point) = 0 (`_corrector`).  The second record pins the
-    vertical coordinate of body 0 at t = 0: row picks it out of x, and
-    point, also the start, is the third-order expansion at amplitude
-    direction * _ONSET_EPS.  The steps after it follow the arclength
-    tangent; step is the first arclength step and max_step its cap.  A
-    step of length h solves on the hyperplane normal to the secant tangent
-    through pred = here + h * tangent.  Its corrector starts from the
-    cubic Hermite extrapolation of the last two records along their family
-    tangents, projected onto that hyperplane (`_hermite_start`); the
-    records are the same points as with a start at pred, reached in fewer
-    Newton iterations.  When the corrector does not converge the step is
+    period held at T = s, for x = (u, v, varpi) on one hyperplane
+    row . (x - point) = 0 (`_corrector`): u and v are the reduced states at
+    t = 0 and tau / 2.  The second record pins the vertical coordinate of
+    body 0 at t = 0: row picks it out of x, and point, also the start, is
+    the third-order expansion at amplitude direction * _ONSET_EPS, read at
+    both times (`_onset_point`).  The steps after it follow the arclength
+    tangent; step is the first arclength step and max_step its cap.
+    Arclength is measured in (u, varpi) alone: v is solved for with each
+    record but kept out of the metric.  A step of length h solves on the
+    hyperplane normal to the secant tangent through pred = here + h *
+    tangent.  Its corrector starts from the cubic Hermite extrapolation of
+    the last two records along their family tangents, projected onto that
+    hyperplane (`_hermite_start`); the records are the same points as with
+    a start at pred, reached in fewer Newton iterations.  When the corrector does not converge the step is
     halved; the run ends when h would fall below step * 2**-_MAX_HALVINGS.
     A step is accepted only with its record, so a failure while finishing
     the record ends the run like a failure of the corrector.  The run ends
@@ -644,7 +793,8 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
 
     The branch-point record keeps the exact planar onset state, not its
     projection onto the reduced basis, so its heights, vertical velocities
-    and amplitude are exactly 0.
+    and amplitude are exactly 0; its state at tau / 2 is the n-gon turned
+    in closed form (`_re_midpoint`).
 
     A record costs no integration of its own: its amplitude comes from the
     corrector's converged closing flow, and its action and L_z from the
@@ -671,7 +821,7 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     def in_window(w):
         return varpi_range is None or varpi_range[0] <= w <= varpi_range[1]
 
-    x_re = np.append(red.basis.T @ state_re.ravel(), varpi_star)
+    x_re = _unknowns(red, state_re, _re_midpoint(red, state_re), varpi_star)
     res_re = _closing_residual(red, x_re, integrator_tol)[0]
     # the n-gon's heights vanish for all time, and so does the amplitude
     records = [_record(PeriodicOrbit(spec, varpi_star, float(spec.s),
@@ -682,12 +832,12 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
 
     # first step: pin the vertical coordinate of body 0 at t = 0 to that
     # of the expansion's state
-    state1, varpi1 = onset_state(spec, direction * _ONSET_EPS)
-    x1 = np.append(red.basis.T @ state1.ravel(), varpi1)
+    x1 = _onset_point(red, direction * _ONSET_EPS)
+    row = np.zeros_like(x1)
+    row[:red.dim] = red.basis[2]
     end_reason = "max-steps"
     try:
-        here, orbit, null = _corrector(
-            red, x1, np.append(red.basis[2], 0.0), x1, integrator_tol)
+        here, orbit, null = _corrector(red, x1, row, x1, integrator_tol)
         records.append(_record(orbit))
     except (CollisionError, IntegrationFailure, NoConvergence) as exc:
         return ContinuationResult(spec, records, f"onset-failure: {exc}",
@@ -695,15 +845,19 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     if not in_window(here[-1]):
         return ContinuationResult(spec, records, "varpi-range", varpi_star)
 
-    # the branch point's null space is 2-D, so it supplies no tangent
-    prev, t_prev = None, None
-    tangent = here - x_re
+    # the branch point's null space is 2-D, so it supplies no tangent.
+    # Arclength, the secant and the hyperplane live in (u, varpi): the
+    # midpoint coordinates v are solved for but kept out of the metric
+    metric = red.metric
+    prev, t_prev, chord = None, None, None
+    tangent = metric * (here - x_re)
     tangent /= np.linalg.norm(tangent)
     t_here = np.copysign(1.0, null @ tangent) * null
     h = step
     while len(records) < n_steps + 1:
         pred = here + h * tangent
-        start = _hermite_start(pred, tangent, h, here, t_here, prev, t_prev)
+        start = _hermite_start(pred, tangent, h, here, t_here, prev, t_prev,
+                               chord)
         try:
             new, orbit, null = _corrector(red, start, tangent, pred,
                                           integrator_tol)
@@ -722,10 +876,10 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
             break
         prev, t_prev = here, t_here
         t_here = np.copysign(1.0, null @ tangent) * null
-        fresh = new - here
-        norm = np.linalg.norm(fresh)
-        if norm > 0:
-            fresh /= norm
+        fresh = metric * (new - here)
+        chord = np.linalg.norm(fresh)
+        if chord > 0:
+            fresh /= chord
             if fresh @ tangent > 0:
                 tangent = fresh
         here = new
@@ -734,6 +888,34 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
             end_reason = "varpi-range"
             break
     return ContinuationResult(spec, records, end_reason, varpi_star)
+
+
+def _unknowns(red: _Reduction, state, mid, varpi) -> np.ndarray:
+    # x = (u, v, varpi) of (2, n, 3) states at t = 0 and at tau / 2
+    return np.concatenate([red.basis.T @ state.ravel(),
+                           red.mid_basis.T @ mid.ravel(), [varpi]])
+
+
+def _onset_point(red: _Reduction, epsilon) -> np.ndarray:
+    """x = (u, v, varpi) of the third-order expansion at amplitude
+    epsilon: its states at t = 0, as `onset_state` gives it, and at
+    tau / 2, read off the expansion's loop by a Fourier shift."""
+    loop, varpi = _expansion(red.spec, epsilon)
+    mid = LoopPath(loop.on_grid(0.5 * red.tau, loop.n_samples), loop.period)
+    return _unknowns(red, _first_state(loop), _first_state(mid), varpi)
+
+
+def _re_midpoint(red: _Reduction, state):
+    """The relative equilibrium's state at tau / 2, in closed form.
+
+    In the frame where it closes after r turns per period s the n-gon
+    turns rigidly at 2 pi r / s, so at tau / 2 its positions and
+    velocities are those of state turned by pi r tau / s about the
+    vertical axis.
+    """
+    angle = math.pi * red.spec.r * red.tau / red.spec.s
+    c, s = math.cos(angle), math.sin(angle)
+    return state @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def _check_steps(n_steps, step, max_step, varpi_range) -> None:

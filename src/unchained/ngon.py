@@ -374,9 +374,14 @@ class LoopPath:
         order = _checked_int(order, "order", "a non-negative integer")
         if order < 0:
             raise ValueError(f"order must be a non-negative integer: {order}")
+        return self._derivatives(order)[0]
+
+    def _derivatives(self, *orders):
+        # the derivatives of the given orders, from one forward FFT
         coef = np.fft.fft(self.positions, axis=0)
-        mult = _fourier_multiplier(self.n_samples, self.period, order)
-        return np.real(np.fft.ifft(coef * mult[:, None, None], axis=0))
+        return [np.real(np.fft.ifft(coef * _fourier_multiplier(
+            self.n_samples, self.period, order)[:, None, None], axis=0))
+            for order in orders]
 
     def velocities(self):
         return self.derivative(1)
@@ -472,8 +477,7 @@ def newton_residual(loop, varpi=0.0):
     """
     _checked_finite(varpi, "varpi")
     frc = _force(loop.positions)
-    acc = loop.derivative(2)
-    vel = loop.derivative(1)
+    acc, vel = loop._derivatives(2, 1)
     cen = varpi ** 2 * loop.positions * [1.0, 1.0, 0.0]
     res = acc - frc - cen + 2.0 * varpi * jay(vel)
     return float(np.max(np.abs(res)))

@@ -15,6 +15,7 @@
 import dataclasses
 import io
 import json
+import math
 import sys
 import types
 from fractions import Fraction
@@ -33,8 +34,10 @@ from unchained.continuation import (INTEGRATOR_TOL, NEWTON_TOL,
                                     integrate, monodromy, onset_state,
                                     re_branch_action, shoot_symmetric,
                                     write_family_csv, _START_TOL,
+                                    _FLOOR, _TRIAL_NFEV, _BudgetExhausted,
                                     _closing_residual, _damped_newton,
-                                    _reduction, _state_matrix)
+                                    _onset_point, _re_midpoint, _reduction,
+                                    _state_matrix)
 from unchained.errors import (CollisionError, IntegrationFailure,
                               NoConvergence, SingularReduction)
 from unchained.ngon import (COLLISION_TOL, NGonSystem, action,
@@ -290,6 +293,33 @@ def test_integrate_stack_matches_single_flows():
                              - single.trajectory)) < 1e-10
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_integrate_stack_tangent_members_match_single_flows(n):
+    # two members with their own seeds and frame rates, the second one
+    # flowed at -varpi with varpi row -1, as a closing flow carries them:
+    # each member's state, tangent columns and height quadratures must be
+    # those of its flow alone, though they share the steps and error norm
+    rng = np.random.default_rng(10 + n)
+    states = np.stack([_perturbed_ngon_state(n, 20 + n),
+                       _perturbed_ngon_state(n, 30 + n)])
+    varpis = [0.4, -0.4]
+    seeds = np.zeros((2, 6 * n + 1, 3))
+    seeds[:, :-1, :2] = rng.standard_normal((2, 6 * n, 2))
+    seeds[:, -1, 2] = [1.0, -1.0]
+    res = integrate(states, varpis, 0.6, tangents=seeds)
+    assert res.state.shape == (2, 2, n, 3)
+    assert res.tangents.shape == (2, 6 * n, 3)
+    assert res.harmonic.shape == (2, n)
+    for member in range(2):
+        single = integrate(states[member], varpis[member], 0.6,
+                           tangents=seeds[member])
+        assert np.max(np.abs(res.state[member] - single.state)) < 1e-10
+        assert np.max(np.abs(res.tangents[member] - single.tangents)) \
+            < 1e-10 * np.max(np.abs(single.tangents))
+        assert np.max(np.abs(res.harmonic[member] - single.harmonic)) \
+            < 1e-10
+
+
 def test_integrate_time_reversal_flips_frame_and_velocities():
     # x(-s) is the forward flow of (p, -v) at -varpi, its velocity
     # negated: the identity `PeriodicOrbit.sample` reads the second half
@@ -321,11 +351,12 @@ def test_integrate_stack_collision_names_the_member_pair():
     dict(tangents=np.vstack([np.eye(12)[:, :1], [0.0]])),
     dict(varpi=[0.1, 0.2, 0.3]),
     dict(varpi=[[0.1, 0.2]]),
+    dict(tangents=np.zeros((3, 13, 1))),
 ])
 def test_integrate_stack_arguments_checked_before_any_solve(monkeypatch,
                                                             kwargs):
-    # tangent columns are carried for one state only, and a frame rate
-    # per member must line up with the stack's leading axes
+    # a stack carries one seed per member, not one for all, and a frame
+    # rate per member must line up with the stack's leading axes
     import unchained.continuation as continuation
 
     def never(*args, **kw):
@@ -413,8 +444,8 @@ def _small_specs():
 def test_midpoint_stabilizer_is_a_group_with_a_reversor():
     # the xi = +1 elements at t = 0 and the reversors at the minimal shift
     # fix the state at tau / 2 together only if they form a group: then the
-    # mean of their state matrices is an orthogonal projector, and mid_eq
-    # must span its complement
+    # mean of their state matrices is an orthogonal projector, and
+    # mid_basis must be an orthonormal basis of its range
     specs = _small_specs()
     assert len(specs) == 224
     for spec in specs:
@@ -426,39 +457,56 @@ def test_midpoint_stabilizer_is_a_group_with_a_reversor():
         proj = sum(_state_matrix(g) for g in mid) / len(mid)
         assert np.max(np.abs(proj - proj.T)) < 1e-12, spec
         assert np.max(np.abs(proj @ proj - proj)) < 1e-12, spec
-        eq = red.mid_eq
-        assert np.max(np.abs(eq @ eq.T - np.eye(len(eq)))) < 1e-12, spec
-        assert np.max(np.abs(eq.T @ eq + proj - np.eye(len(proj)))) \
-            < 1e-12, spec
+        mid_basis = red.mid_basis
+        assert np.max(np.abs(mid_basis.T @ mid_basis
+                             - np.eye(red.mid_dim))) < 1e-12, spec
+        assert np.max(np.abs(mid_basis @ mid_basis.T - proj)) < 1e-12, spec
 
 
 @pytest.mark.parametrize("spec, shape", [
-    (P12, (9, 10)), (HH4, (21, 4)), (GroupSpec(6, 1, -1, 5, 1), (27, 10)),
+    (P12, (18, 19)), (HH4, (24, 7)), (GroupSpec(6, 1, -1, 5, 1), (36, 19)),
 ])
 def test_midpoint_system_size(spec, shape):
-    # equations by unknowns (u, varpi) of the closing block; matching the
-    # shifted initial state took 6n equations (18, 24 and 36)
+    # equations by unknowns (u, v, varpi) of the closing block: the 6n
+    # components of the quarter-point match, against the coordinates of
+    # the states at t = 0 and at tau / 2 and the frame rate
     red = _reduction(spec)
-    assert (red.mid_eq.shape[0], red.dim + 1) == shape
+    assert (6 * spec.n_bodies, red.dim + red.mid_dim + 1) == shape
+    residual, jac, _, _ = _closing_residual(
+        red, _onset_point(red, 0.05), _START_TOL)
+    assert (len(residual),) + jac.shape[1:] == shape
 
 
 @pytest.mark.parametrize("spec", [P12, HH4, GroupSpec(6, 1, -1, 5, 1)])
 def test_closing_jacobian_matches_finite_difference(spec):
-    # the bordered block in (u, varpi), read off the tangent flow seeded
-    # with the reduced basis, against central differences of the residual;
-    # it has one row per equation of the midpoint defect
+    # the block in (u, v, varpi), read off the two members' tangent flows,
+    # against central differences of the residual in every unknown; the
+    # expansion's states at t = 0 and tau / 2 start both members near the
+    # orbit
     red = _reduction(spec)
-    state, varpi = onset_state(spec, 0.05)
-    x = np.append(red.basis.T @ state.ravel(), varpi)
-    _, jac, _ = _closing_residual(red, x, INTEGRATOR_TOL)
-    assert jac.shape == (red.mid_eq.shape[0], red.dim + 1)
+    x = _onset_point(red, 0.05)
+    _, jac, _, _ = _closing_residual(red, x, INTEGRATOR_TOL)
+    assert jac.shape == (6 * spec.n_bodies, len(x))
     h = 1e-5
-    for j, e in enumerate(h * np.eye(red.dim + 1)):
+    for j, e in enumerate(h * np.eye(len(x))):
         plus, minus = (_closing_residual(red, y, INTEGRATOR_TOL)[0]
                        for y in (x + e, x - e))
         fd = (plus - minus) / (2.0 * h)
         scale = max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(jac[:, j] - fd)) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("spec", [P12, HH4, HEXAGON])
+def test_relative_equilibrium_midpoint_matches_a_plain_flow(spec):
+    # the n-gon turned by pi r tau / s about the vertical axis is its own
+    # flow over tau / 2, and a state the midpoint stabilizer fixes
+    red = _reduction(spec)
+    state, varpi = onset_state(spec, 0.0)
+    mid = _re_midpoint(red, state)
+    flow = integrate(state, varpi, 0.5 * red.tau).state
+    assert np.max(np.abs(mid - flow)) <= 2.5e-11
+    fixed = red.mid_basis @ (red.mid_basis.T @ mid.ravel())
+    assert np.max(np.abs(fixed - mid.ravel())) <= 1e-13
 
 
 def test_onset_state_zero_amplitude_is_ngon():
@@ -579,9 +627,9 @@ def test_damped_newton_drops_numerically_null_direction():
     b = a_mat @ x_true + 5e-12 * u_mat[:, 2]
     seen = []
 
-    def fun(x, tol):
+    def fun(x, tol, max_nfev):
         seen.append(x.copy())
-        return a_mat @ x - b, a_mat, x.copy()
+        return a_mat @ x - b, a_mat, x.copy(), 0
 
     x, residual, extra = _damped_newton(fun, np.zeros(3), INTEGRATOR_TOL)
     assert 0.25 * INTEGRATOR_TOL < np.max(np.abs(residual)) <= NEWTON_TOL
@@ -593,14 +641,78 @@ def test_damped_newton_drops_numerically_null_direction():
     assert len({p.tobytes() for p in seen}) == len(seen)
 
 
-def _recorded(residual):
-    # a stub fun(x, tol) with a fixed Jacobian that logs every call and
-    # returns its own (x, tol) as extra
+@pytest.mark.filterwarnings("ignore:At least one element of `rtol`")
+def test_trial_flows_are_capped_at_a_multiple_of_the_start(monkeypatch):
+    # the start of a solve runs with no cap, and every line-search trial
+    # with _TRIAL_NFEV times the start's right-hand sides, scaled as
+    # tol^(-1/10) from _START_TOL to the trial's tolerance
+    import unchained.continuation as continuation
+    seen = []
+
+    def logged(red, x, tol, max_nfev=None, real=_closing_residual):
+        out = real(red, x, tol, max_nfev)
+        seen.append((tol, max_nfev, out[3]))
+        return out
+
+    monkeypatch.setattr(continuation, "_closing_residual", logged)
+    for integrator_tol in (INTEGRATOR_TOL, 1e-14):
+        seen.clear()
+        state, varpi = onset_state(P12, 0.05)
+        shoot_symmetric(P12, varpi, state, integrator_tol=integrator_tol)
+        (tol, cap, start), trials = seen[0], seen[1:]
+        assert (tol, cap) == (_START_TOL, None) and trials
+        budget = math.ceil(_TRIAL_NFEV * start
+                           * (_START_TOL / integrator_tol) ** 0.1)
+        assert all(cap == budget for _, cap, _ in trials)
+        assert all(nfev <= cap for _, cap, nfev in trials)
+
+
+@pytest.mark.filterwarnings("ignore:At least one element of `rtol`")
+@pytest.mark.parametrize("integrator_tol", [1e-14, 1e-16])
+@pytest.mark.parametrize("spec", [P12, HH4])
+def test_continuation_at_a_tight_tolerance_reaches_max_steps(spec,
+                                                             integrator_tol):
+    # a trial's budget grows with the tightness of its tolerance: at 1e-16
+    # the trials take up to 6.7 times the right-hand sides of their start
+    # at _START_TOL, and under a fixed cap of 4 times the start both
+    # families stalled at the onset.  They must continue as far as at the
+    # default tolerance
+    fam = continue_family(spec, n_steps=4, integrator_tol=integrator_tol)
+    assert fam.end_reason == "max-steps" and len(fam.records) == 5
+
+
+def test_damped_newton_exhausted_trial_ends_the_line_search():
+    # a trial whose flow runs out of its budget counts as no decrease, and
+    # the halvings after it are not tried: the coarse start is evaluated
+    # again, uncapped, at integrator_tol, the next trial runs out too, and
+    # the solve stalls at the start after two trials, not twelve
+    x0 = np.array([1.0, 2.0])
     calls = []
 
-    def fun(x, tol):
+    def fun(x, tol, max_nfev):
+        calls.append((x.copy(), tol, max_nfev))
+        if max_nfev is not None:
+            raise _BudgetExhausted("over budget")
+        return x - 3.0, np.eye(2), None, 100
+
+    with pytest.raises(NoConvergence, match="Newton stalled at residual 2"):
+        _damped_newton(fun, x0, INTEGRATOR_TOL)
+    budget = math.ceil(_TRIAL_NFEV * 100
+                       * (_START_TOL / INTEGRATOR_TOL) ** 0.1)
+    assert [(tol, cap) for x, tol, cap in calls
+            if not np.array_equal(x, x0)] == [(INTEGRATOR_TOL, budget)] * 2
+    assert [(tol, cap) for x, tol, cap in calls if np.array_equal(x, x0)] \
+        == [(_START_TOL, None), (INTEGRATOR_TOL, None)]
+
+
+def _recorded(residual):
+    # a stub fun(x, tol, max_nfev) with a fixed Jacobian that logs every
+    # call and returns its own (x, tol) as extra
+    calls = []
+
+    def fun(x, tol, max_nfev):
         calls.append((x.copy(), tol))
-        return residual(x, tol), np.eye(len(x)), (x.copy(), tol)
+        return residual(x, tol), np.eye(len(x)), (x.copy(), tol), 0
 
     return fun, calls
 
@@ -635,18 +747,34 @@ def test_damped_newton_stall_is_reported_at_integrator_tol():
     assert all(t == INTEGRATOR_TOL for _, t in calls[1:])
 
 
+def test_damped_newton_polish_ends_at_round_off():
+    # past the Newton test a solve polishes with the full step alone: a
+    # residual stuck at 1e-14, as round-off holds it, ends a solve with
+    # floor 0 at its first polish trial, not after five halvings more,
+    # and the default floor, 0.05 integrator_tol, ends it before that
+    x0 = np.array([1.0, 2.0])
+    fun, calls = _recorded(lambda x, tol: (x - x0 if tol == _START_TOL
+                                           else np.full(2, 1e-14)))
+    for floor, evaluations in ((0.0, 3), (None, 2)):
+        calls.clear()
+        x, residual, _ = _damped_newton(fun, x0 + 1e-3, INTEGRATOR_TOL,
+                                        floor)
+        assert len(calls) == evaluations
+        assert np.array_equal(x, x0) and np.max(residual) == 1e-14
+
+
 @pytest.mark.parametrize("integrator_tol", [1e-8, 1e-6])
 @pytest.mark.parametrize("offset", [0.1, 1e6])
 def test_damped_newton_at_coarse_tolerance_evaluates_once(integrator_tol,
                                                           offset):
     # from integrator_tol = _START_TOL on, the start is no coarser than the
     # rest: every call gets integrator_tol and no point is evaluated twice,
-    # for a start that passes the test (offset 0.1 integrator_tol) and for
-    # one that needs a step
+    # for a start that passes the test below the polish floor (offset 0.1
+    # of it) and for one that needs a step
     target = np.array([0.7, -1.3])
     fun, calls = _recorded(lambda x, tol: x - target)
-    x, _, (_, tol) = _damped_newton(fun, target + offset * integrator_tol,
-                                    integrator_tol)
+    x, _, (_, tol) = _damped_newton(
+        fun, target + offset * _FLOOR * integrator_tol, integrator_tol)
     assert len(calls) == (1 if offset < 1 else 2)
     assert tol == integrator_tol
     assert all(t == integrator_tol for _, t in calls)
@@ -1276,11 +1404,12 @@ def test_each_corrector_starts_with_one_coarse_flow(p12_twenty):
 def test_twenty_steps_fit_the_nfev_budget(p12_twenty, hh4_twenty):
     # P12 and the Hip-Hop at 20 steps took 42348 right-hand-side
     # evaluations when every closing flow ran over the whole symmetry
-    # segment, and 21442 over half of it; with each corrector's start
-    # flowed at _START_TOL they take 17566
+    # segment, 21442 over half of it, and 17566 with each corrector's
+    # start flowed at _START_TOL; closing from both ends over a quarter
+    # of the segment each, they take 9490
     assert p12_twenty[0].end_reason == "max-steps"
     assert hh4_twenty[0].end_reason == "max-steps"
-    assert p12_twenty[3] + hh4_twenty[3] <= 19000
+    assert p12_twenty[3] + hh4_twenty[3] <= 11000
 
 
 def test_twenty_step_tables_match_the_snapshot(p12_twenty, hh4_twenty):
@@ -1322,14 +1451,18 @@ def test_corrector_tangent_follows_the_records(p12_twenty):
     # central difference of the neighbouring records, which uses no
     # Jacobian; nulls[i] belongs to record i + 1.  Record 1 is left out:
     # its lower neighbour is the branch point, at an uneven spacing that
-    # puts the difference itself 2e-3 off
+    # puts the difference itself 2e-3 off.  The null vector lies in
+    # (u, v, varpi) and has unit length in the arclength metric (u, varpi)
+    # of the records' points
     fam, _, nulls, _ = p12_twenty
+    red = _reduction(fam.spec)
     points = _family_points(fam)
     assert len(nulls) == len(points) - 1
     for i in range(2, len(points) - 1):
         chord = points[i + 1] - points[i - 1]
-        cos = nulls[i - 1] @ chord / np.linalg.norm(chord)
-        assert abs(np.linalg.norm(nulls[i - 1]) - 1.0) < 1e-12
+        null = np.append(nulls[i - 1][:red.dim], nulls[i - 1][-1])
+        cos = null @ chord / np.linalg.norm(chord)
+        assert abs(np.linalg.norm(null) - 1.0) < 1e-12
         assert abs(cos) >= 1.0 - 1e-3
 
 

@@ -390,6 +390,21 @@ def test_derivative_order_must_be_a_non_negative_integer(fft_calls, order):
     assert not any(fft_calls.values()), fft_calls
 
 
+def test_newton_residual_transforms_forward_once(fft_calls):
+    # both derivatives come from one forward FFT of the samples, and the
+    # value is the same float as from two separate derivatives
+    loop, varpi = reconstruct_loop(torsion_gamma(GroupSpec(3, 1, -1, 2, 1)),
+                                   0.05, n_samples=64)
+    before = dict(fft_calls)
+    got = newton_residual(loop, varpi)
+    assert {k: fft_calls[k] - before[k] for k in fft_calls} \
+        == {"fft": 1, "ifft": 2, "rfft": 0, "irfft": 0}
+    res = (loop.derivative(2) - gravity(loop.positions)
+           - varpi ** 2 * loop.positions * [1.0, 1.0, 0.0]
+           + 2.0 * varpi * jay(loop.derivative(1)))
+    assert got == float(np.max(np.abs(res)))
+
+
 def test_derivative_of_order_zero_is_the_loop():
     loop = LoopPath(np.random.default_rng(5).normal(size=(15, 3, 3)), 1.0)
     assert np.abs(loop.derivative(0) - loop.positions).max() <= 1e-14
