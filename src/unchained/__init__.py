@@ -63,10 +63,7 @@ __all__ = [
     "horizontal_bounds_H", "lambda_G_bruteforce", "vertical_bound_V",
     "ExpansionResult", "build_equations", "excluded_harmonics",
     "reconstruct_loop", "torsion_gamma",
-    "ActionDiagram", "ContinuationResult", "FamilyRecord",
-    "IntegrationResult", "PeriodicOrbit", "action_diagram",
-    "continue_family", "integrate", "monodromy", "onset_state",
-    "re_branch_action", "shoot_symmetric", "write_family_csv",
+    *_CONTINUATION,
 ]
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ failure, 2 usage error.
 
 import argparse
 import concurrent.futures
+import dataclasses
 import functools
 import json
 import sys
@@ -239,19 +240,7 @@ def cmd_continue(args) -> int:
 
 def cmd_torsion(args) -> int:
     res = torsion_gamma(_spec_from(args))
-    spec = res.spec
-    payload = {
-        "spec": {"n_bodies": spec.n_bodies, "k": spec.k, "eta": spec.eta,
-                 "r": spec.r, "s": spec.s},
-        "A0": res.A0,
-        "w_hat": res.w_hat,
-        "alpha": res.alpha,
-        "A2": res.A2,
-        "Am2": res.Am2,
-        "C3": res.C3,
-        "gamma": res.gamma,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(json.dumps(dataclasses.asdict(res), indent=2) + "\n", args.out)
     return 0
 
 

@@ -38,7 +38,6 @@ from typing import List, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import block_diag
 
 from .errors import (CollisionError, IntegrationFailure, NoConvergence,
                      SingularReduction)
@@ -107,8 +106,8 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
     error norm, the RMS over all components, so the stack takes the steps
     its hardest member needs, and a member's error may reach sqrt(m)
     times the tolerance of a flow of its own, m the number of members.
-    The linear field is then one block-diagonal matrix over the members,
-    and the pair pass takes the stack as its leading axes.
+    Each member's linear field is taken at its own rate, and the pair
+    pass takes the stack as its leading axes.
 
     tangents, when given, is a (6n + 1, k) matrix of directions in
     (initial state, varpi) for one state, and a (..., 6n + 1, k) stack of
@@ -125,11 +124,12 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
     The flow carries each member's state as column 0 of one (6n, 1 + k)
     matrix, the k tangent columns beside it (k = 0 without tangents),
     stored row by row, member after member, and followed by the
-    quadratures.  Every flow's right-hand side is the product of the
-    linear field, assembled once per call from `_linear_parts`, with the
-    flow rows, plus one pass over the pairs.  A plain flow returns that
-    product as a fresh vector with the force of `ngon._force` added in
-    place to its velocity rows.  A tangent flow takes
+    quadratures.  Every flow's right-hand side is one batched product of
+    the members' linear fields, a (..., 6n, 6n) stack assembled once per
+    call from `_linear_parts`, with their (..., 6n, 1 + k) flow rows, plus
+    one pass over the pairs.  A plain flow returns that product as a
+    fresh vector with the force of `ngon._force` added in place to its
+    velocity rows.  A tangent flow takes
     `ngon._force_jacobian_apply`, which gives the force in column 0 and
     the force Jacobian applied to every other column.  Either pass
     compares the pair distances with ngon.COLLISION_TOL, as the initial
@@ -175,12 +175,12 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
         _checked_finite(t_eval, "t_eval")
     nv = 3 * n
     drift, centrifugal, coriolis = _linear_parts(n)
-    lins = [drift + w ** 2 * centrifugal - 2.0 * w * coriolis
-            for w in rates.flat]
-    lin = lins[0] if len(lins) == 1 else block_diag(*lins)
+    rate = rates[..., None, None]
+    lin = drift + rate ** 2 * centrifugal - 2.0 * rate * coriolis
     scatter = _pairs(n)[3]
     width = 1 if tangents is None else 1 + seed.shape[-1]
     n_flow = state.size * width
+    rows = stack + (2 * nv, width)
     view = stack + (2, n, 3, width)
     if tangents is None:
         y0 = state.ravel()
@@ -192,26 +192,23 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
         # the varpi term b w of each member: b = (d lin / d varpi) x at the
         # member's own rate, in the velocity rows, and w its seed's last
         # row, 0 in the state's column
-        dlin = (2.0 * rates[..., None, None] * centrifugal
-                - 2.0 * coriolis)[..., nv:, :]
+        dlin = (2.0 * rate * centrifugal - 2.0 * coriolis)[..., nv:, :]
         w_varpi = np.concatenate([np.zeros(stack + (1,)), seed[..., -1, :]],
                                  axis=-1)[..., None, None, :]
 
     def rhs(t, y):
         if tangents is None:
-            # a flat vector, whose product with lin is the faster one
-            out = lin @ y
+            out = lin @ y.reshape(rows)
             out.reshape(view)[..., 1, :, :, 0] += _force(
                 y.reshape(view)[..., 0, :, :, 0])
-            return out
+            return out.ravel()
         out = np.empty_like(y)
-        mat = y[:n_flow].reshape(-1, width)
-        flow = out[:n_flow].reshape(-1, width)
+        mat = y[:n_flow].reshape(rows)
+        flow = out[:n_flow].reshape(rows)
         np.matmul(lin, mat, out=flow)
         cols = mat.reshape(view)
         acc = _force_jacobian_apply(cols[..., 0, :, :, :], scatter)
-        acc += (dlin @ mat[:, :1].reshape(stack + (2 * nv, 1))).reshape(
-            stack + (n, 3, 1)) * w_varpi
+        acc += (dlin @ mat[..., :1]).reshape(stack + (n, 3, 1)) * w_varpi
         np.multiply([[math.cos(2.0 * math.pi * t)],
                      [-math.sin(2.0 * math.pi * t)]],
                     cols[..., None, 0, :, 2, 0],
