@@ -49,7 +49,6 @@ from .symmetry import GroupElement, GroupSpec, _action, enumerate_elements
 from .torsion import reconstruct_loop, torsion_gamma
 
 INTEGRATOR_TOL = 1e-12
-NEWTON_TOL = 100 * INTEGRATOR_TOL
 
 _HMASK = np.array([1.0, 1.0, 0.0])
 
@@ -269,13 +268,24 @@ class _Reduction:
     The midpoint stabilizer H_mid is the xi = +1 elements at t = 0 and the
     reversors (xi = -1) at t = tau, tau the minimal shift; each fixes the
     state at tau / 2, and mid_basis spans its fixed subspace.  Both bases
-    are orthonormal columns.  shift_heights and mid_heights are the signed
-    body permutations of the heights under the shift and under one
-    reversor of H_mid.  seeds are the tangent seeds of the two members of
-    a closing flow (`_closing_residual`) in (state, varpi), one column
-    per unknown of the member, zero columns up to a common width, and the
-    varpi column last: the basis with varpi row 1, and the time-reversed
-    mid_basis with varpi row -1.
+    are orthonormal columns.  seeds are the tangent seeds of the two
+    members of a closing flow (`_closing_residual`) in (state, varpi), one
+    column per unknown of the member, zero columns up to a common width,
+    and the varpi column last: the basis with varpi row 1, and the
+    time-reversed mid_basis with varpi row -1.
+
+    weights = (alpha, beta) reads the amplitude, the first vertical
+    harmonic of body 0, off the two members' height quadratures I_1, I_2
+    = int_0^{tau / 4} z(t) exp(-2 pi i t) dt as Re(alpha . I_1 + beta .
+    I_2).  The second member runs the orbit backward from tau / 2 and z
+    is real, so [0, tau / 2] gives I_1 + h conj(I_2), h = exp(-i pi tau).
+    A reversor R of H_mid, z(tau - t) = P_R z(t), adds h^2 P_R conj of
+    that over [tau / 2, tau], and the shift, z(t + tau) = P z(t), unfolds
+    [0, tau] to the period s by c = sum_j exp(-2 pi i j tau) e_0 P^j, P
+    and P_R signed body permutations of the heights.  The amplitude is
+    2 / s times the real part, FFT bin s of body 0's height, so with
+    r = c P_R, alpha = (2 / s)(c + conj(h^2 r)) and beta = (2 / s)(conj(h
+    c) + h r).
     """
 
     def __init__(self, spec: GroupSpec):
@@ -291,9 +301,20 @@ class _Reduction:
                      and g.t == self.shift.t]
         self.mid_basis = _fixed_subspace(
             [g for g in frozen if g.xi == 1] + reversors)
-        h = slice(2, 3 * n, 3)  # rows and columns of the heights
-        self.shift_heights = _state_matrix(self.shift)[h, h]
-        self.mid_heights = _state_matrix(reversors[0])[h, h]
+        heights = slice(2, 3 * n, 3)  # rows and columns of the heights
+        shift_heights = _state_matrix(self.shift)[heights, heights]
+        mid_heights = _state_matrix(reversors[0])[heights, heights]
+        # the shifts t of the xi = +1 elements form a subgroup of Z/2Ns, so
+        # the minimal one divides 2Ns
+        c = np.zeros(n, dtype=complex)
+        row = np.eye(n)[0]  # body 0 read off P^j z on segment j
+        for j in range(2 * n * spec.s // self.shift.t):
+            c += np.exp(-2j * np.pi * j * self.tau) * row
+            row = row @ shift_heights
+        h = np.exp(-1j * np.pi * self.tau)
+        r = c @ mid_heights
+        self.weights = (2.0 / spec.s) * np.stack([c + np.conj(h * h * r),
+                                                  np.conj(h * c) + h * r])
         self.seeds = np.zeros((2, 6 * n + 1, 1 + max(self.dim, self.mid_dim)))
         self.seeds[0, :-1, :self.dim] = self.basis
         self.seeds[1, :-1, :self.mid_dim] = _reversal(n)[:, None] \
@@ -361,17 +382,12 @@ def _closing_residual(red: _Reduction, x, tol, max_nfev=None):
     y = Q_mid v the state at tau / 2 and T the time reversal (p, v) ->
     (p, -v), so that T x_2(s) is the orbit at tau / 2 - s.  The residual
     is x_1(tau / 4) - T x_2(tau / 4), 6n equations.  Returns (residual,
-    jac, harmonic, nfev): jac = [J_1u | -T J_2v | J_1varpi - T J_2varpi]
+    jac, amplitude, nfev): jac = [J_1u | -T J_2v | J_1varpi - T J_2varpi]
     from the members' tangent columns, nfev the flow's right-hand-side
-    evaluations, and harmonic the height quadratures I = int_0^tau z(t)
-    exp(-2 pi i t) dt of the whole segment, which `_amplitude` unfolds.
-    The first quarter gives I_1; the second is the reversed member, so
-    z(tau / 2 - s) = z_2(s) adds exp(-i pi tau) conj(I_2) (z is real).  A
-    reversor R of the midpoint stabilizer gives z(tau - t) = P_R z(t), P_R
-    its signed body permutation of the heights, so the reflected half
-    adds exp(-2 pi i tau) P_R conj(I_half) to that I_half over
-    [0, tau / 2].  max_nfev caps the flow's right-hand-side evaluations
-    (`integrate`).
+    evaluations, and amplitude the first vertical harmonic of body 0 over
+    the period, `red.weights` applied to the members' height quadratures
+    I_1, I_2 = int_0^{tau / 4} z(t) exp(-2 pi i t) dt.  max_nfev caps the
+    flow's right-hand-side evaluations (`integrate`).
     """
     n = red.spec.n_bodies
     flip = _reversal(n)
@@ -385,11 +401,8 @@ def _closing_residual(red: _Reduction, x, tol, max_nfev=None):
     jac = np.column_stack([fwd[:, :red.dim],
                            -flip[:, None] * rev[:, :red.mid_dim],
                            fwd[:, -1] - flip * rev[:, -1]])
-    first, second = res.harmonic
-    half = first + np.exp(-1j * np.pi * red.tau) * second.conj()
-    harmonic = half + np.exp(-2j * np.pi * red.tau) \
-        * (red.mid_heights @ half.conj())
-    return end - flip * back, jac, harmonic, res.nfev
+    amplitude = float(np.sum(red.weights * res.harmonic).real)
+    return end - flip * back, jac, amplitude, res.nfev
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +416,15 @@ class PeriodicOrbit:
     initial_state is the (2, n, 3) stack of positions and velocities at
     t = 0, which lies in the fixed subspace of the time-zero stabilizer
     elements.  amplitude is the signed coefficient of the first vertical
-    harmonic of body 0: the closing flow over the half of the minimal time
-    shift that passed the Newton test also carries the harmonic
-    quadratures of the heights, which a reversor reflects to the whole
-    shift and the group unfolds to the period (`_amplitude`); residual is
-    the sup norm of the quarter-point matching defect of that flow, which
-    runs from t = 0 and from the midpoint state at tau / 2, in the fixed
-    subspace of the midpoint stabilizer, and meets at tau / 4
-    (`_closing_residual`).  `sample` flows the whole period, from both
-    ends at once, and uses no symmetry, so it is an independent check of
-    the values built from the half segment.
+    harmonic of body 0, which a linear functional of the group
+    (`_Reduction`) reads off the height quadratures that the closing flow
+    that passed the Newton test carries; residual is the sup norm of the
+    quarter-point matching defect of that flow, which runs from t = 0 and
+    from the midpoint state at tau / 2, in the fixed subspace of the
+    midpoint stabilizer, and meets at tau / 4 (`_closing_residual`).
+    `sample` flows the whole period, from both ends at once, and uses no
+    symmetry, so it is an independent check of the values built from the
+    half segment.
     """
 
     spec: GroupSpec
@@ -468,29 +480,6 @@ class PeriodicOrbit:
         return LoopPath(pos + ramp * delta, period)
 
 
-def _amplitude(red: _Reduction, harmonic) -> float:
-    """First vertical harmonic of body 0 from one symmetry segment.
-
-    harmonic holds I_b = int_0^tau z_b(t) exp(-2 pi i t) dt, tau the
-    minimal time shift, which `_closing_residual` builds from the flow
-    over [0, tau / 2] and its reflection by a reversor of the midpoint
-    stabilizer.  With z(t + tau) = P z(t), P the shift's signed body
-    permutation of the heights, segment j adds exp(-2 pi i j tau) e_0 P^j
-    I.  The sum over the period s, over s, is FFT bin s of body 0's
-    height, made real by the time-reversal element of the stabilizer.
-    """
-    n, s = red.spec.n_bodies, red.spec.s
-    # the shifts t of the xi = +1 elements form a subgroup of Z/2Ns, so
-    # the minimal one divides 2Ns
-    n_segments = 2 * n * s // red.shift.t
-    row = np.eye(n)[0]  # body 0 read off P^j z on segment j
-    coef = 0.0
-    for j in range(n_segments):
-        coef += np.exp(-2j * np.pi * j * red.tau) * (row @ harmonic)
-        row = row @ red.shift_heights
-    return float(2.0 * coef.real / s)
-
-
 def onset_state(spec: GroupSpec, epsilon: float = 0.0):
     """State and frame rate of the third-order expansion at time zero.
 
@@ -526,9 +515,8 @@ def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
     arclength corrector of `continue_family` with its row pinned on
     varpi, so each closing flow carries one tangent column more, along
     varpi, and the guess and the start are flowed at the coarser
-    max(integrator_tol, _START_TOL) (`_damped_newton`).  A shot is one
-    solve, so it polishes down to round-off, past the floor at which a
-    continuation step stops (_FLOOR), for one flow more.  Raises
+    max(integrator_tol, _START_TOL) (`_damped_newton`).  A shot polishes
+    down to the same floor as a continuation step (_FLOOR).  Raises
     NoConvergence when the damped iteration stalls or runs out of
     iterations above 100 integrator_tol, and ValueError, before any
     integration, unless integrator_tol lies in (0, 0.01) and varpi is
@@ -541,11 +529,10 @@ def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
     mid = integrate((red.basis @ u).reshape(2, -1, 3), varpi,
                     0.5 * red.tau, tol=max(integrator_tol, _START_TOL))
     x0 = np.concatenate([u, red.mid_basis.T @ mid.state.ravel(), [varpi]])
-    return _corrector(red, x0, np.eye(len(x0))[-1], x0, integrator_tol,
-                      floor=0.0)[1]
+    return _corrector(red, x0, np.eye(len(x0))[-1], x0, integrator_tol)[1]
 
 
-def _damped_newton(fun, x0, integrator_tol, floor=None):
+def _damped_newton(fun, x0, integrator_tol):
     """Gauss-Newton with a halving line search on a residual function.
 
     fun(x, tol, max_nfev) returns (residual, Jacobian, extra, nfev) from a
@@ -563,9 +550,9 @@ def _damped_newton(fun, x0, integrator_tol, floor=None):
     numerically null direction, as at a branch point, takes no step.  The
     line search tries the full step and five halvings.  Past the Newton
     test the solve polishes with the full step alone while convergence is
-    rapid, and ends at the first evaluation at most floor integrator_tol
-    (_FLOOR when floor is None), at the first that decreased the residual
-    by less than a factor 20, or at a step that fails to decrease it.
+    rapid, and ends at the first evaluation at most _FLOOR integrator_tol,
+    at the first that decreased the residual by less than a factor 20, or
+    at a step that fails to decrease it.
 
     No solve ends on a coarse evaluation: when the start would pass the
     Newton test, or no trial from it decreases the residual, the start is
@@ -588,7 +575,7 @@ def _damped_newton(fun, x0, integrator_tol, floor=None):
     cap = _trial_budget(nfev, start_tol, integrator_tol)
     norm, prev_norm = float(np.max(np.abs(residual))), np.inf
     tol = 100.0 * integrator_tol
-    floor = (_FLOOR if floor is None else floor) * integrator_tol
+    floor = _FLOOR * integrator_tol
     for _ in range(_CORRECTOR_ITER):
         # polish past tol while convergence is still rapid; the closing
         # defect rings through spectral residuals of the sampled loop
@@ -684,12 +671,14 @@ _START_TOL = 1e-8
 # in a trial (1.46 times the start at 1e-9, 2.90 at 1e-12, 4.47 at
 # 1e-14, 6.68 at 1e-16)
 _TRIAL_NFEV = 1.6
-# the polish floor of a Newton solve, in multiples of integrator_tol.
-# The quarter-point defect reaches the orbit's closure over its period
+# the polish floor of every Newton solve, a continuation step or a
+# `shoot_symmetric` shot, in multiples of integrator_tol.  The
+# quarter-point defect reaches the orbit's closure over its period
 # amplified several hundred times on the hexagon: a solve that stopped at
 # 2.2e-13 closed to 1.2e-10, ten times the worst of the midpoint closing,
-# while stops below 8e-14 closed as well as it did.  `shoot_symmetric`,
-# a single solve, polishes down to round-off instead
+# while stops below 8e-14 closed as well as it did.  Shots of P12, the
+# Hip-Hop and the hexagon at amplitudes 0.03-0.07 stopped here close to
+# at most 1.1e-11 over the period against a flow at rtol 3e-14
 _FLOOR = 0.05
 _MAX_HALVINGS = 12
 
@@ -703,32 +692,30 @@ def _trial_budget(start_nfev, start_tol, integrator_tol) -> int:
                      * (start_tol / integrator_tol) ** 0.1)
 
 
-def _corrector(red, start, row, point, integrator_tol, floor=None):
+def _corrector(red, start, row, point, integrator_tol):
     """Gauss-Newton on the closing condition plus one linear constraint.
 
     The unknown is packed x = (u, v, varpi), started at start, and the
-    constraint row . (x - point) = 0 is the last equation; floor is the
-    solve's polish floor and every line-search trial is capped at
-    `_trial_budget` of the start's right-hand sides (`_damped_newton`).
-    Returns (x, orbit, null), all from the converged evaluation: orbit is
-    the PeriodicOrbit at x with its closing residual's sup norm and
-    amplitude; null is the right singular vector of the smallest singular
-    value of its closing Jacobian, the family tangent in (u, v, varpi) up
-    to sign, scaled to unit length in the arclength metric (u, varpi),
-    and costs no integration.
+    constraint row . (x - point) = 0 is the last equation; every
+    line-search trial is capped at `_trial_budget` of the start's
+    right-hand sides (`_damped_newton`).  Returns (x, orbit, null), all
+    from the converged evaluation: orbit is the PeriodicOrbit at x with
+    its closing residual's sup norm and amplitude; null is the right
+    singular vector of the smallest singular value of its closing
+    Jacobian, the family tangent in (u, v, varpi) up to sign, scaled to
+    unit length in the arclength metric (u, varpi), and costs no
+    integration.
     """
     def bordered(x, tol, max_nfev):
-        residual, jac, harmonic, nfev = _closing_residual(red, x, tol,
-                                                          max_nfev)
+        residual, jac, amplitude, nfev = _closing_residual(red, x, tol,
+                                                           max_nfev)
         return (np.append(residual, row @ (x - point)), np.vstack([jac, row]),
-                (harmonic, jac), nfev)
+                (amplitude, jac), nfev)
 
-    x, full, (harmonic, jac) = _damped_newton(bordered, start,
-                                              integrator_tol, floor)
+    x, full, (amplitude, jac) = _damped_newton(bordered, start, integrator_tol)
     orbit = PeriodicOrbit(red.spec, float(x[-1]), float(red.spec.s),
                           (red.basis @ x[:red.dim]).reshape(2, -1, 3),
-                          _amplitude(red, harmonic),
-                          float(np.max(np.abs(full[:-1]))))
+                          amplitude, float(np.max(np.abs(full[:-1]))))
     null = np.linalg.svd(jac)[2][-1]
     return x, orbit, null / np.linalg.norm(red.metric * null)
 
