@@ -550,23 +550,25 @@ def _damped_newton(fun, x0, integrator_tol):
     numerically null direction, as at a branch point, takes no step.  The
     line search tries the full step and five halvings.  Past the Newton
     test the solve polishes with the full step alone while convergence is
-    rapid, and ends at the first evaluation at most _FLOOR integrator_tol,
-    at the first that decreased the residual by less than a factor 20, or
-    at a step that fails to decrease it.
+    rapid: the polish test stops at an evaluation at most _FLOOR
+    integrator_tol, or at one that decreased the residual by less than a
+    factor 20.
 
-    No solve ends on a coarse evaluation: when the start would pass the
-    Newton test, or no trial from it decreases the residual, the start is
-    evaluated once more at integrator_tol, in place of one of the
-    _CORRECTOR_ITER steps, and the iteration goes on from there; this is
-    the only point evaluated twice.  The start and that re-evaluation run
+    Each of the _CORRECTOR_ITER passes takes a step, or takes none when
+    the polish test stops or no trial decreases the residual, and then
+    ends one of three ways.  A pass that still holds the coarse start
+    evaluates it once more at integrator_tol and goes on from there; this
+    is the only point evaluated twice, so no solve ends on a coarse
+    evaluation.  Any other pass that took no step ends the solve, and a
+    pass that took a step goes on.  The start and that re-evaluation run
     uncapped; every trial is capped at `_trial_budget` of the start's
     right-hand sides, and one that runs out ends the line search as no
     decrease, so a solve far from the family stalls there instead of
     halving through flows that crawl towards a collision.  Returns (x,
-    residual, extra) of the evaluation whose sup norm passed the test, at
-    most tol = 100 integrator_tol.  Raises NoConvergence when no trial
-    decreases a residual above tol, or _CORRECTOR_ITER steps end above
-    it.
+    residual, extra) of the last evaluation when its sup norm is at most
+    tol = 100 integrator_tol.  Raises NoConvergence when a pass ends the
+    solve above tol ("Newton stalled"), or when the _CORRECTOR_ITER
+    passes end above it.
     """
     x = np.asarray(x0, dtype=float).copy()
     start_tol = max(integrator_tol, _START_TOL)
@@ -575,17 +577,15 @@ def _damped_newton(fun, x0, integrator_tol):
     cap = _trial_budget(nfev, start_tol, integrator_tol)
     norm, prev_norm = float(np.max(np.abs(residual))), np.inf
     tol = 100.0 * integrator_tol
-    floor = _FLOOR * integrator_tol
     for _ in range(_CORRECTOR_ITER):
-        # polish past tol while convergence is still rapid; the closing
-        # defect rings through spectral residuals of the sampled loop
-        if norm <= floor or (norm <= tol and norm > 0.05 * prev_norm):
-            if not coarse:
-                return x, residual, extra
-        else:
+        before = x
+        # step above tol, and polish past it while convergence is still
+        # rapid; the closing defect rings through spectral residuals of
+        # the sampled loop
+        if norm > _FLOOR * integrator_tol and (norm > tol
+                                               or norm <= 0.05 * prev_norm):
             step = np.linalg.lstsq(jac, -residual,
                                    rcond=100.0 * integrator_tol)[0]
-            decreased = False
             for scale in 0.5 ** np.arange(6 if norm > tol else 1):
                 trial = x + scale * step
                 if np.array_equal(trial, x):
@@ -598,19 +598,18 @@ def _damped_newton(fun, x0, integrator_tol):
                 if trial_norm < norm:
                     x, prev_norm, norm = trial, norm, trial_norm
                     residual, jac, extra, _ = evaluation
-                    coarse, decreased = False, True
+                    coarse = False
                     break
-            if not decreased:
-                if not coarse:
-                    if norm <= tol:
-                        return x, residual, extra
-                    raise NoConvergence(
-                        f"Newton stalled at residual {norm:.3e}")
         if coarse:
-            # the solve would end on the coarse start: evaluate it again
-            # at integrator_tol and go on from there
+            # the pass still holds the coarse start: evaluate it again at
+            # integrator_tol and go on from there
             residual, jac, extra, _ = fun(x, integrator_tol, None)
             norm, coarse = float(np.max(np.abs(residual))), False
+        elif x is before:
+            # no step: the polish test stopped, or no trial decreased
+            if norm <= tol:
+                return x, residual, extra
+            raise NoConvergence(f"Newton stalled at residual {norm:.3e}")
     if norm > tol:
         raise NoConvergence(f"no convergence in {_CORRECTOR_ITER} iterations "
                             f"(residual {norm:.3e})")
@@ -775,10 +774,10 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     ...", "integration-failure: ...", "varpi-range" or, when the pinned
     first step fails, "onset-failure: ...".
 
-    The branch-point record keeps the exact planar onset state, not its
-    projection onto the reduced basis, so its heights, vertical velocities
-    and amplitude are exactly 0; its state at tau / 2 is the n-gon turned
-    in closed form (`_re_midpoint`).
+    The branch point is the expansion at amplitude 0 (`_onset_point`),
+    the relative equilibrium at t = 0 and at tau / 2.  Its record keeps
+    that exact planar state, not its projection onto the reduced basis,
+    so its heights, vertical velocities and amplitude are exactly 0.
 
     A record costs no integration of its own: its amplitude comes from the
     corrector's converged closing flow, and its action and L_z from the
@@ -800,12 +799,12 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     _checked_tol(100.0 * integrator_tol,
                  "Newton tolerance 100 * integrator_tol")
     red = _reduction(spec)
-    state_re, varpi_star = onset_state(spec, 0.0)
+    x_re, state_re = _onset_point(red, 0.0)
+    varpi_star = float(x_re[-1])
 
     def in_window(w):
         return varpi_range is None or varpi_range[0] <= w <= varpi_range[1]
 
-    x_re = _unknowns(red, state_re, _re_midpoint(red, state_re), varpi_star)
     res_re = _closing_residual(red, x_re, integrator_tol)[0]
     # the n-gon's heights vanish for all time, and so does the amplitude
     records = [_record(PeriodicOrbit(spec, varpi_star, float(spec.s),
@@ -816,7 +815,7 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
 
     # first step: pin the vertical coordinate of body 0 at t = 0 to that
     # of the expansion's state
-    x1 = _onset_point(red, direction * _ONSET_EPS)
+    x1 = _onset_point(red, direction * _ONSET_EPS)[0]
     row = np.zeros_like(x1)
     row[:red.dim] = red.basis[2]
     end_reason = "max-steps"
@@ -874,32 +873,23 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     return ContinuationResult(spec, records, end_reason, varpi_star)
 
 
-def _unknowns(red: _Reduction, state, mid, varpi) -> np.ndarray:
-    # x = (u, v, varpi) of (2, n, 3) states at t = 0 and at tau / 2
-    return np.concatenate([red.basis.T @ state.ravel(),
-                           red.mid_basis.T @ mid.ravel(), [varpi]])
+def _onset_point(red: _Reduction, epsilon):
+    """(x, state) of the third-order expansion at amplitude epsilon.
 
-
-def _onset_point(red: _Reduction, epsilon) -> np.ndarray:
-    """x = (u, v, varpi) of the third-order expansion at amplitude
-    epsilon: its states at t = 0, as `onset_state` gives it, and at
-    tau / 2, read off the expansion's loop by a Fourier shift."""
+    state is the expansion's (2, n, 3) state at t = 0, as `onset_state`
+    gives it, and x = (u, v, varpi) its unknowns: u the coordinates of
+    state in the reduced basis, v those of the state at tau / 2, read off
+    the expansion's loop by a Fourier shift, and varpi its frame rate.  At
+    epsilon = 0 the expansion is the relative equilibrium: state is the
+    exact planar n-gon, and its state at tau / 2 is, to round-off, the
+    n-gon turned by pi r tau / s about the vertical axis.
+    """
     loop, varpi = _expansion(red.spec, epsilon)
     mid = LoopPath(loop.on_grid(0.5 * red.tau, loop.n_samples), loop.period)
-    return _unknowns(red, _first_state(loop), _first_state(mid), varpi)
-
-
-def _re_midpoint(red: _Reduction, state):
-    """The relative equilibrium's state at tau / 2, in closed form.
-
-    In the frame where it closes after r turns per period s the n-gon
-    turns rigidly at 2 pi r / s, so at tau / 2 its positions and
-    velocities are those of state turned by pi r tau / s about the
-    vertical axis.
-    """
-    angle = math.pi * red.spec.r * red.tau / red.spec.s
-    c, s = math.cos(angle), math.sin(angle)
-    return state @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    state = _first_state(loop)
+    x = np.concatenate([red.basis.T @ state.ravel(),
+                        red.mid_basis.T @ _first_state(mid).ravel(), [varpi]])
+    return x, state
 
 
 def _check_steps(n_steps, step, max_step, varpi_range) -> None:

@@ -36,7 +36,7 @@ from unchained.continuation import (INTEGRATOR_TOL, ActionDiagram,
                                     write_family_csv, _START_TOL,
                                     _FLOOR, _TRIAL_NFEV, _BudgetExhausted,
                                     _closing_residual, _damped_newton,
-                                    _onset_point, _re_midpoint, _reduction,
+                                    _onset_point, _reduction,
                                     _state_matrix)
 from unchained.errors import (CollisionError, IntegrationFailure,
                               NoConvergence, SingularReduction)
@@ -475,7 +475,7 @@ def test_midpoint_system_size(spec, shape):
     red = _reduction(spec)
     assert (6 * spec.n_bodies, red.dim + red.mid_dim + 1) == shape
     residual, jac, _, _ = _closing_residual(
-        red, _onset_point(red, 0.05), _START_TOL)
+        red, _onset_point(red, 0.05)[0], _START_TOL)
     assert (len(residual),) + jac.shape[1:] == shape
 
 
@@ -486,7 +486,7 @@ def test_closing_jacobian_matches_finite_difference(spec):
     # expansion's states at t = 0 and tau / 2 start both members near the
     # orbit
     red = _reduction(spec)
-    x = _onset_point(red, 0.05)
+    x = _onset_point(red, 0.05)[0]
     _, jac, _, _ = _closing_residual(red, x, INTEGRATOR_TOL)
     assert jac.shape == (6 * spec.n_bodies, len(x))
     h = 1e-5
@@ -498,17 +498,24 @@ def test_closing_jacobian_matches_finite_difference(spec):
         assert np.max(np.abs(jac[:, j] - fd)) <= 1e-6 * scale
 
 
-@pytest.mark.parametrize("spec", [P12, HH4, HEXAGON])
+@pytest.mark.parametrize("spec", [
+    P12, HH4, HEXAGON, GroupSpec(4, 1, -1, 1, 2), GroupSpec(5, 2, -1, 1, 2),
+    TILT3, GroupSpec(5, 1, -1, 4, 1),
+])
 def test_relative_equilibrium_midpoint_matches_a_plain_flow(spec):
-    # the n-gon turned by pi r tau / s about the vertical axis is its own
-    # flow over tau / 2, and a state the midpoint stabilizer fixes
+    # the expansion at amplitude 0 is the n-gon, which turns rigidly at
+    # 2 pi r / s in this frame: its state at tau / 2, read back from the
+    # midpoint coordinates v, is the n-gon turned by pi r tau / s about
+    # the vertical axis, and the n-gon's own flow over tau / 2
     red = _reduction(spec)
-    state, varpi = onset_state(spec, 0.0)
-    mid = _re_midpoint(red, state)
-    flow = integrate(state, varpi, 0.5 * red.tau).state
+    x, state = _onset_point(red, 0.0)
+    mid = (red.mid_basis @ x[red.dim:-1]).reshape(state.shape)
+    angle = math.pi * spec.r * red.tau / spec.s
+    c, s = math.cos(angle), math.sin(angle)
+    turned = state @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    assert np.max(np.abs(mid - turned)) <= 1e-13
+    flow = integrate(state, x[-1], 0.5 * red.tau).state
     assert np.max(np.abs(mid - flow)) <= 2.5e-11
-    fixed = red.mid_basis @ (red.mid_basis.T @ mid.ravel())
-    assert np.max(np.abs(fixed - mid.ravel())) <= 1e-13
 
 
 def test_onset_state_zero_amplitude_is_ngon():
@@ -1082,6 +1089,23 @@ def test_continue_family_integrates_only_closing_flows(monkeypatch):
     assert calls
     assert all(k.get("tangents") is not None for k in calls)
     assert all(k.get("t_eval") is None for k in calls)
+
+
+@pytest.mark.parametrize("spec", [P12, HH4])
+def test_continue_family_expands_twice(monkeypatch, spec):
+    # one expansion at amplitude 0 gives the branch point, one at
+    # +-_ONSET_EPS the pinned first step; no later step expands
+    import unchained.continuation as continuation
+    amplitudes = []
+
+    def counted(spec, epsilon, real=continuation._expansion):
+        amplitudes.append(epsilon)
+        return real(spec, epsilon)
+
+    monkeypatch.setattr(continuation, "_expansion", counted)
+    fam = continue_family(spec, n_steps=3)
+    assert fam.end_reason == "max-steps"
+    assert amplitudes == [0.0, continuation._ONSET_EPS]
 
 
 @pytest.mark.parametrize("kwargs", [dict(step=0), dict(max_step=0),
