@@ -28,23 +28,11 @@ from .symmetry import (FourierConstraints, GroupElement, GroupSpec,
                        make_element, structure_report)
 from .torsion import (ExpansionResult, build_equations, excluded_harmonics,
                       reconstruct_loop, torsion_gamma)
-
-# served on first access (PEP 562): continuation imports scipy, which the
-# exact layers and their CLI subcommands never need
-_CONTINUATION = (
-    "ActionDiagram", "ContinuationResult", "FamilyRecord",
-    "IntegrationResult", "PeriodicOrbit", "action_diagram",
-    "continue_family", "integrate", "monodromy", "onset_state",
-    "re_branch_action", "shoot_symmetric", "write_family_csv",
-)
-
-
-def __getattr__(name):
-    if name in _CONTINUATION:
-        from . import continuation
-        return getattr(continuation, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from .continuation import (ActionDiagram, ContinuationResult, FamilyRecord,
+                           IntegrationResult, PeriodicOrbit, action_diagram,
+                           continue_family, integrate, monodromy, onset_state,
+                           re_branch_action, shoot_symmetric,
+                           write_family_csv)
 
 __all__ = [
     "CollisionError", "DegenerateSystem", "IntegrationFailure",
@@ -63,7 +51,10 @@ __all__ = [
     "horizontal_bounds_H", "lambda_G_bruteforce", "vertical_bound_V",
     "ExpansionResult", "build_equations", "excluded_harmonics",
     "reconstruct_loop", "torsion_gamma",
-    *_CONTINUATION,
+    "ActionDiagram", "ContinuationResult", "FamilyRecord",
+    "IntegrationResult", "PeriodicOrbit", "action_diagram",
+    "continue_family", "integrate", "monodromy", "onset_state",
+    "re_branch_action", "shoot_symmetric", "write_family_csv",
 ]
 
 __version__ = "0.1.0"

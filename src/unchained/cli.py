@@ -16,6 +16,8 @@ import sys
 
 import numpy as np
 
+from .continuation import (INTEGRATOR_TOL, ActionDiagram, _check_steps,
+                           _checked_tol, continue_family, write_family_csv)
 from .errors import (
     CollisionError,
     DegenerateSystem,
@@ -167,8 +169,6 @@ def cmd_bounds(args) -> int:
 
 
 def _family_payload(result) -> dict:
-    from .continuation import ActionDiagram
-
     spec = result.spec
     return {
         "spec": [spec.n_bodies, spec.k, spec.eta, spec.r, spec.s],
@@ -180,10 +180,6 @@ def _family_payload(result) -> dict:
 
 
 def cmd_continue(args) -> int:
-    # imported here so that the exact subcommands never load scipy
-    from .continuation import (INTEGRATOR_TOL, _check_steps, _checked_tol,
-                               continue_family, write_family_csv)
-
     if len(args.spec) % 5:
         raise ValueError(
             f"continue wants N k eta r s per family, got {len(args.spec)} "

@@ -37,8 +37,8 @@ from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .dop853 import _BudgetExhausted, solve_ivp
 from .errors import (CollisionError, IntegrationFailure, NoConvergence,
                      SingularReduction)
 from .ngon import (LoopPath, _checked_count, _checked_finite,
@@ -59,14 +59,17 @@ _HMASK = np.array([1.0, 1.0, 0.0])
 
 @dataclass
 class IntegrationResult:
-    """Final state of a flow, with the extras that were requested, and
-    the right-hand-side evaluations nfev it took."""
+    """Final state of a flow, with the extras that were requested, the
+    right-hand-side evaluations nfev it took, and its accepted and
+    rejected steps."""
 
     state: np.ndarray
     tangents: Optional[np.ndarray] = None
     harmonic: Optional[np.ndarray] = None
     trajectory: Optional[np.ndarray] = None
     nfev: int = 0
+    accepted: int = 0
+    rejected: int = 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,13 +94,19 @@ def _linear_parts(n):
 def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
               t_eval=None, max_step=np.inf,
               _max_nfev=None) -> IntegrationResult:
-    """Flow the rotating-frame equations of motion with a DOP853 stepper.
+    """Flow the rotating-frame equations of motion with the package's
+    DOP853 stepper (`dop853.solve_ivp`).
 
     state is (2, n, 3): positions and velocities; varpi the frame rate;
     t_span a duration or a (t0, t1) pair.  Returns an IntegrationResult
-    whose state is the final state, with the trajectory on t_eval, of
-    shape (len(t_eval),) + state.shape, when requested, and nfev the
-    right-hand-side evaluations the solver made.
+    whose state is the state at t1, with the trajectory on t_eval, of
+    shape (len(t_eval),) + state.shape, when requested, nfev the
+    right-hand-side evaluations the stepper made, and accepted and
+    rejected its steps.  Each attempted step takes 12 right-hand sides,
+    and a step that holds times of t_eval 3 more for its dense output;
+    a flow adds 2 for its initial step, or 1 for a zero span.  tol is
+    both the relative and the absolute tolerance, and a relative one
+    below 100 eps is raised to it with a UserWarning.
 
     state may also be a stack (..., 2, n, 3) of states flowed together in
     one solver call, and varpi a frame rate per member broadcast over the
@@ -134,15 +143,17 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
     compares the pair distances with ngon.COLLISION_TOL, as the initial
     positions are before the solver starts; a closer pair raises
     CollisionError naming it (i < j), in whichever member it occurs.
-    Solver breakdown raises IntegrationFailure with the time reached, and
-    a tol outside (0, 1), tangents that are not one (6n + 1, k) matrix
-    per member, a varpi that does not broadcast over the stack, a
+    A step size that underflows or turns non-finite, as a non-finite
+    right-hand side drives it, raises IntegrationFailure with the time
+    reached.  A tol outside (0, 1), tangents that are not one (6n + 1, k)
+    matrix per member, a varpi that does not broadcast over the stack, a
     non-finite varpi, t_span or t_eval entry, and a max_step that is NaN
-    or not positive raise ValueError before any integration: DOP853
-    never leaves its step loop once its first step size is NaN, and
-    scipy drops a NaN time from t_eval without a word.  _max_nfev, for
-    the Newton solves of this module, stops the flow with
-    _BudgetExhausted once the solver asks for more right-hand sides.
+    or not positive raise ValueError before any integration: the step
+    loop never reaches a NaN end time, so it would not stop there, and it
+    passes over a NaN time in t_eval without a word, leaving the
+    trajectory a row short.  _max_nfev, for the Newton solves of this
+    module, stops the flow with _BudgetExhausted on the right-hand side
+    after _max_nfev.
     """
     _checked_tol(tol, "tol")
     state = np.asarray(state, dtype=float)
@@ -215,46 +226,20 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
         flow.reshape(view)[..., 1, :, :, :] += acc
         return out
 
-    fun = rhs if _max_nfev is None else _budgeted(rhs, _max_nfev)
-    sol = solve_ivp(fun, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,
-                    t_eval=t_eval, max_step=max_step)
-    if sol.status != 0:
-        raise IntegrationFailure(
-            f"integrator stopped at t = {sol.t[-1]:.9g} of "
-            f"[{t0:.9g}, {t1:.9g}]: {sol.message}")
-
-    final = sol.y[:n_flow, -1].reshape(stack + (2 * nv, width))
+    sol = solve_ivp(rhs, (t0, t1), y0, tol=tol, t_eval=t_eval,
+                    max_step=max_step, max_nfev=_max_nfev)
+    final = sol.state[:n_flow].reshape(stack + (2 * nv, width))
     result = IntegrationResult(state=final[..., 0].reshape(state.shape),
-                               nfev=sol.nfev)
+                               nfev=sol.nfev, accepted=sol.accepted,
+                               rejected=sol.rejected)
     if tangents is not None:
         result.tangents = final[..., 1:]
-        quad = sol.y[n_flow:, -1].reshape(stack + (2, n))
+        quad = sol.state[n_flow:].reshape(stack + (2, n))
         result.harmonic = quad[..., 0, :] + 1j * quad[..., 1, :]
     if t_eval is not None:
-        result.trajectory = sol.y[:n_flow:width].T.reshape(
+        result.trajectory = sol.trajectory[:, :n_flow:width].reshape(
             (-1,) + state.shape)
     return result
-
-
-class _BudgetExhausted(NoConvergence):
-    """A flow asked for more right-hand sides than its Newton solve allows
-    (`_corrector`).  A line search counts it as no decrease
-    (`_damped_newton`); anywhere else it ends the solve as a stall."""
-
-
-def _budgeted(rhs, max_nfev):
-    # rhs, raising _BudgetExhausted from its (max_nfev + 1)-th call on
-    calls = 0
-
-    def counted(t, y):
-        nonlocal calls
-        calls += 1
-        if calls > max_nfev:
-            raise _BudgetExhausted(
-                f"flow stopped at t = {t:.9g} after {max_nfev} "
-                f"right-hand-side evaluations")
-        return rhs(t, y)
-    return counted
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,16 @@ def test_integrate_zero_span_returns_initial_state(t_span, with_tangents):
         assert res.tangents is None and res.harmonic is None
 
 
+def test_integrate_zero_span_samples_the_initial_state():
+    # a zero span with t_eval = [t0] gave no sample and failed on reading
+    # the last one; its one row is the initial state
+    state = two_body_circular()
+    res = integrate(state, 0.3, (0.7, 0.7), t_eval=[0.7])
+    assert res.trajectory.shape == (1,) + state.shape
+    assert np.array_equal(res.trajectory[0], state)
+    assert (res.nfev, res.accepted, res.rejected) == (1, 0, 0)
+
+
 def test_integrate_trajectory_shapes():
     state = two_body_circular()
     t_eval = np.linspace(0.0, 1.0, 11)
@@ -1460,6 +1470,43 @@ def test_twenty_steps_fit_the_nfev_budget(p12_twenty, hh4_twenty):
     assert p12_twenty[0].end_reason == "max-steps"
     assert hh4_twenty[0].end_reason == "max-steps"
     assert p12_twenty[3] + hh4_twenty[3] <= 11000
+
+
+def test_twenty_steps_take_their_pinned_steps(monkeypatch):
+    # the 131 closing flows of the 20-step P12 and Hip-Hop runs take 761
+    # accepted and 8 rejected steps: 12 right-hand sides per attempted step
+    # and 2 to start each flow give their 9490
+    import unchained.continuation as continuation
+    flows = []
+
+    def counted(*args, real=continuation.integrate, **kwargs):
+        res = real(*args, **kwargs)
+        flows.append((res.nfev, res.accepted, res.rejected))
+        return res
+
+    monkeypatch.setattr(continuation, "integrate", counted)
+    for spec in (P12, HH4):
+        continue_family(spec, n_steps=20)
+    nfev, accepted, rejected = map(sum, zip(*flows))
+    assert (len(flows), accepted, rejected) == (131, 761, 8)
+    assert nfev == 12 * (accepted + rejected) + 2 * len(flows) == 9490
+
+
+@pytest.mark.parametrize("spec", [P12, HH4])
+def test_sample_takes_its_pinned_steps(monkeypatch, shot_orbits, spec):
+    # sample(512) takes 48 steps, each holding samples: 12 right-hand
+    # sides for the step and 3 for its dense output, and 2 to start
+    import unchained.continuation as continuation
+    flows = []
+
+    def counted(*args, real=continuation.integrate, **kwargs):
+        flows.append(real(*args, **kwargs))
+        return flows[-1]
+
+    monkeypatch.setattr(continuation, "integrate", counted)
+    shot_orbits[spec].sample(512)
+    assert [(res.accepted, res.rejected, res.nfev) for res in flows] \
+        == [(48, 0, 2 + 15 * 48)]
 
 
 def test_twenty_step_tables_match_the_snapshot(p12_twenty, hh4_twenty):
