@@ -42,8 +42,9 @@ from .dop853 import _BudgetExhausted, solve_ivp
 from .errors import (CollisionError, IntegrationFailure, NoConvergence,
                      SingularReduction)
 from .ngon import (LoopPath, _checked_count, _checked_finite,
-                   _checked_positive, _force, _force_jacobian_apply, _kinetic,
-                   _lz, _pair_squares, _pairs, jay, potential)
+                   _checked_positive, _kinetic, _lz, _pair_force,
+                   _pair_jacobian_apply, _pair_squares, _pairs, jay,
+                   potential)
 from .spectrum import vertical_spectrum
 from .symmetry import GroupElement, GroupSpec, _action, enumerate_elements
 from .torsion import reconstruct_loop, torsion_gamma
@@ -74,10 +75,11 @@ class IntegrationResult:
 
 @functools.lru_cache(maxsize=None)
 def _linear_parts(n):
-    # the constant (6n, 6n) parts of the flow's linear field on (x, v): the
-    # x' = v block, the centrifugal P_h x and the Coriolis J v in the
-    # velocity rows.  The frame varpi weighs them 1, varpi^2 and -2 varpi.
-    # Cached per n, so read-only
+    # the constant parts of the flow's linear operators on the state (x, v)
+    # of n bodies: the (6n, 6n) x' = v block, centrifugal P_h x and Coriolis
+    # J v in the velocity rows, which the frame varpi weighs 1, varpi^2 and
+    # -2 varpi, and the (3P, 6n) rows of the pair differences x_j - x_i of
+    # `ngon._pairs`, P = n(n - 1) / 2.  Cached per n, so read-only
     nv = 3 * n
     drift = np.eye(2 * nv, k=nv)
     centrifugal = np.zeros((2 * nv, 2 * nv))
@@ -86,9 +88,14 @@ def _linear_parts(n):
     coriolis[nv:, nv:] = np.kron(np.eye(n), [[0.0, -1.0, 0.0],
                                              [1.0, 0.0, 0.0],
                                              [0.0, 0.0, 0.0]])
-    for a in (drift, centrifugal, coriolis):
+    _, _, diff_matrix, scatter = _pairs(n)
+    differences = np.zeros((3 * len(diff_matrix), 2 * nv))
+    differences[:, :nv] = np.kron(diff_matrix, np.eye(3))
+    # the scatter lifted to the 2n rows of (x, v), zero in x's
+    lift = np.concatenate([np.zeros_like(scatter), scatter])
+    for a in (drift, centrifugal, coriolis, differences, lift):
         a.flags.writeable = False
-    return drift, centrifugal, coriolis
+    return drift, centrifugal, coriolis, differences, lift
 
 
 def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
@@ -132,17 +139,24 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
     The flow carries each member's state as column 0 of one (6n, 1 + k)
     matrix, the k tangent columns beside it (k = 0 without tangents),
     stored row by row, member after member, and followed by the
-    quadratures.  Every flow's right-hand side is one batched product of
-    the members' linear fields, a (..., 6n, 6n) stack assembled once per
-    call from `_linear_parts`, with their (..., 6n, 1 + k) flow rows, plus
-    one pass over the pairs.  A plain flow returns that product as a
-    fresh vector with the force of `ngon._force` added in place to its
-    velocity rows.  A tangent flow takes
-    `ngon._force_jacobian_apply`, which gives the force in column 0 and
-    the force Jacobian applied to every other column.  Either pass
-    compares the pair distances with ngon.COLLISION_TOL, as the initial
-    positions are before the solver starts; a closer pair raises
-    CollisionError naming it (i < j), in whichever member it occurs.
+    quadratures.  Each call builds one operator per member from the
+    constant parts of `_linear_parts`, weighted by the member's rate, and
+    every right-hand side is one batched product of that stack of
+    operators with the members' (..., 6n, 1 + k) flow rows, plus one pass
+    over the pairs on the pair differences the product gives.  A plain
+    flow's operator is the linear field (x' = v, centrifugal and
+    Coriolis parts) above the 3P pair-difference rows, P = n(n - 1) / 2;
+    its right-hand side is the field's rows plus the force of
+    `ngon._pair_force`, lifted to the velocity rows.  A tangent flow's
+    operator is the velocity rows of the linear field and of their varpi
+    derivative above the pair-difference rows; its position rows copy the
+    velocity rows, and `ngon._pair_jacobian_apply` gives the force in
+    column 0 and the force Jacobian applied to every other column.  The
+    operator grows linearly with the stack; no block-diagonal matrix over
+    the members is formed.  Either pass compares the pair distances of
+    each member with ngon.COLLISION_TOL, as the initial positions are
+    before the solver starts; a closer pair raises CollisionError naming
+    it (i < j), in whichever member it occurs.
     A step size that underflows or turns non-finite, as a non-finite
     right-hand side drives it, raises IntegrationFailure with the time
     reached.  A tol outside (0, 1), tangents that are not one (6n + 1, k)
@@ -184,47 +198,61 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
     if t_eval is not None:
         _checked_finite(t_eval, "t_eval")
     nv = 3 * n
-    drift, centrifugal, coriolis = _linear_parts(n)
+    drift, centrifugal, coriolis, differences, lift = _linear_parts(n)
     rate = rates[..., None, None]
     lin = drift + rate ** 2 * centrifugal - 2.0 * rate * coriolis
-    scatter = _pairs(n)[3]
+    differences = np.broadcast_to(differences, stack + differences.shape)
     width = 1 if tangents is None else 1 + seed.shape[-1]
     n_flow = state.size * width
     rows = stack + (2 * nv, width)
-    view = stack + (2, n, 3, width)
+
     if tangents is None:
         y0 = state.ravel()
+        # each member's operator: its linear field, then the pair
+        # differences
+        op = np.concatenate([lin, differences], axis=-2)
+
+        def rhs(t, y):
+            prod = op @ y.reshape(rows)
+            force = _pair_force(prod[..., 2 * nv:, 0].reshape(stack + (-1, 3)),
+                                lift)
+            return (prod[..., :2 * nv, 0]
+                    + force.reshape(stack + (2 * nv,))).ravel()
     else:
         y0 = np.concatenate([
             np.concatenate([state.reshape(stack + (2 * nv, 1)),
                             seed[..., :-1, :]], axis=-1).ravel(),
             np.zeros(state.size // 3)])
-        # the varpi term b w of each member: b = (d lin / d varpi) x at the
-        # member's own rate, in the velocity rows, and w its seed's last
+        # each member's operator: the velocity rows of its linear field and
+        # of their varpi derivative, then the pair differences.  The
+        # position rows, x' = v, are a copy.  The varpi term b w: b = (d
+        # lin / d varpi) x at the member's own rate, and w its seed's last
         # row, 0 in the state's column
-        dlin = (2.0 * rate * centrifugal - 2.0 * coriolis)[..., nv:, :]
+        op = np.concatenate([
+            lin[..., nv:, :],
+            (2.0 * rate * centrifugal - 2.0 * coriolis)[..., nv:, :],
+            differences], axis=-2)
         w_varpi = np.concatenate([np.zeros(stack + (1,)), seed[..., -1, :]],
-                                 axis=-1)[..., None, None, :]
+                                 axis=-1)[..., None, :]
+        scatter = _pairs(n)[3]
+        phase = np.empty((2, 1))
 
-    def rhs(t, y):
-        if tangents is None:
-            out = lin @ y.reshape(rows)
-            out.reshape(view)[..., 1, :, :, 0] += _force(
-                y.reshape(view)[..., 0, :, :, 0])
-            return out.ravel()
-        out = np.empty_like(y)
-        mat = y[:n_flow].reshape(rows)
-        flow = out[:n_flow].reshape(rows)
-        np.matmul(lin, mat, out=flow)
-        cols = mat.reshape(view)
-        acc = _force_jacobian_apply(cols[..., 0, :, :, :], scatter)
-        acc += (dlin @ mat[..., :1]).reshape(stack + (n, 3, 1)) * w_varpi
-        np.multiply([[math.cos(2.0 * math.pi * t)],
-                     [-math.sin(2.0 * math.pi * t)]],
-                    cols[..., None, 0, :, 2, 0],
-                    out=out[n_flow:].reshape(stack + (2, n)))
-        flow.reshape(view)[..., 1, :, :, :] += acc
-        return out
+        def rhs(t, y):
+            mat = y[:n_flow].reshape(rows)
+            prod = op @ mat
+            acc = _pair_jacobian_apply(prod[..., 2 * nv:, :].reshape(
+                stack + (-1, 3, width)), scatter).reshape(stack + (nv, width))
+            acc += prod[..., nv:2 * nv, :1] * w_varpi
+            out = np.empty_like(y)
+            flow = out[:n_flow].reshape(rows)
+            flow[..., :nv, :] = mat[..., nv:, :]
+            np.add(prod[..., :nv, :], acc, out=flow[..., nv:, :])
+            angle = 2.0 * math.pi * t
+            phase[0, 0] = math.cos(angle)
+            phase[1, 0] = -math.sin(angle)
+            np.multiply(phase, mat[..., None, 2:nv:3, 0],
+                        out=out[n_flow:].reshape(stack + (2, n)))
+            return out
 
     sol = solve_ivp(rhs, (t0, t1), y0, tol=tol, t_eval=t_eval,
                     max_step=max_step, max_nfev=_max_nfev)

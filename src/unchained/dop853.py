@@ -245,7 +245,9 @@ def solve_ivp(fun, t_span, y0, *, tol, t_eval=None, max_step=np.inf,
     """Flow y' = fun(t, y) from y0 over a finite t_span = (t0, t1) with
     DOP853.
 
-    fun returns a fresh float array of y's shape.  The local error of a
+    fun returns a fresh float array of y's shape.  The y it is handed is
+    often one buffer that the stepper reuses for every stage argument, so
+    fun must not keep it or return a view of it.  The local error of a
     step is held to atol + rtol |y| in DOP853's blended RMS norm, with
     atol = rtol = tol, except that an rtol below RTOL_FLOOR = 100 eps is
     raised to it with a UserWarning, as scipy does, since the step control
@@ -253,8 +255,11 @@ def solve_ivp(fun, t_span, y0, *, tol, t_eval=None, max_step=np.inf,
     before t0.  t_eval, sorted along the direction of the flow and inside
     the span, asks for the trajectory at those times from the 7th-order
     dense output, 3 more right-hand sides for each step that holds one of
-    them; its times must be finite.  A zero span takes no step and costs
-    the one call at t0.
+    them; its times must be finite.  Each such step keeps the 7
+    coefficient rows of its interpolant, and the interpolants are
+    evaluated once, at the end of the flow, over all of t_eval, with the
+    operations scipy applies step by step, so every row is the same
+    double.  A zero span takes no step and costs the one call at t0.
 
     Raises ValueError for a y0 that is not a finite vector, a max_step
     that is not positive, or a t_eval outside the span or out of order;
@@ -285,7 +290,8 @@ def solve_ivp(fun, t_span, y0, *, tol, t_eval=None, max_step=np.inf,
         if np.any(direction * np.diff(t_eval) <= 0):
             raise ValueError("t_eval is not sorted along the flow")
         times = (direction * t_eval).tolist()  # increasing
-        rows = []
+        # (samples, t_old, h, y_old, F) of each step that holds samples
+        held = []
     budget = math.inf if max_nfev is None else max_nfev
     nfev = accepted = rejected = 0
 
@@ -305,6 +311,9 @@ def solve_ivp(fun, t_span, y0, *, tol, t_eval=None, max_step=np.inf,
     # stages 0-11 of a step, f at its end, then the dense output's 13-15
     K = np.empty((16, y.size))
     KT = [K[:s].T for s in range(17)]
+    # reused for every stage's argument y + h sum_j a_j K_j and for the
+    # error estimates
+    stage, scale, err = (np.empty(y.size) for _ in range(3))
     i_eval = 0
     while t != t1:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -327,21 +336,21 @@ def solve_ivp(fun, t_span, y0, *, tol, t_eval=None, max_step=np.inf,
 
             K[0] = f
             for s, (a, c) in enumerate(_STAGES, start=1):
-                dy = np.dot(KT[s], a) * h
-                K[s] = call(t + c * h, y + dy)
+                K[s] = call(t + c * h, _stage(KT[s], a, h, y, stage))
             y_new = y + h * np.dot(KT[N_STAGES], B)
             f_new = call(t + h, y_new)
             K[N_STAGES] = f_new
 
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(KT[N_STAGES + 1], E5) / scale
-            err3 = np.dot(KT[N_STAGES + 1], E3) / scale
-            err5_2 = np.sqrt(err5.dot(err5)) ** 2
-            err3_2 = np.sqrt(err3.dot(err3)) ** 2
+            np.maximum(np.abs(y, out=scale), np.abs(y_new, out=err),
+                       out=scale)
+            scale *= rtol
+            scale += atol
+            err5_2 = _norm_2(KT[N_STAGES + 1], E5, scale, err)
+            err3_2 = _norm_2(KT[N_STAGES + 1], E3, scale, err)
             if err5_2 == 0 and err3_2 == 0:
                 error_norm = 0.0
             else:
-                error_norm = h_abs * err5_2 / np.sqrt(
+                error_norm = h_abs * err5_2 / math.sqrt(
                     (err5_2 + 0.01 * err3_2) * y.size)
             if error_norm < 1:
                 if error_norm == 0:
@@ -363,16 +372,15 @@ def solve_ivp(fun, t_span, y0, *, tol, t_eval=None, max_step=np.inf,
                 i_eval += 1
             if i_eval > start:
                 for s, (a, c) in enumerate(_EXTRA, start=N_STAGES + 1):
-                    dy = np.dot(KT[s], a) * h
-                    K[s] = call(t + c * h, y + dy)
-                rows.append(_dense(t_eval[start:i_eval], t, h, y, y_new,
-                                   f_new, K))
+                    K[s] = call(t + c * h, _stage(KT[s], a, h, y, stage))
+                held.append((i_eval - start, t, h, y,
+                             _interpolant(h, y, y_new, f_new, K)))
         t, y, f = t_new, y_new, f_new
     trajectory = None
     if t_eval is not None:
-        # the times no step held: those of a zero span, all at t0
-        rows.append(np.tile(y, (len(times) - i_eval, 1)))
-        trajectory = np.concatenate(rows)
+        # the times no step held are those of a zero span, all at t0
+        trajectory = np.concatenate([_dense(t_eval[:i_eval], held, y.size),
+                                     np.tile(y, (len(times) - i_eval, 1))])
     return Solution(y, trajectory, nfev, accepted, rejected)
 
 
@@ -400,10 +408,27 @@ def _initial_step(call, t0, y0, t1, max_step, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length, max_step)
 
 
-def _dense(times, t_old, h, y_old, y, f, K):
-    # the 7th-order interpolant of the step from (t_old, y_old) to (t_old
-    # + h, y), K holding all 16 stages, at times inside the step: one row
-    # per time
+def _stage(KT, a, h, y, out):
+    # the stage argument y + np.dot(KT, a) * h, formed in out
+    np.dot(KT, a, out=out)
+    out *= h
+    out += y
+    return out
+
+
+def _norm_2(KT, weights, scale, out):
+    # the squared error estimate |np.dot(KT, weights) / scale|^2 as a float,
+    # formed in out, rounded as scipy's np.linalg.norm(...) ** 2
+    np.dot(KT, weights, out=out)
+    out /= scale
+    return math.sqrt(out.dot(out)) ** 2
+
+
+def _interpolant(h, y_old, y, f, K):
+    # the 7 coefficient rows F of the 7th-order interpolant of the step
+    # from y_old to y = y_old + delta_y over h, K holding all 16 stages:
+    # y_old + x (F_0 + (1 - x) (F_1 + x (F_2 + (1 - x) (... F_6)))) at the
+    # step fraction x
     delta_y = y - y_old
     f_old = K[0]
     F = np.empty((7, y.size))
@@ -411,13 +436,26 @@ def _dense(times, t_old, h, y_old, y, f, K):
     F[1] = h * f_old - delta_y
     F[2] = 2 * delta_y - h * (f + f_old)
     F[3:] = h * np.dot(D, K)
-    x = ((times - t_old) / h)[:, None]
-    out = np.zeros((len(times), y.size))
-    for i, row in enumerate(F[::-1]):
-        out += row
+    return F
+
+
+def _dense(times, held, size):
+    # the interpolants of the steps in held, (samples, t_old, h, y_old, F)
+    # each, at the times they hold, in order: one row per time.  Each row
+    # takes its step's scalars and rows, and Horner's rule runs once over
+    # all of them, with the operations of scipy's per-step loop
+    if not held:
+        return np.empty((0, size))
+    counts, t_old, h, y_old, F = zip(*held)
+    step = np.repeat(np.arange(len(held)), counts)
+    x = ((times - np.array(t_old)[step]) / np.array(h)[step])[:, None]
+    F = np.stack(F)
+    out = np.zeros((len(times), size))
+    for i in range(7):
+        out += F[step, 6 - i]
         if i % 2 == 0:
             out *= x
         else:
             out *= 1 - x
-    out += y_old
+    out += np.array(y_old)[step]
     return out

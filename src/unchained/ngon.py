@@ -26,13 +26,17 @@ positions that `potential`, `wintner_matrix`, `gravity` and
 ValueError otherwise.  `potential` and `wintner_matrix` take one (n, 3)
 configuration and refuse any other shape with ValueError.
 
-The force is `_force`, the plain flow's right-hand side and the body of
-`gravity` and `newton_residual`.  `force_jacobian` and the tangent flow
-use `_force_jacobian_apply`, which takes the positions as column 0 of a
-stack of position columns and, with one pair-difference product and one
-scatter product, returns the force in column 0 and the force Jacobian,
-in rank-one form, applied to every other column.  It reads r^2 off that
-product and runs the same guard as the front end.
+The force is `_pair_force` of the pair differences: `_force` of
+positions, the body of `gravity` and `newton_residual`, takes them from
+the pair-difference matrix, and the plain flow of
+`continuation.integrate` from its own batched product.  The force
+Jacobian is `_pair_jacobian_apply` of the pair differences of a stack of
+position columns, the positions in column 0: with one scatter product it
+returns the force in column 0 and the force Jacobian, in rank-one form,
+applied to every other column.  It reads r^2 off the differences and
+runs the same guard as the front end.  `force_jacobian` takes the
+differences through `_force_jacobian_apply`, and the tangent flow from
+its batched product.
 """
 
 import functools
@@ -71,9 +75,15 @@ def _pair_squares(pos):
     # (..., P, 3), and their squared lengths, (..., P), after the collision
     # check of `_check_squared`: no caller divides by a closer pair
     d = _pairs(pos.shape[-2])[2] @ pos
+    return d, _checked_squares(d)
+
+
+def _checked_squares(d):
+    # the squared lengths (..., P) of pair differences d (..., P, 3), after
+    # the collision check of `_check_squared`
     sq = (d * d) @ _ONES3
     _check_squared(sq)
-    return d, sq
+    return sq
 
 
 def closest_pair(r):
@@ -173,10 +183,17 @@ def gravity(positions):
 
 
 def _force(pos):
-    # the force of (..., n, 3) positions: the `_pairs` scatter, its columns
-    # weighted by r^-3, adds d = x_j - x_i to body i and subtracts it from j
-    d, sq = _pair_squares(pos)
-    return (_pairs(pos.shape[-2])[3] * (sq ** -1.5)[..., None, :]) @ d
+    # the force of (..., n, 3) positions
+    _, _, diff_matrix, scatter = _pairs(pos.shape[-2])
+    return _pair_force(diff_matrix @ pos, scatter)
+
+
+def _pair_force(d, scatter):
+    # the force from the pair differences d = x_j - x_i, (..., P, 3): the
+    # `_pairs` scatter, its columns weighted by r^-3, adds d to body i and
+    # subtracts it from body j.  A scatter with zero rows added returns
+    # zero rows there
+    return (scatter * (_checked_squares(d) ** -1.5)[..., None, :]) @ d
 
 
 def force_jacobian(positions):
@@ -200,16 +217,24 @@ def force_jacobian(positions):
 def _force_jacobian_apply(cols, scatter):
     # the force F at the positions x = cols[..., 0] in column 0, and the
     # force Jacobian J at x applied to every other column of cols
-    # (..., n, 3, k), in one pass over the pairs, times the `_pairs`
-    # scatter.  Pair p = (i, j) takes the column differences rel = c_j - c_i
-    # and gives the rank-one form of (I / r^3 - 3 d d^T / r^5) rel,
-    # d = x_j - x_i, which the scatter adds to body i and subtracts from
-    # body j; column 0 keeps only the isotropic term d / r^3, the pair's
-    # force.  The front end's `_check_squared` runs before any division
+    # (..., n, 3, k): `_pair_jacobian_apply` of the columns' pair
+    # differences
     shape = cols.shape
     n, k, lead = shape[-3], shape[-1], shape[:-3]
     rel = (_pairs(n)[2] @ cols.reshape(lead + (n, 3 * k))).reshape(
         lead + (-1, 3, k))
+    return _pair_jacobian_apply(rel, scatter).reshape(shape)
+
+
+def _pair_jacobian_apply(rel, scatter):
+    # F in column 0 and J applied to every other column, as (..., n, 3k),
+    # from the pair differences rel = c_j - c_i, (..., P, 3, k), of a stack
+    # of position columns c, column 0 the positions x, in one pass over the
+    # pairs times the `_pairs` scatter.  Pair p = (i, j) gives the rank-one
+    # form of (I / r^3 - 3 d d^T / r^5) rel, d = x_j - x_i, which the
+    # scatter adds to body i and subtracts from body j; column 0 keeps only
+    # the isotropic term d / r^3, the pair's force.  The front end's
+    # `_check_squared` runs before any division
     d = rel[..., 0]
     # d . rel of every column, (..., P, 1, k); column 0 holds r^2
     proj = d[..., None, :] @ rel
@@ -221,8 +246,8 @@ def _force_jacobian_apply(cols, scatter):
     proj *= (3.0 / sq)[..., None, None]
     proj[..., 0] = 0.0
     g = rel - d[..., None] * proj
-    return ((scatter * weight[..., None, :])
-            @ g.reshape(lead + (-1, 3 * k))).reshape(shape)
+    return (scatter * weight[..., None, :]) @ g.reshape(
+        rel.shape[:-3] + (-1, 3 * rel.shape[-1]))
 
 
 def wintner_matrix(positions):

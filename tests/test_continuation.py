@@ -215,6 +215,54 @@ def test_integrate_matches_pair_loop_tangent_flow(n):
     assert np.max(np.abs(res.harmonic - harmonic)) < 1e-10
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 4, 6, 12])
+@pytest.mark.parametrize("kind", ["plain", "tangent"])
+def test_flow_rhs_matches_pair_loop_field(monkeypatch, kind, n, m):
+    # one right-hand side of the flow integrate hands the stepper, against
+    # the test-local pair loops member by member: a stack of m perturbed
+    # polygons at distinct rates, for a tangent flow each with its own seed
+    # of two state directions and a varpi row, at a time where both phases
+    # of the height quadratures are nonzero
+    import unchained.continuation as continuation
+    from unchained import dop853
+
+    states = np.stack([_perturbed_ngon_state(n, 10 * n + i)
+                       for i in range(m)])
+    varpis = np.linspace(0.4, -0.9, m)
+    rng = np.random.default_rng(n + m)
+    seeds = np.zeros((m, 6 * n + 1, 3))
+    seeds[:, :-1, :2] = rng.standard_normal((m, 6 * n, 2))
+    seeds[:, -1] = rng.standard_normal((m, 3))
+    seen = []
+
+    def captured(fun, t_span, y0, **options):
+        seen.append((fun, y0))
+        return dop853.solve_ivp(fun, t_span, y0, **options)
+
+    monkeypatch.setattr(continuation, "solve_ivp", captured)
+    kwargs = {} if kind == "plain" else dict(tangents=seeds)
+    integrate(states, varpis, 0.01, **kwargs)
+    fun, y0 = seen[0]
+    t = 0.3
+    got = fun(t, y0.copy())
+    width = 1 if kind == "plain" else 4
+    n_flow = m * 6 * n * width
+    flows = got[:n_flow].reshape(m, 6 * n, width)
+    quads = got[n_flow:].reshape(m, -1)
+    for i in range(m):
+        if kind == "plain":
+            want = _pair_loop_rhs(varpis[i])(t, states[i].ravel())
+            mine = flows[i, :, 0]
+        else:
+            y_i = np.concatenate([states[i].ravel(), seeds[i, :-1].ravel(),
+                                  np.zeros(2 * n)])
+            want = _pair_loop_tangent_rhs(varpis[i], n, seeds[i, -1])(t, y_i)
+            mine = np.concatenate([flows[i, :, 0], flows[i, :, 1:].ravel(),
+                                   quads[i]])
+        assert np.max(np.abs(mine - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("shape", [(25,), (25, 2, 1), (24, 2), (26, 2)],
                          ids=["1-D", "3-D", "24-rows", "26-rows"])
 def test_integrate_refuses_malformed_seed(monkeypatch, shape):
@@ -344,17 +392,22 @@ def test_integrate_time_reversal_flips_frame_and_velocities():
     assert np.max(np.abs(vel + back[1])) < 1e-10
 
 
-def test_integrate_stack_collision_names_the_member_pair():
-    # member 1 is the head-on fall of bodies 1 and 3 from
-    # test_integrate_four_body_collision_inside_the_flow; member 0, a
-    # wide square at rest, stays far from any collision meanwhile
+@pytest.mark.parametrize("kind", ["plain", "tangent"])
+def test_integrate_stack_collision_names_the_member_pair(kind):
+    # member 2, the last of three, is the head-on fall of bodies 1 and 3
+    # from test_integrate_four_body_collision_inside_the_flow; members 0 and
+    # 1, wide squares at rest, stay far from any collision meanwhile.  The
+    # tangent flow's pair pass reads r^2 per member and pair, as the plain
+    # one does, so both name the pair within its member
     falling = np.array([[5.0, 0.0, 0.0], [0.0, 0.5, 0.0],
                         [-5.0, 0.0, 0.0], [0.0, -0.5, 0.0]])
     wide = 10.0 * NGonSystem(4).positions
     states = np.stack([np.stack([p, np.zeros_like(p)])
-                       for p in (wide, falling)])
+                       for p in (wide, 1.5 * wide, falling)])
+    kwargs = ({} if kind == "plain" else
+              dict(tangents=np.stack([np.eye(25)[:, :2]] * 3)))
     with pytest.raises(CollisionError) as err:
-        integrate(states, 0.0, 3.0)
+        integrate(states, 0.0, 3.0, **kwargs)
     assert err.value.pair == (1, 3)
     assert err.value.distance < COLLISION_TOL
 

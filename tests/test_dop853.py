@@ -79,6 +79,17 @@ def test_stepper_reproduces_scipy_bit_for_bit(kind, tol, span):
     assert ours.nfev == theirs.nfev
     assert sampled.trajectory.tobytes() == theirs_sampled.y.T.tobytes()
     assert sampled.nfev == theirs_sampled.nfev
+    # 257 times, both ends included, put several in every step: a dense
+    # output that mixed up rows between steps fails here
+    grid = np.linspace(*span, 257)
+    with floor:
+        dense = solve_ivp(fun, t_span, y0, tol=tol, t_eval=grid,
+                          max_step=0.04)
+    with floor:
+        theirs_dense = scipy_solve_ivp(fun, t_span, y0, t_eval=grid,
+                                       **scipy)
+    assert dense.trajectory.tobytes() == theirs_dense.y.T.tobytes()
+    assert dense.nfev == theirs_dense.nfev
     # every attempted step takes 12 right-hand sides, and 2 start the flow
     assert ours.nfev == 12 * (ours.accepted + ours.rejected) + 2
     assert (sampled.accepted, sampled.rejected) \
