@@ -26,7 +26,7 @@ from .errors import (
     SingularReduction,
     UnsupportedCase,
 )
-from .minimize import absolute_interval, lambda_G_bruteforce
+from .minimize import _lambda_G_scan, absolute_interval
 from .spectrum import horizontal_spectrum, vertical_spectrum
 from .symmetry import (
     GroupSpec,
@@ -146,16 +146,15 @@ def cmd_bounds(args) -> int:
     rep = absolute_interval(spec)
     lo, hi = rep.interval
     shift = TWO_PI * spec.r / spec.s
-
-    def lam_at(x):
-        return lambda_G_bruteforce(spec, x - shift)
-
-    consistent = (lam_at(hi + PROBE_OFFSET) < 1.0
-                  and lam_at(lo - PROBE_OFFSET) < 1.0)
+    # lambda^G just outside and just inside each end, from one scan
+    out_hi, out_lo, in_hi, in_lo = _lambda_G_scan(spec, np.array(
+        [hi + PROBE_OFFSET, lo - PROBE_OFFSET,
+         hi - PROBE_OFFSET, lo + PROBE_OFFSET]) - shift)
+    consistent = out_hi < 1.0 and out_lo < 1.0
     if hi - lo > 2.0 * PROBE_OFFSET:
         consistent = (consistent
-                      and lam_at(hi - PROBE_OFFSET) >= 1.0 - PROBE_SLACK
-                      and lam_at(lo + PROBE_OFFSET) >= 1.0 - PROBE_SLACK)
+                      and in_hi >= 1.0 - PROBE_SLACK
+                      and in_lo >= 1.0 - PROBE_SLACK)
     lines = [
         f"bounds for {_group_label(spec)}",
         f"V = {_fmt(rep.V)}",

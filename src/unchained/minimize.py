@@ -12,6 +12,11 @@ inequality with constant lambda^G on the kinetic part.  lambda^G itself
 reduces to an explicit scan over the invariant vertical and horizontal
 modes of the variational equation, which doubles as a brute-force
 oracle for the closed-form bounds.
+
+V and H+- are loops over the mode index p; each index is folded once
+and reads its frequency from the spectrum's list.  The oracle builds its
+candidate arrays once per call and evaluates them at any number of frame
+rates at once, so the CLI's four probes of one interval cost one build.
 """
 
 from dataclasses import dataclass
@@ -24,6 +29,8 @@ from .spectrum import fold_mode, vertical_spectrum
 from .symmetry import GroupSpec
 
 TWO_PI = 2.0 * np.pi
+# default mode cutoff of the lambda^G scan
+_P_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -64,20 +71,22 @@ class BarActionParams:
 def vertical_bound_V(spec: GroupSpec) -> float:
     """V = inf_{p >= 0} (omega_1 / omega_{(1+2p) k eta}) (1+2p) 2 pi.
 
-    Mode indices are folded into 1..n/2; multiples of N are skipped (no
-    such invariant mode).  Candidates grow linearly in p, so the scan
-    stops once the odd multiplier exceeds omega_max/omega_1.
+    Mode indices are folded into 1..n/2 and index the frequency list
+    directly; multiples of N are skipped (no such invariant mode).
+    Candidates grow linearly in p, so the scan stops once the odd
+    multiplier exceeds omega_max/omega_1.
     """
     spectrum = vertical_spectrum(spec.n_bodies)
     n, ke = spec.n_bodies, spec.k * spec.eta
     w1, wmax = spectrum.omega1, spectrum.omega_max
     p_stop = int(np.ceil(wmax / w1)) + n
+    omegas = spectrum.omegas.tolist()
     best = np.inf
     for p in range(p_stop + 1):
         m = fold_mode(n, (1 + 2 * p) * ke)
         if m == 0:
             continue
-        best = min(best, (w1 / spectrum.omega(m)) * (1 + 2 * p) * TWO_PI)
+        best = min(best, (w1 / omegas[m - 1]) * (1 + 2 * p) * TWO_PI)
     return best
 
 
@@ -85,15 +94,16 @@ def _h_one_side(n, ke, spectrum, sign):
     """inf over the p>0 candidates 4 p pi w1/(w1 + w_{1 -+ 2pke}) and
     4 p pi w1/(w_{1 +- 2pke} - w1), capped at 4 pi; sign=+1 gives H+."""
     w1, wmax = spectrum.omega1, spectrum.omega_max
+    omegas = spectrum.omegas.tolist()
     best = 2.0 * TWO_PI
     p_stop = int(np.ceil(wmax / w1)) + n + 1
     for p in range(1, p_stop + 1):
         m = fold_mode(n, 1 - sign * 2 * p * ke)
         if m != 0:
-            best = min(best, 2 * p * TWO_PI * w1 / (w1 + spectrum.omega(m)))
+            best = min(best, 2 * p * TWO_PI * w1 / (w1 + omegas[m - 1]))
         m = fold_mode(n, 1 + sign * 2 * p * ke)
         if m != 0:
-            den = spectrum.omega(m) - w1
+            den = omegas[m - 1] - w1
             if den > 0:
                 best = min(best, 2 * p * TWO_PI * w1 / den)
     return best
@@ -124,7 +134,7 @@ def absolute_interval(spec: GroupSpec) -> BoundReport:
 
 
 def lambda_G_bruteforce(spec: GroupSpec, varpi: float,
-                        p_max: int = 64) -> float:
+                        p_max: int = _P_MAX) -> float:
     """Smallest Poincare eigenvalue over the listed invariant modes.
 
     Vertical candidates sqrt(lambda) = (w1/w_{(1+2p)ke}) (1+2p) 2pi/|X|
@@ -135,41 +145,52 @@ def lambda_G_bruteforce(spec: GroupSpec, varpi: float,
     is 1 (the unlisted escape-to-infinity modes are excluded from the
     loop class by construction).
 
-    Both candidate lists are built as arrays over p (vertical p = 0..p_max,
-    horizontal 0 < |p| <= p_max) with the same float expressions as a
-    per-index loop, so the minimum is bit-identical to one.  The mode
-    folding is written out here rather than shared with
-    `vertical_bound_V` and `_h_one_side`, whose scans this checks.  A p_max
-    that is not a positive integer, which would list no candidate and
-    certify 1 from nothing, raises ValueError, and so does a varpi that
-    is not finite, whose candidates are NaN or 0.
+    A p_max that is not a positive integer, which would list no candidate
+    and certify 1 from nothing, raises ValueError, and so does a varpi
+    that is not finite, whose candidates are NaN or 0.  The scan itself is
+    `_lambda_G_scan` at one frame rate.
     """
     p_max = _checked_count(p_max, "p_max")
     if not -np.inf < varpi < np.inf:
         raise ValueError(f"varpi must be finite, got {varpi!r}")
+    return float(_lambda_G_scan(spec, np.array([varpi]), p_max)[0])
+
+
+def _lambda_G_scan(spec: GroupSpec, varpi: np.ndarray,
+                   p_max: int = _P_MAX) -> np.ndarray:
+    """lambda^G at each finite frame rate of the 1-D array varpi.
+
+    Both candidate lists are built once as arrays over p (vertical
+    p = 0..p_max, horizontal 0 < |p| <= p_max) and broadcast against the
+    frame rates, with the same float expressions per element as a
+    per-index loop, so each entry is bit-identical to one.  The mode
+    folding is written out here rather than shared with
+    `vertical_bound_V` and `_h_one_side`, whose scans this checks.
+    Arguments are not checked: `lambda_G_bruteforce` checks them.
+    """
     spectrum = vertical_spectrum(spec.n_bodies)
     n, ke = spec.n_bodies, spec.k * spec.eta
     w1 = spectrum.omega1
-    x = varpi + TWO_PI * spec.r / spec.s
-    best = 1.0
-    if x == 0.0:
-        return best
-    odd = 1 + 2 * np.arange(p_max + 1)
+    x = (varpi + TWO_PI * spec.r / spec.s)[:, None]
+    odd = np.arange(1, 2 * p_max + 2, 2)
     p = np.arange(-p_max, p_max + 1)
     p = p[p != 0]
     m_v, m_h = odd * ke % n, (1 - 2 * p * ke) % n
     m_v, m_h = np.minimum(m_v, n - m_v), np.minimum(m_h, n - m_h)
-    odd, m_v = odd[m_v != 0], m_v[m_v != 0]
-    p, m_h = p[m_h != 0], m_h[m_h != 0]
+    keep_v, keep_h = m_v != 0, m_h != 0
+    odd, m_v, p, m_h = odd[keep_v], m_v[keep_v], p[keep_h], m_h[keep_h]
     # m indexes omegas from 1; m = 0 has no transverse frequency
     w_v, w_h = spectrum.omegas[m_v - 1], spectrum.omegas[m_h - 1]
-    # a tiny |X| sends candidates to inf, as with Python floats; inf never
-    # wins the minimum
-    with np.errstate(over="ignore"):
-        root_v = (w1 / w_v) * odd * TWO_PI / abs(x)
-        root_h = (w1 / w_h) * np.abs(x - 2 * p * TWO_PI) / abs(x)
-        return float(min(best, np.min(root_v * root_v, initial=best),
-                         np.min(root_h * root_h, initial=best)))
+    # at X = 0 every candidate divides by zero into inf, and a tiny |X|
+    # overflows it to inf, as with Python floats; inf never wins the
+    # minimum, so X = 0 gives 1
+    with np.errstate(over="ignore", divide="ignore"):
+        ax = np.abs(x)
+        root_v = (w1 / w_v) * odd * TWO_PI / ax
+        root_h = (w1 / w_h) * np.abs(x - 2 * p * TWO_PI) / ax
+        best = np.minimum(np.min(root_v * root_v, axis=1, initial=1.0),
+                          np.min(root_h * root_h, axis=1, initial=1.0))
+    return best
 
 
 def bar_action(loop: LoopPath, params: BarActionParams,

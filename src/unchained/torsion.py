@@ -199,14 +199,22 @@ def build_equations(spec: GroupSpec) -> AffineSystem:
 
 
 def torsion_gamma(spec: GroupSpec) -> ExpansionResult:
-    """Solve the matching system; gamma is the torsion of the family."""
+    """Solve the matching system; gamma is the torsion of the family.
+
+    One least-squares solve, one SVD inside LAPACK, gives both the
+    solution w and the singular values sigma of the matrix m.  The rank
+    test reads sigma with `np.linalg.matrix_rank`'s rule,
+    sigma > 1e-9 scale (scale the largest entry of m, b and 1).  A rank
+    below the number of unknowns, or a residual |m w - b| above
+    1e-8 scale, raises DegenerateSystem.
+    """
     system = build_equations(spec)
     m, b = system.matrix, system.rhs
     scale = max(np.abs(m).max(), np.abs(b).max(), 1.0)
-    if np.linalg.matrix_rank(m, tol=1e-9 * scale) < len(system.unknowns):
+    w, _, _, sigma = np.linalg.lstsq(m, b, rcond=None)
+    if np.count_nonzero(sigma > 1e-9 * scale) < len(system.unknowns):
         raise DegenerateSystem(
             f"torsion system is singular for {spec}")
-    w, *_ = np.linalg.lstsq(m, b, rcond=None)
     residual = np.abs(m @ w - b).max()
     if residual > 1e-8 * scale:
         raise DegenerateSystem(

@@ -7,6 +7,7 @@ forms H+ = 4 pi w1/(w1+w2) and 2 pi w1/w2 for the five-body bounds
 (test_minimize), and gamma(P12) = 16.589... (test_torsion).
 """
 
+import dataclasses
 import functools
 import json
 import subprocess
@@ -15,8 +16,10 @@ import sys
 import numpy as np
 import pytest
 
-from unchained import spectrum
-from unchained.cli import main
+from unchained import cli, spectrum
+from unchained.cli import PROBE_OFFSET, main
+from unchained.minimize import lambda_G_bruteforce
+from unchained.symmetry import GroupSpec
 from unchained.spectrum import vertical_spectrum
 
 TWO_PI = 2.0 * np.pi
@@ -174,6 +177,37 @@ def test_bounds_battery_consistent(capsys):
         rc, out, _ = run(capsys, "bounds", *spec)
         assert rc == 0
         assert "bruteforce: consistent" in out
+
+
+@pytest.mark.parametrize("argv", [("5", "1", "-1", "4", "1"),
+                                  ("7", "2", "-1", "3", "2")])
+@pytest.mark.parametrize("factor", [1.5, 0.5], ids=["widened", "shrunk"])
+def test_bounds_wrong_interval_is_inconsistent(capsys, monkeypatch, argv,
+                                               factor):
+    # widened, lambda^G < 1 just inside the ends; shrunk, lambda^G = 1 just
+    # outside them: either way the probes refuse the interval
+    real = cli.absolute_interval
+
+    def scaled(spec):
+        rep = real(spec)
+        lo, hi = rep.interval
+        return dataclasses.replace(rep, interval=(factor * lo, factor * hi))
+
+    monkeypatch.setattr(cli, "absolute_interval", scaled)
+    rc, out, _ = run(capsys, "bounds", *argv)
+    assert rc == 1
+    assert out.splitlines()[-1] == "bruteforce: inconsistent"
+    spec = GroupSpec(*map(int, argv))
+    lo, hi = scaled(spec).interval
+    shift = TWO_PI * spec.r / spec.s
+    inside = [lambda_G_bruteforce(spec, x - shift)
+              for x in (hi - PROBE_OFFSET, lo + PROBE_OFFSET)]
+    outside = [lambda_G_bruteforce(spec, x - shift)
+               for x in (hi + PROBE_OFFSET, lo - PROBE_OFFSET)]
+    if factor > 1:
+        assert max(inside) < 1.0 and max(outside) < 1.0
+    else:
+        assert min(inside) == 1.0 and min(outside) == 1.0
 
 
 # ---------------------------------------------------------------- continue

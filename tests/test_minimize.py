@@ -4,11 +4,12 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from unchained.minimize import (BarActionParams, absolute_interval,
-                                bar_action, lambda_G_bruteforce,
-                                vertical_bound_V, horizontal_bounds_H)
+from unchained.minimize import (BarActionParams, _lambda_G_scan,
+                                absolute_interval, bar_action,
+                                lambda_G_bruteforce, vertical_bound_V,
+                                horizontal_bounds_H)
 from unchained.ngon import LoopPath, NGonSystem, action
 from unchained.spectrum import vertical_spectrum
 from unchained.symmetry import FourierConstraints, GroupSpec
@@ -58,6 +59,46 @@ def test_horizontal_bounds_closed_forms():
     hp, hm = horizontal_bounds_H(GroupSpec(3, 1, -1, 2, 1))
     assert hp == pytest.approx(4 * PI, abs=1e-12)
     assert hm == pytest.approx(2 * PI, abs=1e-12)
+
+
+def loop_bound_V(spec):
+    """vertical_bound_V with a checked spectrum.omega lookup per index."""
+    spectrum = vertical_spectrum(spec.n_bodies)
+    n, ke = spec.n_bodies, spec.k * spec.eta
+    w1, wmax = spectrum.omega1, spectrum.omega_max
+    best = np.inf
+    for p in range(int(np.ceil(wmax / w1)) + n + 1):
+        if (1 + 2 * p) * ke % n:
+            best = min(best, (w1 / spectrum.omega((1 + 2 * p) * ke))
+                       * (1 + 2 * p) * (2.0 * np.pi))
+    return best
+
+
+def loop_bound_H(spec, sign):
+    """One side of horizontal_bounds_H, looked up the same way."""
+    spectrum = vertical_spectrum(spec.n_bodies)
+    n, ke = spec.n_bodies, spec.k * spec.eta
+    w1, wmax = spectrum.omega1, spectrum.omega_max
+    two_pi = 2.0 * np.pi
+    best = 2.0 * two_pi
+    for p in range(1, int(np.ceil(wmax / w1)) + n + 2):
+        if (1 - sign * 2 * p * ke) % n:
+            best = min(best, 2 * p * two_pi * w1 / (
+                w1 + spectrum.omega(1 - sign * 2 * p * ke)))
+        if (1 + sign * 2 * p * ke) % n:
+            den = spectrum.omega(1 + sign * 2 * p * ke) - w1
+            if den > 0:
+                best = min(best, 2 * p * two_pi * w1 / den)
+    return best
+
+
+@pytest.mark.parametrize("spec", bound_battery(12), ids=str)
+def test_bound_scans_match_checked_lookups_bitwise(spec):
+    # the scans index the frequency list with the index they folded; the
+    # checked lookup folds it again and must read the same entry
+    assert vertical_bound_V(spec) == loop_bound_V(spec)
+    assert horizontal_bounds_H(spec) == (loop_bound_H(spec, +1),
+                                         loop_bound_H(spec, -1))
 
 
 def test_interval_assembly_and_invariants():
@@ -150,19 +191,30 @@ def bruteforce_cases(draw):
     s = draw(st.integers(1, 6))
     r = draw(st.integers(-2 * s, 2 * s).filter(lambda r: gcd(r, s) == 1))
     spec = GroupSpec(n, k, eta, r, s)
-    # X = varpi + 2 pi r/s = 0 exactly takes the early return
+    # X = varpi + 2 pi r/s = 0 exactly takes the early return, and its
+    # neighbours give |X| of one ulp of 2 pi r/s
     zero = -(2 * PI * spec.r / spec.s)
-    varpi = draw(st.one_of(st.just(zero), st.floats(-40.0, 40.0)))
-    return spec, varpi, draw(st.sampled_from((8, 64, 128)))
+    varpi = st.one_of(st.just(zero), st.floats(-40.0, 40.0),
+                      st.sampled_from((float(np.nextafter(zero, -np.inf)),
+                                       float(np.nextafter(zero, np.inf)))))
+    varpis = draw(st.lists(varpi, min_size=1, max_size=5))
+    return spec, varpis, draw(st.sampled_from((8, 64, 128)))
 
 
 @settings(max_examples=300, deadline=None)
+# r = 0: X = varpi, so a tiny varpi overflows the candidates to inf
+@example((GroupSpec(5, 1, -1, 0, 1), [1e-300, -5e-324, 0.0, 2.5], 64))
 @given(bruteforce_cases())
 def test_lambda_bruteforce_matches_scalar_enumeration(case):
-    spec, varpi, p_max = case
+    # the scan at several frame rates at once equals the per-index
+    # enumeration at each of them, and so does the one-rate wrapper
+    spec, varpis, p_max = case
     spm = vertical_spectrum(spec.n_bodies)
-    assert lambda_G_bruteforce(spec, varpi, p_max=p_max) \
-        == scalar_lambda_G(spec, spm, varpi, p_max)
+    expected = [scalar_lambda_G(spec, spm, v, p_max) for v in varpis]
+    assert _lambda_G_scan(spec, np.array(varpis), p_max).tolist() \
+        == expected
+    assert [lambda_G_bruteforce(spec, v, p_max=p_max)
+            for v in varpis] == expected
 
 
 def test_italian_bound():

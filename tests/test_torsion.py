@@ -7,11 +7,14 @@ collocation solve of the full equations of motion (the three-body case
 of that cross-check runs in-suite, see test_matches_direct_collocation).
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from unchained import torsion
+from unchained.errors import DegenerateSystem
 from unchained.ngon import gravity, force_jacobian, jay, newton_residual
 from unchained.spectrum import vertical_spectrum
 from unchained.symmetry import GroupSpec, invariance_defect
@@ -251,3 +254,49 @@ def test_result_fields():
     assert np.isfinite(res.gamma) and np.isfinite(res.alpha)
     assert all(v is None or np.isfinite(v)
                for v in (res.A2, res.Am2, res.C3))
+
+
+# every (N, k, eta) with N <= 12; eta = +1 alone when 2k = N
+ALL_MODES = [(n, k, eta) for n in range(3, 13) for k in range(1, n // 2 + 1)
+             for eta in ((1,) if 2 * k == n else (-1, 1))]
+
+
+@pytest.mark.parametrize("n, k, eta", ALL_MODES)
+def test_gamma_matches_lstsq(n, k, eta):
+    spec = GroupSpec(n, k, eta, 1, 1)
+    system = build_equations(spec)
+    w, *_ = np.linalg.lstsq(system.matrix, system.rhs, rcond=None)
+    gamma = torsion_gamma(spec).gamma
+    assert abs(gamma - w[-1]) <= 1e-14 * abs(w[-1])
+
+
+def _altered_system(monkeypatch, alter):
+    real = torsion.build_equations
+    monkeypatch.setattr(torsion, "build_equations",
+                        lambda spec: alter(real(spec)))
+
+
+def test_rank_deficient_system_raises(monkeypatch):
+    # the gamma column repeats the alpha column: rank 4 of 5 unknowns
+    def tied(system):
+        m = system.matrix.copy()
+        m[:, -1] = m[:, 0]
+        return dataclasses.replace(system, matrix=m)
+
+    _altered_system(monkeypatch, tied)
+    with pytest.raises(DegenerateSystem, match="singular"):
+        torsion_gamma(GroupSpec(4, 2, 1, 1, 1))
+
+
+def test_inconsistent_system_raises(monkeypatch):
+    # a right-hand side on an imaginary row, whose matrix row is zero, is
+    # out of the column space: no w meets it
+    def offset(system):
+        b = system.rhs.copy()
+        b[system.row_labels.index("U.im")] += (
+            np.abs(system.matrix).max() + np.abs(system.rhs).max())
+        return dataclasses.replace(system, rhs=b)
+
+    _altered_system(monkeypatch, offset)
+    with pytest.raises(DegenerateSystem, match="inconsistent"):
+        torsion_gamma(GroupSpec(4, 2, 1, 1, 1))
