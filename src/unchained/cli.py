@@ -4,15 +4,15 @@ One binary with subcommands; numeric output is printed in full double
 precision (17 significant digits) so every table is machine-parseable
 and bit-stable across runs at fixed tolerances.  Series go to CSV,
 structured results to JSON.  Exit codes: 0 success, 1 numerical
-failure, 2 usage error.
+failure, 2 usage error or an output that cannot be written.
 """
 
 import argparse
-import concurrent.futures
 import dataclasses
 import functools
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -185,41 +185,34 @@ def cmd_continue(args) -> int:
             "values (not a multiple of 5)")
     specs = [GroupSpec(*args.spec[i:i + 5])
              for i in range(0, len(args.spec), 5)]
-    outs = args.out or []
-    if outs and len(outs) != len(specs):
+    outs = [None if path == "-" else path
+            for path in args.out or [None] * len(specs)]
+    if len(outs) != len(specs):
         raise ValueError(
             f"got {len(outs)} --out paths for {len(specs)} families")
+    if args.format == "json" and outs.count(None) > 1:
+        raise ValueError("--format json writes one document per family: "
+                         "give each family its own --out file")
+    for path in filter(None, outs):
+        folder = Path(path).parent
+        if not folder.is_dir():
+            raise ValueError(
+                f"cannot write --out {path}: no directory {folder}")
     integ_tol = INTEGRATOR_TOL if args.tol is None else args.tol
     _checked_tol(100.0 * integ_tol, "Newton tolerance 100 * --tol")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     varpi_range = tuple(args.varpi_range) if args.varpi_range else None
     _check_steps(args.steps, args.step, args.max_step, varpi_range)
-    task = functools.partial(
-        continue_family,
-        direction=args.direction,
-        n_steps=args.steps,
-        step=args.step,
-        max_step=args.max_step,
-        integrator_tol=integ_tol,
-        varpi_range=varpi_range,
-    )
-    if args.jobs > 1 and len(specs) > 1:
-        workers = min(args.jobs, len(specs))
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            results = list(pool.map(task, specs))
-    else:
-        results = [task(spec) for spec in specs]
 
     status = 0
-    for i, result in enumerate(results):
-        path = outs[i] if outs else None
+    for spec, path in zip(specs, outs):
+        result = continue_family(
+            spec, direction=args.direction, n_steps=args.steps,
+            step=args.step, max_step=args.max_step,
+            integrator_tol=integ_tol, varpi_range=varpi_range)
         if args.format == "json":
             _emit(json.dumps(_family_payload(result), indent=2) + "\n", path)
-        elif path is None:
-            write_family_csv(result, sys.stdout)
         else:
-            write_family_csv(result, path)
+            write_family_csv(result, path or sys.stdout)
         if result.end_reason not in _CLEAN_ENDS:
             where = ("at onset " if result.end_reason.startswith(
                 "onset-failure") else "")
@@ -294,9 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format (default: csv)")
     p.add_argument("--out", action="append", metavar="FILE",
-                   help="output file, once per family (default: stdout)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="run families in this many parallel processes")
+                   help="output file, once per family; - is stdout "
+                        "(default: stdout)")
     p.set_defaults(func=cmd_continue)
 
     p = subs.add_parser("torsion",
@@ -315,7 +307,7 @@ def main(argv=None) -> int:
             SingularReduction, DegenerateSystem) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (UnsupportedCase, ValueError) as exc:
+    except (UnsupportedCase, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

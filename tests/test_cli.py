@@ -94,6 +94,15 @@ def test_spectrum_out_file(capsys, tmp_path):
     assert "1.2155625241" in path.read_text()
 
 
+def test_spectrum_out_in_missing_directory(capsys, tmp_path):
+    # an output that cannot be written is a usage error, not a traceback
+    rc, out, err = run(capsys, "spectrum", "4",
+                       "--out", str(tmp_path / "missing" / "spec4.txt"))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # ------------------------------------------------------------------- group
 
 def test_group_order_sixteen(capsys):
@@ -251,32 +260,70 @@ def test_continue_json_format(capsys):
     assert data["records"][0]["varpi"] == pytest.approx(-TWO_PI, abs=1e-8)
 
 
-def test_continue_two_families_parallel(capsys, tmp_path):
-    out_a = tmp_path / "a.csv"
-    out_b = tmp_path / "b.csv"
-    rc, out, _ = run(capsys, "continue",
-                     "3", "1", "-1", "2", "1", "3", "1", "1", "2", "1",
-                     "--jobs", "2", "--steps", "1",
-                     "--out", str(out_a), "--out", str(out_b))
+def test_continue_two_families_match_one_command_each(capsys, tmp_path):
+    # a family's table does not depend on the families run before it in the
+    # same command, so one command per family (run concurrently by the
+    # shell, say) writes the same bytes
+    families = {"p12": ("3", "1", "-1", "2", "1"),
+                "hh4": ("4", "2", "1", "1", "1")}
+    joint = {name: tmp_path / f"{name}.csv" for name in families}
+    rc, out, _ = run(capsys, "continue", *families["p12"], *families["hh4"],
+                     "--steps", "2", "--out", str(joint["p12"]),
+                     "--out", str(joint["hh4"]))
     assert rc == 0
-    assert out_a.read_text().startswith("# spec=3,1,-1,2,1")
-    assert out_b.read_text().startswith("# spec=3,1,1,2,1")
-    assert len(csv_rows(out_a.read_text())) == 2
-
-
-def test_continue_parallel_output_matches_serial(capsys, tmp_path):
-    # worker processes get the same specs and keywords, so the same bytes
-    families = ("3", "1", "-1", "2", "1", "4", "2", "1", "1", "1")
-    files = {}
-    for jobs in ("1", "2"):
-        files[jobs] = [tmp_path / f"{name}-{jobs}.csv"
-                       for name in ("p12", "hh4")]
-        rc, _, _ = run(capsys, "continue", *families, "--steps", "2",
-                       "--jobs", jobs, "--out", str(files[jobs][0]),
-                       "--out", str(files[jobs][1]))
+    assert out.splitlines() == [
+        f"G_{{2/1}}(3,1,-1): 3 records, end=max-steps -> {joint['p12']}",
+        f"G_{{1/1}}(4,2,+1): 3 records, end=max-steps -> {joint['hh4']}"]
+    for name, spec in families.items():
+        alone = tmp_path / f"{name}-alone.csv"
+        rc, _, _ = run(capsys, "continue", *spec, "--steps", "2",
+                       "--out", str(alone))
         assert rc == 0
-    for serial, parallel in zip(files["1"], files["2"]):
-        assert parallel.read_bytes() == serial.read_bytes()
+        assert alone.read_bytes() == joint[name].read_bytes()
+
+
+def test_continue_writes_each_family_before_the_next(capsys, monkeypatch,
+                                                   tmp_path):
+    # a family that raises ends the command with exit 1, and the tables of
+    # the families finished before it are already written
+    from unchained.errors import IntegrationFailure
+    real = cli.continue_family
+
+    def second_fails(spec, **kwargs):
+        if spec.n_bodies == 4:
+            raise IntegrationFailure("forced")
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(cli, "continue_family", second_fails)
+    p12, hh4 = tmp_path / "p12.csv", tmp_path / "hh4.csv"
+    rc, out, err = run(capsys, "continue",
+                       "3", "1", "-1", "2", "1", "4", "2", "1", "1", "1",
+                       "--steps", "1", "--out", str(p12), "--out", str(hh4))
+    assert rc == 1
+    assert err == "numerical failure: forced\n"
+    assert out == f"G_{{2/1}}(3,1,-1): 2 records, end=max-steps -> {p12}\n"
+    assert len(csv_rows(p12.read_text())) == 2
+    assert not hh4.exists()
+
+
+def test_continue_has_no_jobs_option(capsys):
+    # families run one after another in one process; the shell runs
+    # commands side by side
+    with pytest.raises(SystemExit) as exc:
+        main(["continue", "3", "1", "-1", "2", "1", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_continue_out_dash_is_stdout(capsys, tmp_path, monkeypatch):
+    # "-" is stdout for every writer: no file named "-", no status line
+    monkeypatch.chdir(tmp_path)
+    argv = ("continue", "3", "1", "-1", "2", "1", "--steps", "1")
+    rc, out, _ = run(capsys, *argv)
+    rc_dash, out_dash, err = run(capsys, *argv, "--out", "-")
+    assert rc == rc_dash == 0
+    assert out_dash == out and err == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_continue_halved_tolerance_consistency(capsys):
@@ -308,19 +355,16 @@ def test_continue_out_count_mismatch(capsys, tmp_path):
 @pytest.fixture
 def no_family(monkeypatch):
     # a rejected option must stop the command before any family is started;
-    # the CLI imports continue_family from its module when the command runs
-    import unchained.continuation as continuation
-
+    # the CLI binds continue_family at import, so its own name is patched
     def never(*args, **kwargs):
         raise AssertionError("continue_family called with bad options")
 
-    monkeypatch.setattr(continuation, "continue_family", never)
+    monkeypatch.setattr(cli, "continue_family", never)
 
 
 @pytest.mark.parametrize("bad", [
     ("--max-step", "0"), ("--step", "-0.04"), ("--steps", "0"),
-    ("--tol", "2"), ("--tol", "0"), ("--jobs", "0"),
-    ("--varpi-range", "1", "0"),
+    ("--tol", "2"), ("--tol", "0"), ("--varpi-range", "1", "0"),
 ])
 def test_continue_rejects_bad_options_before_any_work(capsys, no_family,
                                                       bad):
@@ -369,6 +413,34 @@ def test_continue_rejects_newton_tolerance_out_of_range(capsys, no_family,
     assert rc == 2
     assert out == ""
     assert err.startswith("error: Newton tolerance 100 * --tol")
+
+
+def test_continue_json_for_two_families_needs_two_outs(capsys, no_family,
+                                                        tmp_path):
+    # two JSON documents back to back on stdout are not one JSON document
+    families = ("3", "1", "-1", "2", "1", "4", "2", "1", "1", "1")
+    for outs in ((), ("--out", "-", "--out", "-")):
+        rc, out, err = run(capsys, "continue", *families, "--steps", "1",
+                           "--format", "json", *outs)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--out" in err
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_continue_out_in_missing_directory_before_any_work(capsys, no_family,
+                                                           tmp_path, which):
+    # every --out is checked before the first family, not after the last
+    outs = [tmp_path / "p12.csv", tmp_path / "hh4.csv"]
+    outs[which] = tmp_path / "missing" / outs[which].name
+    rc, out, err = run(capsys, "continue",
+                       "3", "1", "-1", "2", "1", "4", "2", "1", "1", "1",
+                       "--steps", "1", "--out", str(outs[0]),
+                       "--out", str(outs[1]))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(outs[which]) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_continue_onset_failure_exits_one(capsys, monkeypatch):
@@ -555,10 +627,13 @@ def test_module_entry_point():
 
 def test_exact_subcommands_load_no_scipy():
     # the package runs on numpy alone: the CLI and the exact subcommands
-    # load no scipy module, and neither does importing continuation's names
+    # load no scipy module, and neither does importing continuation's names;
+    # the CLI runs families in one process and loads no process pool
     code = (
         "import os, sys\n"
         "from unchained.cli import main\n"
+        "print(any(m.split('.')[0] in ('concurrent', 'multiprocessing')\n"
+        "          for m in sys.modules))\n"
         "spec = ['5', '1', '-1', '4', '1', '--out', os.devnull]\n"
         "for argv in (['spectrum', '5', '--out', os.devnull],\n"
         "             ['group'] + spec, ['bounds'] + spec,\n"
@@ -572,4 +647,4 @@ def test_exact_subcommands_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True", "False"]
+    assert proc.stdout.split() == ["False", "False", "True", "False"]
