@@ -260,10 +260,41 @@ def test_continue_json_format(capsys):
     assert data["records"][0]["varpi"] == pytest.approx(-TWO_PI, abs=1e-8)
 
 
-def test_continue_two_families_match_one_command_each(capsys, tmp_path):
+def _continue_side_by_side(tmp_path, families, *options):
+    # one `unchained continue` per family, every one started before any is
+    # waited on, as `cmd & ... wait` runs them in the shell
+    paths = {name: tmp_path / f"{name}-alone.csv" for name in families}
+    procs = {name: subprocess.Popen(
+                 [sys.executable, "-m", "unchained.cli", "continue", *spec,
+                  *options, "--out", str(paths[name])],
+                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for name, spec in families.items()}
+    status = {}
+    for name, proc in procs.items():
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        assert err == ""
+        status[name] = out
+    return paths, status
+
+
+def test_continue_two_families_parallel(tmp_path):
+    # families run side by side as one process each
+    families = {"p12": ("3", "1", "-1", "2", "1"),
+                "p12plus": ("3", "1", "1", "2", "1")}
+    paths, status = _continue_side_by_side(tmp_path, families,
+                                           "--steps", "1")
+    assert paths["p12"].read_text().startswith("# spec=3,1,-1,2,1")
+    assert paths["p12plus"].read_text().startswith("# spec=3,1,1,2,1")
+    for name, path in paths.items():
+        assert len(csv_rows(path.read_text())) == 2
+        assert status[name].endswith(f"end=max-steps -> {path}\n")
+
+
+def test_continue_parallel_output_matches_serial(capsys, tmp_path):
     # a family's table does not depend on the families run before it in the
-    # same command, so one command per family (run concurrently by the
-    # shell, say) writes the same bytes
+    # same command, so one command per family, run side by side, writes
+    # the same bytes as one command for all of them
     families = {"p12": ("3", "1", "-1", "2", "1"),
                 "hh4": ("4", "2", "1", "1", "1")}
     joint = {name: tmp_path / f"{name}.csv" for name in families}
@@ -274,12 +305,9 @@ def test_continue_two_families_match_one_command_each(capsys, tmp_path):
     assert out.splitlines() == [
         f"G_{{2/1}}(3,1,-1): 3 records, end=max-steps -> {joint['p12']}",
         f"G_{{1/1}}(4,2,+1): 3 records, end=max-steps -> {joint['hh4']}"]
-    for name, spec in families.items():
-        alone = tmp_path / f"{name}-alone.csv"
-        rc, _, _ = run(capsys, "continue", *spec, "--steps", "2",
-                       "--out", str(alone))
-        assert rc == 0
-        assert alone.read_bytes() == joint[name].read_bytes()
+    alone, _ = _continue_side_by_side(tmp_path, families, "--steps", "2")
+    for name in families:
+        assert alone[name].read_bytes() == joint[name].read_bytes()
 
 
 def test_continue_writes_each_family_before_the_next(capsys, monkeypatch,
@@ -365,6 +393,7 @@ def no_family(monkeypatch):
 @pytest.mark.parametrize("bad", [
     ("--max-step", "0"), ("--step", "-0.04"), ("--steps", "0"),
     ("--tol", "2"), ("--tol", "0"), ("--varpi-range", "1", "0"),
+    ("--varpi-range", "nan", "1"),
 ])
 def test_continue_rejects_bad_options_before_any_work(capsys, no_family,
                                                       bad):
