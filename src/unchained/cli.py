@@ -171,7 +171,7 @@ def _family_payload(result) -> dict:
     spec = result.spec
     return {
         "spec": [spec.n_bodies, spec.k, spec.eta, spec.r, spec.s],
-        "varpi_onset": result.varpi_onset,
+        "varpi_onset": result.records[0].varpi,
         "end_reason": result.end_reason,
         "records": [{c: getattr(rec, c) for c in ActionDiagram.columns}
                     for rec in result.records],
@@ -193,11 +193,18 @@ def cmd_continue(args) -> int:
     if args.format == "json" and outs.count(None) > 1:
         raise ValueError("--format json writes one document per family: "
                          "give each family its own --out file")
+    written = set()
     for path in filter(None, outs):
-        folder = Path(path).parent
-        if not folder.is_dir():
+        target = Path(path)
+        if not target.parent.is_dir():
             raise ValueError(
-                f"cannot write --out {path}: no directory {folder}")
+                f"cannot write --out {path}: no directory {target.parent}")
+        if target.is_dir():
+            raise ValueError(f"cannot write --out {path}: it is a directory")
+        if target.resolve() in written:
+            raise ValueError(f"--out {path} names a file given before: "
+                             "give each family its own --out file")
+        written.add(target.resolve())
     integ_tol = INTEGRATOR_TOL if args.tol is None else args.tol
     _checked_tol(100.0 * integ_tol, "Newton tolerance 100 * --tol")
     varpi_range = tuple(args.varpi_range) if args.varpi_range else None

@@ -160,14 +160,13 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
     A step size that underflows or turns non-finite, as a non-finite
     right-hand side drives it, raises IntegrationFailure with the time
     reached.  A tol outside (0, 1), tangents that are not one (6n + 1, k)
-    matrix per member, a varpi that does not broadcast over the stack, a
-    non-finite varpi, t_span or t_eval entry, and a max_step that is NaN
-    or not positive raise ValueError before any integration: the step
-    loop never reaches a NaN end time, so it would not stop there, and it
-    passes over a NaN time in t_eval without a word, leaving the
-    trajectory a row short.  _max_nfev, for the Newton solves of this
-    module, stops the flow with _BudgetExhausted on the right-hand side
-    after _max_nfev.
+    matrix per member, a varpi that does not broadcast over the stack or
+    has a non-finite entry raise ValueError before any integration, and
+    so do the times and max_step that the stepper refuses
+    (`dop853.solve_ivp`): a non-finite t_span or t_eval entry, and a
+    max_step that is NaN or not positive.  _max_nfev, for the Newton
+    solves of this module, stops the flow with _BudgetExhausted on the
+    right-hand side after _max_nfev.
     """
     _checked_tol(tol, "tol")
     state = np.asarray(state, dtype=float)
@@ -188,15 +187,6 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
                          f"broadcast over a stack of shape {stack}") from None
     _checked_finite(rates, "varpi")
     _pair_squares(state[..., 0, :, :])
-    if np.ndim(t_span) == 0:
-        t0, t1 = 0.0, float(t_span)
-    else:
-        t0, t1 = map(float, t_span)
-    _checked_finite([t0, t1], "t_span")
-    if not max_step > 0:
-        raise ValueError(f"max_step must be positive, got {max_step!r}")
-    if t_eval is not None:
-        _checked_finite(t_eval, "t_eval")
     nv = 3 * n
     drift, centrifugal, coriolis, differences, lift = _linear_parts(n)
     rate = rates[..., None, None]
@@ -254,8 +244,9 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
                         out=out[n_flow:].reshape(stack + (2, n)))
             return out
 
-    sol = solve_ivp(rhs, (t0, t1), y0, tol=tol, t_eval=t_eval,
-                    max_step=max_step, max_nfev=_max_nfev)
+    sol = solve_ivp(rhs, (0.0, t_span) if np.ndim(t_span) == 0 else t_span,
+                    y0, tol=tol, t_eval=t_eval, max_step=max_step,
+                    max_nfev=_max_nfev)
     final = sol.state[:n_flow].reshape(stack + (2 * nv, width))
     result = IntegrationResult(state=final[..., 0].reshape(state.shape),
                                nfev=sol.nfev, accepted=sol.accepted,
@@ -355,12 +346,10 @@ class _Reduction:
 def _state_matrix(g: GroupElement) -> np.ndarray:
     """Phase-space action of a group element evaluated at time zero.
 
-    Positions map by the body relabelling and block of `symmetry._action`;
-    velocities pick up the extra factor xi from time reversal.
+    Positions map by the spatial matrix of `symmetry._action`; velocities
+    pick up the extra factor xi from time reversal.
     """
-    src, block = _action(g)
-    positions = np.kron(np.eye(g.spec.n_bodies)[src], block)
-    return np.kron(np.diag([1.0, g.xi]), positions)
+    return np.kron(np.diag([1.0, g.xi]), _action(g))
 
 
 def _fixed_subspace(group):
@@ -655,12 +644,14 @@ class FamilyRecord:
 
 @dataclass
 class ContinuationResult:
-    """Arclength-ordered family records with the reason the run ended."""
+    """Arclength-ordered family records with the reason the run ended.
+
+    records[0] is the branch point, so its varpi is the onset frame rate.
+    """
 
     spec: GroupSpec
     records: List[FamilyRecord]
     end_reason: str
-    varpi_onset: float
 
     def __iter__(self):
         return iter(self.records)
@@ -824,7 +815,7 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
                                      state_re, 0.0,
                                      float(np.max(np.abs(res_re)))))]
     if not in_window(varpi_star):
-        return ContinuationResult(spec, records, "varpi-range", varpi_star)
+        return ContinuationResult(spec, records, "varpi-range")
 
     # first step: pin the vertical coordinate of body 0 at t = 0 to that
     # of the expansion's state
@@ -836,10 +827,9 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
         here, orbit, null = _corrector(red, x1, row, x1, integrator_tol)
         records.append(_record(orbit))
     except (CollisionError, IntegrationFailure, NoConvergence) as exc:
-        return ContinuationResult(spec, records, f"onset-failure: {exc}",
-                                  varpi_star)
+        return ContinuationResult(spec, records, f"onset-failure: {exc}")
     if not in_window(here[-1]):
-        return ContinuationResult(spec, records, "varpi-range", varpi_star)
+        return ContinuationResult(spec, records, "varpi-range")
 
     # the branch point's null space is 2-D, so it supplies no tangent.
     # Arclength, the secant and the hyperplane live in (u, varpi): the
@@ -883,7 +873,7 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
         if not in_window(new[-1]):
             end_reason = "varpi-range"
             break
-    return ContinuationResult(spec, records, end_reason, varpi_star)
+    return ContinuationResult(spec, records, end_reason)
 
 
 def _onset_point(red: _Reduction, epsilon):

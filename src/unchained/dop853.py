@@ -255,20 +255,24 @@ def solve_ivp(fun, t_span, y0, *, tol, t_eval=None, max_step=np.inf,
     before t0.  t_eval, sorted along the direction of the flow and inside
     the span, asks for the trajectory at those times from the 7th-order
     dense output, 3 more right-hand sides for each step that holds one of
-    them; its times must be finite.  Each such step keeps the 7
-    coefficient rows of its interpolant, and the interpolants are
-    evaluated once, at the end of the flow, over all of t_eval, with the
-    operations scipy applies step by step, so every row is the same
-    double.  A zero span takes no step and costs the one call at t0.
+    them.  Each such step keeps the 7 coefficient rows of its
+    interpolant, and the interpolants are evaluated once, at the end of
+    the flow, over all of t_eval, with the operations scipy applies step
+    by step, so every row is the same double.  A zero span takes no step
+    and costs the one call at t0.
 
-    Raises ValueError for a y0 that is not a finite vector, a max_step
-    that is not positive, or a t_eval outside the span or out of order;
-    IntegrationFailure with the time reached when the step size falls
-    below 10 ulps of the time, or is not finite (a non-finite right-hand
-    side drives it there); and _BudgetExhausted on the right-hand-side call
-    after max_nfev, which it does not make.
+    Raises ValueError, before the first right-hand side, for a NaN or
+    infinite time in t_span or t_eval, which the step loop would never
+    stop at or would pass over, a y0 that is not a finite vector, a
+    max_step that is NaN or not positive, or a t_eval outside the span or
+    out of order; IntegrationFailure with the time reached when the step
+    size falls below 10 ulps of the time, or is not finite (a non-finite
+    right-hand side drives it there); and _BudgetExhausted on the
+    right-hand-side call after max_nfev, which it does not make.
     """
     t0, t1 = map(float, t_span)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got {t_span!r}")
     y = np.asarray(y0, dtype=float)
     if y.ndim != 1 or not np.isfinite(y).all():
         raise ValueError("y0 must be a finite 1-D array")
@@ -283,8 +287,8 @@ def solve_ivp(fun, t_span, y0, *, tol, t_eval=None, max_step=np.inf,
     direction = 1.0 if t1 == t0 else math.copysign(1.0, t1 - t0)
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.ndim != 1:
-            raise ValueError("t_eval must be 1-D")
+        if t_eval.ndim != 1 or not np.isfinite(t_eval).all():
+            raise ValueError("t_eval must be a finite 1-D array")
         if np.any(t_eval < min(t0, t1)) or np.any(t_eval > max(t0, t1)):
             raise ValueError("t_eval lies outside t_span")
         if np.any(direction * np.diff(t_eval) <= 0):

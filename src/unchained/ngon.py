@@ -15,16 +15,16 @@ differences x_j - x_i and their squared lengths r_ij^2, with no diagonal.
 Sums over pairs go back to the bodies through the (n, P) scatter that
 `_pairs` caches per n, which adds a pair's vector to body i and subtracts
 it from body j.  Two bodies closer than the single threshold
-COLLISION_TOL collide, and the front end is the one place that checks:
+COLLISION_TOL collide, and `_check_squared` is the one place that checks:
 it compares the squared distances with a guard just above
-COLLISION_TOL^2 and runs `check_separation` on their roots only when one
-falls below it, so the threshold is exact.  Every function that takes
-positions, and the flow of `continuation.integrate`, raises
-CollisionError below it.  A NaN distance passes that test, so the
-positions that `potential`, `wintner_matrix`, `gravity` and
-`force_jacobian` take, and those of every `LoopPath`, must be finite:
-ValueError otherwise.  `potential` and `wintner_matrix` take one (n, 3)
-configuration and refuse any other shape with ValueError.
+COLLISION_TOL^2 and takes their roots only when one falls below it, so
+the threshold is exact.  Every function that takes positions, and the
+flow of `continuation.integrate`, raises CollisionError below it.  A NaN
+distance passes that test, so the positions that `potential`,
+`wintner_matrix`, `gravity` and `force_jacobian` take, and those of every
+`LoopPath`, must be finite: ValueError otherwise.  `potential` and
+`wintner_matrix` take one (n, 3) configuration and refuse any other shape
+with ValueError.
 
 The force is `_pair_force` of the pair differences: `_force` of
 positions, the body of `gravity` and `newton_residual`, takes them from
@@ -86,34 +86,20 @@ def _checked_squares(d):
     return sq
 
 
-def closest_pair(r):
-    """(i, j, distance), i < j, of the closest pair in an array r of pair
-    distances.
-
-    r is (..., P) over the pairs in `np.triu_indices(n, 1)` order, the
-    roots of the squared distances of `_pair_squares`; over a batch the
-    pair is the closest one of all samples.
-    """
-    k = int(np.argmin(r))
-    n_pairs = r.shape[-1]
-    i, j = _pairs((1 + math.isqrt(1 + 8 * n_pairs)) // 2)[:2]
-    p = k % n_pairs
-    return int(i[p]), int(j[p]), float(r.flat[k])
-
-
-def check_separation(r):
-    """Raise CollisionError when a pair in r is closer than COLLISION_TOL."""
-    if np.minimum.reduce(r, axis=None, initial=np.inf) < COLLISION_TOL:
-        raise CollisionError(*closest_pair(r))
-
-
 def _check_squared(sq):
-    # `check_separation` of the distances sqrt(sq), run only when some
-    # squared distance falls below _SQ_GUARD: every sq at or above the
-    # guard has a rounded root above COLLISION_TOL, so skipping the roots
-    # changes no outcome and the threshold stays exact
+    # raise CollisionError, naming the closest pair (i < j) of all samples,
+    # when a pair in the squared distances sq (..., P) is closer than
+    # COLLISION_TOL.  The roots are taken only when some sq falls below
+    # _SQ_GUARD: every sq at or above it has a rounded root above
+    # COLLISION_TOL, so skipping them changes no outcome and the threshold
+    # stays exact
     if np.minimum.reduce(sq, axis=None, initial=np.inf) < _SQ_GUARD:
-        check_separation(np.sqrt(sq))
+        r = np.sqrt(sq)
+        k = int(np.argmin(r))
+        if r.flat[k] < COLLISION_TOL:
+            i, j = _pairs((1 + math.isqrt(1 + 8 * r.shape[-1])) // 2)[:2]
+            p = k % r.shape[-1]
+            raise CollisionError(int(i[p]), int(j[p]), float(r.flat[k]))
 
 
 def _checked_int(value, name, kind="an integer"):
@@ -148,7 +134,7 @@ def _checked_positive(value, name):
 
 def _checked_finite(values, name):
     # a value or array with no NaN or infinite entry: every comparison
-    # with NaN is False, so range checks and `check_separation` pass it
+    # with NaN is False, so range checks and `_check_squared` pass it
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite")
 

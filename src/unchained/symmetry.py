@@ -13,7 +13,7 @@ multiple of 1/(2Ns), so an element is stored as integers: the numerator
 t = 2 N theta over 2 N s, delta mod N, beta mod 2 and xi = +-1.  The
 group law is integer arithmetic modulo these; theta and alpha are exact
 Fraction views, and floats appear only when an element acts on a state
-or a loop (`_action`).
+or a loop, through its one (3N, 3N) spatial matrix (`_action`).
 """
 
 from __future__ import annotations
@@ -216,8 +216,8 @@ def _check_loop(spec: GroupSpec, loop: LoopPath) -> None:
             f"loop has {loop.n_bodies} bodies, spec expects {spec.n_bodies}")
 
 
-def _action(g: GroupElement) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial part of g: source body of each body, and its 3 x 3 block.
+def _action(g: GroupElement) -> np.ndarray:
+    """Spatial part of g: its (3n, 3n) matrix on raveled (n, 3) positions.
 
     Body j takes the position of body xi (j + delta) mod N, rotated in the
     horizontal plane by 2 pi alpha (conjugated first when xi = -1) and
@@ -230,7 +230,9 @@ def _action(g: GroupElement) -> tuple[np.ndarray, np.ndarray]:
     block = np.array([[c, -s * g.xi, 0.0],
                       [s, c * g.xi, 0.0],
                       [0.0, 0.0, 1.0 - 2.0 * g.beta]])
-    return src, block
+    spatial = np.zeros((n, 3, n, 3))
+    spatial[np.arange(n), :, src, :] = block
+    return spatial.reshape(3 * n, 3 * n)
 
 
 def _shift(g: GroupElement) -> int:
@@ -247,25 +249,22 @@ def _shifted(loop: LoopPath, spec: GroupSpec, shifts) -> np.ndarray:
 
 def _place(g: GroupElement, shifted: np.ndarray) -> np.ndarray:
     """g's image from the (m, n, 3) samples shifted by g's offset: the
-    samples read in the order xi i, then the body map and block of
-    `_action` as one (3n, 3n) matrix, so one product moves every body."""
+    samples read in the order xi i, then one product with the matrix of
+    `_action` moves every body."""
     m, n = shifted.shape[:2]
-    src, block = _action(g)
-    spatial = np.zeros((n, 3, n, 3))
-    spatial[np.arange(n), :, src, :] = block
     moved = shifted.take((g.xi * np.arange(m)) % m, axis=0)
-    return (moved.reshape(m, 3 * n)
-            @ spatial.reshape(3 * n, 3 * n).T).reshape(m, n, 3)
+    return (moved.reshape(m, 3 * n) @ _action(g).T).reshape(m, n, 3)
 
 
 def apply_element(g: GroupElement, loop: LoopPath) -> LoopPath:
     """Transformed loop (gx)_j(t) = rho x_{xi(j+delta)}(xi(t - theta)).
 
-    rho is the block of `_action`.  theta is read in units where the loop
-    period is s, i.e. it shifts time by theta/s of the loop's own period.
-    The times xi(t_i - theta) are the sample grid shifted by -xi theta
-    (mod one period) and read in the order xi i, so one spectral shift,
-    `LoopPath.on_grid` at that one offset, gives them on or off the grid.
+    rho is the 3 x 3 block of the matrix of `_action`.  theta is read in
+    units where the loop period is s, i.e. it shifts time by theta/s of
+    the loop's own period.  The times xi(t_i - theta) are the sample grid
+    shifted by -xi theta (mod one period) and read in the order xi i, so
+    one spectral shift, `LoopPath.on_grid` at that one offset, gives them
+    on or off the grid.
     """
     _check_loop(g.spec, loop)
     return LoopPath(_place(g, _shifted(loop, g.spec, _shift(g))),

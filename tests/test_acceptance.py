@@ -265,7 +265,7 @@ def test_criterion_8_continuation_consistency(continued_families):
         early = fam.records[1:4]
         eps = np.array([r.amplitude for r in early])
         varpi = np.array([r.varpi for r in early])
-        slope = ((varpi - fam.varpi_onset) / eps ** 2).mean()
+        slope = ((varpi - fam.records[0].varpi) / eps ** 2).mean()
         assert abs(slope - gamma) / gamma < 0.05
 
         # every recorded orbit: invariance, residual, L_z conservation
@@ -279,7 +279,7 @@ def test_criterion_8_continuation_consistency(continued_families):
         rec0 = fam.records[0]
         assert abs(rec0.amplitude) < 1e-12
         assert rec0.action == pytest.approx(
-            re_branch_action(spec, fam.varpi_onset), rel=1e-6)
+            re_branch_action(spec, rec0.varpi), rel=1e-6)
         spm = vertical_spectrum(spec.n_bodies)
         w_hat = TWO_PI * spm.omega1 / spm.omega(spec.k)
         a0 = (spm.omega1 / w_hat) ** (2.0 / 3.0)

@@ -472,6 +472,40 @@ def test_continue_out_in_missing_directory_before_any_work(capsys, no_family,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("which", [0, 1])
+def test_continue_out_naming_a_directory_before_any_work(capsys, no_family,
+                                                         tmp_path, which):
+    # a directory passed the check of its parent; the run then wrote the
+    # other family's table, computed both, and stopped on IsADirectoryError
+    folder = tmp_path / "d"
+    folder.mkdir()
+    outs = [folder / "p12.csv", folder / "hh4.csv"]
+    outs[which] = folder
+    rc, out, err = run(capsys, "continue",
+                       "3", "1", "-1", "2", "1", "4", "2", "1", "1", "1",
+                       "--steps", "1", "--out", str(outs[0]),
+                       "--out", str(outs[1]))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "directory" in err
+    assert list(folder.iterdir()) == []
+
+
+@pytest.mark.parametrize("second", ["a.csv", "./d/../a.csv"])
+def test_continue_repeated_out_before_any_work(capsys, no_family, tmp_path,
+                                               monkeypatch, second):
+    # a file named twice, however spelt, held only the last family's table
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    rc, out, err = run(capsys, "continue",
+                       "3", "1", "-1", "2", "1", "4", "2", "1", "1", "1",
+                       "--steps", "1", "--out", "a.csv", "--out", second)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and second in err
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_continue_onset_failure_exits_one(capsys, monkeypatch):
     # the relative-equilibrium record is always there, so a family whose
     # first corrector solve fails still has one row; it must not exit 0

@@ -455,13 +455,16 @@ def test_integrate_stack_arguments_checked_before_any_solve(monkeypatch,
 def test_integrate_refuses_non_finite_arguments(monkeypatch, call, name):
     # DOP853's step loop never exits once its first step size is NaN, so
     # each of these hung; max_step = nan was read as no cap, and a NaN in
-    # t_eval was dropped, leaving one trajectory row fewer than the times
+    # t_eval was dropped, leaving one trajectory row fewer than the times.
+    # The stepper holds the time checks, so the probe is the flow's force
+    # kernels: no right-hand side runs before the refusal
     import unchained.continuation as continuation
 
     def never(*args, **kw):
-        raise AssertionError("solved before the arguments were checked")
+        raise AssertionError("flowed before the arguments were checked")
 
-    monkeypatch.setattr(continuation, "solve_ivp", never)
+    monkeypatch.setattr(continuation, "_pair_force", never)
+    monkeypatch.setattr(continuation, "_pair_jacobian_apply", never)
     with pytest.raises(ValueError, match=f"{name} must be"):
         call(two_body_circular())
 
@@ -885,7 +888,6 @@ def test_family_record_layout(p12_family):
     assert isinstance(fam, ContinuationResult)
     assert fam.end_reason == "max-steps"
     assert len(fam.records) == 9
-    assert fam.varpi_onset == pytest.approx(-2.0 * np.pi, abs=1e-12)
     first = fam.records[0]
     assert isinstance(first, FamilyRecord)
     assert first.amplitude == 0.0
@@ -916,7 +918,7 @@ def test_branch_point_record_is_exactly_planar(spec, direction):
 
 def test_family_onset_action_closed_form(p12_family):
     rec0 = p12_family.records[0]
-    closed = re_branch_action(P12, p12_family.varpi_onset)
+    closed = re_branch_action(P12, rec0.varpi)
     assert rec0.action == pytest.approx(closed, rel=1e-12)
     # (3/2) U T for the n-gon scaled so the vertical frequency is 2 pi
     a0 = (OMEGA1_3 / (2.0 * np.pi)) ** (2.0 / 3.0)
@@ -928,7 +930,7 @@ def test_family_torsion_slope(p12_family):
     rec = p12_family.records[1:4]
     eps = np.array([r.amplitude for r in rec])
     varpi = np.array([r.varpi for r in rec])
-    slope = ((varpi - p12_family.varpi_onset) / eps ** 2).mean()
+    slope = ((varpi - p12_family.records[0].varpi) / eps ** 2).mean()
     assert abs(slope - GAMMA_P12) / GAMMA_P12 < 0.05
 
 
@@ -1015,12 +1017,12 @@ def test_failed_steps_halve_down_to_the_budget(monkeypatch):
 def test_hiphop_family_onset_and_slope(hh4_family):
     fam = hh4_family
     varpi_expect = 2.0 * np.pi * (OMEGA1_4 / OMEGA2_4 - 1.0)
-    assert fam.varpi_onset == pytest.approx(varpi_expect, abs=1e-9)
+    assert fam.records[0].varpi == pytest.approx(varpi_expect, abs=1e-9)
     assert len(fam.records) == 7
     rec = fam.records[1:4]
     eps = np.array([r.amplitude for r in rec])
     varpi = np.array([r.varpi for r in rec])
-    slope = ((varpi - fam.varpi_onset) / eps ** 2).mean()
+    slope = ((varpi - fam.records[0].varpi) / eps ** 2).mean()
     assert abs(slope - GAMMA_HH4) / GAMMA_HH4 < 0.05
 
 
@@ -1039,7 +1041,7 @@ def test_tilted_ngon_family_constant_action(tilt_family):
     actions = np.array([r.action for r in fam.records])
     assert np.max(np.abs(actions - actions[0])) < 1e-8 * actions[0]
     varpi = np.array([r.varpi for r in fam.records])
-    assert np.max(np.abs(varpi - fam.varpi_onset)) < 1e-7
+    assert np.max(np.abs(varpi - fam.records[0].varpi)) < 1e-7
     assert fam.records[-1].amplitude > 0.05
 
 
@@ -1766,7 +1768,7 @@ def test_action_diagram_tables(p12_family):
     assert diagram.family[4, 0] == rec.varpi
     assert diagram.family[4, 2] == rec.action
     grid = diagram.re_branch[:, 0]
-    assert grid[0] < p12_family.varpi_onset < grid[-1]
+    assert grid[0] < p12_family.records[0].varpi < grid[-1]
     assert np.allclose(diagram.re_branch[:, 2],
                        re_branch_action(P12, grid), rtol=1e-14)
     assert np.all(diagram.re_branch[:, 1] == 0.0)
@@ -1831,7 +1833,7 @@ def test_flow_calls_no_public_ngon_function(monkeypatch):
                 name = by_id.get(id(value))
                 if name is not None and public[name] is value:
                     monkeypatch.setattr(module, attr, counting(name, value))
-    assert {"gravity", "potential", "check_separation"} <= set(public)
+    assert {"gravity", "potential", "force_jacobian"} <= set(public)
     integrate(np.stack([state, state]), [varpi, -varpi], 0.3)
     integrate(state, varpi, 0.3, tangents=np.eye(19)[:, -3:])
     assert calls == dict.fromkeys(public, 0)

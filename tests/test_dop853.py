@@ -160,11 +160,18 @@ def test_budget_raises_on_the_call_after_it(max_nfev):
     (dict(max_step=0.0), "max_step must be positive"),
     (dict(t_eval=[0.5, 1.5]), "outside t_span"),
     (dict(t_eval=[0.5, 0.2]), "not sorted"),
+    # the step loop never reaches a NaN or infinite end time, so the
+    # first two hung; a NaN start failed only after the first calls, and
+    # a NaN time in t_eval was passed over: its row held the end state
+    (dict(t_span=(0.0, np.nan)), "t_span must be finite"),
+    (dict(t_span=(0.0, np.inf)), "t_span must be finite"),
+    (dict(t_span=(np.nan, 1.0)), "t_span must be finite"),
+    (dict(t_eval=[0.5, np.nan]), "t_eval must be a finite"),
 ])
 def test_arguments_checked_before_any_call(kwargs, match):
     def never(t, y):
         raise AssertionError("called before the arguments were checked")
 
-    kwargs = dict(dict(y0=np.ones(2)), **kwargs)
+    kwargs = dict(dict(y0=np.ones(2), t_span=(0.0, 1.0)), **kwargs)
     with pytest.raises(ValueError, match=match):
-        solve_ivp(never, (0.0, 1.0), tol=1e-8, **kwargs)
+        solve_ivp(never, tol=1e-8, **kwargs)

@@ -116,7 +116,7 @@ def families(draw):
     records = [FamilyRecord(*draw(st.tuples(*[any_float] * 5)), orbit=None)
                for _ in range(draw(st.integers(0, 5)))]
     reason = draw(st.text(st.characters(blacklist_categories=("Cc", "Cs"))))
-    return ContinuationResult(draw(specs()), records, reason, draw(any_float))
+    return ContinuationResult(draw(specs()), records, reason)
 
 
 @SETTINGS

@@ -279,10 +279,10 @@ def test_invariance_defect_checks_bodies_before_any_fft(fft_calls):
 
 def _dense_apply(dense_interpolant, g, spec, loop):
     """Oracle for apply_element: the dense interpolant at xi (t - theta),
-    theta/s of the period, then the body map and block of `_action`."""
+    theta/s of the period, then the spatial matrix of `_action`."""
     t = g.xi * (loop.times - g.t / (2 * spec.n_bodies * spec.s) * loop.period)
-    src, block = _action(g)
-    return dense_interpolant(loop, t)[:, src, :] @ block.T
+    dense = dense_interpolant(loop, t)
+    return (dense.reshape(len(t), -1) @ _action(g).T).reshape(dense.shape)
 
 
 @pytest.mark.parametrize("spec", [GroupSpec(3, 1, -1, 2, 1),
