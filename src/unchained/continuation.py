@@ -43,8 +43,7 @@ from .errors import (CollisionError, IntegrationFailure, NoConvergence,
                      SingularReduction)
 from .ngon import (LoopPath, _checked_count, _checked_finite,
                    _checked_positive, _kinetic, _lz, _pair_force,
-                   _pair_jacobian_apply, _pair_squares, _pairs, jay,
-                   potential)
+                   _pair_jacobian_apply, _pairs, jay, potential)
 from .spectrum import vertical_spectrum
 from .symmetry import GroupElement, GroupSpec, _action, enumerate_elements
 from .torsion import reconstruct_loop, torsion_gamma
@@ -75,11 +74,11 @@ class IntegrationResult:
 
 @functools.lru_cache(maxsize=None)
 def _linear_parts(n):
-    # the constant parts of the flow's linear operators on the state (x, v)
-    # of n bodies: the (6n, 6n) x' = v block, centrifugal P_h x and Coriolis
+    # the constant parts of the flow's linear field on the state (x, v) of
+    # n bodies: the (6n, 6n) x' = v block, centrifugal P_h x and Coriolis
     # J v in the velocity rows, which the frame varpi weighs 1, varpi^2 and
-    # -2 varpi, and the (3P, 6n) rows of the pair differences x_j - x_i of
-    # `ngon._pairs`, P = n(n - 1) / 2.  Cached per n, so read-only
+    # -2 varpi, and the `ngon._pairs` scatter lifted to the 2n rows of
+    # (x, v), zero in x's.  Cached per n, so read-only
     nv = 3 * n
     drift = np.eye(2 * nv, k=nv)
     centrifugal = np.zeros((2 * nv, 2 * nv))
@@ -88,14 +87,11 @@ def _linear_parts(n):
     coriolis[nv:, nv:] = np.kron(np.eye(n), [[0.0, -1.0, 0.0],
                                              [1.0, 0.0, 0.0],
                                              [0.0, 0.0, 0.0]])
-    _, _, diff_matrix, scatter = _pairs(n)
-    differences = np.zeros((3 * len(diff_matrix), 2 * nv))
-    differences[:, :nv] = np.kron(diff_matrix, np.eye(3))
-    # the scatter lifted to the 2n rows of (x, v), zero in x's
+    scatter = _pairs(n)[3]
     lift = np.concatenate([np.zeros_like(scatter), scatter])
-    for a in (drift, centrifugal, coriolis, differences, lift):
+    for a in (drift, centrifugal, coriolis, lift):
         a.flags.writeable = False
-    return drift, centrifugal, coriolis, differences, lift
+    return drift, centrifugal, coriolis, lift
 
 
 def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
@@ -143,19 +139,19 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
     constant parts of `_linear_parts`, weighted by the member's rate, and
     every right-hand side is one batched product of that stack of
     operators with the members' (..., 6n, 1 + k) flow rows, plus one pass
-    over the pairs on the pair differences the product gives.  A plain
-    flow's operator is the linear field (x' = v, centrifugal and
-    Coriolis parts) above the 3P pair-difference rows, P = n(n - 1) / 2;
-    its right-hand side is the field's rows plus the force of
-    `ngon._pair_force`, lifted to the velocity rows.  A tangent flow's
-    operator is the velocity rows of the linear field and of their varpi
-    derivative above the pair-difference rows; its position rows copy the
-    velocity rows, and `ngon._pair_jacobian_apply` gives the force in
-    column 0 and the force Jacobian applied to every other column.  The
-    operator grows linearly with the stack; no block-diagonal matrix over
-    the members is formed.  Either pass compares the pair distances of
-    each member with ngon.COLLISION_TOL, as the initial positions are
-    before the solver starts; a closer pair raises CollisionError naming
+    over the pairs on the pair differences that the `ngon._pairs`
+    difference matrix takes of the position rows, as `ngon._force` does.
+    A plain flow's operator is the linear field (x' = v, centrifugal and
+    Coriolis parts); its right-hand side is the field's rows plus the
+    force of `ngon._pair_force`, lifted to the velocity rows.  A tangent
+    flow's operator is the velocity rows of the linear field and of their
+    varpi derivative; its position rows copy the velocity rows, and
+    `ngon._pair_jacobian_apply` gives the force in column 0 and the force
+    Jacobian applied to every other column.  The operator grows linearly
+    with the stack; no block-diagonal matrix over the members is formed.
+    Either pass compares the pair distances of each member with
+    ngon.COLLISION_TOL, the first right-hand side at t0 on the initial
+    positions, before any step; a closer pair raises CollisionError naming
     it (i < j), in whichever member it occurs.
     A step size that underflows or turns non-finite, as a non-finite
     right-hand side drives it, raises IntegrationFailure with the time
@@ -186,27 +182,23 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
         raise ValueError(f"varpi of shape {np.shape(varpi)} does not "
                          f"broadcast over a stack of shape {stack}") from None
     _checked_finite(rates, "varpi")
-    _pair_squares(state[..., 0, :, :])
     nv = 3 * n
-    drift, centrifugal, coriolis, differences, lift = _linear_parts(n)
+    drift, centrifugal, coriolis, lift = _linear_parts(n)
+    _, _, diff_matrix, scatter = _pairs(n)
     rate = rates[..., None, None]
     lin = drift + rate ** 2 * centrifugal - 2.0 * rate * coriolis
-    differences = np.broadcast_to(differences, stack + differences.shape)
     width = 1 if tangents is None else 1 + seed.shape[-1]
     n_flow = state.size * width
     rows = stack + (2 * nv, width)
 
     if tangents is None:
         y0 = state.ravel()
-        # each member's operator: its linear field, then the pair
-        # differences
-        op = np.concatenate([lin, differences], axis=-2)
+        pos = stack + (2, n, 3)
 
         def rhs(t, y):
-            prod = op @ y.reshape(rows)
-            force = _pair_force(prod[..., 2 * nv:, 0].reshape(stack + (-1, 3)),
+            force = _pair_force(diff_matrix @ y.reshape(pos)[..., 0, :, :],
                                 lift)
-            return (prod[..., :2 * nv, 0]
+            return ((lin @ y.reshape(rows))[..., 0]
                     + force.reshape(stack + (2 * nv,))).ravel()
     else:
         y0 = np.concatenate([
@@ -214,25 +206,28 @@ def integrate(state, varpi, t_span, *, tol=INTEGRATOR_TOL, tangents=None,
                             seed[..., :-1, :]], axis=-1).ravel(),
             np.zeros(state.size // 3)])
         # each member's operator: the velocity rows of its linear field and
-        # of their varpi derivative, then the pair differences.  The
-        # position rows, x' = v, are a copy.  The varpi term b w: b = (d
-        # lin / d varpi) x at the member's own rate, and w its seed's last
-        # row, 0 in the state's column
+        # of their varpi derivative.  The position rows, x' = v, are a copy.
+        # The varpi term b w: b = (d lin / d varpi) x at the member's own
+        # rate, and w its seed's last row, 0 in the state's column
         op = np.concatenate([
             lin[..., nv:, :],
-            (2.0 * rate * centrifugal - 2.0 * coriolis)[..., nv:, :],
-            differences], axis=-2)
+            (2.0 * rate * centrifugal - 2.0 * coriolis)[..., nv:, :]],
+            axis=-2)
         w_varpi = np.concatenate([np.zeros(stack + (1,)), seed[..., -1, :]],
                                  axis=-1)[..., None, :]
-        scatter = _pairs(n)[3]
+        cols = stack + (n, 3 * width)
         phase = np.empty((2, 1))
 
         def rhs(t, y):
             mat = y[:n_flow].reshape(rows)
             prod = op @ mat
-            acc = _pair_jacobian_apply(prod[..., 2 * nv:, :].reshape(
-                stack + (-1, 3, width)), scatter).reshape(stack + (nv, width))
-            acc += prod[..., nv:2 * nv, :1] * w_varpi
+            # `ngon._force_jacobian_apply` of the position columns, written
+            # out: its `_pairs` lookup and reshapes cost about 1 us per
+            # right-hand side at n <= 6
+            rel = diff_matrix @ mat[..., :nv, :].reshape(cols)
+            acc = _pair_jacobian_apply(rel.reshape(stack + (-1, 3, width)),
+                                       scatter).reshape(stack + (nv, width))
+            acc += prod[..., nv:, :1] * w_varpi
             out = np.empty_like(y)
             flow = out[:n_flow].reshape(rows)
             flow[..., :nv, :] = mat[..., nv:, :]

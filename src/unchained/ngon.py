@@ -26,17 +26,18 @@ distance passes that test, so the positions that `potential`,
 `wintner_matrix` take one (n, 3) configuration and refuse any other shape
 with ValueError.
 
-The force is `_pair_force` of the pair differences: `_force` of
-positions, the body of `gravity` and `newton_residual`, takes them from
-the pair-difference matrix, and the plain flow of
-`continuation.integrate` from its own batched product.  The force
-Jacobian is `_pair_jacobian_apply` of the pair differences of a stack of
-position columns, the positions in column 0: with one scatter product it
-returns the force in column 0 and the force Jacobian, in rank-one form,
-applied to every other column.  It reads r^2 off the differences and
-runs the same guard as the front end.  `force_jacobian` takes the
-differences through `_force_jacobian_apply`, and the tangent flow from
-its batched product.
+Every caller takes the pair differences one way, the `_pairs`
+difference matrix applied to the positions.  The force is `_pair_force`
+of them: `_force` of positions is the body of `gravity` and
+`newton_residual`, and the plain flow of `continuation.integrate` calls
+`_pair_force` on its position rows.  The force Jacobian is
+`_pair_jacobian_apply` of the pair differences of a stack of position
+columns, the positions in column 0: with one scatter product it returns
+the force in column 0 and the force Jacobian, in rank-one form, applied
+to every other column.  It reads r^2 off the differences and runs the
+same guard as the front end.  `force_jacobian` reaches it through
+`_force_jacobian_apply`, and the tangent flow with the same two steps
+written out.
 """
 
 import functools

@@ -574,6 +574,33 @@ def test_continue_newton_failure_exits_one(capsys, monkeypatch, tmp_path):
     assert len(csv_rows(text)) == 2
 
 
+def test_continue_collision_writes_table_and_exits_one(capsys, monkeypatch,
+                                                      tmp_path):
+    # an arclength step after the onset meets a collision: the family ends
+    # "collision: ..." with its two records, which are written, and a
+    # collision is a numerical failure, so the run exits 1
+    import unchained.continuation as continuation
+    from unchained.errors import CollisionError
+    onset = []
+
+    def collide_after_onset(*args, real=continuation._corrector):
+        if onset:
+            raise CollisionError(0, 1, 1e-8)
+        onset.append(real(*args))
+        return onset[0]
+
+    monkeypatch.setattr(continuation, "_corrector", collide_after_onset)
+    path = tmp_path / "p12.csv"
+    rc, out, err = run(capsys, "continue", "3", "1", "-1", "2", "1",
+                       "--steps", "4", "--out", str(path))
+    assert rc == 1 and out == ""
+    assert "numerical failure" in err and "collision: bodies 0 and 1" in err
+    text = path.read_text()
+    assert text.splitlines()[-1] == \
+        "# end=collision: bodies 0 and 1 at distance 1.000e-08"
+    assert len(csv_rows(text)) == 2
+
+
 # ----------------------------------------------------------------- torsion
 
 def test_torsion_json_p12(capsys):

@@ -33,8 +33,9 @@ from unchained.continuation import (INTEGRATOR_TOL, ActionDiagram,
                                     action_diagram, continue_family,
                                     integrate, monodromy, onset_state,
                                     re_branch_action, shoot_symmetric,
-                                    write_family_csv, _START_TOL,
-                                    _FLOOR, _TRIAL_NFEV, _BudgetExhausted,
+                                    write_family_csv, _CORRECTOR_ITER,
+                                    _START_TOL, _FLOOR, _TRIAL_NFEV,
+                                    _BudgetExhausted,
                                     _closing_residual, _damped_newton,
                                     _onset_point, _reduction,
                                     _state_matrix)
@@ -263,6 +264,42 @@ def test_flow_rhs_matches_pair_loop_field(monkeypatch, kind, n, m):
         assert np.max(np.abs(mine - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_flow_pair_terms_are_the_ngon_kernels_bit_for_bit(monkeypatch, n):
+    # at varpi = 0, with a zero varpi row in the seed, the linear field
+    # adds exact zeros to the velocity rows, which then hold the pair term
+    # alone.  Taking the pair differences with the `_pairs` difference
+    # matrix, as ngon does, gives ngon's bits: the plain flow's force rows
+    # are `_force` of the positions, and the tangent flow's velocity rows
+    # `_force_jacobian_apply` of the position columns, for every member
+    import unchained.continuation as continuation
+    from unchained import dop853
+    from unchained.ngon import _force, _force_jacobian_apply, _pairs
+
+    m = 2
+    states = np.stack([_perturbed_ngon_state(n, 20 * n + i)
+                       for i in range(m)])
+    seeds = np.zeros((m, 6 * n + 1, 3))
+    seeds[:, :-1] = np.random.default_rng(n).standard_normal((m, 6 * n, 3))
+    seen = []
+
+    def captured(fun, t_span, y0, **options):
+        seen.append((fun, y0))
+        return dop853.solve_ivp(fun, t_span, y0, **options)
+
+    monkeypatch.setattr(continuation, "solve_ivp", captured)
+    integrate(states, 0.0, 0.01)
+    integrate(states, 0.0, 0.01, tangents=seeds)
+    (plain, y_plain), (tangent, y_tangent) = seen
+    force = plain(0.3, y_plain.copy()).reshape(m, 2, n, 3)[:, 1]
+    assert np.array_equal(force, _force(states[:, 0]))
+    n_flow = m * 6 * n * 4
+    cols = y_tangent[:n_flow].reshape(m, 2, n, 3, 4)[:, 0]
+    flows = tangent(0.3, y_tangent.copy())[:n_flow].reshape(m, 2, n, 3, 4)
+    assert np.array_equal(flows[:, 1],
+                          _force_jacobian_apply(cols, _pairs(n)[3]))
+
+
 @pytest.mark.parametrize("shape", [(25,), (25, 2, 1), (24, 2), (26, 2)],
                          ids=["1-D", "3-D", "24-rows", "26-rows"])
 def test_integrate_refuses_malformed_seed(monkeypatch, shape):
@@ -282,13 +319,44 @@ def test_integrate_refuses_malformed_seed(monkeypatch, shape):
 
 def test_integrate_rejects_initial_collision():
     # two bodies inside the collision threshold and moving apart: the
-    # check of the initial positions names them before the solver starts
+    # first right-hand side, on the initial positions, names them before
+    # the solver takes a step
     pos = np.array([[0.0, 0.0, 0.0], [5e-8, 0.0, 0.0]])
     vel = np.array([[-0.5e5, 0.0, 0.0], [0.5e5, 0.0, 0.0]])
     with pytest.raises(CollisionError) as err:
         integrate(np.stack([pos, vel]), 0.0, 1e-6)
     assert err.value.pair == (0, 1)
     assert err.value.distance == pytest.approx(5e-8)
+
+
+@pytest.mark.parametrize("kind", ["plain", "tangent"])
+def test_initial_collision_raises_on_the_first_rhs(monkeypatch, kind):
+    # integrate checks no positions itself: the stepper's first right-hand
+    # side, at t0 on the initial positions, names the pair of the one
+    # colliding member of a stack before any step is attempted
+    import unchained.continuation as continuation
+    from unchained import dop853
+    times = []
+
+    def counted(fun, t_span, y0, **options):
+        def rhs(t, y):
+            times.append(t)
+            return fun(t, y)
+        return dop853.solve_ivp(rhs, t_span, y0, **options)
+
+    monkeypatch.setattr(continuation, "solve_ivp", counted)
+    apart = 3.0 * NGonSystem(3).positions
+    close = apart.copy()
+    close[2] = close[1] + [0.0, 0.0, 5e-8]
+    states = np.stack([np.stack([p, np.zeros_like(p)])
+                       for p in (apart, close)])
+    kwargs = ({} if kind == "plain" else
+              dict(tangents=np.stack([np.eye(19)[:, :2]] * 2)))
+    with pytest.raises(CollisionError) as err:
+        integrate(states, 0.3, (0.25, 1.0), **kwargs)
+    assert err.value.pair == (1, 2)
+    assert err.value.distance == pytest.approx(5e-8)
+    assert times == [0.25]
 
 
 @pytest.mark.parametrize("t_span", [0.0, (0.7, 0.7)])
@@ -861,6 +929,41 @@ def test_damped_newton_polish_ends_at_round_off():
         assert np.array_equal(x, x0) and np.max(residual) == stuck
 
 
+def test_damped_newton_step_that_rounds_away_is_not_evaluated():
+    # a residual of 1e-11 against a Jacobian of 1e6 asks x = 1 to move by
+    # -1e-17, below half an ulp: the trial equals x, so it is skipped, and
+    # the solve returns x from its start and that start's re-evaluation
+    calls = []
+
+    def fun(x, tol, max_nfev):
+        calls.append((x.copy(), tol))
+        return np.full(1, 1e-11), np.full((1, 1), 1e6), None, 0
+
+    x0 = np.array([1.0])
+    x, residual, _ = _damped_newton(fun, x0, INTEGRATOR_TOL)
+    assert np.array_equal(x, x0) and residual[0] == 1e-11
+    assert [t for _, t in calls] == [_START_TOL, INTEGRATOR_TOL]
+    assert all(np.array_equal(p, x0) for p, _ in calls)
+
+
+def test_damped_newton_returns_after_every_pass_stepped():
+    # residual x with a Jacobian of 25/24: each full step leaves x / 25,
+    # a decrease rapid enough to polish on, so from 1e3 all
+    # _CORRECTOR_ITER passes take a step and the solve returns past the
+    # loop, below the Newton test
+    calls = []
+
+    def fun(x, tol, max_nfev):
+        calls.append((x.copy(), tol))
+        return x.copy(), np.full((1, 1), 25.0 / 24.0), None, 0
+
+    x, residual, _ = _damped_newton(fun, np.array([1e3]), INTEGRATOR_TOL)
+    assert len(calls) == 1 + _CORRECTOR_ITER
+    assert np.array_equal(x, calls[-1][0]) and np.array_equal(residual, x)
+    assert abs(x[0]) <= 100 * INTEGRATOR_TOL
+    assert x[0] == pytest.approx(1e3 / 25.0 ** _CORRECTOR_ITER, rel=1e-9)
+
+
 @pytest.mark.parametrize("integrator_tol", [1e-8, 1e-6])
 @pytest.mark.parametrize("offset", [0.1, 1e6])
 def test_damped_newton_at_coarse_tolerance_evaluates_once(integrator_tol,
@@ -955,6 +1058,7 @@ def test_family_action_continuity_halved_steps(p12_family):
 @pytest.mark.parametrize("fail_at, exc, reason, kept", [
     (4, IntegrationFailure("forced"), "integration-failure: forced", 3),
     (2, CollisionError(0, 1, 1e-8), "onset-failure: bodies 0 and 1", 1),
+    (4, CollisionError(0, 1, 1e-8), "collision: bodies 0 and 1", 3),
 ])
 def test_record_failure_ends_family(monkeypatch, fail_at, exc, reason, kept):
     # a step counts only with its record: a failure while finishing the
@@ -984,6 +1088,13 @@ def test_varpi_window_ends_family():
     assert tight.end_reason == "varpi-range"
     assert len(tight.records) == 2
     assert tight.records[-1].varpi > -6.2831
+    # an edge between the first two secant steps' records, at -6.2732 and
+    # -6.2680: the second is emitted, and ends the run
+    secant = continue_family(P12, n_steps=6, step=0.035,
+                             varpi_range=(-6.2832, -6.270))
+    assert secant.end_reason == "varpi-range"
+    assert len(secant.records) == 4
+    assert secant.records[-2].varpi <= -6.270 < secant.records[-1].varpi
     off = continue_family(P12, n_steps=2, varpi_range=(0.0, 1.0))
     assert off.end_reason == "varpi-range"
     assert len(off.records) == 1

@@ -64,6 +64,10 @@ def test_spec_validation():
         GroupSpec(5, 2, 0, 1, 1)
     with pytest.raises(ValueError):
         GroupSpec(5, 2, -1, 2, 4)
+    # gcd(r, 0) = 1 for r = 1, so s = 0 needs its own refusal
+    for s in (0, -1):
+        with pytest.raises(ValueError, match="s must be a positive integer"):
+            GroupSpec(3, 1, -1, 1, s)
     # eta is immaterial for the antisymmetric mode and normalizes to +1
     assert GroupSpec(4, 2, -1, 1, 1) == GroupSpec(4, 2, 1, 1, 1)
 
@@ -452,6 +456,31 @@ def test_projection_agrees_with_invariance():
         moved = fc.project(noisy)
         assert invariance_defect(noisy, spec) > 1e-9
         assert np.abs(moved.positions - noisy.positions).max() > 1e-4
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec(3, 1, -1, 2, 1), GroupSpec(4, 2, 1, 1, 1),
+    GroupSpec(6, 1, -1, 5, 1), GroupSpec(5, 2, -1, 2, 1),
+    GroupSpec(4, 1, -1, 3, 2), GroupSpec(6, 1, 1, 1, 3)], ids=str)
+def test_projector_is_the_group_average(spec):
+    # oracle sharing no code with the harmonic rules: the group acts by
+    # orthogonal maps, so the orthogonal projection onto its invariant
+    # loops is the average of apply_element over the group, and project
+    # also puts the centre of mass at the origin.  The grids are odd, with
+    # no Nyquist bin, or a multiple of 2Ns, where every element shifts by
+    # whole samples.  At other even m project zeroes the Nyquist bin and
+    # the spectral shifts of apply_element do not, so the two differ (P12
+    # at m = 40 by 2.6e-2)
+    n, s = spec.n_bodies, spec.s
+    rng = np.random.default_rng(7)
+    elements = enumerate_elements(spec)
+    for m in (6 * n * s + 1, 4 * n * s):
+        loop = LoopPath(rng.standard_normal((m, n, 3)), float(s))
+        mean = sum(apply_element(g, loop).positions
+                   for g in elements) / len(elements)
+        mean -= mean.mean(axis=1, keepdims=True)
+        projected = FourierConstraints(spec).project(loop).positions
+        assert np.abs(projected - mean).max() <= 2e-14
 
 
 def test_group_average_oracle_for_the_torsion_harmonics():
