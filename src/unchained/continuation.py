@@ -45,7 +45,7 @@ from .ngon import (LoopPath, _checked_count, _checked_finite,
                    _checked_positive, _kinetic, _lz, _pair_force,
                    _pair_jacobian_apply, _pairs, jay, potential)
 from .spectrum import vertical_spectrum
-from .symmetry import GroupElement, GroupSpec, _action, enumerate_elements
+from .symmetry import GroupSpec, _action, enumerate_elements
 from .torsion import reconstruct_loop, torsion_gamma
 
 INTEGRATOR_TOL = 1e-12
@@ -267,11 +267,13 @@ class _Reduction:
     The midpoint stabilizer H_mid is the xi = +1 elements at t = 0 and the
     reversors (xi = -1) at t = tau, tau the minimal shift; each fixes the
     state at tau / 2, and mid_basis spans its fixed subspace.  Both bases
-    are orthonormal columns.  seeds are the tangent seeds of the two
-    members of a closing flow (`_closing_residual`) in (state, varpi), one
-    column per unknown of the member, zero columns up to a common width,
-    and the varpi column last: the basis with varpi row 1, and the
-    time-reversed mid_basis with varpi row -1.
+    are orthonormal, dim columns each: the xi = +1 elements H_0 at t = 0
+    are normal in either stabilizer, the rest a coset of reversors, which
+    act on Fix(H_0) = F x F as diag(A, -A), A an involution of F, so each
+    end fixes a subspace of dimension dim F.  flip is the time reversal
+    T = diag(I, -I) as a diagonal, and seeds the closing members' tangent
+    seeds in (state, varpi) (`_closing_residual`): the basis with varpi
+    row 1, the time-reversed mid_basis with varpi row -1.
 
     weights = (alpha, beta) reads the amplitude, the first vertical
     harmonic of body 0, off the two members' height quadratures I_1, I_2
@@ -301,8 +303,8 @@ class _Reduction:
         self.mid_basis = _fixed_subspace(
             [g for g in frozen if g.xi == 1] + reversors)
         heights = slice(2, 3 * n, 3)  # rows and columns of the heights
-        shift_heights = _state_matrix(self.shift)[heights, heights]
-        mid_heights = _state_matrix(reversors[0])[heights, heights]
+        shift_heights = _action(self.shift)[heights, heights]
+        mid_heights = _action(reversors[0])[heights, heights]
         # the shifts t of the xi = +1 elements form a subgroup of Z/2Ns, so
         # the minimal one divides 2Ns
         c = np.zeros(n, dtype=complex)
@@ -314,10 +316,10 @@ class _Reduction:
         r = c @ mid_heights
         self.weights = (2.0 / spec.s) * np.stack([c + np.conj(h * h * r),
                                                   np.conj(h * c) + h * r])
-        self.seeds = np.zeros((2, 6 * n + 1, 1 + max(self.dim, self.mid_dim)))
-        self.seeds[0, :-1, :self.dim] = self.basis
-        self.seeds[1, :-1, :self.mid_dim] = _reversal(n)[:, None] \
-            * self.mid_basis
+        self.flip = np.repeat([1.0, -1.0], 3 * n)
+        self.seeds = np.zeros((2, 6 * n + 1, self.dim + 1))
+        self.seeds[0, :-1, :-1] = self.basis
+        self.seeds[1, :-1, :-1] = self.flip[:, None] * self.mid_basis
         self.seeds[:, -1, -1] = 1.0, -1.0
         self.spec = spec
 
@@ -326,25 +328,12 @@ class _Reduction:
         return self.basis.shape[1]
 
     @property
-    def mid_dim(self) -> int:
-        return self.mid_basis.shape[1]
-
-    @property
     def metric(self) -> np.ndarray:
         """1 on the coordinates (u, varpi) of an unknown x = (u, v, varpi),
         in which arclength is measured, and 0 on v."""
-        mask = np.ones(self.dim + self.mid_dim + 1)
+        mask = np.ones(2 * self.dim + 1)
         mask[self.dim:-1] = 0.0
         return mask
-
-
-def _state_matrix(g: GroupElement) -> np.ndarray:
-    """Phase-space action of a group element evaluated at time zero.
-
-    Positions map by the spatial matrix of `symmetry._action`; velocities
-    pick up the extra factor xi from time reversal.
-    """
-    return np.kron(np.diag([1.0, g.xi]), _action(g))
 
 
 def _fixed_subspace(group):
@@ -352,9 +341,11 @@ def _fixed_subspace(group):
     fixes.
 
     The mean of the orthogonal state matrices over a group is the
-    orthogonal projector onto their common fixed subspace.
+    orthogonal projector onto their common fixed subspace; velocities
+    move by xi times the positions' matrix, `symmetry._action`.
     """
-    proj = sum(_state_matrix(g) for g in group) / len(group)
+    proj = sum(np.kron(np.diag([1.0, g.xi]), _action(g))
+               for g in group) / len(group)
     vals, vecs = np.linalg.eigh(proj)
     return vecs[:, vals > 0.5]
 
@@ -362,12 +353,6 @@ def _fixed_subspace(group):
 @functools.cache
 def _reduction(spec: GroupSpec) -> _Reduction:
     return _Reduction(spec)
-
-
-def _reversal(n):
-    # the diagonal of the time reversal T = diag(I, -I) on a raveled state
-    # (positions, velocities) of n bodies
-    return np.repeat([1.0, -1.0], 3 * n)
 
 
 def _closing_residual(red: _Reduction, x, tol, max_nfev=None):
@@ -386,17 +371,15 @@ def _closing_residual(red: _Reduction, x, tol, max_nfev=None):
     I_1, I_2 = int_0^{tau / 4} z(t) exp(-2 pi i t) dt.  max_nfev caps the
     flow's right-hand-side evaluations (`integrate`).
     """
-    n = red.spec.n_bodies
-    flip = _reversal(n)
+    flip = red.flip
     u, v, varpi = x[:red.dim], x[red.dim:-1], x[-1]
     starts = np.stack([red.basis @ u, flip * (red.mid_basis @ v)])
-    res = integrate(starts.reshape(2, 2, n, 3), [varpi, -varpi],
+    res = integrate(starts.reshape(2, 2, -1, 3), [varpi, -varpi],
                     0.25 * red.tau, tol=tol, tangents=red.seeds,
                     _max_nfev=max_nfev)
     end, back = res.state.reshape(2, -1)
     fwd, rev = res.tangents
-    jac = np.column_stack([fwd[:, :red.dim],
-                           -flip[:, None] * rev[:, :red.mid_dim],
+    jac = np.column_stack([fwd[:, :-1], -flip[:, None] * rev[:, :-1],
                            fwd[:, -1] - flip * rev[:, -1]])
     amplitude = float(np.sum(red.weights * res.harmonic).real)
     return end - flip * back, jac, amplitude, res.nfev
@@ -512,24 +495,29 @@ def shoot_symmetric(spec: GroupSpec, varpi: float, guess,
     arclength corrector of `continue_family` with its row pinned on
     varpi, so each closing flow carries one tangent column more, along
     varpi, and the guess and the start are flowed at the coarser
-    max(integrator_tol, _START_TOL) (`_damped_newton`).  A shot polishes
-    down to the same floor as a continuation step (_FLOOR).  Raises
-    NoConvergence when the damped iteration stalls or runs out of
-    iterations above 100 integrator_tol, and ValueError, before any
-    integration, unless integrator_tol lies in (0, 0.01) and varpi is
-    finite.
+    max(integrator_tol, _START_TOL) (`_damped_newton`).  The start may
+    take `_trial_budget` of the guess's right-hand sides (converged shots'
+    starts took at most as many as the guess), so far from the family a
+    shot stalls there instead of crawling towards a collision.  A shot
+    polishes down to the same floor as a continuation step (_FLOOR).
+    Raises NoConvergence when the start runs out, the damped iteration
+    stalls or it runs out of iterations above 100 integrator_tol, and
+    ValueError, before any integration, unless integrator_tol lies in
+    (0, 0.01) and varpi is finite.
     """
     _checked_tol(100.0 * integrator_tol,
                  "Newton tolerance 100 * integrator_tol")
     red = _reduction(spec)
     u = red.basis.T @ np.asarray(guess, dtype=float).ravel()
+    start_tol = max(integrator_tol, _START_TOL)
     mid = integrate((red.basis @ u).reshape(2, -1, 3), varpi,
-                    0.5 * red.tau, tol=max(integrator_tol, _START_TOL))
+                    0.5 * red.tau, tol=start_tol)
     x0 = np.concatenate([u, red.mid_basis.T @ mid.state.ravel(), [varpi]])
-    return _corrector(red, x0, np.eye(len(x0))[-1], x0, integrator_tol)[1]
+    return _corrector(red, x0, np.eye(len(x0))[-1], x0, integrator_tol,
+                      _trial_budget(mid.nfev, start_tol, start_tol))[1]
 
 
-def _damped_newton(fun, x0, integrator_tol):
+def _damped_newton(fun, x0, integrator_tol, start_cap=None):
     """Gauss-Newton with a halving line search on a residual function.
 
     fun(x, tol, max_nfev) returns (residual, Jacobian, extra, nfev) from a
@@ -557,20 +545,24 @@ def _damped_newton(fun, x0, integrator_tol):
     evaluates it once more at integrator_tol and goes on from there; this
     is the only point evaluated twice, so no solve ends on a coarse
     evaluation.  Any other pass that took no step ends the solve, and a
-    pass that took a step goes on.  The start and that re-evaluation run
-    uncapped; every trial is capped at `_trial_budget` of the start's
-    right-hand sides, and one that runs out ends the line search as no
-    decrease, so a solve far from the family stalls there instead of
-    halving through flows that crawl towards a collision.  Returns (x,
-    residual, extra) of the last evaluation when its sup norm is at most
-    tol = 100 integrator_tol.  Raises NoConvergence when a pass ends the
-    solve above tol ("Newton stalled"), or when the _CORRECTOR_ITER
-    passes end above it.
+    pass that took a step goes on.  The start may take start_cap
+    right-hand sides (None: no cap), and its re-evaluation is uncapped;
+    every trial is capped at `_trial_budget` of the start's, and one that
+    runs out ends the line search as no decrease, so a solve far from the
+    family stalls there instead of halving through flows that crawl
+    towards a collision.  Returns (x, residual, extra) of the last
+    evaluation when its sup norm is at most tol = 100 integrator_tol.
+    Raises NoConvergence when the start runs out or a pass ends the solve
+    above tol ("Newton stalled"), or when the _CORRECTOR_ITER passes end
+    above it.
     """
     x = np.asarray(x0, dtype=float).copy()
     start_tol = max(integrator_tol, _START_TOL)
     coarse = start_tol > integrator_tol
-    residual, jac, extra, nfev = fun(x, start_tol, None)
+    try:
+        residual, jac, extra, nfev = fun(x, start_tol, start_cap)
+    except _BudgetExhausted as exc:
+        raise NoConvergence(f"Newton stalled at the start: {exc}") from None
     cap = _trial_budget(nfev, start_tol, integrator_tol)
     norm, prev_norm = float(np.max(np.abs(residual))), np.inf
     tol = 100.0 * integrator_tol
@@ -657,7 +649,7 @@ class ContinuationResult:
 
 # pinned vertical height of the first step off the branch point
 _ONSET_EPS = 0.02
-# iterations of every Newton solve, and the arclength step's halvings
+# passes of every Newton solve (`_damped_newton`)
 _CORRECTOR_ITER = 12
 # flow tolerance of every Newton solve's start (`_damped_newton`)
 _START_TOL = 1e-8
@@ -678,6 +670,8 @@ _TRIAL_NFEV = 1.6
 # Hip-Hop and the hexagon at amplitudes 0.03-0.07 stopped here close to
 # at most 1.1e-11 over the period against a flow at rtol 3e-14
 _FLOOR = 0.05
+# a family ends as "newton-failure" when a failed arclength step would
+# be halved below step * 2**-_MAX_HALVINGS (`continue_family`)
 _MAX_HALVINGS = 12
 
 
@@ -690,19 +684,19 @@ def _trial_budget(start_nfev, start_tol, integrator_tol) -> int:
                      * (start_tol / integrator_tol) ** 0.1)
 
 
-def _corrector(red, start, row, point, integrator_tol):
+def _corrector(red, start, row, point, integrator_tol, start_cap=None):
     """Gauss-Newton on the closing condition plus one linear constraint.
 
     The unknown is packed x = (u, v, varpi), started at start, and the
-    constraint row . (x - point) = 0 is the last equation; every
-    line-search trial is capped at `_trial_budget` of the start's
-    right-hand sides (`_damped_newton`).  Returns (x, orbit, null), all
-    from the converged evaluation: orbit is the PeriodicOrbit at x with
-    its closing residual's sup norm and amplitude; null is the right
-    singular vector of the smallest singular value of its closing
-    Jacobian, the family tangent in (u, v, varpi) up to sign, scaled to
-    unit length in the arclength metric (u, varpi), and costs no
-    integration.
+    constraint row . (x - point) = 0 is the last equation; the start's
+    flow is capped at start_cap right-hand sides (None: no cap), and
+    every line-search trial at `_trial_budget` of the start's
+    (`_damped_newton`).  Returns (x, orbit, null), all from the converged
+    evaluation: orbit is the PeriodicOrbit at x with its closing
+    residual's sup norm and amplitude; null is the right singular vector
+    of the smallest singular value of its closing Jacobian, the family
+    tangent in (u, v, varpi) up to sign, scaled to unit length in the
+    arclength metric (u, varpi), and costs no integration.
     """
     def bordered(x, tol, max_nfev):
         residual, jac, amplitude, nfev = _closing_residual(red, x, tol,
@@ -710,7 +704,8 @@ def _corrector(red, start, row, point, integrator_tol):
         return (np.append(residual, row @ (x - point)), np.vstack([jac, row]),
                 (amplitude, jac), nfev)
 
-    x, full, (amplitude, jac) = _damped_newton(bordered, start, integrator_tol)
+    x, full, (amplitude, jac) = _damped_newton(bordered, start,
+                                               integrator_tol, start_cap)
     orbit = PeriodicOrbit(red.spec, float(x[-1]), float(red.spec.s),
                           (red.basis @ x[:red.dim]).reshape(2, -1, 3),
                           amplitude, float(np.max(np.abs(full[:-1]))))
@@ -765,8 +760,9 @@ def continue_family(spec: GroupSpec, direction: int = 1, n_steps: int = 40,
     tangent.  Its corrector starts from the cubic Hermite extrapolation of
     the last two records along their family tangents, projected onto that
     hyperplane (`_hermite_start`); the records are the same points as with
-    a start at pred, reached in fewer Newton iterations.  When the corrector does not converge the step is
-    halved; the run ends when h would fall below step * 2**-_MAX_HALVINGS.
+    a start at pred, reached in fewer Newton iterations.  When the
+    corrector does not converge the step is halved; the run ends when h
+    would fall below step * 2**-_MAX_HALVINGS.
     A step is accepted only with its record, so a failure while finishing
     the record ends the run like a failure of the corrector.  The run ends
     with one of the reasons "max-steps", "newton-failure", "collision:

@@ -217,9 +217,9 @@ _EXTRA = [(A[s, :s], float(C[s])) for s in range(N_STAGES + 1, 16)]
 class _BudgetExhausted(NoConvergence):
     """A flow asked for more right-hand sides than its max_nfev allows.
 
-    The Newton solves of `continuation` cap their line-search trials this
-    way: a line search counts it as no decrease, and anywhere else it ends
-    the solve as a stall."""
+    The Newton solves of `continuation` cap their line-search trials, and
+    a shot's start, this way: a line search counts it as no decrease, and
+    a start that runs out ends the solve as a stall."""
 
 
 @dataclass

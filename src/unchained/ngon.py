@@ -9,22 +9,22 @@ uniform grid, and the Lagrangian action in a frame rotating at an
 arbitrary rate varpi.  Positions are plain arrays: one configuration is
 (n, 3), and a loop is (m, n, 3) samples in a `LoopPath`.
 
-Every pairwise quantity is built from one front end, `_pair_squares`,
-over the n(n-1)/2 pairs i < j in `np.triu_indices(n, 1)` order: the
-differences x_j - x_i and their squared lengths r_ij^2, with no diagonal.
-Sums over pairs go back to the bodies through the (n, P) scatter that
-`_pairs` caches per n, which adds a pair's vector to body i and subtracts
-it from body j.  Two bodies closer than the single threshold
-COLLISION_TOL collide, and `_check_squared` is the one place that checks:
-it compares the squared distances with a guard just above
-COLLISION_TOL^2 and takes their roots only when one falls below it, so
-the threshold is exact.  Every function that takes positions, and the
-flow of `continuation.integrate`, raises CollisionError below it.  A NaN
-distance passes that test, so the positions that `potential`,
-`wintner_matrix`, `gravity` and `force_jacobian` take, and those of every
-`LoopPath`, must be finite: ValueError otherwise.  `potential` and
-`wintner_matrix` take one (n, 3) configuration and refuse any other shape
-with ValueError.
+Every pairwise quantity runs over the n(n-1)/2 pairs i < j in
+`np.triu_indices(n, 1)` order: the differences x_j - x_i and their
+squared lengths r_ij^2, with no diagonal; `_pair_squares` gives both to
+`potential`, `action`, `wintner_matrix` and `minimize`.  Sums over pairs
+go back to the bodies through the (n, P) scatter that `_pairs` caches per
+n, which adds a pair's vector to body i and subtracts it from body j.
+Two bodies closer than the single threshold COLLISION_TOL collide, and
+`_check_squared` is the one place that checks: it compares the squared
+distances with a guard just above COLLISION_TOL^2 and takes their roots
+only when one falls below it, so the threshold is exact.  Every function
+that takes positions, and the flow of `continuation.integrate`, raises
+CollisionError below it.  A NaN distance passes that test, so the
+positions that `potential`, `wintner_matrix`, `gravity` and
+`force_jacobian` take, and those of every `LoopPath`, must be finite:
+ValueError otherwise.  `potential` and `wintner_matrix` take one (n, 3)
+configuration and refuse any other shape with ValueError.
 
 Every caller takes the pair differences one way, the `_pairs`
 difference matrix applied to the positions.  The force is `_pair_force`
@@ -35,9 +35,8 @@ of them: `_force` of positions is the body of `gravity` and
 columns, the positions in column 0: with one scatter product it returns
 the force in column 0 and the force Jacobian, in rank-one form, applied
 to every other column.  It reads r^2 off the differences and runs the
-same guard as the front end.  `force_jacobian` reaches it through
-`_force_jacobian_apply`, and the tangent flow with the same two steps
-written out.
+same guard.  `force_jacobian` reaches it through `_force_jacobian_apply`,
+and the tangent flow with the same two steps written out.
 """
 
 import functools
@@ -220,8 +219,8 @@ def _pair_jacobian_apply(rel, scatter):
     # pairs times the `_pairs` scatter.  Pair p = (i, j) gives the rank-one
     # form of (I / r^3 - 3 d d^T / r^5) rel, d = x_j - x_i, which the
     # scatter adds to body i and subtracts from body j; column 0 keeps only
-    # the isotropic term d / r^3, the pair's force.  The front end's
-    # `_check_squared` runs before any division
+    # the isotropic term d / r^3, the pair's force.  `_check_squared` runs
+    # before any division
     d = rel[..., 0]
     # d . rel of every column, (..., P, 1, k); column 0 holds r^2
     proj = d[..., None, :] @ rel
@@ -298,7 +297,8 @@ class NGonSystem:
         _checked_positive(abs(omega), "|omega|")
         period = 2.0 * np.pi / abs(omega)
         t = np.arange(n_samples) * (period / n_samples)
-        ang = omega * t[:, None] + 2.0 * np.pi * np.arange(self.n)[None, :] / self.n
+        ang = (omega * t[:, None]
+               + 2.0 * np.pi * np.arange(self.n)[None, :] / self.n)
         pos = self.scale * np.stack(
             [np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=2)
         return LoopPath(pos, period)
@@ -417,8 +417,8 @@ class LoopPath:
         n_samples = _checked_count(n_samples, "n_samples")
         offsets = np.asarray(offsets, dtype=float)
         if offsets.ndim > 1:
-            raise ValueError(
-                f"offsets must be a number or a 1-D array, got {offsets.shape}")
+            raise ValueError(f"offsets must be a number or a 1-D array, "
+                             f"got {offsets.shape}")
         _checked_finite(offsets, "offset")
         m = self.n_samples
         phase = np.exp(2j * np.pi * (offsets / self.period)[..., None]

@@ -86,9 +86,8 @@ class VerticalSpectrum:
         """
         f = fold_mode(self.n_bodies, _checked_int(m, "mode index"))
         if f == 0:
-            raise DegenerateSystem(
-                f"mode {m} folds to 0 mod {self.n_bodies}; no vertical frequency"
-            )
+            raise DegenerateSystem(f"mode {m} folds to 0 mod "
+                                   f"{self.n_bodies}; no vertical frequency")
         return float(self.omegas[f - 1])
 
 
@@ -110,7 +109,8 @@ def _vertical_spectrum(n):
     j = np.arange(1, n)
     rho3 = (2.0 * np.sin(np.pi * j / n)) ** 3
     k = np.arange(0, n // 2 + 1)
-    lam = -np.sum((1.0 - np.cos(2.0 * np.pi * np.outer(k, j) / n)) / rho3, axis=1)
+    lam = -np.sum((1.0 - np.cos(2.0 * np.pi * np.outer(k, j) / n)) / rho3,
+                  axis=1)
     lam[0] = 0.0
     omegas = np.sqrt(-lam[1:])
     for a in (lam, omegas):
@@ -141,7 +141,8 @@ class HorizontalSpectrum:
     def purely_imaginary(self) -> np.ndarray:
         """Subset with |Re z| < IMAG_CLASSIFY_TOL * |z| (plus exact zeros)."""
         z = self.eigenvalues
-        mask = np.abs(z.real) < IMAG_CLASSIFY_TOL * np.maximum(np.abs(z), 1e-300)
+        mask = np.abs(z.real) < IMAG_CLASSIFY_TOL * np.maximum(np.abs(z),
+                                                               1e-300)
         return z[mask]
 
 

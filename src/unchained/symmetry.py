@@ -101,10 +101,6 @@ class GroupElement:
         sp = self.spec
         return Fraction(_rotation(self), 2 * sp.n_bodies * sp.s)
 
-    def __str__(self):
-        return (f"(theta={self.theta}, delta={self.delta}, "
-                f"beta={self.beta}, xi={self.xi:+d}, alpha={self.alpha})")
-
 
 def _rotation(g: GroupElement) -> int:
     """Numerator of alpha over 2 N s: r t - 2 s delta."""

@@ -37,16 +37,15 @@ from unchained.continuation import (INTEGRATOR_TOL, ActionDiagram,
                                     _START_TOL, _FLOOR, _TRIAL_NFEV,
                                     _BudgetExhausted,
                                     _closing_residual, _damped_newton,
-                                    _onset_point, _reduction,
-                                    _state_matrix)
+                                    _onset_point, _reduction)
 from unchained.errors import (CollisionError, IntegrationFailure,
                               NoConvergence, SingularReduction)
 from unchained.ngon import (COLLISION_TOL, NGonSystem, action,
                             angular_momentum_z, jay, kinetic_energy,
                             newton_residual, potential, rescale)
 from unchained.spectrum import lyapunov_cylinder, vertical_spectrum
-from unchained.symmetry import (GroupSpec, compose, enumerate_elements,
-                                invariance_defect)
+from unchained.symmetry import (GroupSpec, _action, compose,
+                                enumerate_elements, invariance_defect)
 from unchained.torsion import reconstruct_loop, torsion_gamma
 
 OMEGA1_3 = 3.0 ** -0.25
@@ -564,7 +563,8 @@ def test_reduction_fixed_subspace(spec):
     u = rng.standard_normal(red.dim)
     x = red.basis @ u
     for g in (g for g in enumerate_elements(spec) if g.theta == 0):
-        assert np.max(np.abs(_state_matrix(g) @ x - x)) < 1e-12
+        state_matrix = np.kron(np.diag([1.0, g.xi]), _action(g))
+        assert np.max(np.abs(state_matrix @ x - x)) < 1e-12
 
 
 def _small_specs():
@@ -590,13 +590,34 @@ def test_midpoint_stabilizer_is_a_group_with_a_reversor():
                if (g.xi, g.t) in ((1, 0), (-1, red.shift.t))]
         assert any(g.xi == -1 for g in mid), spec
         assert all(compose(a, b) in mid for a in mid for b in mid), spec
-        proj = sum(_state_matrix(g) for g in mid) / len(mid)
+        proj = sum(np.kron(np.diag([1.0, g.xi]), _action(g))
+                   for g in mid) / len(mid)
         assert np.max(np.abs(proj - proj.T)) < 1e-12, spec
         assert np.max(np.abs(proj @ proj - proj)) < 1e-12, spec
         mid_basis = red.mid_basis
         assert np.max(np.abs(mid_basis.T @ mid_basis
-                             - np.eye(red.mid_dim))) < 1e-12, spec
+                             - np.eye(red.dim))) < 1e-12, spec
         assert np.max(np.abs(mid_basis @ mid_basis.T - proj)) < 1e-12, spec
+
+
+def test_both_ends_fix_subspaces_of_one_dimension():
+    # the xi = +1 elements at t = 0 are a normal subgroup H_0 of both the
+    # time-zero and the midpoint stabilizer, the rest of each a coset of
+    # reversors, and a reversor acts on the states H_0 fixes as
+    # diag(A, -A), A an involution: both ends fix subspaces of the
+    # dimension of H_0's fixed positions, so the two members' seeds share
+    # one width with no zero column.  Every small group, and catalog
+    # groups at N = 12 and s = 6
+    for spec in _small_specs() + [
+            GroupSpec(12, 1, -1, 11, 1), GroupSpec(12, 6, 1, 1, 1),
+            GroupSpec(12, 5, -1, 7, 6), GroupSpec(12, 4, 1, -1, 6),
+            GroupSpec(7, 3, 1, 5, 6), GroupSpec(5, 2, -1, -11, 6)]:
+        red = _reduction(spec)
+        n = spec.n_bodies
+        assert red.mid_basis.shape == red.basis.shape == (6 * n, red.dim), \
+            spec
+        assert red.seeds.shape == (2, 6 * n + 1, red.dim + 1), spec
+        assert np.all(np.any(red.seeds != 0.0, axis=1)), spec
 
 
 @pytest.mark.parametrize("spec, shape", [
@@ -607,7 +628,7 @@ def test_midpoint_system_size(spec, shape):
     # components of the quarter-point match, against the coordinates of
     # the states at t = 0 and at tau / 2 and the frame rate
     red = _reduction(spec)
-    assert (6 * spec.n_bodies, red.dim + red.mid_dim + 1) == shape
+    assert (6 * spec.n_bodies, 2 * red.dim + 1) == shape
     residual, jac, _, _ = _closing_residual(
         red, _onset_point(red, 0.05)[0], _START_TOL)
     assert (len(residual),) + jac.shape[1:] == shape
@@ -736,11 +757,42 @@ def test_shoot_symmetric_no_convergence(monkeypatch):
 
 
 def test_shoot_symmetric_stalls_far_from_the_family():
-    # the expansion at amplitude 0.3 is too far from the Hip-Hop family
-    # for the line search to find a decrease
+    # the expansion at amplitude 0.3 is too far from the Hip-Hop family:
+    # the start's closing flow crawls towards a collision and runs out of
+    # its budget, a multiple of the guess's own flow over tau / 2
     state, varpi = onset_state(HH4, 0.3)
     with pytest.raises(NoConvergence, match="Newton stalled"):
         shoot_symmetric(HH4, varpi, state)
+
+
+def _shot_start_cap(spec, state, varpi):
+    # the right-hand sides a shot's start may take: _TRIAL_NFEV times
+    # those of the projected guess's flow over tau / 2 at _START_TOL
+    red = _reduction(spec)
+    guess = (red.basis @ (red.basis.T @ state.ravel())).reshape(state.shape)
+    mid = integrate(guess, varpi, 0.5 * red.tau, tol=_START_TOL)
+    return math.ceil(_TRIAL_NFEV * mid.nfev)
+
+
+def test_shot_far_from_the_family_stops_at_the_start_budget(monkeypatch):
+    # (6, 3, 1, 1, 1) at amplitude 0.3: the guess's flow over tau / 2
+    # finishes, but the start's closing flow from it crawls towards a
+    # collision for minutes uncapped.  It stops at _TRIAL_NFEV times the
+    # guess's flow, and the shot ends there, before any line-search trial
+    import unchained.continuation as continuation
+    spec = GroupSpec(6, 3, 1, 1, 1)
+    seen = []
+
+    def logged(red, x, tol, max_nfev=None, real=_closing_residual):
+        seen.append((tol, max_nfev))
+        assert max_nfev is not None, "an uncapped flow runs for minutes"
+        return real(red, x, tol, max_nfev)
+
+    monkeypatch.setattr(continuation, "_closing_residual", logged)
+    state, varpi = onset_state(spec, 0.3)
+    with pytest.raises(NoConvergence, match="Newton stalled at the start"):
+        shoot_symmetric(spec, varpi, state)
+    assert seen == [(_START_TOL, _shot_start_cap(spec, state, varpi))]
 
 
 @pytest.mark.parametrize("eps", [0.03, 0.07])
@@ -810,9 +862,10 @@ def test_damped_newton_drops_numerically_null_direction():
 
 @pytest.mark.filterwarnings("ignore:At least one element of `rtol`")
 def test_trial_flows_are_capped_at_a_multiple_of_the_start(monkeypatch):
-    # the start of a solve runs with no cap, and every line-search trial
-    # with _TRIAL_NFEV times the start's right-hand sides, scaled as
-    # tol^(-1/10) from _START_TOL to the trial's tolerance
+    # a shot's start runs with _TRIAL_NFEV times the right-hand sides of
+    # the guess's flow over tau / 2, and every line-search trial with
+    # _TRIAL_NFEV times the start's, scaled as tol^(-1/10) from
+    # _START_TOL to the trial's tolerance
     import unchained.continuation as continuation
     seen = []
 
@@ -822,12 +875,14 @@ def test_trial_flows_are_capped_at_a_multiple_of_the_start(monkeypatch):
         return out
 
     monkeypatch.setattr(continuation, "_closing_residual", logged)
+    state, varpi = onset_state(P12, 0.05)
+    start_cap = _shot_start_cap(P12, state, varpi)
     for integrator_tol in (INTEGRATOR_TOL, 1e-14):
         seen.clear()
-        state, varpi = onset_state(P12, 0.05)
         shoot_symmetric(P12, varpi, state, integrator_tol=integrator_tol)
         (tol, cap, start), trials = seen[0], seen[1:]
-        assert (tol, cap) == (_START_TOL, None) and trials
+        assert (tol, cap) == (_START_TOL, start_cap)
+        assert start <= cap and trials
         budget = math.ceil(_TRIAL_NFEV * start
                            * (_START_TOL / integrator_tol) ** 0.1)
         assert all(cap == budget for _, cap, _ in trials)
