@@ -421,35 +421,53 @@ class PeriodicOrbit:
         integer.
 
         The period is flowed from both ends at once, in one stacked
-        `integrate` call over [0, T / 2].  The forward member starts at
-        the initial state (p, v).  By time reversal in the rotating frame,
-        x(T - s) is the forward flow of (p, -v) at frame rate -varpi (the
-        Coriolis term flips sign, and x(T) = x(0) on a closed orbit), so
-        the backward member is that flow.  Samples at t <= T / 2 are read
-        off the forward member, the rest off the backward one at s = T - t.
-        The two members miss each other at T / 2 by a gap delta, the
-        closing defect of the flow.  It is spread as a hat: +(t / T) delta
-        on forward samples and -((T - t) / T) delta on backward ones, so
-        the loop is continuous at T / 2 and across the seam, and sample 0
-        is exactly the initial positions.  No group element is used.
+        `integrate` call over [0, T / 2], in the frame where the polygon
+        the family branches from stands still.  That polygon turns r times
+        per period T = s in the frame varpi, so the flow runs at rate
+        varpi + omega, omega = 2 pi r / s, from the initial positions p
+        and the velocities w = v - omega J p they have there.  The two
+        frames differ by r whole turns over the period, so the loop closes
+        in both.  The turning frame is taken only when the initial state
+        moves slower in it, sum |w|^2 < sum |v|^2; otherwise omega = 0
+        and the flow stays in the frame varpi, which is the slower one
+        along P12 past the Eight.  The forward member starts at (p, w).
+        By time reversal in the rotating frame, y(T - u) is the forward
+        flow of (p, -w) at frame rate -(varpi + omega) (the Coriolis term
+        flips sign, and y(T) = y(0) on a closed orbit), so the backward
+        member is that flow.  Samples at t <= T / 2 are read off the
+        forward member, the rest off the backward one at u = T - t.  The
+        two members miss each other at T / 2 by a gap delta, the closing
+        defect of the flow.  It is spread as a hat: +(t / T) delta on
+        forward samples and -((T - t) / T) delta on backward ones, so the
+        loop is continuous at T / 2 and across the seam.  Each sample is
+        then turned back about the vertical axis by the angle omega t,
+        exactly 0 at t = 0, so sample 0 is exactly the initial positions.
+        No group element is used: r and s come from the spec, as the
+        period does.
         """
         n_samples = _checked_count(n_samples, "n_samples")
         period = self.period
         # grid times below T / 2, then T / 2 itself: the forward member is
         # read at t = k T / n_samples <= T / 2, the backward one at
-        # s = T - t < T / 2, which is a grid time too
+        # u = T - t < T / 2, which is a grid time too
         n_below = (n_samples + 1) // 2
         t_eval = np.append(np.arange(n_below) * (period / n_samples),
                            0.5 * period)
         pos0, vel0 = self.initial_state
-        # on P12 and the Hip-Hop the step cap, not tol, sets the samples'
-        # error.  Against a two-ended flow at 1e-13 capped at T / 1024, the
-        # 20-step records land at most 2.8e-14, 9.1e-14, 3.3e-13 and
-        # 1.3e-12 away at caps T / 128, T / 112, T / 96 and T / 80, so
-        # T / 96 is the coarsest cap within the stated 1e-12 by a factor 3.
-        # The hexagon's steps are finer than any of these
-        res = integrate(np.stack([self.initial_state, [pos0, -vel0]]),
-                        [self.varpi, -self.varpi], (0.0, 0.5 * period),
+        omega = 2.0 * math.pi * self.spec.r / self.spec.s
+        vel = vel0 - omega * jay(pos0)
+        if not np.sum(vel ** 2) < np.sum(vel0 ** 2):
+            omega, vel = 0.0, vel0
+        rate = self.varpi + omega
+        # the step cap sets the steps of P12, the Hip-Hop and the hexagon.
+        # Against a two-ended flow at 1e-13 capped at T / 1024, the P12 and
+        # Hip-Hop shots at amplitudes 0.03-0.07 and 20-step records land at
+        # most 1.1e-13, 1.1e-13, 1.4e-13 and 4.9e-13 away at caps T / 128,
+        # T / 112, T / 96 and T / 80, and the hexagon shots 2.8e-13 at each
+        # cap, where tol sets the error.  So T / 96 is the coarsest cap
+        # within the stated 1e-12 by a factor 3.
+        res = integrate(np.stack([[pos0, vel], [pos0, -vel]]),
+                        [rate, -rate], (0.0, 0.5 * period),
                         tol=tol, t_eval=t_eval, max_step=period / 96.0)
         forward, backward = res.trajectory[:, 0, 0], res.trajectory[:, 1, 0]
         delta = backward[-1] - forward[-1]
@@ -457,7 +475,10 @@ class PeriodicOrbit:
         pos = np.concatenate([forward[:n_samples // 2 + 1],
                               backward[n_below - 1:0:-1] - delta])
         ramp = np.arange(n_samples)[:, None, None] / n_samples
-        return LoopPath(pos + ramp * delta, period)
+        pos += ramp * delta
+        angle = omega * period * ramp
+        return LoopPath(pos * np.where(_HMASK, np.cos(angle), 1.0)
+                        + np.sin(angle) * jay(pos), period)
 
 
 def onset_state(spec: GroupSpec, epsilon: float = 0.0):

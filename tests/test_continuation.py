@@ -1489,9 +1489,10 @@ def test_sample_matches_a_finer_full_period_flow(shot_orbits, spec, bound):
 
 @pytest.fixture(scope="module")
 def amplitude_shots(shot_orbits):
-    # P12 and the Hip-Hop shot at onset amplitudes 0.03, 0.05 and 0.07
-    shots = {(spec, 0.05): shot_orbits[spec] for spec in (P12, HH4)}
-    for spec, eps in product((P12, HH4), (0.03, 0.07)):
+    # P12, the Hip-Hop and the hexagon shot at onset amplitudes 0.03, 0.05
+    # and 0.07
+    shots = {(spec, 0.05): shot_orbits[spec] for spec in (P12, HH4, HEXAGON)}
+    for spec, eps in product((P12, HH4, HEXAGON), (0.03, 0.07)):
         state, varpi = onset_state(spec, eps)
         shots[spec, eps] = shoot_symmetric(spec, varpi, state)
     return shots
@@ -1522,17 +1523,19 @@ def _two_ended_reference(orbit, n_samples=512):
 
 @pytest.mark.parametrize("source, key", [
     *[pytest.param("shot", (spec, eps), id=f"{name}-shot-{eps}")
-      for name, spec in (("p12", P12), ("hh4", HH4))
+      for name, spec in (("p12", P12), ("hh4", HH4), ("hexagon", HEXAGON))
       for eps in (0.03, 0.05, 0.07)],
     *[pytest.param(f"{name}_twenty", k, id=f"{name}-record-{k}")
       for name in ("p12", "hh4") for k in (1, 10, 20)],
 ])
 def test_sample_meets_its_stated_accuracy(request, amplitude_shots, source,
                                           key):
-    # the stated accuracy of sample(512) on P12 and the Hip-Hop: within
-    # 1e-12 of a reference that shares no code with the flow.  Its step
-    # cap of T / 96 was chosen for 3.3e-13 at worst over the 20-step
-    # records, a factor 3 inside
+    # the stated accuracy of sample(512) on P12, the Hip-Hop and the
+    # hexagon: within 1e-12 of a reference that shares no code with the
+    # flow.  Its step cap of T / 96 was chosen for 1.4e-13 at worst over
+    # the P12 and Hip-Hop shots and the 20-step records; the hexagon shots
+    # read 2.8e-13, set by tol.  Flowed in the frame varpi, as the
+    # reference is, the hexagon read 4.7e-12
     if source == "shot":
         orbit = amplitude_shots[key]
     else:
@@ -1542,10 +1545,11 @@ def test_sample_meets_its_stated_accuracy(request, amplitude_shots, source,
         <= 1e-12
 
 
-@pytest.mark.parametrize("spec", [P12, HH4])
+@pytest.mark.parametrize("spec", [P12, HH4, HEXAGON])
 def test_sample_fits_its_work_budget(monkeypatch, shot_orbits, spec):
     # sample(512) took 962 right-hand-side evaluations at a step cap of
-    # T / 128 and takes 722 at T / 96
+    # T / 128 and takes 722 at T / 96; the hexagon took 1232 in the frame
+    # varpi, where tol set its steps, and takes 722 in the polygon's frame
     import unchained.continuation as continuation
     nfev = []
 
@@ -1598,6 +1602,45 @@ def test_sample_starts_exactly_at_the_initial_positions(shot_orbits,
         loop = orbit.sample(n_samples)
         assert loop.n_samples == n_samples
         assert np.array_equal(loop.positions[0], orbit.initial_state[0])
+
+
+@pytest.mark.parametrize("spec", [P12, HH4, HEXAGON,
+                                  GroupSpec(5, 2, -1, 1, 2)])
+def test_onset_sample_is_the_turning_polygon(spec):
+    # the onset record is the relative equilibrium: the n-gon turning r
+    # times per period s about the vertical axis, R(2 pi r t / s) p0.  In
+    # the frame varpi the hexagon's loop read 4.7e-12 off it
+    orbit = continue_family(spec, n_steps=1).records[0].orbit
+    loop = orbit.sample(512)
+    angle = 2.0 * np.pi * spec.r * loop.times / spec.s
+    turn = np.zeros((len(angle), 3, 3))
+    turn[:, 0, 0] = turn[:, 1, 1] = np.cos(angle)
+    turn[:, 1, 0] = np.sin(angle)
+    turn[:, 0, 1] = -turn[:, 1, 0]
+    turn[:, 2, 2] = 1.0
+    polygon = np.einsum("tij,bj->tbi", turn, orbit.initial_state[0])
+    assert np.max(np.abs(loop.positions - polygon)) <= 1e-13
+
+
+def test_sample_flows_in_the_slower_frame(monkeypatch, shot_orbits):
+    # the hexagon shot moves slower in the polygon's frame, varpi + 2 pi r
+    # / s; past the Eight, P12 moves slower in the frame varpi, where
+    # sample(512) of record 36 of a run at max_step 0.3 takes 1031
+    # right-hand sides against 1124 at varpi + 4 pi
+    import unchained.continuation as continuation
+    past = continue_family(P12, n_steps=36, max_step=0.3).records[-1].orbit
+    rates = []
+
+    def counted(state, varpi, *args, real=continuation.integrate, **kwargs):
+        rates.append(varpi)
+        return real(state, varpi, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "integrate", counted)
+    hexagon = shot_orbits[HEXAGON]
+    hexagon.sample(512)
+    past.sample(512)
+    turned = hexagon.varpi + 2.0 * np.pi * HEXAGON.r / HEXAGON.s
+    assert rates == [[turned, -turned], [past.varpi, -past.varpi]]
 
 
 def test_sample_uses_no_symmetry(monkeypatch, shot_orbits):
@@ -1713,10 +1756,11 @@ def test_twenty_steps_take_their_pinned_steps(monkeypatch):
     assert nfev == 12 * (accepted + rejected) + 2 * len(flows) == 9490
 
 
-@pytest.mark.parametrize("spec", [P12, HH4])
+@pytest.mark.parametrize("spec", [P12, HH4, HEXAGON])
 def test_sample_takes_its_pinned_steps(monkeypatch, shot_orbits, spec):
     # sample(512) takes 48 steps, each holding samples: 12 right-hand
-    # sides for the step and 3 for its dense output, and 2 to start
+    # sides for the step and 3 for its dense output, and 2 to start.  The
+    # hexagon took 82 in the frame varpi
     import unchained.continuation as continuation
     flows = []
 
