@@ -423,27 +423,23 @@ class PeriodicOrbit:
         The period is flowed from both ends at once, in one stacked
         `integrate` call over [0, T / 2], in the frame where the polygon
         the family branches from stands still.  That polygon turns r times
-        per period T = s in the frame varpi, so the flow runs at rate
-        varpi + omega, omega = 2 pi r / s, from the initial positions p
+        per period in the frame varpi, so the flow runs at rate
+        varpi + omega, omega = 2 pi r / T, from the initial positions p
         and the velocities w = v - omega J p they have there.  The two
         frames differ by r whole turns over the period, so the loop closes
-        in both.  The turning frame is taken only when the initial state
-        moves slower in it, sum |w|^2 < sum |v|^2; otherwise omega = 0
-        and the flow stays in the frame varpi, which is the slower one
-        along P12 past the Eight.  The forward member starts at (p, w).
-        By time reversal in the rotating frame, y(T - u) is the forward
-        flow of (p, -w) at frame rate -(varpi + omega) (the Coriolis term
-        flips sign, and y(T) = y(0) on a closed orbit), so the backward
-        member is that flow.  Samples at t <= T / 2 are read off the
-        forward member, the rest off the backward one at u = T - t.  The
-        two members miss each other at T / 2 by a gap delta, the closing
-        defect of the flow.  It is spread as a hat: +(t / T) delta on
-        forward samples and -((T - t) / T) delta on backward ones, so the
-        loop is continuous at T / 2 and across the seam.  Each sample is
-        then turned back about the vertical axis by the angle omega t,
-        exactly 0 at t = 0, so sample 0 is exactly the initial positions.
-        No group element is used: r and s come from the spec, as the
-        period does.
+        in both.  The forward member starts at (p, w).  By time reversal
+        in the rotating frame, y(T - u) is the forward flow of (p, -w) at
+        frame rate -(varpi + omega) (the Coriolis term flips sign, and
+        y(T) = y(0) on a closed orbit), so the backward member is that
+        flow.  Samples at t <= T / 2 are read off the forward member, the
+        rest off the backward one at u = T - t.  The two members miss each
+        other at T / 2 by a gap delta, the closing defect of the flow.  It
+        is spread as a hat: +(t / T) delta on forward samples and
+        -((T - t) / T) delta on backward ones, so the loop is continuous
+        at T / 2 and across the seam.  Each sample is then turned back
+        about the vertical axis by the angle omega t, exactly 0 at t = 0,
+        so sample 0 is exactly the initial positions.  No group element is
+        used: r comes from the spec, as the period does from the orbit.
         """
         n_samples = _checked_count(n_samples, "n_samples")
         period = self.period
@@ -454,10 +450,8 @@ class PeriodicOrbit:
         t_eval = np.append(np.arange(n_below) * (period / n_samples),
                            0.5 * period)
         pos0, vel0 = self.initial_state
-        omega = 2.0 * math.pi * self.spec.r / self.spec.s
+        omega = 2.0 * math.pi * self.spec.r / period
         vel = vel0 - omega * jay(pos0)
-        if not np.sum(vel ** 2) < np.sum(vel0 ** 2):
-            omega, vel = 0.0, vel0
         rate = self.varpi + omega
         # the step cap sets the steps of P12, the Hip-Hop and the hexagon.
         # Against a two-ended flow at 1e-13 capped at T / 1024, the P12 and

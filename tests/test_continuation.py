@@ -1622,25 +1622,24 @@ def test_onset_sample_is_the_turning_polygon(spec):
     assert np.max(np.abs(loop.positions - polygon)) <= 1e-13
 
 
-def test_sample_flows_in_the_slower_frame(monkeypatch, shot_orbits):
-    # the hexagon shot moves slower in the polygon's frame, varpi + 2 pi r
-    # / s; past the Eight, P12 moves slower in the frame varpi, where
-    # sample(512) of record 36 of a run at max_step 0.3 takes 1031
-    # right-hand sides against 1124 at varpi + 4 pi
-    import unchained.continuation as continuation
-    past = continue_family(P12, n_steps=36, max_step=0.3).records[-1].orbit
-    rates = []
-
-    def counted(state, varpi, *args, real=continuation.integrate, **kwargs):
-        rates.append(varpi)
-        return real(state, varpi, *args, **kwargs)
-
-    monkeypatch.setattr(continuation, "integrate", counted)
-    hexagon = shot_orbits[HEXAGON]
-    hexagon.sample(512)
-    past.sample(512)
-    turned = hexagon.varpi + 2.0 * np.pi * HEXAGON.r / HEXAGON.s
-    assert rates == [[turned, -turned], [past.varpi, -past.varpi]]
+@pytest.mark.parametrize("scale", [0.25, 4.0])
+@pytest.mark.parametrize("spec", [P12, HH4, HEXAGON])
+def test_sample_of_a_rescaled_orbit_is_the_rescaled_loop(shot_orbits, spec,
+                                                         scale):
+    # lambda x(t / lambda^(3/2)) is an orbit at frame rate varpi /
+    # lambda^(3/2), with period lambda^(3/2) s, not s.  Its loop is the
+    # shot's loop scaled by lambda; a polygon's frame taken from s rather
+    # than the period missed by 0.26-0.91 at lambda = 1 / 4
+    orbit = shot_orbits[spec]
+    stretch = scale ** 1.5
+    pos, vel = orbit.initial_state
+    scaled = PeriodicOrbit(spec, orbit.varpi / stretch,
+                           orbit.period * stretch,
+                           np.stack([scale * pos, vel / np.sqrt(scale)]),
+                           orbit.amplitude, orbit.residual)
+    loop = orbit.sample(512)
+    assert np.max(np.abs(scaled.sample(512).positions
+                         - scale * loop.positions)) <= scale * 1e-14
 
 
 def test_sample_uses_no_symmetry(monkeypatch, shot_orbits):
